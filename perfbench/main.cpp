@@ -89,6 +89,16 @@ struct Args {
   std::exit(2);
 }
 
+/// Ranks in the workload's own world (also the set-up and probe worlds).
+int world_ranks(Workload w) {
+  switch (w) {
+    case Workload::kPingpong: return 2;
+    case Workload::kFanin: return kFaninProducers + 1;
+    case Workload::kCollectives: break;
+  }
+  return 4;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   bool have_workload = false, have_seed = false, have_seconds = false,
@@ -159,7 +169,6 @@ std::string join(const std::vector<int>& v) {
 
 std::vector<std::string> provenance(const Args& a) {
   const Host& h = host();
-  int ranks = a.workload == Workload::kPingpong ? 2 : 4;
   std::vector<std::string> p = {
       "workload=" + std::string(kPhaseNames[static_cast<int>(a.workload)]),
       "seed=" + std::to_string(a.seed),
@@ -175,7 +184,7 @@ std::vector<std::string> provenance(const Args& a) {
       "binding.4r=" + join(binding(4)),
       "ranks_exceed_cores=" +
           std::string(4 > static_cast<int>(h.cpus.size()) ? "yes" : "no"),
-      "primary_world_ranks=" + std::to_string(ranks),
+      "primary_world_ranks=" + std::to_string(world_ranks(a.workload)),
       "env.NEMO_TUNE=0",
   };
   for (const std::string& m : a.meta) p.push_back(m);
@@ -203,7 +212,7 @@ void phase_metrics(const PhaseResult& pp, const PhaseResult& fi,
   m["pp_4MiB_mibs"] = rate_metric(samples(pp, size_key(4 * kMiB)), 4 * kMiB);
   m["pp_64MiB_mibs"] = rate_metric(samples(pp, size_key(64 * kMiB)), 64 * kMiB);
   Summary w = summarize(samples(fi, "window"));
-  double msgs = 3.0 * kFaninWindow;
+  double msgs = kFaninProducers * kFaninWindow;
   m["fanin_msgs_per_s"] = {"1/s", msgs / (w.median * 1e-9), w.n,
                            msgs / (w.p99 * 1e-9)};
   for (int i = 0; i < kCollOps; ++i) {
@@ -398,7 +407,7 @@ int run(const Args& a) {
   std::fflush(stdout);
 
   int primary = static_cast<int>(a.workload);
-  int primary_ranks = a.workload == Workload::kPingpong ? 2 : 4;
+  int primary_ranks = world_ranks(a.workload);
   Metrics m;
   Outcome total;
   auto run_phase = [&](int p, std::uint64_t seed, double secs, bool traced) {

@@ -275,8 +275,8 @@ PhaseResult run_pingpong(std::uint64_t seed, double seconds, bool traced,
 // --- fanin --------------------------------------------------------------------
 
 PhaseResult run_fanin(std::uint64_t seed, double seconds, bool traced) {
-  constexpr int kRanks = 4;
-  constexpr int kPosted = (kRanks - 1) * kFaninWindow;
+  constexpr int kRanks = kFaninProducers + 1;
+  constexpr int kPosted = kFaninProducers * kFaninWindow;
   constexpr int kTagData = 1, kTagAck = 2;
   Config cfg = world_config(kRanks);
   PhaseResult res;

@@ -83,9 +83,15 @@ inline std::vector<std::size_t> pingpong_round(
 
 // --- fanin ----------------------------------------------------------------
 
+/// Producer ranks (1..kFaninProducers) feeding rank 0. Two, not three: with
+/// four spinning ranks on a 4-core host the window time flips between two
+/// levels ~30% apart for seconds at a time, and its median with it; a
+/// three-rank world stays on one level.
+inline constexpr int kFaninProducers = 2;
+
 /// Messages each producer sends per window; rank 0 preposts all producers'
-/// windows (3 x 32 = 96 wildcard receives).
-inline constexpr int kFaninWindow = 32;
+/// windows (2 x 48 = 96 wildcard receives).
+inline constexpr int kFaninWindow = 48;
 inline constexpr std::size_t kFaninMinBytes = 8;
 inline constexpr std::size_t kFaninMaxBytes = 64;
 
