@@ -10,16 +10,41 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/checksum.hpp"
 #include "common/timing.hpp"
 #include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "shm/process_runner.hpp"
 #include "sim/lmt_models.hpp"
 
 namespace nemo::bench {
+
+/// Knob pins every bench world starts from (`--trace` adds NEMO_TRACE).
+inline std::map<std::string, std::string> g_pins;
+
+/// A Config carrying the bench-wide pins plus `extra` (extra wins): the
+/// label of a row that claims one collective family, kernel or schedule
+/// must not be redirected by an ambient knob.
+inline core::Config pinned_config(
+    const std::map<std::string, std::string>& extra = {}) {
+  core::Config cfg;
+  cfg.env = g_pins;
+  for (const auto& [k, v] : extra) cfg.env[k] = v;
+  return cfg;
+}
+
+/// `--trace=FILE`: record into the rings unless the environment already
+/// picked a mode (NEMO_TRACE=full upgrades the recording, never downgrades
+/// it).
+inline void trace_into_rings() {
+  if (core::resolve_config(core::Config{}).trace != trace::Mode::kOff) return;
+  g_pins["NEMO_TRACE"] = "rings";
+  trace::set_mode(trace::Mode::kRings);
+}
 
 /// Print a fidelity warning when the host cannot actually run the ranks in
 /// parallel (the [real] numbers then measure scheduler latency, not the
@@ -155,7 +180,7 @@ inline double real_alltoall_mibs(core::Config cfg, int nranks,
 /// Config helpers for the concrete strategies a figure compares.
 inline core::Config cfg_for(lmt::LmtKind kind,
                             lmt::KnemMode mode = lmt::KnemMode::kSyncCopy) {
-  core::Config cfg;
+  core::Config cfg = pinned_config();
   cfg.lmt = kind;
   cfg.knem_mode = mode;
   return cfg;
@@ -194,13 +219,10 @@ inline double modeled_net_ns_per_op(const char* op, bool hier, int nodes,
                                     int iters) {
   char spec[32];
   std::snprintf(spec, sizeof spec, "%dx%d", nodes, per_node);
-  ScopedEnv tenv("NEMO_TRANSPORT", "modeled");
-  ScopedEnv nenv("NEMO_NODES", spec);
-  ScopedEnv henv("NEMO_COLL_HIER", hier ? "on" : "off");
-  coll::Mode mode = hier ? coll::Mode::kAuto : coll::Mode::kP2p;
-  coll::ScopedForcedMode forced(mode);
-  core::Config cfg;
-  cfg.coll = mode;
+  core::Config cfg = pinned_config({{"NEMO_TRANSPORT", "modeled"},
+                                     {"NEMO_NODES", spec},
+                                     {"NEMO_COLL_HIER", hier ? "on" : "off"},
+                                     {"NEMO_COLL", hier ? "auto" : "p2p"}});
   cfg.nranks = nodes * per_node;
   bool alltoall = std::string(op) == "alltoall";
   std::size_t matrix =

@@ -25,12 +25,12 @@ namespace {
 /// Buffers are shared_alloc'd (arena-resident) so the shm path exercises
 /// its direct-read mode — the Nemesis single-copy ideal.
 double real_coll_us(coll::Mode mode, const char* op, int nranks,
-                    std::size_t bytes, int iters, int samples) {
-  // The mode IS the row being measured; pin the env knob so an ambient
-  // NEMO_COLL cannot silently redirect it (env beats Config::coll).
-  coll::ScopedForcedMode forced(mode);
-  core::Config cfg;
-  cfg.coll = mode;
+                    std::size_t bytes, int iters, int samples,
+                    std::map<std::string, std::string> pins = {}) {
+  // The mode IS the row being measured; pin it so an ambient NEMO_COLL
+  // cannot silently redirect it.
+  pins["NEMO_COLL"] = coll::to_string(mode);
+  core::Config cfg = pinned_config(pins);
   cfg.nranks = nranks;
   bool alltoall = std::strcmp(op, "alltoall") == 0;
   bool allreduce = std::strcmp(op, "allreduce") == 0;
@@ -102,9 +102,7 @@ double fold_mibs(simd::Kernel k, std::size_t bytes, int iters, int samples) {
 /// way there is no contiguous staging copy — this row guards that.
 double real_strided_us(coll::Mode mode, int nranks, std::size_t bytes,
                        int iters, int samples) {
-  coll::ScopedForcedMode forced(mode);
-  core::Config cfg;
-  cfg.coll = mode;
+  core::Config cfg = pinned_config({{"NEMO_COLL", coll::to_string(mode)}});
   cfg.nranks = nranks;
   core::Datatype dt = core::Datatype::vector(bytes / KiB, KiB, 2 * KiB);
   std::size_t matrix = dt.extent() * static_cast<std::size_t>(nranks);
@@ -136,12 +134,10 @@ double real_strided_us(coll::Mode mode, int nranks, std::size_t bytes,
 /// Microseconds per barrier round under the given schedule (shm arena path
 /// forced; the schedule knob picks flat vs tree).
 double real_barrier_us(bool tree, int nranks, int iters, int samples) {
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
   // The schedule IS the row being measured: an ambient NEMO_BARRIER_TREE
   // must not redirect it.
-  ScopedEnv sched("NEMO_BARRIER_TREE", tree ? "on" : "off");
-  core::Config cfg;
-  cfg.coll = coll::Mode::kShm;
+  core::Config cfg = pinned_config(
+      {{"NEMO_COLL", "shm"}, {"NEMO_BARRIER_TREE", tree ? "on" : "off"}});
   cfg.nranks = nranks;
   double result = 0;
   core::run(cfg, [&](core::Comm& comm) {
@@ -178,10 +174,7 @@ int main(int argc, char** argv) {
   int samples = static_cast<int>(opt.get_int("samples", 3));
   bool real = !opt.get_flag("skip-real");
   std::string trace_path = opt.get("trace", "");
-  if (!trace_path.empty()) {
-    setenv("NEMO_TRACE", "rings", /*overwrite=*/0);
-    trace::reload_mode();
-  }
+  if (!trace_path.empty()) trace_into_rings();
 
   std::vector<int> rank_counts = smoke ? std::vector<int>{4, 8}
                                        : std::vector<int>{2, 4, 8};
@@ -262,19 +255,18 @@ int main(int argc, char** argv) {
   }
 
   // End-to-end effect of the kernel choice: allreduce with NEMO_SIMD pinned
-  // (the env is read at world construction, so it lands on the shm leader
-  // fold and the p2p combine loop alike).
+  // (resolved at world construction, so it lands on the shm leader fold and
+  // the p2p combine loop alike).
   std::printf("# Allreduce — fold kernel forced via NEMO_SIMD\n");
   const char* best_kn = simd::kernel_name(simd::best_supported());
   std::vector<const char*> forced_kernels{"scalar"};
   if (std::strcmp(best_kn, "scalar") != 0) forced_kernels.push_back(best_kn);
   for (const char* kn : forced_kernels) {
     for (bool shm : {false, true}) {
-      ScopedEnv simd_env("NEMO_SIMD", kn);
       coll::Mode mode = shm ? coll::Mode::kShm : coll::Mode::kP2p;
-      double wall_us =
-          real ? real_coll_us(mode, "allreduce", 8, 256 * KiB, iters, samples)
-               : 0.0;
+      double wall_us = real ? real_coll_us(mode, "allreduce", 8, 256 * KiB,
+                                           iters, samples, {{"NEMO_SIMD", kn}})
+                            : 0.0;
       const char* path = shm ? "shm" : "p2p";
       std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce",
                   8, 256 * KiB, path, wall_us, kn, "-", "-");
@@ -389,15 +381,12 @@ int main(int argc, char** argv) {
   // <1% (off) / <5% (rings) budget; test_trace_overhead enforces it.
   std::printf("# Trace overhead — allreduce 8x256KiB shm, off vs rings\n");
   for (const char* tmode : {"off", "rings"}) {
-    double wall_us = 0.0;
-    {
-      ScopedEnv tenv("NEMO_TRACE", tmode);
-      trace::reload_mode();
-      wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 8,
-                                    256 * KiB, iters, samples)
-                     : 0.0;
-    }
-    trace::reload_mode();  // Back to the ambient / --trace mode.
+    double wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 8,
+                                         256 * KiB, iters, samples,
+                                         {{"NEMO_TRACE", tmode}})
+                          : 0.0;
+    // Back to the ambient / --trace mode.
+    trace::set_mode(core::resolve_config(pinned_config()).trace);
     std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce", 8,
                 static_cast<std::size_t>(256 * KiB), tmode, wall_us, "-",
                 "-", "-");
@@ -416,14 +405,11 @@ int main(int argc, char** argv) {
   // show the armed row within 2% of off.
   std::printf("# Liveness overhead — allreduce 8x256KiB shm, on vs off\n");
   for (const char* lmode : {"on", "off"}) {
-    double wall_us = 0.0;
-    {
-      ScopedEnv lenv("NEMO_PEER_TIMEOUT_MS",
-                     std::strcmp(lmode, "on") == 0 ? "30000" : "off");
-      wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 8,
-                                    256 * KiB, iters, samples)
-                     : 0.0;
-    }
+    const char* timeout = std::strcmp(lmode, "on") == 0 ? "30000" : "off";
+    double wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 8,
+                                         256 * KiB, iters, samples,
+                                         {{"NEMO_PEER_TIMEOUT_MS", timeout}})
+                          : 0.0;
     std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce", 8,
                 static_cast<std::size_t>(256 * KiB), lmode, wall_us, "-",
                 "-", "-");

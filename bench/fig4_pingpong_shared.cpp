@@ -28,12 +28,7 @@ int main(int argc, char** argv) {
   opt.finalize();
   int iters = static_cast<int>(opt.get_int("iters", 30));
   std::string trace_path = opt.get("trace", "");
-  if (!trace_path.empty()) {
-    // Turn the rings on unless the environment already picked a mode
-    // (NEMO_TRACE=full upgrades the recording, never downgrades it).
-    setenv("NEMO_TRACE", "rings", /*overwrite=*/0);
-    trace::reload_mode();
-  }
+  if (!trace_path.empty()) trace_into_rings();
 
   std::vector<std::size_t> sizes = default_sizes();
   sim::LmtModels::Options deep_ring;
@@ -64,11 +59,11 @@ int main(int argc, char** argv) {
     seed_cfg.use_fastbox = false;
 
     // CMA availability mirrors the World's gate: the syscall probe plus the
-    // NEMO_CMA kill switch. An unavailable row still emits JSON — marked
-    // "skipped" so the bench gate reports it loudly instead of failing.
-    const char* cma_env = std::getenv("NEMO_CMA");
+    // resolved NEMO_CMA kill switch. An unavailable row still emits JSON —
+    // marked "skipped" so the bench gate reports it loudly instead of
+    // failing.
     bool cma_ok = shm::cma_available() &&
-                  (cma_env == nullptr || std::string_view(cma_env) != "off");
+                  core::resolve_config(cfg_for(lmt::LmtKind::kCma)).cma_enabled;
     struct RealRow {
       const char* name;
       core::Config cfg;

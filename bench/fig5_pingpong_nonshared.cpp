@@ -41,9 +41,8 @@ int main(int argc, char** argv) {
     warn_if_oversubscribed(2);
     std::printf("\n[real:this-host]\n");
     print_header(sizes);
-    const char* cma_env = std::getenv("NEMO_CMA");
     bool cma_ok = shm::cma_available() &&
-                  (cma_env == nullptr || std::string_view(cma_env) != "off");
+                  core::resolve_config(cfg_for(lmt::LmtKind::kCma)).cma_enabled;
     struct RealRow {
       const char* name;
       lmt::LmtKind kind;

@@ -39,10 +39,7 @@ int main(int argc, char** argv) {
   int nranks = static_cast<int>(opt.get_int("ranks", 8));
   int iters = static_cast<int>(opt.get_int("iters", 8));
   std::string trace_path = opt.get("trace", "");
-  if (!trace_path.empty()) {
-    setenv("NEMO_TRACE", "rings", /*overwrite=*/0);
-    trace::reload_mode();
-  }
+  if (!trace_path.empty()) trace_into_rings();
 
   std::vector<std::size_t> sizes = alltoall_sizes();
   std::vector<int> cores{0, 1, 2, 3, 4, 5, 6, 7};
@@ -128,13 +125,12 @@ int main(int argc, char** argv) {
          coll::Mode::kShm},
     };
     for (const auto& row : real_rows) {
-      // Pin the env knob per row: the label claims a specific collective
-      // family, which an ambient NEMO_COLL would otherwise override.
-      coll::ScopedForcedMode forced(row.coll);
       std::vector<double> vals;
       for (auto s : sizes) {
+        // The label claims a collective family: pin it over the ambient
+        // NEMO_COLL.
         core::Config cfg = cfg_for(row.kind, row.mode);
-        cfg.coll = row.coll;
+        cfg.env["NEMO_COLL"] = coll::to_string(row.coll);
         vals.push_back(real_alltoall_mibs(cfg, nranks, s, iters));
         json_row(rows, "real", row.name, s, vals.back());
       }

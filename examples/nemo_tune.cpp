@@ -15,10 +15,12 @@
 //   build/nemo-tune --show          # print the effective table, no writes
 //   build/nemo-tune --cache=FILE    # alternate cache location
 #include <cstdio>
+#include <cstdlib>
 
 #include "../bench/bench_common.hpp"
 #include "coll/coll.hpp"
 #include "common/options.hpp"
+#include "core/knobs.hpp"
 #include "shm/numa.hpp"
 #include "tune/calibrate.hpp"
 #include "tune/tuning.hpp"
@@ -27,7 +29,7 @@ using namespace nemo;
 
 namespace {
 
-void print_table(const tune::TuningTable& t) {
+void print_table(const tune::TuningTable& t, coll::Mode coll_mode) {
   std::printf("tuning table [%s] fingerprint %s\n", t.source.c_str(),
               t.fingerprint.c_str());
   static const PairPlacement kAll[] = {PairPlacement::kSharedCache,
@@ -63,7 +65,7 @@ void print_table(const tune::TuningTable& t) {
   std::printf("  coll: activation=%-8s slot=%s   (NEMO_COLL=%s)\n",
               format_size(t.coll_activation).c_str(),
               format_size(t.coll_slot_bytes).c_str(),
-              coll::to_string(coll::mode_from_env()));
+              coll::to_string(coll_mode));
   if (t.barrier_tree_ranks == UINT32_MAX)
     std::printf("  barrier: flat always (tree off)\n");
   else
@@ -79,9 +81,8 @@ void print_table(const tune::TuningTable& t) {
 
 /// Narrate the NUMA placement the runtime would apply per placement class:
 /// the decision for a representative core pair of each class, plus whether
-/// this host can actually bind (mbind + >1 node + NEMO_NUMA).
-void print_numa(const Topology& topo) {
-  shm::NumaPlacement mode = shm::numa_placement_from_env();
+/// this host can actually bind (mbind + >1 node).
+void print_numa(const Topology& topo, shm::NumaPlacement mode) {
   std::printf("numa: mode=%s  topo-nodes=%d  host-nodes=%d  bind=%s\n",
               shm::to_string(mode), topo.num_numa_nodes(),
               shm::host_numa_nodes(),
@@ -150,22 +151,25 @@ void bench_backends(tune::TuningTable& t, const Topology& topo, int iters) {
   }
 }
 
-/// `--knobs`: dump every registered NEMO_* environment knob — the one
-/// authoritative list (the runtime reads knobs only through this registry,
-/// so a knob missing here cannot exist).
+/// `--knobs`: dump the NEMO_* knob table the runtime resolves every World
+/// from, plus the process-environment value of each knob that is set.
 void print_knobs() {
-  std::printf("%-28s %-6s %-10s %-9s %s\n", "knob", "type", "default",
-              "owner", "meaning");
-  for (const KnobInfo& k : nemo::Config::knobs()) {
-    const char* type = k.type == KnobType::kFlag   ? "flag"
-                       : k.type == KnobType::kInt  ? "int"
-                       : k.type == KnobType::kSize ? "size"
-                                                   : "string";
-    std::printf("%-28s %-6s %-10s %-9s %s\n", k.name, type, k.def,
-                k.read_by, k.meaning);
-    if (auto v = nemo::Config::str(k.name))
-      std::printf("%-28s %-6s   set: %s\n", "", "", v->c_str());
+  std::printf("%-24s %-20s %-34s %s\n", "knob", "default", "values",
+              "meaning");
+  for (const Knob& k : knobs()) {
+    std::printf("%-24s %-20s %-34s %s%s\n", k.name, k.def, k.values, k.doc,
+                k.apply == nullptr ? " [process-wide]" : "");
+    if (const char* v = std::getenv(k.name); v != nullptr && *v != '\0')
+      std::printf("%-24s set: %s\n", "", v);
   }
+}
+
+/// `t` on `topo` as a World would see it: every knob resolved on top.
+core::Config as_world(const Topology& topo, tune::TuningTable t) {
+  core::Config cfg;
+  cfg.topo = topo;
+  cfg.tuning = std::move(t);
+  return core::resolve_config(std::move(cfg));
 }
 
 }  // namespace
@@ -195,15 +199,21 @@ int main(int argc, char** argv) {
                                        : detect_host();
   std::string fp = tune::topology_fingerprint(topo);
   std::string path = opt.get("cache", tune::default_cache_path(fp));
+  // The World-scoped knobs the narration reports (collective family, NUMA
+  // mode), resolved the way any World would.
+  core::Config knob_view = as_world(topo, tune::formula_defaults(topo));
 
   if (opt.get_flag("show")) {
-    // Same resolution as the runtime (cache > formula, env on top), but
+    // Same resolution as the runtime (cache > formula, knobs on top), but
     // honouring --cache when given.
     std::optional<tune::TuningTable> cached;
-    if (nemo::Config::flag("NEMO_TUNE", true)) cached = tune::load_cache(path, fp);
-    print_table(tune::with_env_overrides(
-        cached ? *cached : tune::formula_defaults(topo)));
-    print_numa(topo);
+    auto use_cache = process_env("NEMO_TUNE");
+    if (!use_cache || parse_flag("NEMO_TUNE", *use_cache))
+      cached = tune::load_cache(path, fp);
+    core::Config world =
+        as_world(topo, cached ? *cached : tune::formula_defaults(topo));
+    print_table(*world.tuning, world.coll);
+    print_numa(topo, world.numa_placement);
     return 0;
   }
 
@@ -211,8 +221,8 @@ int main(int argc, char** argv) {
     if (auto cached = tune::load_cache(path, fp)) {
       std::printf("cache valid: %s (no recalibration; --force to redo)\n",
                   path.c_str());
-      print_table(*cached);
-      print_numa(topo);
+      print_table(*cached, knob_view.coll);
+      print_numa(topo, knob_view.numa_placement);
       return 0;
     }
   }
@@ -237,7 +247,7 @@ int main(int argc, char** argv) {
 
   if (!tune::store_cache(path, t)) return 1;
   std::printf("wrote %s\n", path.c_str());
-  print_table(t);
-  print_numa(topo);
+  print_table(t, knob_view.coll);
+  print_numa(topo, knob_view.numa_placement);
   return 0;
 }

@@ -11,7 +11,8 @@
 //                          reduce/allreduce, alltoall) with their flat,
 //                          shm-arena and hierarchical two-level schedules
 //   nemo::core::World    — topology/placement queries for a running world
-//   nemo::Config         — the NEMO_* environment-knob registry
+//   nemo::knobs()        — the NEMO_* knob table (Config::env pins them)
+//   nemo::Options        — the --key=value parser the examples use
 //
 // Everything else under src/ (engine internals, LMT backends, the shm
 // substrate, transports, tracing, tuning) is implementation detail: it may
@@ -20,5 +21,6 @@
 // only this header.
 #pragma once
 
-#include "common/options.hpp"  // nemo::Config — NEMO_* knob registry.
+#include "common/options.hpp"  // nemo::Options — command-line parsing.
 #include "core/comm.hpp"       // World, Comm, core::Config, core::run.
+#include "core/knobs.hpp"      // nemo::knobs() — the NEMO_* knob table.

@@ -1,11 +1,7 @@
 #include "coll/coll.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
-#include <stdexcept>
-
-#include "common/options.hpp"
 
 namespace nemo::coll {
 
@@ -23,14 +19,6 @@ std::optional<Mode> mode_from_string(const std::string& s) {
   if (s == "shm") return Mode::kShm;
   if (s == "p2p") return Mode::kP2p;
   return std::nullopt;
-}
-
-Mode mode_from_env(Mode def) {
-  auto v = nemo::Config::str("NEMO_COLL");
-  if (!v) return def;
-  if (auto m = mode_from_string(*v)) return *m;
-  throw std::invalid_argument("NEMO_COLL: unknown mode '" + *v +
-                              "' (shm|p2p|auto)");
 }
 
 std::size_t alltoall_chunk_capacity(std::size_t slot_bytes, int nranks) {
@@ -70,26 +58,11 @@ int choose_leader(const std::vector<int>& node_of_rank) {
   return 0;
 }
 
-int leader_from_env(int def, int nranks) {
-  auto v = nemo::Config::str("NEMO_COLL_LEADER");
-  if (!v) return def;
-  char* end = nullptr;
-  long r = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || r < 0 || r >= nranks)
-    throw std::invalid_argument("NEMO_COLL_LEADER: '" + *v +
-                                "' is not a rank in [0, " +
-                                std::to_string(nranks) + ")");
-  return static_cast<int>(r);
-}
-
 std::uint32_t default_barrier_tree_k(const Topology& topo) {
   if (topo.num_cores < 1) return 4;
   unsigned sharers = topo.cores_sharing_largest_cache(0);
   if (sharers < 2) return 4;
   return std::clamp<std::uint32_t>(sharers, 2, 8);
 }
-
-ScopedForcedMode::ScopedForcedMode(Mode mode)
-    : env_("NEMO_COLL", to_string(mode)) {}
 
 }  // namespace nemo::coll

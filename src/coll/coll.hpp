@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/common.hpp"
-#include "common/options.hpp"
 #include "common/topology.hpp"
 
 namespace nemo::coll {
@@ -31,10 +30,6 @@ enum class Mode : std::uint32_t {
 
 const char* to_string(Mode m);
 std::optional<Mode> mode_from_string(const std::string& s);
-
-/// Resolve NEMO_COLL on top of a programmatic default. Throws on an unknown
-/// value (a typo silently falling back to auto would be unmeasurable).
-Mode mode_from_env(Mode def = Mode::kAuto);
 
 /// Per-destination chunk capacity inside one rank's slot for the staged
 /// alltoall(v) layout: the slot is split into (nranks - 1) equal per-dest
@@ -59,31 +54,10 @@ bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
 /// and all-unknown maps fall back to rank 0 (the pre-v2 combiner).
 int choose_leader(const std::vector<int>& node_of_rank);
 
-/// Resolve NEMO_COLL_LEADER on top of a programmatic default (-1 = auto /
-/// NUMA-derived). Throws on a non-integer or out-of-range rank — a silently
-/// ignored pin would make leader experiments unmeasurable.
-int leader_from_env(int def, int nranks);
-
 /// Formula fan-in for the k-ary tree barrier on `topo`: the number of cores
 /// sharing a last-level cache (arrivals within one LLC domain are cheap, so
 /// one parent can gather a whole domain), clamped to [2, 8]; hosts with
 /// private LLCs get 4 (gather cost is uniform, so a shallow-ish tree wins).
 std::uint32_t default_barrier_tree_k(const Topology& topo);
-
-/// RAII pin of the collective mode for Worlds constructed in scope.
-/// Setting Config::coll alone is not enough for tooling that must force a
-/// path: apply_env gives an ambient NEMO_COLL precedence over the Config
-/// (the repo-wide "env beats programmatic" rule), which would silently
-/// redirect a probe or bench row that claims to measure one family. This
-/// pins NEMO_COLL itself (via nemo::ScopedEnv) and restores the previous
-/// value on destruction. Single-threaded tooling only (setenv during
-/// concurrent World construction elsewhere is a race).
-class ScopedForcedMode {
- public:
-  explicit ScopedForcedMode(Mode mode);
-
- private:
-  ScopedEnv env_;
-};
 
 }  // namespace nemo::coll

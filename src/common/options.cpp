@@ -1,9 +1,11 @@
 #include "common/options.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 namespace nemo {
 
@@ -38,186 +40,71 @@ std::string Options::get(const std::string& key, const std::string& def) const {
 long Options::get_int(const std::string& key, long def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::strtol(it->second.c_str(), nullptr, 10);
+  return parse_int("--" + key, it->second, LONG_MIN, LONG_MAX);
 }
 
 double Options::get_double(const std::string& key, double def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_double("--" + key, it->second);
 }
 
 std::size_t Options::get_size(const std::string& key, std::size_t def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return parse_size(it->second);
+  return parse_size("--" + key, it->second);
 }
 
 bool Options::get_flag(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return false;
-  return it->second != "0" && it->second != "false";
+  return parse_flag("--" + key, it->second);
 }
 
-std::optional<std::string> env_str(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  return std::string(v);
+void reject_value(const std::string& what, const std::string& v,
+                  const std::string& want) {
+  throw std::invalid_argument(what + ": bad value '" + v + "' (want " +
+                              want + ")");
 }
 
-std::size_t env_size(const char* name, std::size_t def) {
-  auto v = env_str(name);
-  if (!v) return def;
-  if (*v == "off" || *v == "never") return static_cast<std::size_t>(-1);
-  try {
-    return parse_size(*v);
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument(std::string(name) + ": bad size value '" +
-                                *v + "'");
-  }
-}
-
-long env_long(const char* name, long def) {
-  auto v = env_str(name);
-  if (!v) return def;
+long parse_int(const std::string& what, const std::string& v, long lo,
+               long hi) {
   char* end = nullptr;
-  long out = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0')
-    throw std::invalid_argument(std::string(name) + ": bad integer value '" +
-                                *v + "'");
+  errno = 0;
+  long out = std::strtol(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0' || errno == ERANGE)
+    reject_value(what, v, "an integer");
+  if (out < lo || out > hi)
+    reject_value(what, v,
+                 "an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
   return out;
 }
 
-bool env_flag(const char* name, bool def) {
-  auto v = env_str(name);
-  if (!v) return def;
-  if (*v == "0" || *v == "false" || *v == "off" || *v == "no") return false;
-  if (*v == "1" || *v == "true" || *v == "on" || *v == "yes") return true;
-  throw std::invalid_argument(std::string(name) + ": bad boolean value '" +
-                              *v + "' (want 0/1/on/off/true/false/yes/no)");
+double parse_double(const std::string& what, const std::string& v) {
+  char* end = nullptr;
+  double out = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || !std::isfinite(out))
+    reject_value(what, v, "a number");
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// Knob registry. One row per NEMO_* environment variable; kept alphabetical
-// so the `nemo-tune --knobs` dump doubles as the reference table. Adding a
-// knob means adding a row here — the typed accessors assert membership, so
-// an unregistered spelling trips NEMO_ASSERT in debug builds.
-// ---------------------------------------------------------------------------
-
-const std::vector<KnobInfo>& Config::knobs() {
-  static const std::vector<KnobInfo> table = {
-      {"NEMO_BACKEND", KnobType::kString, "tuned",
-       "tune", "force the calibrated LMT backend (shm|vmsplice|writev|cma)"},
-      {"NEMO_BARRIER_TREE", KnobType::kString, "tuned",
-       "coll", "tree barrier: off, on, or min ranks to switch to the tree"},
-      {"NEMO_CMA", KnobType::kString, "auto",
-       "lmt", "cross-memory attach: auto|on|off (nosyscall simulates EPERM)"},
-      {"NEMO_COLL", KnobType::kString, "auto",
-       "coll", "collective algorithm family: auto|shm|p2p"},
-      {"NEMO_COLL_ACTIVATION", KnobType::kSize, "tuned",
-       "coll", "min payload bytes before collectives use the shm arena"},
-      {"NEMO_COLL_HIER", KnobType::kString, "tuned",
-       "coll", "hierarchical collectives: off, on, or min synthetic nodes"},
-      {"NEMO_COLL_LEADER", KnobType::kInt, "numa-chosen",
-       "coll", "force the collective leader rank"},
-      {"NEMO_COLL_SLOT_BYTES", KnobType::kSize, "tuned",
-       "coll", "per-rank payload slot bytes in the collective arena"},
-      {"NEMO_DMA_MIN", KnobType::kSize, "tuned",
-       "sim", "min bytes before the simulator models DMA engines"},
-      {"NEMO_DRAIN_BUDGET", KnobType::kInt, "tuned",
-       "core", "max queue cells drained per progress() pass"},
-      {"NEMO_FASTBOX", KnobType::kFlag, "1",
-       "shm", "enable the per-pair single-slot fastbox path"},
-      {"NEMO_FASTBOX_MAX", KnobType::kSize, "tuned",
-       "shm", "max payload bytes eligible for the fastbox"},
-      {"NEMO_FASTBOX_SLOTS", KnobType::kInt, "tuned",
-       "shm", "slots per fastbox (depth of the SPSC pipeline)"},
-      {"NEMO_FASTBOX_SLOT_BYTES", KnobType::kSize, "tuned",
-       "shm", "bytes per fastbox slot (header + payload)"},
-      {"NEMO_FAULT", KnobType::kString, "unset",
-       "resil", "fault injection: <rank>:<site>:kill"},
-      {"NEMO_FEEDBACK", KnobType::kFlag, "1",
-       "tune", "enable runtime feedback nudges to the tuning table"},
-      {"NEMO_LMT", KnobType::kString, "auto",
-       "lmt", "large-message backend: auto|shm|vmsplice|writev|knem|cma"},
-      {"NEMO_LMT_ACTIVATION", KnobType::kSize, "tuned",
-       "lmt", "eager/rendezvous switchover bytes"},
-      {"NEMO_NET_BW_MBS", KnobType::kInt, "12000",
-       "transport", "modeled internode link bandwidth, MiB/s"},
-      {"NEMO_NET_LAT_NS", KnobType::kInt, "1500",
-       "transport", "modeled internode link latency, ns"},
-      {"NEMO_NODES", KnobType::kString, "1 node",
-       "transport", "synthetic topology NxM: N nodes of M ranks each"},
-      {"NEMO_NT_MIN", KnobType::kSize, "tuned",
-       "shm", "min bytes before copies use non-temporal stores"},
-      {"NEMO_NUMA", KnobType::kFlag, "1",
-       "shm", "enable NUMA-aware placement of shared structures"},
-      {"NEMO_NUMA_PLACEMENT", KnobType::kString, "auto",
-       "shm", "ring placement policy: auto|receiver|sender|first-touch"},
-      {"NEMO_ON_PEER_DEATH", KnobType::kString, "abort",
-       "resil", "peer-death policy: abort|degrade"},
-      {"NEMO_PACK_NT_MIN", KnobType::kSize, "tuned",
-       "core", "min bytes before datatype pack uses non-temporal stores"},
-      {"NEMO_PEER_TIMEOUT_MS", KnobType::kSize, "2000",
-       "resil", "bounded-wait verdict timeout in ms; off disarms"},
-      {"NEMO_POLL_HOT", KnobType::kFlag, "tuned",
-       "core", "reorder fastbox polling by observed traffic"},
-      {"NEMO_RING_BUFS", KnobType::kInt, "tuned",
-       "shm", "copy-ring buffers per pair"},
-      {"NEMO_RING_BUF_BYTES", KnobType::kSize, "tuned",
-       "shm", "bytes per copy-ring buffer"},
-      {"NEMO_SIMD", KnobType::kString, "auto",
-       "simd", "reduction kernel: auto|scalar|sse2|avx2|avx512"},
-      {"NEMO_TRACE", KnobType::kString, "off",
-       "trace", "tracing mode: off|rings|full"},
-      {"NEMO_TRACE_OUT", KnobType::kString, "unset",
-       "trace", "write a nemo-trace/1 dump to this path at exit"},
-      {"NEMO_TRACE_RING_SLOTS", KnobType::kInt, "4096",
-       "trace", "per-rank trace ring capacity in events"},
-      {"NEMO_TRANSPORT", KnobType::kString, "auto",
-       "transport", "transport: shm|modeled (auto: modeled iff NEMO_NODES>1)"},
-      {"NEMO_TUNE", KnobType::kFlag, "1",
-       "tune", "consult the fingerprinted tuning cache"},
-      {"NEMO_TUNE_CACHE", KnobType::kString, "~/.cache/nemo",
-       "tune", "override the tuning cache directory"},
-      {"NEMO_WORLD_MODE", KnobType::kString, "threads",
-       "core", "rank launch mode: threads|procs"},
-  };
-  return table;
+bool parse_flag(const std::string& what, const std::string& v) {
+  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
+  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
+  reject_value(what, v, "0/1/on/off/true/false/yes/no");
 }
 
-const KnobInfo* Config::find(const char* name) {
-  for (const auto& k : knobs())
-    if (std::string_view(k.name) == name) return &k;
-  return nullptr;
-}
-
-namespace {
-const KnobInfo& registered(const char* name) {
-  const KnobInfo* k = Config::find(name);
-  NEMO_ASSERT_MSG(k != nullptr, "unregistered NEMO_* knob");
-  return *k;
-}
-}  // namespace
-
-std::optional<std::string> Config::str(const char* name) {
-  (void)registered(name);
-  return env_str(name);
-}
-
-std::size_t Config::size(const char* name, std::size_t def) {
-  NEMO_ASSERT(registered(name).type == KnobType::kSize);
-  return env_size(name, def);
-}
-
-long Config::integer(const char* name, long def) {
-  NEMO_ASSERT(registered(name).type == KnobType::kInt);
-  return env_long(name, def);
-}
-
-bool Config::flag(const char* name, bool def) {
-  NEMO_ASSERT(registered(name).type == KnobType::kFlag);
-  return env_flag(name, def);
+std::size_t parse_size(const std::string& what, const std::string& v,
+                       bool allow_off) {
+  if (allow_off && (v == "off" || v == "never"))
+    return static_cast<std::size_t>(-1);
+  try {
+    return parse_size(v);
+  } catch (const std::invalid_argument&) {
+    reject_value(what, v,
+                 allow_off ? "a size like 64KiB, or off" : "a size like 64KiB");
+  }
 }
 
 void Options::finalize() const {
@@ -240,22 +127,6 @@ void Options::finalize() const {
       std::fprintf(stderr, "  --%-20s %s\n", dk.c_str(), dh.c_str());
     throw std::invalid_argument("unknown options");
   }
-}
-
-ScopedEnv::ScopedEnv(const char* name, const std::string& value)
-    : name_(name) {
-  if (const char* old = std::getenv(name)) {
-    had_env_ = true;
-    saved_ = old;
-  }
-  ::setenv(name, value.c_str(), 1);
-}
-
-ScopedEnv::~ScopedEnv() {
-  if (had_env_)
-    ::setenv(name_.c_str(), saved_.c_str(), 1);
-  else
-    ::unsetenv(name_.c_str());
 }
 
 }  // namespace nemo

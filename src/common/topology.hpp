@@ -29,6 +29,8 @@ struct CacheDomain {
       if (c == core) return true;
     return false;
   }
+
+  bool operator==(const CacheDomain&) const = default;
 };
 
 /// Relative placement of a communicating process pair — the three cases the
@@ -83,6 +85,8 @@ struct Topology {
 
   /// Internal consistency (every core covered by >=1 cache, ids in range).
   void validate() const;
+
+  bool operator==(const Topology&) const = default;
 };
 
 /// Dual-socket quad-core Intel Xeon E5345 (2.33 GHz): the paper's main host.

@@ -6,7 +6,7 @@
 #include <cstring>
 #include <thread>
 
-#include "common/options.hpp"
+#include "core/knobs.hpp"
 #include "lmt/backends.hpp"
 #include "shm/nt_copy.hpp"
 
@@ -22,15 +22,6 @@ using shm::QueueView;
 // World
 // ---------------------------------------------------------------------------
 
-LaunchMode world_mode_from_env(LaunchMode fallback) {
-  auto v = nemo::Config::str("NEMO_WORLD_MODE");
-  if (!v) return fallback;
-  if (*v == "threads") return LaunchMode::kThreads;
-  if (*v == "procs" || *v == "processes") return LaunchMode::kProcesses;
-  throw std::invalid_argument("NEMO_WORLD_MODE: expected threads|procs, got '" +
-                              *v + "'");
-}
-
 namespace {
 
 struct BarrierBlock {
@@ -45,7 +36,7 @@ bool classifiable(const Topology& topo, int a, int b) {
 }
 
 /// Per-pair ring geometry: the tuned placement row when it names one, else
-/// the world-wide Config/env value. Rows only apply when both cores are
+/// the world-wide Config value. Rows only apply when both cores are
 /// known (placement classification needs them).
 std::pair<std::uint32_t, std::uint32_t> ring_geometry(
     const Config& cfg, const tune::TuningTable& tuning, const Topology& topo,
@@ -62,8 +53,7 @@ std::pair<std::uint32_t, std::uint32_t> ring_geometry(
 }
 
 /// Per-rank collective slot capacity: programmatic Config beats the tuned /
-/// cached value; NEMO_COLL_SLOT_BYTES beats both (apply_env writes it into
-/// the Config, with_env_overrides into the table).
+/// cached value; NEMO_COLL_SLOT_BYTES beats both (its row writes both).
 std::uint32_t effective_coll_slot_bytes(const Config& cfg,
                                         const tune::TuningTable& tuning) {
   std::size_t v =
@@ -108,111 +98,38 @@ std::size_t auto_arena_bytes(const Config& cfg,
          coll + cfg.shared_pool_bytes;
 }
 
-/// Environment knobs override the programmatic Config so any entry point
-/// (tests, benches, applications) can be retuned without a rebuild.
-Config apply_env(Config cfg) {
-  long rb = nemo::Config::integer("NEMO_RING_BUFS", cfg.ring_bufs);
-  if (rb >= 1) cfg.ring_bufs = static_cast<std::uint32_t>(rb);
-  std::size_t rbb = nemo::Config::size("NEMO_RING_BUF_BYTES", cfg.ring_buf_bytes);
-  if (rbb != static_cast<std::size_t>(-1) && rbb >= kCacheLine) {
-    if (rbb > 1 * GiB)
-      throw std::invalid_argument(
-          "NEMO_RING_BUF_BYTES: too large (max 1GiB)");
-    cfg.ring_buf_bytes =
-        static_cast<std::uint32_t>(round_up(rbb, kCacheLine));
-  }
-  cfg.use_fastbox = nemo::Config::flag("NEMO_FASTBOX", cfg.use_fastbox);
-  if (nemo::Config::str("NEMO_NT_MIN")) cfg.nt_min = nemo::Config::size("NEMO_NT_MIN", 0);
-  cfg.numa_placement = shm::numa_placement_from_env(cfg.numa_placement);
-  cfg.coll = coll::mode_from_env(cfg.coll);
-  if (auto v = tune::coll_slot_bytes_from_env()) cfg.coll_slot_bytes = *v;
-  cfg.coll_leader = coll::leader_from_env(cfg.coll_leader, cfg.nranks);
-  cfg.mode = world_mode_from_env(cfg.mode);
-  if (auto v = nemo::Config::str("NEMO_CMA")) {
-    if (*v == "off" || *v == "0" || *v == "false") {
-      cfg.cma_enabled = false;
-    } else if (*v == "nosyscall") {
-      cfg.cma_sim_fail = true;
-    } else if (!(*v == "on" || *v == "1" || *v == "true")) {
-      throw std::invalid_argument("NEMO_CMA: expected on|off|nosyscall, got '" + *v + "'");
-    }
-  }
-  if (nemo::Config::str("NEMO_PEER_TIMEOUT_MS")) {
-    // env_size parses "off"/"never" as SIZE_MAX == resil::kTimeoutOff.
-    std::size_t ms = nemo::Config::size("NEMO_PEER_TIMEOUT_MS", cfg.peer_timeout_ms);
-    if (ms == 0)
-      throw std::invalid_argument(
-          "NEMO_PEER_TIMEOUT_MS: expected a positive millisecond count or "
-          "'off'");
-    cfg.peer_timeout_ms = ms;
-  }
-  if (auto v = nemo::Config::str("NEMO_ON_PEER_DEATH")) {
-    if (*v == "abort")
-      cfg.on_peer_death = resil::OnPeerDeath::kAbort;
-    else if (*v == "degrade")
-      cfg.on_peer_death = resil::OnPeerDeath::kDegrade;
-    else
-      throw std::invalid_argument(
-          "NEMO_ON_PEER_DEATH: expected abort|degrade, got '" + *v + "'");
-  }
-  if (auto v = nemo::Config::str("NEMO_TRANSPORT")) cfg.transport = *v;
-  if (auto v = nemo::Config::str("NEMO_NODES")) cfg.nodes_spec = *v;
-  if (auto v = nemo::Config::str("NEMO_LMT")) {
-    if (*v == "auto")
-      cfg.lmt = lmt::LmtKind::kAuto;
-    else if (*v == "shm" || *v == "default")
-      cfg.lmt = lmt::LmtKind::kDefaultShm;
-    else if (*v == "vmsplice")
-      cfg.lmt = lmt::LmtKind::kVmsplice;
-    else if (*v == "writev" || *v == "vmsplice-writev")
-      cfg.lmt = lmt::LmtKind::kVmspliceWritev;
-    else if (*v == "knem")
-      cfg.lmt = lmt::LmtKind::kKnem;
-    else if (*v == "cma")
-      cfg.lmt = lmt::LmtKind::kCma;
-    else
-      throw std::invalid_argument(
-          "NEMO_LMT: expected auto|shm|vmsplice|writev|knem|cma, got '" + *v +
-          "'");
-  }
-  return cfg;
-}
-
 }  // namespace
 
 World::World(Config cfg)
-    : cfg_(apply_env(std::move(cfg))),
-      topo_(cfg_.topo.num_cores > 0 ? cfg_.topo : detect_host()),
-      tuning_(cfg_.tuning ? tune::with_env_overrides(*cfg_.tuning)
-                          : tune::effective_table(topo_)),
+    : cfg_(resolve_config(std::move(cfg))),
       arena_(cfg_.shm_name.empty()
                  ? shm::Arena::create_anonymous(
                        cfg_.arena_bytes ? cfg_.arena_bytes
-                                        : auto_arena_bytes(cfg_, tuning_))
+                                        : auto_arena_bytes(cfg_, tuning()))
                  : shm::Arena::create_shm(
                        cfg_.shm_name,
                        cfg_.arena_bytes
                            ? cfg_.arena_bytes
-                           : auto_arena_bytes(cfg_, tuning_))),
+                           : auto_arena_bytes(cfg_, tuning()))),
       pipes_(cfg_.nranks) {
-  // Pick up NEMO_TRACE before any Engine constructs its tracer (tests and
-  // tools pin the mode via ScopedEnv between World lifetimes). NEMO_FAULT
-  // follows the same discipline: re-armed per World, inherited by forked
-  // ranks.
-  trace::reload_mode();
-  resil::reload_fault();
+  // Install the resolved NEMO_TRACE before any Engine constructs its
+  // tracer, and re-arm NEMO_FAULT: both are process-wide, set per World,
+  // and inherited by forked ranks.
+  trace::set_mode(cfg_.trace);
+  resil::arm_fault(cfg_.fault);
   NEMO_ASSERT(cfg_.nranks >= 1);
   // The transport: substrate topology + link accounting. Constructed before
   // any Engine so the cached has_hooks() gate and the synthetic-node map
   // are fixed for the life of the world (children inherit the heap object
   // across fork; it holds no arena state).
   xport_ = transport::make_transport(cfg_.transport, cfg_.nodes_spec,
-                                     cfg_.nranks);
+                                     cfg_.nranks, cfg_.net_lat_ns,
+                                     cfg_.net_bw_mbs);
   NEMO_ASSERT_MSG(cfg_.core_binding.empty() ||
                       cfg_.core_binding.size() ==
                           static_cast<std::size_t>(cfg_.nranks),
                   "core_binding must name one core per rank");
-  topo_.validate();
+  cfg_.topo.validate();
 
   rank_queues_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
@@ -222,7 +139,6 @@ World::World(Config cfg)
   // Per-pair rings and fastboxes, with NUMA-aware placement: the decision
   // (which node, if any) is recorded for every pair even when binding is
   // unavailable, so placement stays observable on single-node hosts.
-  numa_mode_ = cfg_.numa_placement;
   std::size_t n2 = static_cast<std::size_t>(cfg_.nranks) *
                    static_cast<std::size_t>(cfg_.nranks);
   ring_offs_.assign(n2, kNil);
@@ -235,15 +151,15 @@ World::World(Config cfg)
                             static_cast<std::size_t>(cfg_.nranks) +
                         static_cast<std::size_t>(d);
       int score = core_of(s), dcore = core_of(d);
-      auto [bufs, buf_bytes] = ring_geometry(cfg_, tuning_, topo_, score,
-                                             dcore);
+      auto [bufs, buf_bytes] =
+          ring_geometry(cfg_, tuning(), cfg_.topo, score, dcore);
       shm::RegionPlacement want =
-          shm::choose_region_placement(numa_mode_, topo_, score, dcore);
+          shm::choose_region_placement(numa_mode(), cfg_.topo, score, dcore);
       bool place = want.node >= 0 || want.interleave;
 
       RingPlacement rp;
-      if (classifiable(topo_, score, dcore))
-        rp.pair = topo_.classify(score, dcore);
+      if (classifiable(cfg_.topo, score, dcore))
+        rp.pair = cfg_.topo.classify(score, dcore);
       rp.node = want.node;
       rp.interleaved = want.interleave;
 
@@ -260,12 +176,13 @@ World::World(Config cfg)
 
       if (cfg_.use_fastbox) {
         std::uint64_t fb_off = shm::Fastbox::create(
-            arena_, tuning_.fastbox_slots, tuning_.fastbox_slot_bytes, place);
+            arena_, tuning().fastbox_slots, tuning().fastbox_slot_bytes,
+            place);
         fastbox_offs_[idx] = fb_off;
         std::size_t fb_bytes =
             sizeof(shm::FastboxState) +
-            static_cast<std::size_t>(tuning_.fastbox_slots) *
-                tuning_.fastbox_slot_bytes;
+            static_cast<std::size_t>(tuning().fastbox_slots) *
+                tuning().fastbox_slot_bytes;
         if (want.node >= 0)
           shm::bind_to_node(arena_.at(fb_off), fb_bytes, want.node);
         else if (want.interleave)
@@ -277,10 +194,10 @@ World::World(Config cfg)
   // interleaving NUMA modes its pages are spread across nodes like the
   // other many-reader bootstrap state below.
   if (cfg_.nranks > 1) {
-    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_, tuning_);
+    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_, tuning());
     coll_off_ = coll::WorldColl::create(arena_, cfg_.nranks, coll_slot);
-    if (numa_mode_ == shm::NumaPlacement::kAuto ||
-        numa_mode_ == shm::NumaPlacement::kInterleave)
+    if (numa_mode() == shm::NumaPlacement::kAuto ||
+        numa_mode() == shm::NumaPlacement::kInterleave)
       shm::interleave(arena_.at(coll_off_),
                       coll::WorldColl::region_bytes(cfg_.nranks, coll_slot));
   }
@@ -296,8 +213,9 @@ World::World(Config cfg)
     std::vector<int> node_of_rank(static_cast<std::size_t>(cfg_.nranks), -1);
     for (int r = 0; r < cfg_.nranks; ++r) {
       int core = core_of(r);
-      if (core >= 0 && core < topo_.num_cores)
-        node_of_rank[static_cast<std::size_t>(r)] = topo_.numa_node_of(core);
+      if (core >= 0 && core < cfg_.topo.num_cores)
+        node_of_rank[static_cast<std::size_t>(r)] =
+            cfg_.topo.numa_node_of(core);
       else
         node_of_rank[static_cast<std::size_t>(r)] =
             ring_placement(r, (r + 1) % cfg_.nranks).node;
@@ -326,8 +244,8 @@ World::World(Config cfg)
   // Many-reader bootstrap state (KNEM cookie table, pid table, barrier,
   // liveness): every rank polls these, so no single home node is right —
   // interleave the span under kAuto/kInterleave. Sub-page spans are a no-op.
-  if (numa_mode_ == shm::NumaPlacement::kAuto ||
-      numa_mode_ == shm::NumaPlacement::kInterleave) {
+  if (numa_mode() == shm::NumaPlacement::kAuto ||
+      numa_mode() == shm::NumaPlacement::kInterleave) {
     std::uint64_t end =
         life_off_ + resil::Liveness::footprint(cfg_.nranks);
     shm::interleave(arena_.at(shared_state_begin), end - shared_state_begin);
@@ -352,8 +270,8 @@ void World::reattach_in_child() {
   // travel with the shm segment. Pages the owning rank has not yet
   // first-touched are placed by this process, per the recorded decision.
   std::size_t fb_bytes = sizeof(shm::FastboxState) +
-                         static_cast<std::size_t>(tuning_.fastbox_slots) *
-                             tuning_.fastbox_slot_bytes;
+                         static_cast<std::size_t>(tuning().fastbox_slots) *
+                             tuning().fastbox_slot_bytes;
   for (int s = 0; s < cfg_.nranks; ++s)
     for (int d = 0; d < cfg_.nranks; ++d) {
       if (s == d) continue;
@@ -377,9 +295,9 @@ void World::reattach_in_child() {
       }
     }
   if (coll_off_ != shm::kNil &&
-      (numa_mode_ == shm::NumaPlacement::kAuto ||
-       numa_mode_ == shm::NumaPlacement::kInterleave)) {
-    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_, tuning_);
+      (numa_mode() == shm::NumaPlacement::kAuto ||
+       numa_mode() == shm::NumaPlacement::kInterleave)) {
+    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_, tuning());
     shm::interleave(arena_.at(coll_off_),
                     coll::WorldColl::region_bytes(cfg_.nranks, coll_slot));
   }
@@ -450,7 +368,7 @@ Engine::Engine(World& world, int rank)
       free_q_(world.arena(), world.free_q_off(rank)),
       next_seq_(static_cast<std::size_t>(world.nranks()), 1),
       expected_seq_(static_cast<std::size_t>(world.nranks()), 1),
-      tracer_(rank) {
+      tracer_(rank, world.config().trace_ring_slots) {
   world.register_pid(rank, ::getpid());
   if (trace::on(trace::Mode::kFull))
     progress_hist_ = &trace::registry().hist("progress.pass_ns");
@@ -467,9 +385,9 @@ Engine::Engine(World& world, int rank)
   barrier_tree_ranks_ = std::max<std::uint32_t>(2, tuning.barrier_tree_ranks);
   barrier_tree_k_ = std::max<std::uint32_t>(2, tuning.barrier_tree_k);
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
-  // overrode the table row (with_env_overrides), so resolving the table
-  // choice against CPUID is the full precedence chain. pack_nt_min 0 means
-  // "formula" — a pre-schema-4 cache loads without the row.
+  // overrode the table row (core/knobs.cpp), so resolving the table choice
+  // against CPUID is the full precedence chain. pack_nt_min 0 means
+  // "formula" (NEMO_PACK_NT_MIN=0).
   simd_kernel_ = simd::resolve(tuning.simd_kernel);
   pack_nt_min_ = tuning.pack_nt_min != 0 ? tuning.pack_nt_min
                                          : shm::nt_default_threshold();

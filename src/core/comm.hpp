@@ -44,14 +44,17 @@ namespace nemo::core {
 
 enum class LaunchMode { kThreads, kProcesses };
 
-/// Resolve NEMO_WORLD_MODE (threads|procs) over a programmatic default.
-/// Shared by the env-override pass inside World and by core::run, which must
-/// know the resolved mode *before* the World exists (a process-mode world
-/// with no explicit shm_name gets a generated one so children can re-attach
-/// by name). Throws std::invalid_argument on anything else.
-LaunchMode world_mode_from_env(LaunchMode fallback);
-
+/// Everything a World is built from. Every NEMO_* knob lands in a field
+/// here or in `tuning` (see core/knobs.hpp for the table); the World
+/// resolves them once at construction: a pin in `env` beats the process
+/// environment, which beats the programmatic field / tuning cache /
+/// formula value.
 struct Config {
+  /// Per-World knob pins, NEMO_* name -> value. Unknown names throw at
+  /// World construction. Process-scoped knobs (NEMO_TUNE, ...) cannot be
+  /// pinned.
+  std::map<std::string, std::string> env;
+
   int nranks = 2;
   LaunchMode mode = LaunchMode::kThreads;
 
@@ -77,8 +80,9 @@ struct Config {
   bool use_fastbox = true;
 
   /// Minimum rendezvous size that switches the shm-copy ring to streaming
-  /// (non-temporal) stores. 0 = auto: NEMO_NT_MIN env if set, else half the
-  /// detected last-level cache. SIZE_MAX (or NEMO_NT_MIN=off) = never.
+  /// (non-temporal) stores. 0 = auto: the tuned per-placement row (half the
+  /// detected last-level cache by formula). SIZE_MAX (or NEMO_NT_MIN=off) =
+  /// never.
   std::size_t nt_min = 0;
 
   std::size_t arena_bytes = 0;        ///< 0 = auto.
@@ -91,10 +95,9 @@ struct Config {
   /// Machine description for the selection policy. Empty name = detect.
   Topology topo{};
 
-  /// Tuning table override. Unset = resolve for the world's topology via
-  /// tune::effective_table (persistent cache when valid, else formulas; env
-  /// knobs override either). A programmatic table still gets env overrides
-  /// applied, so every entry point honours the same knobs.
+  /// Tuning table override. Unset = tune::effective_table for the world's
+  /// topology (persistent cache when valid, else formulas). Knobs that land
+  /// in the table override either, a programmatic table included.
   std::optional<tune::TuningTable> tuning;
 
   /// NUMA placement policy for per-pair shared regions (ring buffers,
@@ -145,6 +148,19 @@ struct Config {
   /// default) or keep it usable over the survivor set (kDegrade).
   /// NEMO_ON_PEER_DEATH=abort|degrade overrides.
   resil::OnPeerDeath on_peer_death = resil::OnPeerDeath::kAbort;
+  /// Fault-injection spec `rank:site:kill` (NEMO_FAULT); empty disarms.
+  std::string fault;
+
+  /// Modeled-interconnect link (NEMO_NET_LAT_NS / NEMO_NET_BW_MBS).
+  std::uint64_t net_lat_ns = 1500;
+  std::uint64_t net_bw_mbs = 12000;
+
+  /// Process-wide trace mode the World installs (NEMO_TRACE) and each
+  /// rank's event-ring capacity (NEMO_TRACE_RING_SLOTS).
+  trace::Mode trace = trace::Mode::kOff;
+  std::size_t trace_ring_slots = trace::kDefaultRingSlots;
+
+  bool operator==(const Config&) const = default;
 };
 
 struct RecvInfo {
@@ -181,9 +197,12 @@ class World {
 
   [[nodiscard]] int nranks() const { return cfg_.nranks; }
   [[nodiscard]] const Config& config() const { return cfg_; }
-  [[nodiscard]] const Topology& topology() const { return topo_; }
-  /// The effective (cache/formula + env) tuning state every layer consults.
-  [[nodiscard]] const tune::TuningTable& tuning() const { return tuning_; }
+  [[nodiscard]] const Topology& topology() const { return cfg_.topo; }
+  /// The effective (cache/formula + knobs) tuning state every layer
+  /// consults.
+  [[nodiscard]] const tune::TuningTable& tuning() const {
+    return *cfg_.tuning;
+  }
   [[nodiscard]] shm::Arena& arena() { return arena_; }
   [[nodiscard]] shm::PipeMatrix& pipes() { return pipes_; }
 
@@ -217,7 +236,9 @@ class World {
   [[nodiscard]] int coll_leader() const { return coll_leader_; }
 
   /// Effective NUMA placement mode after env resolution.
-  [[nodiscard]] shm::NumaPlacement numa_mode() const { return numa_mode_; }
+  [[nodiscard]] shm::NumaPlacement numa_mode() const {
+    return cfg_.numa_placement;
+  }
   /// The placement decision applied to pair (src, dst)'s ring/fastbox.
   [[nodiscard]] const RingPlacement& ring_placement(int src, int dst) const {
     NEMO_ASSERT(src != dst);
@@ -278,15 +299,12 @@ class World {
 
  private:
   Config cfg_;
-  Topology topo_;
-  tune::TuningTable tuning_;  ///< Resolved before the arena (sizes fastboxes).
   std::unique_ptr<transport::Transport> xport_;
   shm::Arena arena_;
   shm::PipeMatrix pipes_;
   std::vector<shm::RankQueues> rank_queues_;
   std::vector<std::uint64_t> ring_offs_;
   std::vector<std::uint64_t> fastbox_offs_;
-  shm::NumaPlacement numa_mode_ = shm::NumaPlacement::kFirstTouch;
   std::vector<RingPlacement> ring_place_;
   std::uint64_t coll_off_ = shm::kNil;
   int coll_leader_ = 0;

@@ -1,0 +1,340 @@
+#include "core/knobs.hpp"
+
+#include <cstdlib>
+#include <initializer_list>
+#include <stdexcept>
+#include <utility>
+
+#include "common/options.hpp"
+#include "core/comm.hpp"
+
+namespace nemo {
+
+namespace {
+
+using core::Config;
+using tune::TuningTable;
+
+/// Map `v` through a fixed vocabulary; the error lists every spelling.
+template <class E>
+E pick(const char* knob, const std::string& v,
+       std::initializer_list<std::pair<std::string_view, E>> vocab) {
+  std::string want;
+  for (const auto& [word, e] : vocab) {
+    if (v == word) return e;
+    if (!want.empty()) want += '|';
+    want += word;
+  }
+  reject_value(knob, v, want);
+}
+
+template <class T>
+T known(const char* knob, const std::string& v, std::optional<T> parsed,
+        const char* want) {
+  if (!parsed) reject_value(knob, v, want);
+  return *parsed;
+}
+
+std::size_t size(const char* knob, const std::string& v,
+                 bool allow_off = false) {
+  return parse_size(knob, v, allow_off);
+}
+
+/// Size rounded up to a cache line, then checked against [lo, hi].
+std::uint32_t line_size(const char* knob, const std::string& v,
+                        std::size_t lo, std::size_t hi) {
+  std::size_t n = round_up(size(knob, v), kCacheLine);
+  if (n < lo || n > hi)
+    reject_value(knob, v,
+           std::to_string(lo) + ".." + std::to_string(hi) + " bytes");
+  return static_cast<std::uint32_t>(n);
+}
+
+/// `off` = never (UINT32_MAX), `on` = always (2), else a threshold >= 2.
+std::uint32_t threshold(const char* knob, const std::string& v) {
+  if (v == "off" || v == "0" || v == "never") return UINT32_MAX;
+  if (v == "on" || v == "1" || v == "always") return 2;
+  return static_cast<std::uint32_t>(parse_int(knob, v, 2, UINT32_MAX));
+}
+
+enum class Cma { kOn, kOff, kNoSyscall };
+
+// One row per knob, alphabetical. Defaults in parentheses depend on the
+// host or the tuning cache; every other default is a value the row accepts.
+const Knob kKnobs[] = {
+    {"NEMO_BARRIER_TREE", "(tuned)", "off|on|<ranks >= 2>",
+     "arena barrier: flat, k-ary tree, or the world size from which the "
+     "tree runs",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.barrier_tree_ranks = threshold("NEMO_BARRIER_TREE", v);
+     }},
+    {"NEMO_CMA", "auto", "auto|on|off|nosyscall",
+     "cross-memory attach: off vetoes the backend, nosyscall exercises its "
+     "staged fallback",
+     [](const std::string& v, Config& c, TuningTable&) {
+       Cma m = pick<Cma>("NEMO_CMA", v,
+                         {{"auto", Cma::kOn},
+                          {"on", Cma::kOn},
+                          {"1", Cma::kOn},
+                          {"true", Cma::kOn},
+                          {"off", Cma::kOff},
+                          {"0", Cma::kOff},
+                          {"false", Cma::kOff},
+                          {"nosyscall", Cma::kNoSyscall}});
+       c.cma_enabled = m != Cma::kOff;
+       c.cma_sim_fail = m == Cma::kNoSyscall;
+     }},
+    {"NEMO_COLL", "auto", "auto|shm|p2p",
+     "collective family: arena above coll_activation, or force one",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.coll = known("NEMO_COLL", v, coll::mode_from_string(v),
+                      "auto|shm|p2p");
+     }},
+    {"NEMO_COLL_ACTIVATION", "(tuned)", "<size>",
+     "operation size from which auto collectives take the arena",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.coll_activation = size("NEMO_COLL_ACTIVATION", v);
+     }},
+    {"NEMO_COLL_HIER", "(tuned)", "off|on|<nodes >= 2>",
+     "two-level collectives: never, always, or the node count from which "
+     "they run",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.coll_hier_nodes = threshold("NEMO_COLL_HIER", v);
+     }},
+    {"NEMO_COLL_LEADER", "(NUMA-chosen)", "<rank>",
+     "combining leader rank for shm reduce/allreduce",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.coll_leader = static_cast<int>(
+           parse_int("NEMO_COLL_LEADER", v, 0, c.nranks - 1));
+     }},
+    {"NEMO_COLL_SLOT_BYTES", "(tuned)", "<size 64B..16MiB>",
+     "per-rank collective-arena slot capacity",
+     [](const std::string& v, Config& c, TuningTable& t) {
+       c.coll_slot_bytes = t.coll_slot_bytes = line_size(
+           "NEMO_COLL_SLOT_BYTES", v, tune::kCollSlotMin, tune::kCollSlotMax);
+     }},
+    {"NEMO_DMA_MIN", "(formula)", "<size>",
+     "KNEM DMA-offload threshold, replacing the per-core formula",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.dma_min = size("NEMO_DMA_MIN", v);
+     }},
+    {"NEMO_DRAIN_BUDGET", "(tuned)", "<cells 1..65536>",
+     "recv-queue cells drained per progress() pass",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.drain_budget = static_cast<std::uint32_t>(
+           parse_int("NEMO_DRAIN_BUDGET", v, 1, 65536));
+     }},
+    {"NEMO_FASTBOX", "1", "0|1",
+     "per-pair fastbox rings for small eager messages",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.use_fastbox = parse_flag("NEMO_FASTBOX", v);
+     }},
+    {"NEMO_FASTBOX_MAX", "(tuned)", "<size>",
+     "largest eager message routed through the fastbox",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.fastbox_max = size("NEMO_FASTBOX_MAX", v);
+     }},
+    {"NEMO_FASTBOX_SLOTS", "(tuned)", "<slots 1..64>",
+     "slots per fastbox ring",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.fastbox_slots = static_cast<std::uint32_t>(
+           parse_int("NEMO_FASTBOX_SLOTS", v, 1, tune::kFastboxSlotsMax));
+     }},
+    {"NEMO_FASTBOX_SLOT_BYTES", "(tuned)", "<size 128B..16KiB>",
+     "fastbox slot stride including its 64 B header",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.fastbox_slot_bytes =
+           line_size("NEMO_FASTBOX_SLOT_BYTES", v, tune::kFastboxSlotBytesMin,
+                     tune::kFastboxSlotBytesMax);
+     }},
+    {"NEMO_FAULT", "(unset)", "<rank>:<site>:kill",
+     "fault injection: SIGKILL that rank at the named crash site",
+     [](const std::string& v, Config& c, TuningTable&) {
+       (void)resil::parse_fault_spec(v);
+       c.fault = v;
+     }},
+    {"NEMO_FEEDBACK", "1", "0|1",
+     "run the telemetry feedback pass during calibration", nullptr},
+    {"NEMO_LMT", "auto", "auto|shm|vmsplice|writev|knem|cma",
+     "force one rendezvous backend for every message",
+     [](const std::string& v, Config& c, TuningTable&) {
+       using lmt::LmtKind;
+       c.lmt = pick<LmtKind>("NEMO_LMT", v,
+                             {{"auto", LmtKind::kAuto},
+                              {"shm", LmtKind::kDefaultShm},
+                              {"default", LmtKind::kDefaultShm},
+                              {"vmsplice", LmtKind::kVmsplice},
+                              {"writev", LmtKind::kVmspliceWritev},
+                              {"vmsplice-writev", LmtKind::kVmspliceWritev},
+                              {"knem", LmtKind::kKnem},
+                              {"cma", LmtKind::kCma}});
+     }},
+    {"NEMO_LMT_ACTIVATION", "(tuned)", "<size>",
+     "eager/rendezvous switch, every placement row",
+     [](const std::string& v, Config&, TuningTable& t) {
+       std::size_t n = size("NEMO_LMT_ACTIVATION", v);
+       for (auto& pt : t.place) pt.lmt_activation = n;
+     }},
+    {"NEMO_NET_BW_MBS", "12000", "<MiB/s >= 1>",
+     "modeled internode link bandwidth",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.net_bw_mbs = static_cast<std::uint64_t>(
+           parse_int("NEMO_NET_BW_MBS", v, 1, LONG_MAX));
+     }},
+    {"NEMO_NET_LAT_NS", "1500", "<ns >= 0>",
+     "modeled internode per-message latency",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.net_lat_ns = static_cast<std::uint64_t>(
+           parse_int("NEMO_NET_LAT_NS", v, 0, LONG_MAX));
+     }},
+    {"NEMO_NODES", "(one node)", "<N>x<M>",
+     "synthetic topology: N nodes of M ranks, N*M = world size",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.nodes_spec = v;
+     }},
+    {"NEMO_NT_MIN", "(tuned)", "<size>|off",
+     "rendezvous size from which ring copies use non-temporal stores",
+     [](const std::string& v, Config& c, TuningTable& t) {
+       c.nt_min = size("NEMO_NT_MIN", v, /*allow_off=*/true);
+       for (auto& pt : t.place) pt.nt_min = c.nt_min;
+     }},
+    {"NEMO_NUMA_PLACEMENT", "auto",
+     "auto|receiver|sender|interleave|first-touch|off",
+     "where per-pair shared regions live; off disables every mbind",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.numa_placement =
+           known("NEMO_NUMA_PLACEMENT", v, shm::numa_placement_from_string(v),
+                 "auto|receiver|sender|interleave|first-touch|off");
+     }},
+    {"NEMO_ON_PEER_DEATH", "abort", "abort|degrade",
+     "after a death verdict: poison the world, or continue on survivors",
+     [](const std::string& v, Config& c, TuningTable&) {
+       using resil::OnPeerDeath;
+       c.on_peer_death = pick<OnPeerDeath>(
+           "NEMO_ON_PEER_DEATH", v,
+           {{"abort", OnPeerDeath::kAbort}, {"degrade", OnPeerDeath::kDegrade}});
+     }},
+    {"NEMO_PACK_NT_MIN", "(tuned)", "<size>|off",
+     "packed size from which datatype packs use non-temporal stores",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.pack_nt_min = size("NEMO_PACK_NT_MIN", v, /*allow_off=*/true);
+     }},
+    {"NEMO_PEER_TIMEOUT_MS", "30000", "<ms >= 1>|off",
+     "stale-heartbeat deadline for every bounded wait; off disarms",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.peer_timeout_ms =
+           v == "off" || v == "never"
+               ? resil::kTimeoutOff
+               : static_cast<std::size_t>(
+                     parse_int("NEMO_PEER_TIMEOUT_MS", v, 1, LONG_MAX));
+     }},
+    {"NEMO_POLL_HOT", "(tuned)", "0|1",
+     "poll fastboxes hot-peer-first by recent traffic",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.poll_hot = parse_flag("NEMO_POLL_HOT", v);
+     }},
+    {"NEMO_RING_BUFS", "(tuned)", "<buffers 1..1024>",
+     "copy-ring depth per ordered pair, every placement row",
+     [](const std::string& v, Config& c, TuningTable& t) {
+       c.ring_bufs = static_cast<std::uint32_t>(
+           parse_int("NEMO_RING_BUFS", v, 1, tune::kRingBufsMax));
+       for (auto& pt : t.place) pt.ring_bufs = c.ring_bufs;
+     }},
+    {"NEMO_RING_BUF_BYTES", "(tuned)", "<size 64B..1GiB>",
+     "copy-ring buffer size, every placement row",
+     [](const std::string& v, Config& c, TuningTable& t) {
+       c.ring_buf_bytes = line_size("NEMO_RING_BUF_BYTES", v, kCacheLine,
+                                    tune::kRingBufBytesMax);
+       for (auto& pt : t.place) pt.ring_buf_bytes = c.ring_buf_bytes;
+     }},
+    {"NEMO_SIMD", "(tuned)", "auto|scalar|avx2|avx512",
+     "reduction fold kernel; auto takes the widest the CPU runs",
+     [](const std::string& v, Config&, TuningTable& t) {
+       t.simd_kernel = simd::choice_from_string(v, "NEMO_SIMD");
+     }},
+    {"NEMO_TRACE", "off", "off|rings|full",
+     "tracing mode the World installs for the process",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.trace = trace::mode_from_string(v);
+     }},
+    {"NEMO_TRACE_OUT", "(unset)", "<path>",
+     "write a nemo-trace/1 dump to this path at process exit", nullptr},
+    {"NEMO_TRACE_RING_SLOTS", "8192", "<events 2..16777216>",
+     "per-rank trace ring capacity, rounded up to a power of two",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.trace_ring_slots = static_cast<std::size_t>(
+           parse_int("NEMO_TRACE_RING_SLOTS", v, 2, 1L << 24));
+     }},
+    {"NEMO_TRANSPORT", "auto", "auto|shm|modeled",
+     "transport; auto is modeled iff NEMO_NODES names more than one node",
+     [](const std::string& v, Config& c, TuningTable&) {
+       c.transport = pick<std::string_view>(
+           "NEMO_TRANSPORT", v,
+           {{"auto", "auto"}, {"shm", "shm"}, {"modeled", "modeled"}});
+     }},
+    {"NEMO_TUNE", "1", "0|1", "consult the fingerprinted tuning cache",
+     nullptr},
+    {"NEMO_TUNE_CACHE", "(fingerprinted path)", "<path>",
+     "tuning-cache file", nullptr},
+    {"NEMO_WORLD_MODE", "threads", "threads|procs",
+     "rank launch: threads, or one forked process per rank",
+     [](const std::string& v, Config& c, TuningTable&) {
+       using core::LaunchMode;
+       c.mode = pick<LaunchMode>("NEMO_WORLD_MODE", v,
+                                 {{"threads", LaunchMode::kThreads},
+                                  {"procs", LaunchMode::kProcesses},
+                                  {"processes", LaunchMode::kProcesses}});
+     }},
+};
+
+std::optional<std::string> getenv_nonempty(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  return std::string(v);
+}
+
+}  // namespace
+
+std::span<const Knob> knobs() { return kKnobs; }
+
+const Knob* find_knob(std::string_view name) {
+  for (const Knob& k : kKnobs)
+    if (name == k.name) return &k;
+  return nullptr;
+}
+
+std::optional<std::string> process_env(const char* name) {
+  NEMO_ASSERT_MSG(std::string_view(name).substr(0, 5) != "NEMO_" ||
+                      (find_knob(name) != nullptr &&
+                       find_knob(name)->apply == nullptr),
+                  "World-scoped knobs resolve through core::resolve_config");
+  return getenv_nonempty(name);
+}
+
+namespace core {
+
+Config resolve_config(Config cfg) {
+  for (const auto& [name, value] : cfg.env) {
+    const Knob* k = find_knob(name);
+    if (k == nullptr)
+      throw std::invalid_argument("Config::env: unknown knob '" + name + "'");
+    if (k->apply == nullptr)
+      throw std::invalid_argument(
+          name + ": process-scoped, set it in the environment instead");
+  }
+  if (cfg.topo.num_cores <= 0) cfg.topo = detect_host();
+  if (!cfg.tuning) cfg.tuning = tune::effective_table(cfg.topo);
+  for (const Knob& k : kKnobs) {
+    if (k.apply == nullptr) continue;
+    auto pin = cfg.env.find(k.name);
+    std::optional<std::string> v = pin != cfg.env.end()
+                                       ? std::optional(pin->second)
+                                       : getenv_nonempty(k.name);
+    if (v && !v->empty()) k.apply(*v, cfg, *cfg.tuning);
+  }
+  return cfg;
+}
+
+}  // namespace core
+
+}  // namespace nemo

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "shm/process_runner.hpp"
 
 namespace nemo::core {
@@ -31,12 +32,12 @@ void rank_body(World& world, int rank, const std::function<void(Comm&)>& fn) {
 }  // namespace
 
 bool run(const Config& cfg, const std::function<void(Comm&)>& fn) {
-  // Resolve the launch mode before the World exists: a process-mode world
+  // Resolve the knobs before the World exists: a process-mode world
   // without an explicit shm_name gets a generated one, so the arena is
   // shm_open-backed and each forked child can re-attach at its own base
-  // address instead of relying on the inherited mapping.
-  Config launch = cfg;
-  launch.mode = world_mode_from_env(cfg.mode);
+  // address instead of relying on the inherited mapping. The World's own
+  // pass over the resolved Config changes nothing.
+  Config launch = resolve_config(cfg);
   if (launch.mode == LaunchMode::kProcesses && launch.shm_name.empty()) {
     static std::atomic<unsigned> serial{0};
     char name[64];

@@ -49,6 +49,8 @@ struct PolicyConfig {
   /// Measured per-machine tuning (nullptr = pure formula policy). Not
   /// owned; must outlive the Policy (the World owns the runtime's table).
   const tune::TuningTable* tuning = nullptr;
+
+  bool operator==(const PolicyConfig&) const = default;
 };
 
 /// Per-engine LMT selection policy.

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <ctime>
 
-#include "common/options.hpp"
 #include "tune/counters.hpp"
 
 namespace nemo::resil {
@@ -248,11 +247,10 @@ FaultSpec parse_fault_spec(const std::string& spec) {
   return out;
 }
 
-void reload_fault() {
+void arm_fault(const std::string& spec) {
   detail::g_fault_rank.store(-1, std::memory_order_relaxed);
-  auto spec = nemo::Config::str("NEMO_FAULT");
-  if (!spec || spec->empty()) return;
-  detail::g_fault = parse_fault_spec(*spec);
+  if (spec.empty()) return;
+  detail::g_fault = parse_fault_spec(spec);
   detail::g_fault_rank.store(detail::g_fault.rank, std::memory_order_relaxed);
 }
 

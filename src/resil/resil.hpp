@@ -208,10 +208,11 @@ extern FaultSpec g_fault;
 [[noreturn]] void fire();
 }  // namespace detail
 
-/// Re-read NEMO_FAULT (rank:site:op). Called from World construction, like
-/// trace::reload_mode(). Unset disarms. Throws std::invalid_argument on a
-/// malformed spec or unknown site/op so typos fail loudly.
-void reload_fault();
+/// Arm the process-wide crash point from a NEMO_FAULT spec (rank:site:op);
+/// empty disarms. Every World arms its resolved spec at construction.
+/// Throws std::invalid_argument on a malformed spec or unknown site/op so
+/// typos fail loudly.
+void arm_fault(const std::string& spec);
 
 /// Parse a NEMO_FAULT spec string (exposed for tests).
 FaultSpec parse_fault_spec(const std::string& spec);

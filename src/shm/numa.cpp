@@ -6,10 +6,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
 #include "common/common.hpp"
-#include "common/options.hpp"
 
 #if defined(__linux__)
 #include <sys/syscall.h>
@@ -44,18 +42,9 @@ std::optional<NumaPlacement> numa_placement_from_string(const std::string& s) {
   if (s == "receiver") return NumaPlacement::kReceiver;
   if (s == "sender") return NumaPlacement::kSender;
   if (s == "interleave") return NumaPlacement::kInterleave;
-  if (s == "first-touch" || s == "firsttouch")
+  if (s == "first-touch" || s == "firsttouch" || s == "off")
     return NumaPlacement::kFirstTouch;
   return std::nullopt;
-}
-
-NumaPlacement numa_placement_from_env(NumaPlacement def) {
-  auto v = nemo::Config::str("NEMO_NUMA_PLACEMENT");
-  if (!v) return def;
-  if (auto p = numa_placement_from_string(*v)) return *p;
-  throw std::invalid_argument(
-      "NEMO_NUMA_PLACEMENT: unknown mode '" + *v +
-      "' (auto|receiver|sender|interleave|first-touch)");
 }
 
 RegionPlacement choose_region_placement(NumaPlacement mode,
@@ -132,8 +121,7 @@ int host_numa_nodes() {
 
 bool numa_bind_available() {
   if (!NEMO_HAVE_MBIND) return false;
-  if (host_numa_nodes() < 2) return false;
-  return nemo::Config::flag("NEMO_NUMA", true);
+  return host_numa_nodes() >= 2;
 }
 
 namespace {

@@ -14,8 +14,8 @@
 //     behaviour — decisions are still recorded so they stay observable.
 //
 // The mode is selected via NEMO_NUMA_PLACEMENT={auto,receiver,sender,
-// interleave,first-touch}; NEMO_NUMA=0 additionally disables the mbind calls
-// while leaving the decisions visible.
+// interleave,first-touch}; `off` is first-touch under the name that says
+// what it does: no mbind call at all.
 #pragma once
 
 #include <cstddef>
@@ -37,10 +37,6 @@ enum class NumaPlacement {
 
 const char* to_string(NumaPlacement p);
 std::optional<NumaPlacement> numa_placement_from_string(const std::string& s);
-
-/// Resolve NEMO_NUMA_PLACEMENT on top of `def`; throws std::invalid_argument
-/// on an unrecognised value (typos must surface, not silently first-touch).
-NumaPlacement numa_placement_from_env(NumaPlacement def = NumaPlacement::kAuto);
 
 /// The outcome of a placement decision for one region.
 struct RegionPlacement {
@@ -65,8 +61,8 @@ RegionPlacement choose_region_placement(NumaPlacement mode,
 /// Topology::num_numa_nodes(), which may describe a synthetic machine.
 int host_numa_nodes();
 
-/// True when mbind can do anything useful here: multi-node host, mempolicy
-/// syscall compiled in, and NEMO_NUMA not set to 0.
+/// True when mbind can do anything useful here: multi-node host and the
+/// mempolicy syscall compiled in.
 bool numa_bind_available();
 
 /// Bind [p, p+len) to `node` (MPOL_PREFERRED + best-effort page move). The

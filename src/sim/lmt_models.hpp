@@ -156,7 +156,7 @@ class LmtModels {
 
 /// The modeled interconnect link (src/transport/modeled.cpp): every
 /// internode message costs lat_ns + bytes/bw, intranode traffic is free.
-/// Defaults mirror make_transport's NEMO_NET_LAT_NS / NEMO_NET_BW_MBS.
+/// Defaults mirror core::Config's NEMO_NET_LAT_NS / NEMO_NET_BW_MBS.
 struct NetLink {
   double lat_ns = 1500.0;
   double bw_mibs = 12000.0;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/options.hpp"
 #include "simd/fold_inl.hpp"
 
 namespace nemo::simd {
@@ -126,11 +125,6 @@ Kernel resolve(Choice c) noexcept {
                                              : Kernel::kScalar;
   }
   return Kernel::kScalar;
-}
-
-Kernel resolve_from_env(Choice table_choice) {
-  auto v = nemo::Config::str("NEMO_SIMD");
-  return resolve(v ? choice_from_string(*v, "NEMO_SIMD") : table_choice);
 }
 
 void fold(Kernel k, Op op, double* dst, const double* src, std::size_t n) {

@@ -49,10 +49,6 @@ Choice choice_from_string(std::string_view s, const char* what);
 /// one below it.
 Kernel resolve(Choice c) noexcept;
 
-/// NEMO_SIMD override on top of `table_choice` (env beats table beats
-/// CPUID). Throws std::invalid_argument on an unparseable value.
-Kernel resolve_from_env(Choice table_choice);
-
 // dst[i] = op(dst[i], src[i]) for i in [0, n). Unaligned bases and tails
 // are handled inside (unaligned vector loads plus a scalar remainder loop).
 void fold(Kernel k, Op op, double* dst, const double* src, std::size_t n);

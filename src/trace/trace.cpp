@@ -3,8 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 
-#include "common/options.hpp"
+#include "core/knobs.hpp"
 #include "common/timing.hpp"
 #include "trace/registry.hpp"
 #include "tune/json.hpp"
@@ -52,13 +53,11 @@ Mode mode() {
 }
 
 Mode mode_from_string(const std::string& s) {
-  if (s.empty() || s == "off" || s == "0" || s == "false" || s == "no")
-    return Mode::kOff;
+  if (s == "off" || s == "0" || s == "false" || s == "no") return Mode::kOff;
   if (s == "rings") return Mode::kRings;
   if (s == "full" || s == "on" || s == "1" || s == "true") return Mode::kFull;
-  std::fprintf(stderr, "nemo: NEMO_TRACE=%s not recognised, tracing off\n",
-               s.c_str());
-  return Mode::kOff;
+  throw std::invalid_argument("NEMO_TRACE: bad value '" + s +
+                              "' (want off|rings|full)");
 }
 
 const char* to_string(Mode m) {
@@ -68,12 +67,6 @@ const char* to_string(Mode m) {
     case Mode::kFull: return "full";
   }
   return "off";
-}
-
-Mode reload_mode() {
-  Mode m = mode_from_string(nemo::Config::str("NEMO_TRACE").value_or(""));
-  set_mode(m);
-  return m;
 }
 
 void set_mode(Mode m) {
@@ -207,16 +200,9 @@ Ring::Ring(std::size_t slots)
     : slots_(round_pow2(slots < 2 ? 2 : slots)),
       mask_(slots_.size() - 1) {}
 
-std::size_t default_ring_slots() {
-  long v = nemo::Config::integer("NEMO_TRACE_RING_SLOTS", 8192);
-  if (v < 2) v = 2;
-  if (v > (1l << 24)) v = 1l << 24;
-  return round_pow2(static_cast<std::size_t>(v));
-}
-
-Tracer::Tracer(int rank) : rank_(rank) {
+Tracer::Tracer(int rank, std::size_t ring_slots) : rank_(rank) {
   if (on(Mode::kRings)) {
-    ring_ = std::make_unique<Ring>(default_ring_slots());
+    ring_ = std::make_unique<Ring>(ring_slots);
     (void)calibration();  // calibrate outside the measured region
   }
 }
@@ -326,7 +312,7 @@ bool write_dump(const std::string& path, std::string* err) {
 }
 
 void maybe_write_env_dump() {
-  auto out = nemo::Config::str("NEMO_TRACE_OUT");
+  auto out = process_env("NEMO_TRACE_OUT");
   if (!out) return;
   global_tracer().flush();
   std::string err;

@@ -49,10 +49,13 @@ inline bool on(Mode need = Mode::kRings) {
 }
 
 [[nodiscard]] Mode mode();
-/// Re-read NEMO_TRACE (tests and tools pin it via ScopedEnv/setenv).
-Mode reload_mode();
+/// Process-wide: every World installs its resolved NEMO_TRACE here at
+/// construction (pin it per World with Config::env; tools without a World
+/// call set_mode directly).
 void set_mode(Mode m);
 const char* to_string(Mode m);
+/// NEMO_TRACE vocabulary: off|rings|full (plus 0/1/on/true/false/no);
+/// throws std::invalid_argument naming NEMO_TRACE on anything else.
 Mode mode_from_string(const std::string& s);
 
 // ---------------------------------------------------------------------------
@@ -216,8 +219,8 @@ class Ring {
   std::uint64_t head_ = 0;
 };
 
-/// Ring slot count resolved from NEMO_TRACE_RING_SLOTS.
-std::size_t default_ring_slots();
+/// Ring capacity when NEMO_TRACE_RING_SLOTS is unset.
+inline constexpr std::size_t kDefaultRingSlots = 8192;
 
 // ---------------------------------------------------------------------------
 // Per-rank tracer
@@ -228,7 +231,7 @@ std::size_t default_ring_slots();
 /// enabled at construction — disabled mode allocates nothing.
 class Tracer {
  public:
-  explicit Tracer(int rank);
+  explicit Tracer(int rank, std::size_t ring_slots = kDefaultRingSlots);
   ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;

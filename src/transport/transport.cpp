@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/common.hpp"
-#include "common/options.hpp"
 
 namespace nemo::transport {
 
@@ -61,17 +60,12 @@ std::unique_ptr<Transport> make_shm_transport(int nranks) {
 
 std::unique_ptr<Transport> make_transport(const std::string& which,
                                           const std::string& nodes_spec,
-                                          int nranks) {
-  long lat = Config::integer("NEMO_NET_LAT_NS", 1500);
-  long bw = Config::integer("NEMO_NET_BW_MBS", 12000);
-  if (lat < 0 || bw <= 0)
-    throw std::invalid_argument(
-        "NEMO_NET_LAT_NS must be >= 0 and NEMO_NET_BW_MBS > 0");
+                                          int nranks, std::uint64_t lat_ns,
+                                          std::uint64_t bw_mibs) {
   if (which == "shm") return make_shm_transport(nranks);
   if (which == "modeled")
     return make_modeled_transport(parse_nodes_spec(nodes_spec, nranks),
-                                  static_cast<std::uint64_t>(lat),
-                                  static_cast<double>(bw));
+                                  lat_ns, static_cast<double>(bw_mibs));
   if (which != "auto" && !which.empty())
     throw std::invalid_argument("NEMO_TRANSPORT: want shm|modeled|auto, got '" +
                                 which + "'");
@@ -80,9 +74,8 @@ std::unique_ptr<Transport> make_transport(const std::string& which,
   auto node_of = parse_nodes_spec(nodes_spec, nranks);
   int nnodes = node_of.empty() ? 1 : node_of.back() + 1;
   if (nnodes > 1)
-    return make_modeled_transport(std::move(node_of),
-                                  static_cast<std::uint64_t>(lat),
-                                  static_cast<double>(bw));
+    return make_modeled_transport(std::move(node_of), lat_ns,
+                                  static_cast<double>(bw_mibs));
   return make_shm_transport(nranks);
 }
 

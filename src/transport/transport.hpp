@@ -100,11 +100,12 @@ std::unique_ptr<Transport> make_modeled_transport(std::vector<int> node_of,
                                                   std::uint64_t lat_ns,
                                                   double bw_mibs);
 
-/// Factory honouring NEMO_TRANSPORT / NEMO_NODES / NEMO_NET_LAT_NS /
-/// NEMO_NET_BW_MBS: explicit "shm" or "modeled", else modeled iff the
-/// topology spec names more than one node. Throws on typos.
+/// Factory over the resolved NEMO_TRANSPORT / NEMO_NODES / NEMO_NET_LAT_NS
+/// / NEMO_NET_BW_MBS values: explicit "shm" or "modeled", else modeled iff
+/// the topology spec names more than one node. Throws on typos.
 std::unique_ptr<Transport> make_transport(const std::string& which,
                                           const std::string& nodes_spec,
-                                          int nranks);
+                                          int nranks, std::uint64_t lat_ns,
+                                          std::uint64_t bw_mibs);
 
 }  // namespace nemo::transport

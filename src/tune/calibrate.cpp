@@ -9,6 +9,7 @@
 
 #include "common/options.hpp"
 #include "common/timing.hpp"
+#include "core/knobs.hpp"
 #include "shm/nt_copy.hpp"
 #include "shm/process_runner.hpp"
 
@@ -294,7 +295,8 @@ TuningTable calibrate(const Topology& topo, const CalibrationOptions& opt) {
   // Close the telemetry loop: the crossover probes above are pairwise; the
   // feedback pass stresses every pair at once and reacts to the congestion
   // counters (ring stalls, drain exhaustion, fastbox fallbacks).
-  if (opt.feedback && nemo::Config::flag("NEMO_FEEDBACK", true)) {
+  auto feedback = process_env("NEMO_FEEDBACK");
+  if (opt.feedback && (!feedback || parse_flag("NEMO_FEEDBACK", *feedback))) {
     FeedbackOptions fopt;
     fopt.verbose = opt.verbose;
     t = calibrate_feedback(topo, std::move(t), fopt);

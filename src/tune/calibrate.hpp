@@ -92,8 +92,8 @@ struct FeedbackOptions {
   /// Ring depth a zero (inherit) placement row actually ran with during the
   /// probe: the Config default, or NEMO_RING_BUFS when set. The stall
   /// reaction doubles from here so the recorded depth can never be lower
-  /// than the one observed stalling. calibrate_feedback() resolves it from
-  /// the environment; override only in tests.
+  /// than the one observed stalling. calibrate_feedback() resolves it the
+  /// way the probe Worlds do (NEMO_RING_BUFS); override only in tests.
   std::uint32_t inherited_ring_bufs = 4;
 
   // Reaction thresholds, as rates over progress passes / attempts.

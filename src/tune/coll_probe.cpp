@@ -1,5 +1,5 @@
 // The collective-crossover probe: run the same bcast in short real worlds
-// with the path forced each way (Config::coll, bypassing NEMO_COLL) and
+// with the path pinned each way (a NEMO_COLL pin beats the ambient one) and
 // hand the two wall-clock cost functions to the generic crossover search.
 //
 // Layering note: like tune/feedback.cpp, this file sits in tune/ but drives
@@ -24,15 +24,12 @@ double bcast_cost_ns(const Topology& topo, const TuningTable& t,
                      coll::Mode mode, std::size_t bytes, int nranks,
                      int repeats) {
   constexpr double kUnrunnable = 1e15;
-  // Pin the env knob too: an ambient NEMO_COLL would override Config::coll
-  // in apply_env and make both cost functions measure the same path.
-  coll::ScopedForcedMode forced(mode);
   core::Config cfg;
+  cfg.env["NEMO_COLL"] = coll::to_string(mode);
   cfg.nranks = nranks;
   cfg.mode = core::LaunchMode::kThreads;
   cfg.topo = topo;
   cfg.tuning = t;
-  cfg.coll = mode;
   cfg.shared_pool_bytes = 4 * bytes + 8 * MiB;
   std::vector<double> samples;
   try {

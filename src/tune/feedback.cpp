@@ -12,7 +12,7 @@
 #include <mutex>
 #include <vector>
 
-#include "common/options.hpp"
+#include "core/knobs.hpp"
 #include "core/comm.hpp"
 #include "trace/trace.hpp"
 #include "tune/calibrate.hpp"
@@ -210,11 +210,13 @@ std::optional<Counters> run_feedback_probe(const Topology& topo,
 TuningTable calibrate_feedback(const Topology& topo, TuningTable t,
                                const FeedbackOptions& opt_in) {
   FeedbackOptions opt = opt_in;
-  // The probe World honours NEMO_RING_BUFS (apply_env + with_env_overrides),
-  // so inherit-rows ran at that depth, not the compiled default.
-  long env_bufs = nemo::Config::integer("NEMO_RING_BUFS", opt.inherited_ring_bufs);
-  if (env_bufs >= 1 && env_bufs <= 1024)
-    opt.inherited_ring_bufs = static_cast<std::uint32_t>(env_bufs);
+  // The probe World resolves NEMO_RING_BUFS like any other, so
+  // inherit-rows ran at the resolved depth, not the compiled default.
+  core::Config probe;
+  probe.ring_bufs = opt.inherited_ring_bufs;
+  probe.topo = topo;
+  probe.tuning = t;
+  opt.inherited_ring_bufs = core::resolve_config(std::move(probe)).ring_bufs;
   for (int nranks : opt.rank_counts) {
     if (opt.verbose)
       std::printf("feedback probe: alltoall x%d ranks (%d iters)\n", nranks,

@@ -9,6 +9,7 @@
 
 #include "coll/coll.hpp"
 #include "common/options.hpp"
+#include "core/knobs.hpp"
 #include "shm/nt_copy.hpp"
 #include "tune/json.hpp"
 
@@ -107,119 +108,14 @@ TuningTable formula_defaults(const Topology& topo) {
   return t;
 }
 
-TuningTable with_env_overrides(TuningTable t) {
-  if (nemo::Config::str("NEMO_NT_MIN")) {
-    std::size_t v = nemo::Config::size("NEMO_NT_MIN", 0);
-    for (auto& pt : t.place) pt.nt_min = v;
-  }
-  if (nemo::Config::str("NEMO_LMT_ACTIVATION")) {
-    std::size_t v = nemo::Config::size("NEMO_LMT_ACTIVATION", 0);
-    for (auto& pt : t.place) pt.lmt_activation = v;
-  }
-  if (auto b = nemo::Config::str("NEMO_BACKEND")) {
-    if (auto kind = backend_from_string(*b)) {
-      for (auto& pt : t.place) pt.backend = *kind;
-    } else {
-      throw std::invalid_argument("NEMO_BACKEND: unknown backend '" + *b +
-                                  "' (default|vmsplice|knem|cma)");
-    }
-  }
-  if (nemo::Config::str("NEMO_DMA_MIN")) t.dma_min = nemo::Config::size("NEMO_DMA_MIN", 0);
-  if (nemo::Config::str("NEMO_FASTBOX_MAX"))
-    t.fastbox_max = nemo::Config::size("NEMO_FASTBOX_MAX", t.fastbox_max);
-  long slots = nemo::Config::integer("NEMO_FASTBOX_SLOTS", t.fastbox_slots);
-  if (slots >= 1 && slots <= 64)
-    t.fastbox_slots = static_cast<std::uint32_t>(slots);
-  if (nemo::Config::str("NEMO_FASTBOX_SLOT_BYTES")) {
-    std::size_t v = nemo::Config::size("NEMO_FASTBOX_SLOT_BYTES", t.fastbox_slot_bytes);
-    if (v >= 128 && v <= 16 * KiB)
-      t.fastbox_slot_bytes =
-          static_cast<std::uint32_t>(round_up(v, kCacheLine));
-  }
-  long budget = nemo::Config::integer("NEMO_DRAIN_BUDGET", t.drain_budget);
-  if (budget >= 1) t.drain_budget = static_cast<std::uint32_t>(budget);
-  // Ring geometry knobs apply to every placement row (they also reach the
-  // Config via apply_env, but a cached per-placement value must still lose
-  // to an explicit env knob).
-  if (nemo::Config::str("NEMO_RING_BUFS")) {
-    long rb = nemo::Config::integer("NEMO_RING_BUFS", 0);
-    if (rb >= 1 && rb <= 1024)
-      for (auto& pt : t.place) pt.ring_bufs = static_cast<std::uint32_t>(rb);
-  }
-  if (nemo::Config::str("NEMO_RING_BUF_BYTES")) {
-    std::size_t v = nemo::Config::size("NEMO_RING_BUF_BYTES", 0);
-    if (v >= kCacheLine && v <= 1 * GiB)
-      for (auto& pt : t.place)
-        pt.ring_buf_bytes =
-            static_cast<std::uint32_t>(round_up(v, kCacheLine));
-  }
-  t.poll_hot = nemo::Config::flag("NEMO_POLL_HOT", t.poll_hot);
-  if (nemo::Config::str("NEMO_COLL_ACTIVATION"))
-    t.coll_activation = nemo::Config::size("NEMO_COLL_ACTIVATION", t.coll_activation);
-  if (auto v = coll_slot_bytes_from_env())
-    t.coll_slot_bytes = static_cast<std::uint32_t>(*v);
-  if (auto v = barrier_tree_ranks_from_env()) t.barrier_tree_ranks = *v;
-  if (auto v = coll_hier_nodes_from_env()) t.coll_hier_nodes = *v;
-  if (auto v = nemo::Config::str("NEMO_SIMD"))
-    t.simd_kernel = simd::choice_from_string(*v, "NEMO_SIMD");
-  if (nemo::Config::str("NEMO_PACK_NT_MIN"))
-    t.pack_nt_min = nemo::Config::size("NEMO_PACK_NT_MIN", t.pack_nt_min);
-  return t;
-}
-
-std::optional<std::uint32_t> barrier_tree_ranks_from_env() {
-  auto v = nemo::Config::str("NEMO_BARRIER_TREE");
-  if (!v) return std::nullopt;
-  if (*v == "off" || *v == "0" || *v == "never") return UINT32_MAX;
-  if (*v == "on" || *v == "1" || *v == "always") return 2;
-  char* end = nullptr;
-  long n = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || n < 2 || n > UINT32_MAX)
-    throw std::invalid_argument(
-        "NEMO_BARRIER_TREE: '" + *v +
-        "' (off|on|rank threshold >= 2) — a typo silently ignored would "
-        "make barrier experiments unmeasurable");
-  return static_cast<std::uint32_t>(n);
-}
-
-std::optional<std::uint32_t> coll_hier_nodes_from_env() {
-  auto v = nemo::Config::str("NEMO_COLL_HIER");
-  if (!v) return std::nullopt;
-  if (*v == "off" || *v == "0" || *v == "never") return UINT32_MAX;
-  if (*v == "on" || *v == "1" || *v == "always") return 2;
-  char* end = nullptr;
-  long n = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || n < 2 || n > UINT32_MAX)
-    throw std::invalid_argument(
-        "NEMO_COLL_HIER: '" + *v +
-        "' (off|on|node threshold >= 2) — a typo silently ignored would "
-        "make topology experiments unmeasurable");
-  return static_cast<std::uint32_t>(n);
-}
-
-std::optional<std::size_t> coll_slot_bytes_from_env() {
-  if (!nemo::Config::str("NEMO_COLL_SLOT_BYTES")) return std::nullopt;
-  std::size_t v =
-      round_up(nemo::Config::size("NEMO_COLL_SLOT_BYTES", 0), kCacheLine);
-  if (!coll_slot_in_range(v))
-    throw std::invalid_argument(
-        "NEMO_COLL_SLOT_BYTES: out of range (64B..16MiB)");
-  return v;
-}
-
 // ---------------------------------------------------------------------------
 // JSON serialization
 // ---------------------------------------------------------------------------
 
 std::string to_json(const TuningTable& t) {
   Json root = Json::object();
-  // Schema 2 added the coll_* fields, schema 3 the barrier_tree_* fields,
-  // schema 4 the simd_kernel / pack_nt_min rows, schema 5 the lmt_cma
-  // availability/activation row (and the "cma" backend value), schema 6 the
-  // coll_hier_nodes row (hierarchical two-level collectives). from_json
-  // still accepts schemas 1-5 (missing fields keep their formula defaults)
-  // so a pre-existing cache degrades to "newer fields uncalibrated", not a
-  // parse error.
+  // Only the current schema loads: an older cache is stale, so the World
+  // falls back to the formulas until the next nemo-tune run.
   root.set("schema", std::string("nemo-tune/6"));
   root.set("fingerprint", t.fingerprint);
   root.set("source", t.source);
@@ -269,10 +165,8 @@ std::optional<TuningTable> from_json(const std::string& text,
   auto doc = Json::parse(text, err);
   if (!doc) return std::nullopt;
   std::string schema = (*doc)["schema"].as_string();
-  if (schema != "nemo-tune/1" && schema != "nemo-tune/2" &&
-      schema != "nemo-tune/3" && schema != "nemo-tune/4" &&
-      schema != "nemo-tune/5" && schema != "nemo-tune/6") {
-    if (err != nullptr) *err = "unknown schema";
+  if (schema != "nemo-tune/6") {
+    if (err != nullptr) *err = "unsupported schema '" + schema + "'";
     return std::nullopt;
   }
   TuningTable t;
@@ -333,8 +227,9 @@ std::optional<TuningTable> from_json(const std::string& text,
   // always-compiled asserts in every program on the machine (the fastbox
   // geometry feeds shm::Fastbox::create directly, the ring geometry
   // shm::CopyRing::create, the coll geometry coll::WorldColl::create).
-  if (t.fastbox_slots < 1 || t.fastbox_slots > 64 ||
-      t.fastbox_slot_bytes <= 64 || t.fastbox_slot_bytes > 16 * KiB ||
+  if (t.fastbox_slots < 1 || t.fastbox_slots > kFastboxSlotsMax ||
+      t.fastbox_slot_bytes < kFastboxSlotBytesMin ||
+      t.fastbox_slot_bytes > kFastboxSlotBytesMax ||
       t.fastbox_slot_bytes % kCacheLine != 0 || t.drain_budget < 1 ||
       !coll_slot_in_range(t.coll_slot_bytes) || t.barrier_tree_ranks < 2 ||
       t.barrier_tree_k < 2 || t.barrier_tree_k > 64 ||
@@ -343,9 +238,10 @@ std::optional<TuningTable> from_json(const std::string& text,
     return std::nullopt;
   }
   for (const auto& pt : t.place) {
-    if (pt.ring_bufs > 1024 ||
+    if (pt.ring_bufs > kRingBufsMax ||
         (pt.ring_buf_bytes != 0 &&
-         (pt.ring_buf_bytes < kCacheLine || pt.ring_buf_bytes > 1 * GiB ||
+         (pt.ring_buf_bytes < kCacheLine ||
+          pt.ring_buf_bytes > kRingBufBytesMax ||
           pt.ring_buf_bytes % kCacheLine != 0))) {
       if (err != nullptr) *err = "out-of-range ring geometry";
       return std::nullopt;
@@ -359,10 +255,10 @@ std::optional<TuningTable> from_json(const std::string& text,
 // ---------------------------------------------------------------------------
 
 std::string default_cache_path(const std::string& fingerprint) {
-  if (auto p = nemo::Config::str("NEMO_TUNE_CACHE")) return *p;
+  if (auto p = process_env("NEMO_TUNE_CACHE")) return *p;
   std::string file = "tune-" + fingerprint + ".json";
-  if (auto xdg = env_str("XDG_CACHE_HOME")) return *xdg + "/nemo/" + file;
-  if (auto home = env_str("HOME")) return *home + "/.cache/nemo/" + file;
+  if (auto xdg = process_env("XDG_CACHE_HOME")) return *xdg + "/nemo/" + file;
+  if (auto home = process_env("HOME")) return *home + "/.cache/nemo/" + file;
   return "/tmp/nemo-" + file;
 }
 
@@ -407,10 +303,11 @@ bool store_cache(const std::string& path, const TuningTable& t) {
 TuningTable effective_table(const Topology& topo) {
   std::string fp = topology_fingerprint(topo);
   std::optional<TuningTable> t;
-  if (nemo::Config::flag("NEMO_TUNE", true))
+  auto use_cache = process_env("NEMO_TUNE");
+  if (!use_cache || parse_flag("NEMO_TUNE", *use_cache))
     t = load_cache(default_cache_path(fp), fp);
   if (!t) t = formula_defaults(topo);
-  return with_env_overrides(std::move(*t));
+  return std::move(*t);
 }
 
 }  // namespace nemo::tune

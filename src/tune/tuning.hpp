@@ -5,8 +5,9 @@
 // cross socket), since every crossover the paper reports moves with
 // placement.
 //
-// Precedence, applied in effective_table():
-//   env knobs  >  persistent cache (topology-fingerprinted)  >  formulas.
+// effective_table() picks the base table: the persistent cache
+// (topology-fingerprinted) when valid, else the formulas. NEMO_* knobs that
+// land in the table override it once per World (core/knobs.hpp).
 //
 // The cache file is JSON keyed by a fingerprint of the detected topology so
 // a machine calibrates once (via the nemo-tune tool or Calibrator) and every
@@ -61,6 +62,8 @@ struct PlacementTuning {
   /// the telemetry shows senders stalling on full rings.
   std::uint32_t ring_bufs = 0;
   std::uint32_t ring_buf_bytes = 0;
+
+  bool operator==(const PlacementTuning&) const = default;
 };
 
 /// The full per-machine tuning state the runtime consults.
@@ -153,25 +156,25 @@ struct TuningTable {
   [[nodiscard]] PlacementTuning& for_placement(PairPlacement p) {
     return place[static_cast<std::size_t>(p)];
   }
+
+  bool operator==(const TuningTable&) const = default;
 };
 
-/// Legal collective-arena slot range, shared by every resolver (env
-/// override, cache validation, Config clamp) so the bounds cannot drift
-/// apart. Values must also be cache-line multiples.
+/// Legal geometry ranges, shared by the knob table and cache validation so
+/// the bounds cannot drift apart. Slot and buffer sizes must also be
+/// cache-line multiples.
 inline constexpr std::size_t kCollSlotMin = kCacheLine;
 inline constexpr std::size_t kCollSlotMax = 16 * MiB;
+inline constexpr std::uint32_t kFastboxSlotsMax = 64;
+inline constexpr std::size_t kFastboxSlotBytesMin = 128;
+inline constexpr std::size_t kFastboxSlotBytesMax = 16 * KiB;
+inline constexpr std::uint32_t kRingBufsMax = 1024;
+inline constexpr std::size_t kRingBufBytesMax = 1 * GiB;
 
 /// Is `v` a legal coll_slot_bytes value as-is (range + alignment)?
 inline bool coll_slot_in_range(std::size_t v) {
   return v >= kCollSlotMin && v <= kCollSlotMax && v % kCacheLine == 0;
 }
-
-/// Parse NEMO_COLL_SLOT_BYTES (rounded up to a cache line). nullopt when
-/// unset; throws std::invalid_argument on an out-of-range value — a
-/// silently ignored knob would make slot-size experiments unmeasurable.
-/// Shared by every resolver (Config apply_env, with_env_overrides) so the
-/// accepted range cannot drift between them.
-std::optional<std::size_t> coll_slot_bytes_from_env();
 
 /// Stable fingerprint of a topology (FNV-1a over the logical layout), e.g.
 /// "host-8c-a1b2c3d4e5f67890". Cache entries are valid only on a machine
@@ -180,25 +183,6 @@ std::string topology_fingerprint(const Topology& topo);
 
 /// The paper's static formulas, evaluated for `topo` (no measurement).
 TuningTable formula_defaults(const Topology& topo);
-
-/// Apply env-knob overrides (NEMO_NT_MIN, NEMO_LMT_ACTIVATION,
-/// NEMO_FASTBOX_MAX, NEMO_FASTBOX_SLOTS, NEMO_FASTBOX_SLOT_BYTES,
-/// NEMO_DRAIN_BUDGET, NEMO_DMA_MIN, NEMO_BACKEND, NEMO_RING_BUFS,
-/// NEMO_RING_BUF_BYTES, NEMO_POLL_HOT, NEMO_COLL_ACTIVATION,
-/// NEMO_COLL_SLOT_BYTES, NEMO_BARRIER_TREE, NEMO_SIMD, NEMO_PACK_NT_MIN)
-/// on top of `t` — the "env beats cache beats formula" precedence every
-/// entry point shares. See docs/TUNING.md for the authoritative knob table.
-TuningTable with_env_overrides(TuningTable t);
-
-/// Parse NEMO_BARRIER_TREE into a barrier_tree_ranks threshold: `off`/`0`
-/// = never (UINT32_MAX), `on`/`1` = always (2), else a world-size
-/// threshold >= 2. nullopt when unset; throws on anything else.
-std::optional<std::uint32_t> barrier_tree_ranks_from_env();
-
-/// Parse NEMO_COLL_HIER into a coll_hier_nodes threshold with the same
-/// vocabulary: `off`/`0` = never (UINT32_MAX), `on`/`1` = always (2), else
-/// a node-count threshold >= 2. nullopt when unset; throws on anything else.
-std::optional<std::uint32_t> coll_hier_nodes_from_env();
 
 // --- Serialization ---------------------------------------------------------
 
@@ -221,9 +205,10 @@ std::optional<TuningTable> load_cache(const std::string& path,
 /// prints to stderr when the file cannot be written.
 bool store_cache(const std::string& path, const TuningTable& t);
 
-/// One-stop resolution for the runtime: cached table if present and valid
-/// for `topo` (unless NEMO_TUNE=0), else formula defaults; env knobs
-/// override either.
+/// The base table for `topo`: the cached table if present and valid (unless
+/// NEMO_TUNE=0), else formula defaults. NEMO_TUNE and NEMO_TUNE_CACHE come
+/// from the process environment: they choose the cache before any World
+/// exists. A cache whose schema is not nemo-tune/6 is stale (a miss).
 TuningTable effective_table(const Topology& topo);
 
 }  // namespace nemo::tune

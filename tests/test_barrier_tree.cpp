@@ -18,17 +18,15 @@
 namespace nemo::core {
 namespace {
 
-// The schedule under test must beat any ambient NEMO_BARRIER_TREE (CI
-// forces the knob in a smoke step, and env beats the programmatic tuning
-// table): each test pins it with nemo::ScopedEnv.
-using nemo::ScopedEnv;
-
 /// A slim world: barrier tests want many ranks, not big per-pair buffers
-/// (a 33-rank world has 1056 ordered pairs).
-Config slim_config(int nranks) {
+/// (a 33-rank world has 1056 ordered pairs). The schedule under test must
+/// beat any ambient NEMO_COLL / NEMO_BARRIER_TREE (CI forces both in smoke
+/// steps, and the environment beats the programmatic tuning table), so
+/// tests pin them per World.
+Config slim_config(int nranks, const char* tree) {
   Config cfg;
+  cfg.env = {{"NEMO_COLL", "shm"}, {"NEMO_BARRIER_TREE", tree}};
   cfg.nranks = nranks;
-  cfg.coll = coll::Mode::kShm;
   cfg.use_fastbox = false;
   cfg.cells_per_rank = 16;
   cfg.ring_bufs = 2;
@@ -43,9 +41,7 @@ Config slim_config(int nranks) {
 /// `rounds` rounds; also assert the telemetry says the intended schedule
 /// actually ran.
 void barrier_cross_check(int nranks, bool tree, int rounds) {
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
-  ScopedEnv sched("NEMO_BARRIER_TREE", tree ? "on" : "off");
-  Config cfg = slim_config(nranks);
+  Config cfg = slim_config(nranks, tree ? "on" : "off");
   tune::TuningTable t = tune::formula_defaults(detect_host());
   t.barrier_tree_ranks = tree ? 2 : UINT32_MAX;
   cfg.tuning = t;
@@ -103,9 +99,7 @@ TEST(BarrierSchedule, SixteenRankStorm) {
   // Back-to-back barriers under the tree schedule: a missed arrival or a
   // stale release sequence shows up as a hang (ctest timeout) or a phase
   // violation.
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
-  ScopedEnv sched("NEMO_BARRIER_TREE", "on");
-  Config cfg = slim_config(16);
+  Config cfg = slim_config(16, "on");
   tune::TuningTable t = tune::formula_defaults(detect_host());
   t.barrier_tree_ranks = 2;
   t.barrier_tree_k = 3;  // Non-default fan-in: exercise an uneven last level.
@@ -134,10 +128,8 @@ TEST(BarrierSchedule, SixteenRankStorm) {
 TEST(BarrierSchedule, AutoSelectsBySizeThreshold) {
   // With the default-ish threshold pinned at 8, a 4-rank world runs flat
   // and an 8-rank world runs the tree — observable in the counters.
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
-  ScopedEnv sched("NEMO_BARRIER_TREE", "8");
   for (int nranks : {4, 8}) {
-    Config cfg = slim_config(nranks);
+    Config cfg = slim_config(nranks, "8");
     tune::TuningTable t = tune::formula_defaults(detect_host());
     t.barrier_tree_ranks = 8;
     cfg.tuning = t;
@@ -192,29 +184,27 @@ TEST(CollLeader, WorldDerivesLeaderFromSyntheticNumaBinding) {
 }
 
 TEST(CollLeader, EnvOverrideAndValidation) {
-  ::setenv("NEMO_COLL_LEADER", "2", 1);
   Config cfg;
   cfg.nranks = 4;
+  cfg.env["NEMO_COLL_LEADER"] = "2";
   World w(cfg);
   EXPECT_EQ(w.coll_leader(), 2);
   // Out-of-range or junk fails loudly instead of silently redirecting the
   // fold.
-  ::setenv("NEMO_COLL_LEADER", "4", 1);
+  cfg.env["NEMO_COLL_LEADER"] = "4";
   EXPECT_THROW(World{cfg}, std::invalid_argument);
-  ::setenv("NEMO_COLL_LEADER", "banana", 1);
+  cfg.env["NEMO_COLL_LEADER"] = "banana";
   EXPECT_THROW(World{cfg}, std::invalid_argument);
-  ::unsetenv("NEMO_COLL_LEADER");
 }
 
 TEST(CollLeader, ReduceCorrectUnderEveryLeader) {
   // The fold must be leader-invariant: same results whether the leader is
   // the root, another rank, or env-pinned — across reduce roots and
   // allreduce, with operands spanning several sub-chunks.
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
   for (int leader = 0; leader < 3; ++leader) {
     Config cfg;
+    cfg.env["NEMO_COLL"] = "shm";
     cfg.nranks = 3;
-    cfg.coll = coll::Mode::kShm;
     cfg.coll_slot_bytes = 16 * KiB;  // Doubles: 512-elem sub-chunks.
     cfg.coll_leader = leader;
     cfg.shared_pool_bytes = 8 * MiB;

@@ -7,6 +7,8 @@
 
 #include "coll/coll.hpp"
 #include "coll/coll_arena.hpp"
+#include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "shm/arena.hpp"
 
 namespace nemo::coll {
@@ -151,19 +153,19 @@ TEST(CollGeometry, UseShmDecision) {
   EXPECT_FALSE(use_shm(Mode::kShm, 1 * MiB, 16 * KiB, 1, 4 * KiB));
 }
 
-TEST(CollMode, EnvParsing) {
-  ::unsetenv("NEMO_COLL");
-  EXPECT_EQ(mode_from_env(Mode::kAuto), Mode::kAuto);
-  ::setenv("NEMO_COLL", "shm", 1);
-  EXPECT_EQ(mode_from_env(Mode::kAuto), Mode::kShm);
-  ::setenv("NEMO_COLL", "p2p", 1);
-  EXPECT_EQ(mode_from_env(Mode::kAuto), Mode::kP2p);
-  ::setenv("NEMO_COLL", "auto", 1);
-  EXPECT_EQ(mode_from_env(Mode::kP2p), Mode::kAuto);
+TEST(CollMode, KnobParsing) {
+  // NEMO_COLL resolves per World; a pin beats the ambient environment.
+  auto resolved = [](const char* v) {
+    core::Config cfg;
+    cfg.tuning = tune::TuningTable{};
+    cfg.env["NEMO_COLL"] = v;
+    return core::resolve_config(cfg).coll;
+  };
+  EXPECT_EQ(resolved("shm"), Mode::kShm);
+  EXPECT_EQ(resolved("p2p"), Mode::kP2p);
+  EXPECT_EQ(resolved("auto"), Mode::kAuto);
   // A typo must fail loudly, not silently fall back.
-  ::setenv("NEMO_COLL", "bogus", 1);
-  EXPECT_THROW(mode_from_env(Mode::kAuto), std::invalid_argument);
-  ::unsetenv("NEMO_COLL");
+  EXPECT_THROW(resolved("bogus"), std::invalid_argument);
 }
 
 }  // namespace

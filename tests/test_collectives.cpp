@@ -224,15 +224,12 @@ struct CrossParam {
 
 class CollCross : public ::testing::TestWithParam<CrossParam> {
  protected:
-  // The param IS the family under test; pin NEMO_COLL so an outer value
-  // (e.g. CI's forced runs) cannot silently redirect it.
-  void SetUp() override { forced_.emplace(GetParam().mode); }
-  void TearDown() override { forced_.reset(); }
-
   Config config() const {
     Config cfg;
+    // The param IS the family under test; pin NEMO_COLL so an outer value
+    // (e.g. CI's forced runs) cannot silently redirect it.
+    cfg.env["NEMO_COLL"] = coll::to_string(GetParam().mode);
     cfg.nranks = GetParam().nranks;
-    cfg.coll = GetParam().mode;
     cfg.coll_slot_bytes = kTestSlot;  // Small slot: multi-round paths cheap.
     cfg.shared_pool_bytes = 64 * MiB;
     return cfg;
@@ -242,9 +239,6 @@ class CollCross : public ::testing::TestWithParam<CrossParam> {
   static std::vector<std::size_t> sizes() {
     return {512, kTestSlot / 2, kTestSlot, 2 * kTestSlot + 192};
   }
-
- private:
-  std::optional<coll::ScopedForcedMode> forced_;
 };
 
 TEST_P(CollCross, BcastEveryRootAllSizes) {
@@ -567,10 +561,9 @@ INSTANTIATE_TEST_SUITE_P(
 // produce correct results.
 TEST(CollAuto, ActivationBoundaryRoutesAndWorks) {
   // The routing under test; beats any outer env.
-  coll::ScopedForcedMode forced(coll::Mode::kAuto);
   Config cfg;
+  cfg.env["NEMO_COLL"] = "auto";
   cfg.nranks = 4;
-  cfg.coll = coll::Mode::kAuto;
   tune::TuningTable t = tune::formula_defaults(detect_host());
   t.coll_activation = 4 * KiB;
   cfg.tuning = t;
@@ -598,10 +591,9 @@ TEST(CollAuto, ActivationBoundaryRoutesAndWorks) {
 // still combining — the root must work from its header snapshot, not
 // re-read the live slot (which used to deadlock the world).
 TEST(CollAuto, ReduceMixedDirectAndStagedWritersBackToBack) {
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
   Config cfg;
+  cfg.env["NEMO_COLL"] = "shm";
   cfg.nranks = 4;
-  cfg.coll = coll::Mode::kShm;
   cfg.coll_slot_bytes = 16 * KiB;  // Doubles: 2048 elems/round.
   cfg.shared_pool_bytes = 32 * MiB;
   run(cfg, [&](Comm& comm) {
@@ -643,10 +635,9 @@ TEST(CollAuto, ReduceMixedDirectAndStagedWritersBackToBack) {
 // operation to pt2pt — all observable in the coll telemetry, and every
 // variant must stay correct.
 TEST(CollAuto, AlltoallvTinyRowsGateToP2p) {
-  coll::ScopedForcedMode forced(coll::Mode::kAuto);
   Config cfg;
+  cfg.env["NEMO_COLL"] = "auto";
   cfg.nranks = 4;
-  cfg.coll = coll::Mode::kAuto;
   tune::TuningTable t = tune::formula_defaults(detect_host());
   t.coll_activation = 4 * KiB;
   cfg.tuning = t;
@@ -699,10 +690,9 @@ TEST(CollAuto, AlltoallvTinyRowsGateToP2p) {
 }
 
 TEST(CollAuto, AlltoallvOneTinyParticipantDragsAllToP2p) {
-  coll::ScopedForcedMode forced(coll::Mode::kAuto);
   Config cfg;
+  cfg.env["NEMO_COLL"] = "auto";
   cfg.nranks = 3;
-  cfg.coll = coll::Mode::kAuto;
   tune::TuningTable t = tune::formula_defaults(detect_host());
   t.coll_activation = 4 * KiB;
   cfg.tuning = t;
@@ -748,10 +738,9 @@ TEST(CollAuto, AlltoallvOneTinyParticipantDragsAllToP2p) {
 // A forced-shm world whose geometry cannot host the op (slot too small for
 // the per-dest stride) must fall back to pt2pt, counted as a fallback.
 TEST(CollAuto, GeometryFallbackCounts) {
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
   Config cfg;
+  cfg.env["NEMO_COLL"] = "shm";
   cfg.nranks = 4;
-  cfg.coll = coll::Mode::kShm;
   cfg.coll_slot_bytes = 64;  // < 64 * (nranks-1): alltoall cannot fit.
   run(cfg, [&](Comm& comm) {
     int n = comm.size();

@@ -171,5 +171,42 @@ TEST(Options, RejectsMalformed) {
   EXPECT_THROW(Options(2, const_cast<char**>(argv)), std::invalid_argument);
 }
 
+TEST(Options, TypedGettersShareTheKnobParsers) {
+  const char* argv[] = {"prog",         "--ranks=eight", "--procs=off",
+                        "--quick=on",   "--ratio=half",  "--size=4Q",
+                        "--flag=maybe", "--iters=12x"};
+  Options o(8, const_cast<char**>(argv));
+  // A non-number is an error naming the option, not a silent 0.
+  try {
+    (void)o.get_int("ranks", 4);
+    ADD_FAILURE() << "--ranks=eight parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--ranks"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)o.get_int("iters", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_double("ratio", 1.0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_size("size", 0), std::invalid_argument);
+  // Flags use the knob vocabulary: off is false, on is true, junk throws.
+  EXPECT_FALSE(o.get_flag("procs"));
+  EXPECT_TRUE(o.get_flag("quick"));
+  EXPECT_THROW((void)o.get_flag("flag"), std::invalid_argument);
+}
+
+TEST(Options, ValueParsers) {
+  EXPECT_EQ(parse_int("k", "-3", -5, 5), -3);
+  EXPECT_THROW(parse_int("k", "6", -5, 5), std::invalid_argument);
+  EXPECT_THROW(parse_int("k", "", 0, 5), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse_double("k", "2.5"), 2.5);
+  EXPECT_THROW(parse_double("k", "inf"), std::invalid_argument);
+  for (const char* t : {"1", "true", "on", "yes"})
+    EXPECT_TRUE(parse_flag("k", t));
+  for (const char* f : {"0", "false", "off", "no"})
+    EXPECT_FALSE(parse_flag("k", f));
+  EXPECT_EQ(parse_size("k", "4KiB"), 4 * KiB);
+  EXPECT_EQ(parse_size("k", "off", /*allow_off=*/true), SIZE_MAX);
+  EXPECT_THROW(parse_size("k", "off"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace nemo

@@ -274,31 +274,25 @@ TEST(FastboxEngine, DisabledFastboxStillDelivers) {
   EXPECT_TRUE(ok);
 }
 
-TEST(EnvKnobs, OverrideRingGeometryAndFastbox) {
-  ::setenv("NEMO_RING_BUFS", "8", 1);
-  ::setenv("NEMO_RING_BUF_BYTES", "64KiB", 1);
-  ::setenv("NEMO_FASTBOX", "0", 1);
-  ::setenv("NEMO_NT_MIN", "1MiB", 1);
+TEST(Knobs, OverrideRingGeometryAndFastbox) {
+  Config cfg;
+  cfg.nranks = 2;
+  cfg.env = {{"NEMO_RING_BUFS", "8"},
+             {"NEMO_RING_BUF_BYTES", "64KiB"},
+             {"NEMO_FASTBOX", "0"},
+             {"NEMO_NT_MIN", "1MiB"}};
   {
-    Config cfg;
-    cfg.nranks = 2;
     World w(cfg);
     EXPECT_EQ(w.config().ring_bufs, 8u);
     EXPECT_EQ(w.config().ring_buf_bytes, 64 * KiB);
     EXPECT_FALSE(w.config().use_fastbox);
     EXPECT_EQ(w.config().nt_min, 1 * MiB);
   }
-  ::setenv("NEMO_NT_MIN", "off", 1);
+  cfg.env["NEMO_NT_MIN"] = "off";
   {
-    Config cfg;
-    cfg.nranks = 2;
     World w(cfg);
     EXPECT_EQ(w.config().nt_min, static_cast<std::size_t>(-1));
   }
-  ::unsetenv("NEMO_RING_BUFS");
-  ::unsetenv("NEMO_RING_BUF_BYTES");
-  ::unsetenv("NEMO_FASTBOX");
-  ::unsetenv("NEMO_NT_MIN");
 }
 
 }  // namespace

@@ -24,17 +24,6 @@ namespace {
 
 using resil::Site;
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
 std::string test_shm_name() {
   static std::atomic<unsigned> serial{0};
   char buf[64];
@@ -69,16 +58,13 @@ int run_scenario(int nranks, int victim, const Scenario& sc,
   cfg.lmt = kind;
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;  // Backstop; eager verdicts land in ms.
+  cfg.env["NEMO_FAULT"] =
+      std::to_string(victim) + ":" + sc.fault_site + ":kill";
   std::string name = cfg.shm_name;
   int bad = 0;
   {
-    World world(cfg);
+    World world(cfg);  // Arms the fault; forked children inherit it.
     resil::Liveness live = world.liveness();
-    // Arm AFTER World construction (reload_fault there would re-disarm);
-    // forked children inherit the armed spec.
-    ScopedEnv fault("NEMO_FAULT", std::to_string(victim) + ":" +
-                                      sc.fault_site + ":kill");
-    resil::reload_fault();
     shm::ProcessResult res = shm::run_forked_ranks(
         nranks,
         [&](int rank) {
@@ -113,7 +99,7 @@ int run_scenario(int nranks, int victim, const Scenario& sc,
       }
     }
   }
-  resil::reload_fault();  // Disarm the parent from the now-clean env.
+  resil::arm_fault("");  // Disarm the parent.
   EXPECT_NE(::access(("/dev/shm" + name).c_str(), F_OK), 0)
       << "shm segment leaked (site " << sc.fault_site << ")";
   return bad;
@@ -245,14 +231,12 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
   cfg.on_peer_death = resil::OnPeerDeath::kDegrade;
   // Force the arena family: the degraded world's continuation story is the
   // shm fast path (the p2p algorithms would address the dead rank).
-  cfg.coll = coll::Mode::kShm;
+  cfg.env["NEMO_COLL"] = "shm";
+  cfg.env["NEMO_FAULT"] = std::to_string(kVictim) + ":barrier_arrive:kill";
   std::string name = cfg.shm_name;
   {
     World world(cfg);
     resil::Liveness live = world.liveness();
-    ScopedEnv fault("NEMO_FAULT",
-                    std::to_string(kVictim) + ":barrier_arrive:kill");
-    resil::reload_fault();
     shm::ProcessResult res = shm::run_forked_ranks(
         kRanks,
         [&](int rank) {
@@ -287,7 +271,7 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
       }
     }
   }
-  resil::reload_fault();
+  resil::arm_fault("");
   EXPECT_NE(::access(("/dev/shm" + name).c_str(), F_OK), 0)
       << "shm segment leaked";
 }
@@ -303,13 +287,11 @@ TEST(FaultRecovery, AbortModePoisonsLaterWaits) {
   cfg.mode = LaunchMode::kProcesses;
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;
+  cfg.env["NEMO_FAULT"] = std::to_string(kVictim) + ":barrier_arrive:kill";
   std::string name = cfg.shm_name;
   {
     World world(cfg);
     resil::Liveness live = world.liveness();
-    ScopedEnv fault("NEMO_FAULT",
-                    std::to_string(kVictim) + ":barrier_arrive:kill");
-    resil::reload_fault();
     shm::ProcessResult res = shm::run_forked_ranks(
         kRanks,
         [&](int rank) {
@@ -340,7 +322,7 @@ TEST(FaultRecovery, AbortModePoisonsLaterWaits) {
       }
     }
   }
-  resil::reload_fault();
+  resil::arm_fault("");
   EXPECT_NE(::access(("/dev/shm" + name).c_str(), F_OK), 0);
 }
 

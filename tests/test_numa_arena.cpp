@@ -9,22 +9,22 @@
 #include "common/checksum.hpp"
 #include "common/topology.hpp"
 #include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "shm/arena.hpp"
 #include "shm/numa.hpp"
 
 namespace nemo {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
+/// A World config on a synthetic topology with the formula tuning table
+/// (hermetic: no cache) and the placement mode pinned.
+core::Config numa_config(const Topology& topo, const char* mode) {
+  core::Config cfg;
+  cfg.topo = topo;
+  cfg.tuning = tune::formula_defaults(topo);
+  cfg.env["NEMO_NUMA_PLACEMENT"] = mode;
+  return cfg;
+}
 
 TEST(NumaPlacement, ParsingRoundTripsAndRejectsTypos) {
   using shm::NumaPlacement;
@@ -37,17 +37,14 @@ TEST(NumaPlacement, ParsingRoundTripsAndRejectsTypos) {
     EXPECT_EQ(*back, p);
   }
   EXPECT_FALSE(shm::numa_placement_from_string("bogus").has_value());
+  EXPECT_EQ(shm::numa_placement_from_string("off"),
+            NumaPlacement::kFirstTouch);
 
-  {
-    ScopedEnv env("NEMO_NUMA_PLACEMENT", "receiver");
-    EXPECT_EQ(shm::numa_placement_from_env(), shm::NumaPlacement::kReceiver);
-  }
-  EXPECT_EQ(shm::numa_placement_from_env(shm::NumaPlacement::kSender),
-            shm::NumaPlacement::kSender);  // Unset: default passes through.
-  {
-    ScopedEnv env("NEMO_NUMA_PLACEMENT", "bogus");
-    EXPECT_THROW(shm::numa_placement_from_env(), std::invalid_argument);
-  }
+  core::Config cfg = numa_config(xeon_e5345(), "receiver");
+  EXPECT_EQ(core::resolve_config(cfg).numa_placement,
+            NumaPlacement::kReceiver);
+  cfg.env["NEMO_NUMA_PLACEMENT"] = "bogus";
+  EXPECT_THROW(core::resolve_config(cfg), std::invalid_argument);
 }
 
 TEST(NumaPlacement, SyntheticTopologyExposesTwoNodes) {
@@ -133,19 +130,29 @@ TEST(NumaBind, DegradesGracefullyWhereUnavailable) {
   if (avail) {
     EXPECT_TRUE(shm::bind_to_node(arena.at(off) + 100, 1000, 0));
   }
+}
 
-  // NEMO_NUMA=0 disables binding even on capable hosts.
-  ScopedEnv env("NEMO_NUMA", "0");
-  EXPECT_FALSE(shm::numa_bind_available());
-  EXPECT_FALSE(shm::bind_to_node(arena.at(off), 64 * KiB, 0));
+TEST(WorldNuma, PlacementOffDisablesEveryBind) {
+  // NEMO_NUMA_PLACEMENT=off: no pair gets a node or interleaving, so no
+  // mbind runs, even for cross-socket pairs on capable hosts.
+  core::Config cfg = numa_config(xeon_e5345(), "off");
+  cfg.nranks = 3;
+  cfg.core_binding = {0, 1, 7};
+  core::World world(cfg);
+  EXPECT_EQ(world.numa_mode(), shm::NumaPlacement::kFirstTouch);
+  for (int s = 0; s < 3; ++s)
+    for (int d = 0; d < 3; ++d) {
+      if (s == d) continue;
+      const core::RingPlacement& rp = world.ring_placement(s, d);
+      EXPECT_EQ(rp.node, -1) << s << "->" << d;
+      EXPECT_FALSE(rp.interleaved) << s << "->" << d;
+      EXPECT_FALSE(rp.bound) << s << "->" << d;
+    }
 }
 
 TEST(WorldNuma, RecordsReceiverSideDecisionForCrossSocketPairs) {
-  ScopedEnv tune_off("NEMO_TUNE", "0");
-  ScopedEnv mode("NEMO_NUMA_PLACEMENT", "auto");
-  core::Config cfg;
+  core::Config cfg = numa_config(xeon_e5345(), "auto");
   cfg.nranks = 3;
-  cfg.topo = xeon_e5345();
   cfg.core_binding = {0, 1, 7};  // 0-1 share a cache; 0-7 cross sockets.
   core::World world(cfg);
 
@@ -167,12 +174,9 @@ TEST(WorldNuma, RecordsReceiverSideDecisionForCrossSocketPairs) {
 }
 
 TEST(WorldNuma, FirstTouchAndUnboundRanksFallBackCleanly) {
-  ScopedEnv tune_off("NEMO_TUNE", "0");
   {
-    ScopedEnv mode("NEMO_NUMA_PLACEMENT", "first-touch");
-    core::Config cfg;
+    core::Config cfg = numa_config(xeon_e5345(), "first-touch");
     cfg.nranks = 2;
-    cfg.topo = xeon_e5345();
     cfg.core_binding = {0, 7};
     core::World world(cfg);
     EXPECT_EQ(world.ring_placement(0, 1).node, -1);
@@ -180,10 +184,8 @@ TEST(WorldNuma, FirstTouchAndUnboundRanksFallBackCleanly) {
   }
   {
     // No core binding: auto has nothing to bind to.
-    ScopedEnv mode("NEMO_NUMA_PLACEMENT", "auto");
-    core::Config cfg;
+    core::Config cfg = numa_config(xeon_e5345(), "auto");
     cfg.nranks = 2;
-    cfg.topo = xeon_e5345();
     core::World world(cfg);
     EXPECT_EQ(world.ring_placement(0, 1).node, -1);
   }
@@ -193,11 +195,8 @@ TEST(WorldNuma, CoresBeyondTheSyntheticTopologyCountAsUnknown) {
   // A real host core id that exceeds a synthetic topology must degrade to
   // "unknown cores" (cross-socket defaults, first-touch), not index past
   // the topology's arrays.
-  ScopedEnv tune_off("NEMO_TUNE", "0");
-  ScopedEnv mode("NEMO_NUMA_PLACEMENT", "auto");
-  core::Config cfg;
+  core::Config cfg = numa_config(xeon_x5460(), "auto");  // 4 cores.
   cfg.nranks = 2;
-  cfg.topo = xeon_x5460();   // 4 cores.
   cfg.core_binding = {0, 12};  // Core 12 does not exist in the preset.
   core::World world(cfg);
   EXPECT_EQ(world.ring_placement(0, 1).node, -1);
@@ -219,13 +218,10 @@ TEST(WorldNuma, CoresBeyondTheSyntheticTopologyCountAsUnknown) {
 TEST(WorldNuma, TrafficFlowsUnderEveryPlacementMode) {
   // End-to-end smoke under each mode: placement must never break delivery,
   // whether or not this host can bind.
-  ScopedEnv tune_off("NEMO_TUNE", "0");
   for (const char* mode :
-       {"auto", "receiver", "sender", "interleave", "first-touch"}) {
-    ScopedEnv env("NEMO_NUMA_PLACEMENT", mode);
-    core::Config cfg;
+       {"auto", "receiver", "sender", "interleave", "first-touch", "off"}) {
+    core::Config cfg = numa_config(xeon_e5345(), mode);
     cfg.nranks = 2;
-    cfg.topo = xeon_e5345();
     cfg.core_binding = {0, 7};
     bool ok = core::run(cfg, [&](core::Comm& comm) {
       std::vector<std::byte> buf(256 * KiB);

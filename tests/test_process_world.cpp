@@ -23,16 +23,6 @@
 namespace nemo::core {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 /// Unique per-test shm name so parallel ctest runs cannot collide.
 std::string test_shm_name() {
@@ -248,9 +238,9 @@ TEST(ProcessWorld, SimulatedSyscallFailureTakesStagedPath) {
 TEST(ProcessWorld, EnvSwitchForksRealProcesses) {
   // NEMO_WORLD_MODE=procs flips a threads-mode Config into forked ranks: the
   // lambda must observe a pid different from the launcher's.
-  ScopedEnv env("NEMO_WORLD_MODE", "procs");
   pid_t parent = ::getpid();
   Config cfg;
+  cfg.env["NEMO_WORLD_MODE"] = "procs";
   cfg.nranks = 2;
   cfg.mode = LaunchMode::kThreads;
   bool ok = run(cfg, [parent](Comm& comm) {
@@ -265,8 +255,8 @@ TEST(ProcessWorld, EnvSwitchForksRealProcesses) {
 }
 
 TEST(ProcessWorld, EnvSwitchRejectsTypos) {
-  ScopedEnv env("NEMO_WORLD_MODE", "prcoesses");
   Config cfg;
+  cfg.env["NEMO_WORLD_MODE"] = "prcoesses";
   cfg.nranks = 2;
   EXPECT_THROW(run(cfg, [](Comm&) {}), std::invalid_argument);
 }
@@ -274,9 +264,9 @@ TEST(ProcessWorld, EnvSwitchRejectsTypos) {
 TEST(ProcessWorld, CmaKillSwitchFallsBackCleanly) {
   // NEMO_CMA=off: auto/forced selection must never touch the CMA counters,
   // and the transfer still completes through the shm ring.
-  ScopedEnv env("NEMO_CMA", "off");
   constexpr std::size_t kN = 512 * KiB;
   Config cfg = proc_config(2, lmt::LmtKind::kCma);
+  cfg.env["NEMO_CMA"] = "off";
   cfg.shm_name = test_shm_name();
   World world(cfg);
   EXPECT_FALSE(world.cma_ok());

@@ -179,28 +179,15 @@ TEST(Resil, WaitGuardDisarmedWhenTimeoutOff) {
   g2.check();
 }
 
-TEST(Resil, EnvKnobTyposFailLoudly) {
-  {
+TEST(Resil, KnobTyposFailLoudly) {
+  for (auto [knob, bad] : {std::pair{"NEMO_ON_PEER_DEATH", "banana"},
+                           std::pair{"NEMO_PEER_TIMEOUT_MS", "0"},
+                           // Missing the op field.
+                           std::pair{"NEMO_FAULT", "2:coll_deposit"}}) {
     core::Config cfg;
     cfg.nranks = 2;
-    ::setenv("NEMO_ON_PEER_DEATH", "banana", 1);
-    EXPECT_THROW(core::World world(cfg), std::invalid_argument);
-    ::unsetenv("NEMO_ON_PEER_DEATH");
-  }
-  {
-    core::Config cfg;
-    cfg.nranks = 2;
-    ::setenv("NEMO_PEER_TIMEOUT_MS", "0", 1);
-    EXPECT_THROW(core::World world(cfg), std::invalid_argument);
-    ::unsetenv("NEMO_PEER_TIMEOUT_MS");
-  }
-  {
-    core::Config cfg;
-    cfg.nranks = 2;
-    ::setenv("NEMO_FAULT", "2:coll_deposit", 1);  // Missing the op field.
-    EXPECT_THROW(core::World world(cfg), std::invalid_argument);
-    ::unsetenv("NEMO_FAULT");
-    reload_fault();  // Re-disarm from the now-clean environment.
+    cfg.env[knob] = bad;
+    EXPECT_THROW(core::World world(cfg), std::invalid_argument) << knob;
   }
 }
 

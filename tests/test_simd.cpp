@@ -14,7 +14,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/options.hpp"
+#include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "simd/simd.hpp"
 
 namespace nemo::simd {
@@ -137,25 +138,17 @@ TEST(SimdDispatch, ChoiceParsing) {
   EXPECT_THROW(choice_from_string("", "t"), std::invalid_argument);
 }
 
-TEST(SimdDispatch, EnvOverrideBeatsTable) {
-  {
-    ScopedEnv env("NEMO_SIMD", "scalar");
-    EXPECT_EQ(resolve_from_env(Choice::kAuto), Kernel::kScalar);
-  }
-  {
-    ScopedEnv env("NEMO_SIMD", "typo");
-    EXPECT_THROW(resolve_from_env(Choice::kAuto), std::invalid_argument);
-  }
-  {
-    // ScopedEnv can only set; save/unset/restore by hand for the
-    // table-wins case.
-    const char* prev = std::getenv("NEMO_SIMD");
-    std::string saved = prev ? prev : "";
-    ::unsetenv("NEMO_SIMD");
-    EXPECT_EQ(resolve_from_env(Choice::kScalar), Kernel::kScalar);
-    EXPECT_EQ(resolve_from_env(Choice::kAuto), best_supported());
-    if (prev) ::setenv("NEMO_SIMD", saved.c_str(), 1);
-  }
+TEST(SimdDispatch, PinBeatsTable) {
+  core::Config cfg;
+  cfg.tuning = tune::TuningTable{};
+  cfg.tuning->simd_kernel = Choice::kAvx2;
+  cfg.env["NEMO_SIMD"] = "scalar";
+  EXPECT_EQ(core::resolve_config(cfg).tuning->simd_kernel, Choice::kScalar);
+  cfg.env["NEMO_SIMD"] = "typo";
+  EXPECT_THROW(core::resolve_config(cfg), std::invalid_argument);
+  // The table choice resolves against CPUID.
+  EXPECT_EQ(resolve(Choice::kScalar), Kernel::kScalar);
+  EXPECT_EQ(resolve(Choice::kAuto), best_supported());
 }
 
 TEST(SimdDispatch, Names) {

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <string>
 
-#include "common/options.hpp"
 #include "trace/perfetto.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
@@ -15,17 +14,17 @@
 namespace nemo::trace {
 namespace {
 
-/// Pin the mode for a test scope and restore the ambient one after (other
-/// tests and the ambient environment must not see our setting).
+/// Pin the mode for a test scope and restore the previous one after (other
+/// tests must not see our setting).
 class ScopedMode {
  public:
-  ScopedMode(const char* value) : env_("NEMO_TRACE", value) {
-    reload_mode();
+  ScopedMode(const char* value) : prev_(mode()) {
+    set_mode(mode_from_string(value));
   }
-  ~ScopedMode() { reload_mode(); }
+  ~ScopedMode() { set_mode(prev_); }
 
  private:
-  ScopedEnv env_;
+  Mode prev_;
 };
 
 // ---------------------------------------------------------------------------
@@ -36,8 +35,8 @@ TEST(TraceMode, ParsesAllSpellings) {
   EXPECT_EQ(mode_from_string("off"), Mode::kOff);
   EXPECT_EQ(mode_from_string("rings"), Mode::kRings);
   EXPECT_EQ(mode_from_string("full"), Mode::kFull);
-  EXPECT_EQ(mode_from_string("garbage"), Mode::kOff);
-  EXPECT_EQ(mode_from_string(""), Mode::kOff);
+  EXPECT_THROW(mode_from_string("garbage"), std::invalid_argument);
+  EXPECT_THROW(mode_from_string(""), std::invalid_argument);
 }
 
 TEST(TraceMode, GateOrdersModes) {
@@ -236,10 +235,9 @@ TEST(TraceTracer, DisabledModeAllocatesNothing) {
   EXPECT_EQ(t.ring(), nullptr);
 }
 
-TEST(TraceTracer, RingSlotsKnobHonoured) {
-  ScopedEnv slots("NEMO_TRACE_RING_SLOTS", "8");
+TEST(TraceTracer, RingSlotsHonoured) {
   ScopedMode rings("rings");
-  Tracer t(0);
+  Tracer t(0, 8);
   ASSERT_TRUE(t.active());
   EXPECT_EQ(t.ring()->capacity(), 8u);
 }

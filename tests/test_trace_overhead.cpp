@@ -13,7 +13,6 @@
 
 #include "coll/coll.hpp"
 #include "common/checksum.hpp"
-#include "common/options.hpp"
 #include "common/timing.hpp"
 #include "core/comm.hpp"
 #include "shm/process_runner.hpp"
@@ -27,11 +26,13 @@ constexpr int kRanks = 8;
 constexpr int kIters = 12;
 constexpr int kSamples = 5;
 
-/// Minimum per-op microseconds over kSamples bursts of the reference row.
-double allreduce_us() {
-  coll::ScopedForcedMode forced(coll::Mode::kShm);
+/// Minimum per-op microseconds over kSamples bursts of the reference row,
+/// with NEMO_TRACE pinned to `trace_mode`; the process-wide trace mode is
+/// put back afterwards.
+double allreduce_us(const char* trace_mode) {
+  trace::Mode prev = trace::mode();
   core::Config cfg;
-  cfg.coll = coll::Mode::kShm;
+  cfg.env = {{"NEMO_COLL", "shm"}, {"NEMO_TRACE", trace_mode}};
   cfg.nranks = kRanks;
   cfg.shared_pool_bytes = 2 * kBytes * kRanks + 16 * MiB;
   double result = 0;
@@ -54,24 +55,16 @@ double allreduce_us() {
     }
     if (comm.rank() == 0) result = *std::min_element(us.begin(), us.end());
   });
+  trace::set_mode(prev);
   return result;
-}
-
-double timed_with_mode(const char* mode) {
-  ScopedEnv env("NEMO_TRACE", mode);
-  trace::reload_mode();
-  double us = allreduce_us();
-  trace::reload_mode();  // Back to ambient before the next measurement.
-  return us;
 }
 
 TEST(TraceOverhead, RingsModeWithinBudgetOnReferenceAllreduce) {
   // Interleave off/rings/off: the second off run measures the noise floor
   // the budgets must absorb.
-  double off1 = timed_with_mode("off");
-  double rings = timed_with_mode("rings");
-  double off2 = timed_with_mode("off");
-  trace::reload_mode();
+  double off1 = allreduce_us("off");
+  double rings = allreduce_us("rings");
+  double off2 = allreduce_us("off");
   ASSERT_GT(off1, 0.0);
   ASSERT_GT(off2, 0.0);
   ASSERT_GT(rings, 0.0);
@@ -109,13 +102,7 @@ TEST(TraceOverhead, RingsModeWithinBudgetOnReferenceAllreduce) {
 
 TEST(TraceOverhead, RingsRunRecordsCollSpans) {
   trace::clear_dumps();
-  {
-    ScopedEnv env("NEMO_TRACE", "rings");
-    trace::reload_mode();
-    (void)allreduce_us();
-    trace::reload_mode();
-  }
-  trace::reload_mode();
+  (void)allreduce_us("rings");
   auto dumps = trace::snapshot_dumps();
   ASSERT_FALSE(dumps.empty());
   bool saw_coll = false;

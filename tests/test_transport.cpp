@@ -18,6 +18,7 @@
 
 #include "common/checksum.hpp"
 #include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "resil/resil.hpp"
 #include "shm/process_runner.hpp"
 #include "transport/transport.hpp"
@@ -81,17 +82,18 @@ TEST(TransportUnit, ModeledCostsFollowLinkModel) {
 }
 
 TEST(TransportUnit, FactoryHonoursSelection) {
-  EXPECT_STREQ(transport::make_transport("shm", "", 4)->name(), "shm");
-  EXPECT_STREQ(transport::make_transport("modeled", "2x2", 4)->name(),
+  const std::uint64_t kLat = 1500, kBw = 12000;
+  EXPECT_STREQ(transport::make_transport("shm", "", 4, kLat, kBw)->name(), "shm");
+  EXPECT_STREQ(transport::make_transport("modeled", "2x2", 4, kLat, kBw)->name(),
                "modeled");
   // auto: modeled iff the spec names more than one node.
-  EXPECT_STREQ(transport::make_transport("auto", "", 4)->name(), "shm");
-  EXPECT_STREQ(transport::make_transport("auto", "1x4", 4)->name(), "shm");
-  EXPECT_STREQ(transport::make_transport("auto", "2x2", 4)->name(),
+  EXPECT_STREQ(transport::make_transport("auto", "", 4, kLat, kBw)->name(), "shm");
+  EXPECT_STREQ(transport::make_transport("auto", "1x4", 4, kLat, kBw)->name(), "shm");
+  EXPECT_STREQ(transport::make_transport("auto", "2x2", 4, kLat, kBw)->name(),
                "modeled");
-  EXPECT_THROW(transport::make_transport("tcp", "", 4),
+  EXPECT_THROW(transport::make_transport("tcp", "", 4, kLat, kBw),
                std::invalid_argument);
-  EXPECT_THROW(transport::make_transport("modeled", "2x2", 6),
+  EXPECT_THROW(transport::make_transport("modeled", "2x2", 6, kLat, kBw),
                std::invalid_argument);
 }
 
@@ -115,7 +117,7 @@ void PrintTo(const TransportParam& p, std::ostream* os) { *os << p.label; }
 /// state do not propagate, so parent-side aggregation checks must be
 /// skipped (the in-world checks still run on every rank).
 bool procs_mode() {
-  return world_mode_from_env(LaunchMode::kThreads) == LaunchMode::kProcesses;
+  return resolve_config(Config{}).mode == LaunchMode::kProcesses;
 }
 
 class TransportConformance : public ::testing::TestWithParam<TransportParam> {
@@ -270,13 +272,10 @@ TEST_P(TransportConformance, PeerDeathVerdictPropagates) {
   c.shm_name = shm;
   c.peer_timeout_ms = 10000;
   const int victim = 2, receiver = 1;  // Cross-node pair under 2x2.
+  c.env["NEMO_FAULT"] = std::to_string(victim) + ":fastbox_put:kill";
   {
-    World world(c);
+    World world(c);  // Arms the fault; the forked ranks inherit it.
     resil::Liveness live = world.liveness();
-    ::setenv("NEMO_FAULT",
-             (std::to_string(victim) + ":fastbox_put:kill").c_str(), 1);
-    resil::reload_fault();
-    ::unsetenv("NEMO_FAULT");
     shm::ProcessResult res = shm::run_forked_ranks(
         c.nranks,
         [&](int rank) {
@@ -306,7 +305,7 @@ TEST_P(TransportConformance, PeerDeathVerdictPropagates) {
           << "rank " << r << " (" << GetParam().label << ")";
     }
   }
-  resil::reload_fault();  // Disarm the parent.
+  resil::arm_fault("");  // Disarm the parent.
   EXPECT_NE(::access((std::string("/dev/shm") + shm).c_str(), F_OK), 0)
       << "shm segment leaked";
 }
@@ -345,16 +344,14 @@ double oracle_in(int rank, std::size_t i) {
 /// callers can assert the intended schedule actually ran.
 std::vector<double> run_oracle(const HierTopo& t, bool allreduce, bool hier,
                                std::uint64_t* hier_ops) {
-  coll::Mode mode = hier ? coll::Mode::kAuto : coll::Mode::kP2p;
-  // Pin NEMO_COLL too: an ambient value would override cfg.coll.
-  coll::ScopedForcedMode forced(mode);
   Config c;
+  // Pin the family: an ambient NEMO_COLL would override cfg.coll.
+  c.env["NEMO_COLL"] = hier ? "auto" : "p2p";
   c.nranks = t.nodes * t.per_node;
   c.transport = "modeled";
   char spec[16];
   std::snprintf(spec, sizeof spec, "%dx%d", t.nodes, t.per_node);
   c.nodes_spec = spec;
-  c.coll = mode;
   std::vector<double> result(
       static_cast<std::size_t>(allreduce ? c.nranks : 1) * kOracleN);
   std::atomic<std::uint64_t> ops{0};

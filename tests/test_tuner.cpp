@@ -1,16 +1,18 @@
 // The tune subsystem: placement-keyed tables, the monotone crossover search
 // on synthetic cost models, tuning-cache round-trips + fingerprint
-// invalidation, env-override precedence, and counter accuracy against known
+// invalidation, knob precedence, and counter accuracy against known
 // traffic.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "common/checksum.hpp"
 #include "core/comm.hpp"
+#include "core/knobs.hpp"
 #include "lmt/policy.hpp"
 #include "tune/calibrate.hpp"
 #include "tune/counters.hpp"
@@ -20,7 +22,8 @@
 namespace nemo::tune {
 namespace {
 
-/// Scoped env var setter (tests must not leak knobs into each other).
+/// Scoped env var setter for the process-scoped knobs (NEMO_TUNE,
+/// NEMO_TUNE_CACHE), whose environment parsing these tests cover.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const std::string& value) : name_(name) {
@@ -31,6 +34,15 @@ class ScopedEnv {
  private:
   const char* name_;
 };
+
+/// `base` with one knob pinned, as a World would resolve it.
+TuningTable pinned(TuningTable base, const char* knob, const char* v) {
+  core::Config cfg;
+  cfg.topo = xeon_e5345();
+  cfg.tuning = std::move(base);
+  cfg.env[knob] = v;
+  return *core::resolve_config(std::move(cfg)).tuning;
+}
 
 std::string temp_path(const char* tag) {
   return "/tmp/nemo-test-" + std::string(tag) + "-" +
@@ -179,94 +191,37 @@ TEST(TuningTable, SimdAndPackFieldsRoundTripInSchema4) {
   EXPECT_FALSE(from_json(body).has_value());
 }
 
-TEST(TuningTable, Schema3CachesStillLoadWithSimdDefaults) {
-  // A schema-3 cache (pre simd_kernel / pack_nt_min) must load gracefully:
-  // its fields apply and the new axes keep their defaults (kAuto / formula).
-  TuningTable t = formula_defaults(xeon_e5345());
-  t.coll_activation = 96 * KiB;
-  std::string body = to_json(t);
-  auto at = body.find("nemo-tune/6");
-  ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/6"), "nemo-tune/3");
-  auto strip = [&body](const std::string& key) {
-    auto p = body.find("\"" + key + "\"");
-    ASSERT_NE(p, std::string::npos);
-    auto c = body.rfind(',', p);
-    ASSERT_NE(c, std::string::npos);
-    auto q = body.find_first_of(",}", p);
-    ASSERT_NE(q, std::string::npos);
-    body.erase(c, q - c);
-  };
-  strip("simd_kernel");
-  strip("pack_nt_min");
-  auto r = from_json(body);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->coll_activation, 96 * KiB);
-  EXPECT_EQ(r->simd_kernel, simd::Choice::kAuto);
-  EXPECT_EQ(r->pack_nt_min, 0u);
-}
-
-TEST(TuningTable, Schema2CachesStillLoadWithBarrierDefaults) {
-  // A schema-2 cache (pre barrier_tree_*) must load gracefully: its fields
-  // apply and the barrier fields keep their defaults.
-  TuningTable t = formula_defaults(xeon_e5345());
-  t.coll_activation = 96 * KiB;
-  std::string body = to_json(t);
-  auto at = body.find("nemo-tune/6");
-  ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/6"), "nemo-tune/2");
-  auto strip = [&body](const std::string& key) {
-    auto p = body.find("\"" + key + "\"");
-    ASSERT_NE(p, std::string::npos);
-    auto c = body.rfind(',', p);
-    ASSERT_NE(c, std::string::npos);
-    auto q = body.find_first_of(",}", p);
-    ASSERT_NE(q, std::string::npos);
-    body.erase(c, q - c);
-  };
-  strip("barrier_tree_ranks");
-  strip("barrier_tree_k");
-  auto r = from_json(body);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->coll_activation, 96 * KiB);
-  TuningTable fresh;
-  EXPECT_EQ(r->barrier_tree_ranks, fresh.barrier_tree_ranks);
-  EXPECT_EQ(r->barrier_tree_k, fresh.barrier_tree_k);
-}
-
-TEST(TuningTable, Schema1CachesStillLoadWithCollDefaults) {
-  // A pre-coll cache (schema 1, no coll_* keys) must load gracefully: the
-  // old fields apply and the coll fields keep their formula defaults, so
-  // old machines re-calibrate instead of erroring out.
-  TuningTable t = formula_defaults(xeon_e5345());
+TEST(TuningCache, OlderSchemasAreStaleAndFallBackToFormulas) {
+  // Only nemo-tune/6 loads: a schema 1-5 file is a stale cache, so
+  // from_json rejects it and effective_table falls back to the formulas.
+  Topology topo = xeon_e5345();
+  TuningTable t = formula_defaults(topo);
   t.drain_budget = 333;
-  std::string body = to_json(t);
-  auto at = body.find("nemo-tune/6");
-  ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/6"), "nemo-tune/1");
-  // Strip the coll keys as an old writer would never have emitted them
-  // (erasing from the preceding comma keeps the JSON well-formed even for
-  // the object's last member).
-  auto strip = [&body](const std::string& key) {
-    auto p = body.find("\"" + key + "\"");
-    ASSERT_NE(p, std::string::npos);
-    auto c = body.rfind(',', p);
-    ASSERT_NE(c, std::string::npos);
-    auto q = body.find_first_of(",}", p);
-    ASSERT_NE(q, std::string::npos);
-    body.erase(c, q - c);
-  };
-  strip("coll_activation");
-  strip("coll_slot_bytes");
-  auto r = from_json(body);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->drain_budget, 333u);
-  TuningTable fresh;
-  EXPECT_EQ(r->coll_activation, fresh.coll_activation);
-  EXPECT_EQ(r->coll_slot_bytes, fresh.coll_slot_bytes);
+  std::string current = to_json(t);
+  ASSERT_TRUE(from_json(current).has_value());
+  std::string path = temp_path("stale");
+  ScopedEnv cache_env("NEMO_TUNE_CACHE", path);
+  for (int schema = 1; schema <= 5; ++schema) {
+    std::string body = current;
+    auto at = body.find("nemo-tune/6");
+    ASSERT_NE(at, std::string::npos);
+    body.replace(at, std::strlen("nemo-tune/6"),
+                 "nemo-tune/" + std::to_string(schema));
+    std::string err;
+    EXPECT_FALSE(from_json(body, &err).has_value()) << schema;
+    EXPECT_NE(err.find("schema"), std::string::npos) << err;
+    {
+      std::ofstream f(path);
+      f << body;
+    }
+    TuningTable eff = effective_table(topo);
+    EXPECT_EQ(eff.source, "formula") << schema;
+    EXPECT_EQ(eff, formula_defaults(topo)) << schema;
+  }
+  std::remove(path.c_str());
 }
 
-TEST(TuningTable, BarrierTreeEnvKnob) {
+TEST(TuningTable, BarrierTreeKnob) {
   TuningTable base = formula_defaults(xeon_e5345());
   // e5345: pairs of cores share each L2, so the formula fan-in is 2.
   EXPECT_EQ(base.barrier_tree_k, 2u);
@@ -274,27 +229,15 @@ TEST(TuningTable, BarrierTreeEnvKnob) {
   // Private-LLC hosts get the generic fan-in.
   EXPECT_EQ(formula_defaults(flat_smp(4, 8 * MiB)).barrier_tree_k, 4u);
 
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "off");
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, UINT32_MAX);
-  }
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "on");
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, 2u);
-  }
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "16");
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, 16u);
-  }
-  {
-    // A typo fails loudly instead of silently running the wrong schedule.
-    ScopedEnv e("NEMO_BARRIER_TREE", "treeish");
-    EXPECT_THROW(with_env_overrides(base), std::invalid_argument);
-  }
-  {
-    ScopedEnv e("NEMO_BARRIER_TREE", "1");  // Threshold below 2 = always.
-    EXPECT_EQ(with_env_overrides(base).barrier_tree_ranks, 2u);
-  }
+  auto tree = [&base](const char* v) {
+    return pinned(base, "NEMO_BARRIER_TREE", v).barrier_tree_ranks;
+  };
+  EXPECT_EQ(tree("off"), UINT32_MAX);
+  EXPECT_EQ(tree("on"), 2u);
+  EXPECT_EQ(tree("16"), 16u);
+  // A typo fails loudly instead of silently running the wrong schedule.
+  EXPECT_THROW(tree("treeish"), std::invalid_argument);
+  EXPECT_EQ(tree("1"), 2u);  // Threshold below 2 = always.
 }
 
 TEST(TuningCache, RoundTripAndFingerprintMismatchInvalidation) {
@@ -334,7 +277,7 @@ TEST(TuningCache, RoundTripAndFingerprintMismatchInvalidation) {
   std::remove(path.c_str());
 }
 
-TEST(TuningCache, EnvOverridesBeatCacheBeatsFormula) {
+TEST(TuningCache, KnobsBeatCacheBeatsFormula) {
   Topology topo = xeon_e5345();
   std::string path = temp_path("prec");
   ScopedEnv cache_env("NEMO_TUNE_CACHE", path);
@@ -356,18 +299,22 @@ TEST(TuningCache, EnvOverridesBeatCacheBeatsFormula) {
   EXPECT_EQ(eff.for_placement(PairPlacement::kSharedCache).nt_min, 3 * MiB);
   EXPECT_EQ(eff.drain_budget, 64u);
 
-  // Env knob wins over the cache.
+  // A knob wins over the cache when the World resolves it.
   {
-    ScopedEnv nt("NEMO_NT_MIN", "1MiB");
-    ScopedEnv db("NEMO_DRAIN_BUDGET", "32");
-    eff = effective_table(topo);
-    EXPECT_EQ(eff.for_placement(PairPlacement::kSharedCache).nt_min, 1 * MiB);
-    EXPECT_EQ(eff.for_placement(PairPlacement::kDifferentSockets).nt_min,
+    core::Config cfg;
+    cfg.topo = topo;
+    cfg.env = {{"NEMO_NT_MIN", "1MiB"}, {"NEMO_DRAIN_BUDGET", "32"}};
+    core::Config w = core::resolve_config(cfg);
+    EXPECT_EQ(w.tuning->source, "cache");
+    EXPECT_EQ(w.tuning->for_placement(PairPlacement::kSharedCache).nt_min,
               1 * MiB);
-    EXPECT_EQ(eff.drain_budget, 32u);
+    EXPECT_EQ(
+        w.tuning->for_placement(PairPlacement::kDifferentSockets).nt_min,
+        1 * MiB);
+    EXPECT_EQ(w.tuning->drain_budget, 32u);
   }
 
-  // NEMO_TUNE=0 disables the cache entirely.
+  // NEMO_TUNE=0 (process-wide) disables the cache entirely.
   {
     ScopedEnv off("NEMO_TUNE", "0");
     eff = effective_table(topo);
@@ -455,21 +402,6 @@ TEST(TuningTable, CmaRowRoundTripsInSchema5) {
   EXPECT_EQ(r->cma_activation, 96 * KiB);
   EXPECT_EQ(r->for_placement(PairPlacement::kDifferentSockets).backend,
             Backend::kCma);
-  // A schema-4 cache without the row keeps the defaults.
-  auto at = body.find("nemo-tune/6");
-  ASSERT_NE(at, std::string::npos);
-  body.replace(at, std::strlen("nemo-tune/6"), "nemo-tune/4");
-  auto open = body.find("\"lmt_cma\"");
-  ASSERT_NE(open, std::string::npos);
-  auto close = body.find('}', open);
-  ASSERT_NE(close, std::string::npos);
-  auto comma = body.rfind(',', open);
-  ASSERT_NE(comma, std::string::npos);
-  body.erase(comma, close + 1 - comma);
-  auto old = from_json(body);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_TRUE(old->cma_available);
-  EXPECT_EQ(old->cma_activation, 8 * KiB);
 }
 
 TEST(Calibrate, ProducesAPlausibleTableOnThisHost) {
@@ -650,7 +582,6 @@ TEST(Feedback, NewFieldsSurviveTheJsonCache) {
 TEST(Feedback, ProbeProducesCountersAndAppliesFeedback) {
   // A real (tiny) probe world: deterministic assertions only on structure,
   // not on timing-dependent counter magnitudes.
-  ::setenv("NEMO_TUNE", "0", 1);
   Topology topo = detect_host();
   TuningTable t = formula_defaults(topo);
   FeedbackOptions fopt;
@@ -664,7 +595,6 @@ TEST(Feedback, ProbeProducesCountersAndAppliesFeedback) {
     sends += c->path_hist[static_cast<std::size_t>(i)];
   // 2 ranks x 2 iters x (1 rendezvous + 1 eager) sends each.
   EXPECT_EQ(sends, 8u);
-  ::unsetenv("NEMO_TUNE");
 }
 
 TEST(Counters, SizeClassesAndAccumulation) {
@@ -704,8 +634,8 @@ using tune::Counters;
 
 TEST(EngineCounters, MatchKnownTraffic) {
   // Hermetic: no cache pickup from the host.
-  ::setenv("NEMO_TUNE", "0", 1);
   Config cfg;
+  cfg.tuning = tune::formula_defaults(detect_host());
   cfg.nranks = 2;
   cfg.lmt = lmt::LmtKind::kDefaultShm;  // Pin the rendezvous backend.
   constexpr int kSmall = 6, kBig = 2;
@@ -750,13 +680,12 @@ TEST(EngineCounters, MatchKnownTraffic) {
     }
   });
   EXPECT_TRUE(ok);
-  ::unsetenv("NEMO_TUNE");
 }
 
 TEST(EngineCounters, DrainBudgetExhaustionIsRecorded) {
-  ::setenv("NEMO_DRAIN_BUDGET", "1", 1);
-  ::setenv("NEMO_TUNE", "0", 1);
   Config cfg;
+  cfg.tuning = tune::formula_defaults(detect_host());
+  cfg.env["NEMO_DRAIN_BUDGET"] = "1";
   cfg.nranks = 2;
   cfg.use_fastbox = false;  // Force every message through the queue.
   bool ok = run(cfg, [&](Comm& comm) {
@@ -781,17 +710,14 @@ TEST(EngineCounters, DrainBudgetExhaustionIsRecorded) {
     }
   });
   EXPECT_TRUE(ok);
-  ::unsetenv("NEMO_DRAIN_BUDGET");
-  ::unsetenv("NEMO_TUNE");
 }
 
 TEST(EngineCounters, TunedFastboxCutoffRoutesBiggerMessages) {
   // 4 KiB slots with a raised cutoff: a 3000-byte message (too big for the
   // old 2 KiB slot) now rides the fastbox.
-  ::setenv("NEMO_FASTBOX_SLOT_BYTES", "4KiB", 1);
-  ::setenv("NEMO_FASTBOX_MAX", "4KiB", 1);
-  ::setenv("NEMO_TUNE", "0", 1);
   Config cfg;
+  cfg.tuning = tune::formula_defaults(detect_host());
+  cfg.env = {{"NEMO_FASTBOX_SLOT_BYTES", "4KiB"}, {"NEMO_FASTBOX_MAX", "4KiB"}};
   cfg.nranks = 2;
   bool ok = run(cfg, [&](Comm& comm) {
     EXPECT_EQ(comm.world().tuning().fastbox_slot_bytes, 4 * KiB);
@@ -808,9 +734,6 @@ TEST(EngineCounters, TunedFastboxCutoffRoutesBiggerMessages) {
     }
   });
   EXPECT_TRUE(ok);
-  ::unsetenv("NEMO_FASTBOX_SLOT_BYTES");
-  ::unsetenv("NEMO_FASTBOX_MAX");
-  ::unsetenv("NEMO_TUNE");
 }
 
 }  // namespace
