@@ -12,7 +12,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstring>
+#include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -426,6 +428,96 @@ TEST_P(HierOracle, ReduceBitIdenticalToFlat) {
   EXPECT_EQ(std::memcmp(hier.data(), flat.data(),
                         hier.size() * sizeof(double)),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// Hier payload oracle: bcast and alltoall move bytes without arithmetic, so
+// the reference is the analytic pattern itself. Every rank checks its bytes
+// in-world (abort -> run() returns false, which also covers forked ranks);
+// thread-mode runs additionally prove the two-level schedule engaged.
+// ---------------------------------------------------------------------------
+
+class HierOracleBytes : public ::testing::TestWithParam<HierTopo> {};
+
+INSTANTIATE_TEST_SUITE_P(Topologies, HierOracleBytes,
+                         ::testing::Values(HierTopo{2, 2}, HierTopo{4, 2}));
+
+/// Run `body` on an auto-mode NxM modeled world; returns the summed
+/// coll_hier_ops (meaningful in thread mode only).
+std::uint64_t run_hier(const HierTopo& t,
+                       const std::function<void(Comm&)>& body) {
+  Config c;
+  c.env["NEMO_COLL"] = "auto";
+  c.nranks = t.nodes * t.per_node;
+  c.transport = "modeled";
+  char spec[16];
+  std::snprintf(spec, sizeof spec, "%dx%d", t.nodes, t.per_node);
+  c.nodes_spec = spec;
+  std::atomic<std::uint64_t> ops{0};
+  EXPECT_TRUE(run(c, [&](Comm& comm) {
+    body(comm);
+    comm.hard_barrier();
+    ops += comm.engine().counters().coll_hier_ops;
+  }));
+  return ops.load();
+}
+
+void expect_pattern(std::span<const std::byte> got, std::uint64_t seed,
+                    const char* what, int rank, std::size_t bytes) {
+  std::size_t bad = pattern_check(got, seed);
+  if (bad == kPatternOk) return;
+  std::fprintf(stderr, "%s: rank %d, %zu B, first bad byte %zu\n", what, rank,
+               bytes, bad);
+  std::abort();
+}
+
+TEST_P(HierOracleBytes, BcastEveryRootByteExact) {
+  // 300 KiB exceeds the default 256 KiB collective slot, so the intranode
+  // leg has to stream rather than publish one slot's worth.
+  for (std::size_t bytes : {std::size_t{8}, 4 * KiB, 300 * KiB}) {
+    for (bool shared : {false, true}) {
+      std::uint64_t ops = run_hier(GetParam(), [&](Comm& comm) {
+        std::vector<std::byte> heap(shared ? 0 : bytes);
+        std::byte* buf = shared ? comm.shared_alloc(bytes) : heap.data();
+        for (int root = 0; root < comm.size(); ++root) {
+          std::uint64_t seed = 1000 + bytes + static_cast<std::uint64_t>(root);
+          if (comm.rank() == root)
+            pattern_fill({buf, bytes}, seed);
+          else
+            std::memset(buf, 0xEE, bytes);
+          comm.bcast(buf, bytes, root);
+          expect_pattern({buf, bytes}, seed, "hier bcast", comm.rank(),
+                         bytes);
+        }
+      });
+      if (!procs_mode()) {
+        EXPECT_GT(ops, 0u) << bytes << " B, shared=" << shared;
+      }
+    }
+  }
+}
+
+TEST_P(HierOracleBytes, AlltoallByteExact) {
+  auto seed_of = [](int src, int dst, std::size_t per) {
+    return 7 + per + static_cast<std::uint64_t>(src * 64 + dst);
+  };
+  for (std::size_t per : {std::size_t{64}, 16 * KiB}) {
+    std::uint64_t ops = run_hier(GetParam(), [&](Comm& comm) {
+      auto n = static_cast<std::size_t>(comm.size());
+      std::vector<std::byte> send(per * n), recv(per * n, std::byte{0xEE});
+      for (std::size_t d = 0; d < n; ++d)
+        pattern_fill({send.data() + d * per, per},
+                     seed_of(comm.rank(), static_cast<int>(d), per));
+      comm.alltoall(send.data(), per, recv.data());
+      for (std::size_t s = 0; s < n; ++s)
+        expect_pattern({recv.data() + s * per, per},
+                       seed_of(static_cast<int>(s), comm.rank(), per),
+                       "hier alltoall", comm.rank(), per);
+    });
+    if (!procs_mode()) {
+      EXPECT_GT(ops, 0u) << per << " B per rank";
+    }
+  }
 }
 
 }  // namespace
