@@ -5,7 +5,7 @@
 // the shm path must show both lower wall time and lower simulated copy
 // volume at the ISSUE's acceptance points (8-rank 256 KiB bcast, 4-rank
 // 64 KiB-per-pair alltoall, 8-rank 256 KiB allreduce), and the barrier
-// section races the flat gather against the k-ary tree schedule.
+// section times the arena barrier per rank count.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -131,13 +131,9 @@ double real_strided_us(coll::Mode mode, int nranks, std::size_t bytes,
   return result;
 }
 
-/// Microseconds per barrier round under the given schedule (shm arena path
-/// forced; the schedule knob picks flat vs tree).
-double real_barrier_us(bool tree, int nranks, int iters, int samples) {
-  // The schedule IS the row being measured: an ambient NEMO_BARRIER_TREE
-  // must not redirect it.
-  core::Config cfg = pinned_config(
-      {{"NEMO_COLL", "shm"}, {"NEMO_BARRIER_TREE", tree ? "on" : "off"}});
+/// Microseconds per arena-barrier round (shm arena path forced).
+double real_barrier_us(int nranks, int iters, int samples) {
+  core::Config cfg = pinned_config({{"NEMO_COLL", "shm"}});
   cfg.nranks = nranks;
   double result = 0;
   core::run(cfg, [&](core::Comm& comm) {
@@ -303,27 +299,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Barrier microbench: flat vs k-ary tree arrival schedule, per rank
-  // count. `bytes` is 0 (a barrier moves no payload); the sim column is the
-  // modelled critical-path nanoseconds per round.
-  std::printf("# Barrier — flat vs tree arrival schedule\n");
+  // Barrier microbench: the arena barrier per rank count. `bytes` is 0 (a
+  // barrier moves no payload); the sim column is the modelled
+  // critical-path nanoseconds per round.
+  std::printf("# Barrier — arena arrival/release\n");
   int bar_iters = smoke ? 50 : 200;
   for (int nranks : rank_counts) {
-    for (bool tree : {false, true}) {
-      sim::LmtModels m(sim::e5345_machine());
-      double sim_ns = m.barrier_coll_ns(tree, nranks, 4);
-      double wall_us =
-          real ? real_barrier_us(tree, nranks, bar_iters, samples) : 0.0;
-      const char* path = tree ? "tree" : "flat";
-      std::printf("%-9s %5d %9d %5s %12.2f %12.0f %14d %12d\n", "barrier",
-                  nranks, 0, path, wall_us, sim_ns, 0, 0);
-      char row[512];
-      std::snprintf(row, sizeof row,
-                    "{\"op\": \"barrier\", \"ranks\": %d, \"bytes\": 0, "
-                    "\"mode\": \"%s\", \"wall_us\": %.3f, \"sim_ns\": %.1f}",
-                    nranks, path, wall_us, sim_ns);
-      rows.emplace_back(row);
-    }
+    sim::LmtModels m(sim::e5345_machine());
+    double sim_ns = m.barrier_coll_ns(nranks);
+    double wall_us = real ? real_barrier_us(nranks, bar_iters, samples) : 0.0;
+    std::printf("%-9s %5d %9d %5s %12.2f %12.0f %14d %12d\n", "barrier",
+                nranks, 0, "flat", wall_us, sim_ns, 0, 0);
+    char row[512];
+    std::snprintf(row, sizeof row,
+                  "{\"op\": \"barrier\", \"ranks\": %d, \"bytes\": 0, "
+                  "\"mode\": \"flat\", \"wall_us\": %.3f, \"sim_ns\": %.1f}",
+                  nranks, wall_us, sim_ns);
+    rows.emplace_back(row);
   }
 
   // Hierarchical two-level collectives over the modeled interconnect: the

@@ -66,11 +66,6 @@ void print_table(const tune::TuningTable& t, coll::Mode coll_mode) {
               format_size(t.coll_activation).c_str(),
               format_size(t.coll_slot_bytes).c_str(),
               coll::to_string(coll_mode));
-  if (t.barrier_tree_ranks == UINT32_MAX)
-    std::printf("  barrier: flat always (tree off)\n");
-  else
-    std::printf("  barrier: %u-ary tree from %u ranks, flat below\n",
-                t.barrier_tree_k, t.barrier_tree_ranks);
   std::printf("  simd: kernel=%s (running %s)   pack_nt_min=%s\n",
               simd::choice_name(t.simd_kernel),
               simd::kernel_name(simd::resolve(t.simd_kernel)),

@@ -1,6 +1,5 @@
 #include "coll/coll.hpp"
 
-#include <algorithm>
 #include <map>
 
 namespace nemo::coll {
@@ -56,13 +55,6 @@ int choose_leader(const std::vector<int>& node_of_rank) {
   for (std::size_t r = 0; r < node_of_rank.size(); ++r)
     if (node_of_rank[r] == best_node) return static_cast<int>(r);
   return 0;
-}
-
-std::uint32_t default_barrier_tree_k(const Topology& topo) {
-  if (topo.num_cores < 1) return 4;
-  unsigned sharers = topo.cores_sharing_largest_cache(0);
-  if (sharers < 2) return 4;
-  return std::clamp<std::uint32_t>(sharers, 2, 8);
 }
 
 }  // namespace nemo::coll

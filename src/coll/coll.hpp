@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/common.hpp"
-#include "common/topology.hpp"
 
 namespace nemo::coll {
 
@@ -53,11 +52,5 @@ bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
 /// `node_of_rank[r]` is rank r's backing node, -1 = unknown. Single-node
 /// and all-unknown maps fall back to rank 0 (the pre-v2 combiner).
 int choose_leader(const std::vector<int>& node_of_rank);
-
-/// Formula fan-in for the k-ary tree barrier on `topo`: the number of cores
-/// sharing a last-level cache (arrivals within one LLC domain are cheap, so
-/// one parent can gather a whole domain), clamped to [2, 8]; hosts with
-/// private LLCs get 4 (gather cost is uniform, so a shallow-ish tree wins).
-std::uint32_t default_barrier_tree_k(const Topology& topo);
 
 }  // namespace nemo::coll

@@ -16,7 +16,11 @@
 //     table[2 * nranks] u64        per-dest (offset, len) for alltoallv
 //     payload[slot_bytes]          staged operand bytes
 //
-// Synchronisation protocol (the algorithms live in core/collectives.cpp):
+// Synchronisation protocol. The cells below are the primitives; the slot
+// protocols built from them live in core/coll_internal.hpp (slot stream:
+// one writer, many readers; ordered fold: many writers, one folding
+// leader) and core/collectives.cpp (exchange rounds: everyone writes and
+// reads, rounds closed by the barrier).
 //
 //  - Epochs. Every collective instance owns a unique epoch value (the
 //    per-Comm collective sequence number, shifted to leave room for phases).
@@ -24,8 +28,8 @@
 //    publishes with a RELEASE store of `epoch`; readers ACQUIRE-poll until
 //    the slot's epoch matches the instance they are executing. Because all
 //    ranks run collectives in the same order and each shm collective ends
-//    with a completion handshake (flat barrier or ack wait), an epoch value
-//    can never be observed stale — the previous instance fully drained.
+//    with a completion handshake (barrier or ack wait), an epoch value can
+//    never be observed stale — the previous instance fully drained.
 //
 //  - Doorbell. `chunks` counts payload chunks published within the epoch
 //    (RELEASE-stored after the chunk bytes). Readers pipeline behind the
@@ -39,18 +43,12 @@
 //    returning. The epoch tag makes stale counters from earlier collectives
 //    compare strictly smaller, so cells never need resetting.
 //
-//  - Flat barrier. A sense-reversing barrier generalised to a monotonic
+//  - Barrier. A sense-reversing barrier generalised to a monotonic
 //    sequence: each rank RELEASE-stores its arrival sequence into its padded
-//    flag, rank 0 gathers all flags and RELEASE-stores the global release
-//    word, everyone else spins on that single word. O(1) cache lines per
-//    rank per barrier instead of the O(log n) cell-queue messages of the
-//    pt2pt dissemination barrier. Past the tuned `barrier_tree_ranks` the
-//    arrival phase instead combines up a k-ary tree over the same cells: a
-//    parent publishes its flag only after its children's flags, so rank 0
-//    gathers k flags instead of n-1 (the release stays the single word —
-//    one line every spinner reads). The cells are agnostic to which
-//    schedule runs; core/collectives.cpp picks flat vs tree world-
-//    symmetrically from the tuning table.
+//    flag, the coordinator gathers all flags and RELEASE-stores the global
+//    release word, everyone else spins on that single word. O(1) cache
+//    lines per rank per barrier instead of the O(log n) cell-queue messages
+//    of the pt2pt dissemination barrier.
 //
 //  - Count probes. Auto-mode alltoallv needs a rank-consistent size proxy
 //    before it can choose a family, but its counts are asymmetric — so the
@@ -81,7 +79,7 @@ struct SlotHeader {
 };
 static_assert(sizeof(SlotHeader) == kCacheLine);
 
-/// Flat-barrier arrival flag, one line per rank so arrivals never bounce.
+/// Barrier arrival flag, one line per rank so arrivals never bounce.
 struct BarrierCell {
   alignas(kCacheLine) std::uint64_t seq;
 };
@@ -108,15 +106,15 @@ struct CollState {
   alignas(kCacheLine) std::uint32_t nranks;
   std::uint32_t slot_bytes;   ///< Payload capacity per rank.
   std::uint64_t slot_stride;  ///< Header + table + payload, line-rounded.
-  alignas(kCacheLine) std::uint64_t release_seq;  ///< Flat-barrier release.
+  alignas(kCacheLine) std::uint64_t release_seq;  ///< Barrier release.
 };
 
 /// View over one world's collective arena (cheap to copy; the engine keeps
 /// one). Default-constructed views are invalid placeholders.
 class WorldColl {
  public:
-  /// Number of 4-sub-buffer pipeline stages a staged bcast splits the slot
-  /// into (writer may run this many chunks ahead of the slowest reader).
+  /// Number of pipeline stages a slot stream splits the slot into (the
+  /// writer may run this many chunks ahead of the slowest reader).
   static constexpr std::uint64_t kBcastSubBufs = 4;
 
   static std::uint64_t table_bytes(int nranks) {
@@ -260,8 +258,8 @@ class WorldColl {
         .load(std::memory_order_relaxed);
   }
 
-  // --- Flat barrier primitives (the spin loops live with the engine so
-  // they can keep pt2pt progress flowing) ----------------------------------
+  // --- Barrier primitives (the spin loops live with the engine so they
+  // can keep pt2pt progress flowing) ---------------------------------------
 
   void barrier_arrive(int r, std::uint64_t seq) const {
     shm::aref(barrier_[r].seq).store(seq, std::memory_order_release);

@@ -6,21 +6,22 @@
 // two-level schedules here confine the bulk of the traffic to the intranode
 // leg — the collective arena, where every operand is written into shared
 // memory once — and cross node boundaries only between one NUMA-chosen
-// leader per node:
+// leader per node. The intranode legs are the flat family's slot protocols
+// (core/coll_internal.hpp) scoped to the node's contiguous rank range:
 //
-//   reduce/allreduce  members deposit operands in their arena slots; the
-//                     node leader folds them IN ASCENDING RANK ORDER into
-//                     the running prefix it received from the previous
-//                     node's leader (a chain over nodes in ascending node
-//                     order). With the contiguous NxM partition this
-//                     reproduces the flat ascending fold exactly, so the
-//                     result is bit-identical to the p2p/shm oracles.
-//                     Allreduce then broadcasts the final prefix binomially
-//                     over the leaders and each leader republishes through
-//                     its own slot.  Internode cost: (N-1) chain hops +
-//                     ceil(log2 N) bcast hops, vs O(p) for the flat tree.
+//   reduce/allreduce  an ordered fold per node: members deposit, the node
+//                     leader folds them IN ASCENDING RANK ORDER onto the
+//                     running prefix it received from the previous node's
+//                     leader (a chain over nodes in ascending node order).
+//                     With the contiguous NxM partition this reproduces the
+//                     flat ascending fold exactly, so the result is
+//                     bit-identical to the p2p/shm oracles. Allreduce then
+//                     broadcasts the final prefix binomially over the
+//                     leaders and each leader streams it to its members.
+//                     Internode cost: (N-1) chain hops + ceil(log2 N) bcast
+//                     hops, vs O(p) for the flat tree.
 //   bcast             root -> its node's leader, binomial over leaders,
-//                     leaders publish through their arena slot.
+//                     each leader streams to its members.
 //   alltoall          members hand their send rows to the leader; leaders
 //                     exchange combined M*M blocks pairwise (N-1 internode
 //                     messages per leader instead of p-M per rank); the
@@ -41,8 +42,8 @@ namespace {
 
 using coll_detail::coll_tag;
 using coll_detail::epoch_base;
-using coll_detail::fold_chunk;
-using coll_detail::spin_until_quiet;
+using coll_detail::FoldWriter;
+using coll_detail::SlotStream;
 
 /// Aggregate leader staging budget for the hierarchical alltoall (gather
 /// rows + pairwise exchange blocks). Above it the flat families win anyway
@@ -99,6 +100,19 @@ HierTopo hier_topo(Engine& eng) {
   return h;
 }
 
+/// Binomial bcast of `buf` over the node leaders, rooted at `root_node`'s
+/// leader (every hop is internode: one modeled-link charge).
+void leader_tree(Comm& comm, const HierTopo& h, int root_node, void* buf,
+                 std::size_t bytes, int tag) {
+  auto leader_of = [&](int v) {
+    return h.leader[static_cast<std::size_t>((v + root_node) % h.nodes)];
+  };
+  coll_detail::binomial(
+      (h.my_node - root_node + h.nodes) % h.nodes, h.nodes,
+      [&](int v) { comm.recv(buf, bytes, leader_of(v), tag, nullptr, 1); },
+      [&](int v) { comm.send(buf, bytes, leader_of(v), tag, 1); });
+}
+
 }  // namespace
 
 bool Comm::use_hier_coll(std::size_t op_bytes) {
@@ -122,7 +136,6 @@ bool Comm::use_hier_coll(std::size_t op_bytes) {
 void Comm::bcast_hier(void* buf, std::size_t bytes, int root,
                       std::uint64_t cs) {
   Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
   int r = rank();
   HierTopo h = hier_topo(eng);
   int k = h.my_node;
@@ -130,10 +143,11 @@ void Comm::bcast_hier(void* buf, std::size_t bytes, int root,
   int root_node = eng.transport().node_of(root);
   int root_leader = h.leader[static_cast<std::size_t>(root_node)];
   eng.counters().coll_hier_ops++;
-  // Single-chunk arena publish needs the payload to fit one slot; larger
-  // messages run the intranode leg over pt2pt (still two-level).
-  bool arena_ok = cw.valid() && bytes <= cw.slot_bytes();
-  std::uint64_t e = epoch_base(cs) | 1;
+  // Leg 3 streams through the node leader's slot to every member but the
+  // root, which already holds the payload.
+  int b = h.first[static_cast<std::size_t>(k)];
+  int end = h.first[static_cast<std::size_t>(k) + 1];
+  SlotStream leg3(eng, leader, epoch_base(cs) | 1, bytes, false);
 
   // Leg 1: root hands the payload to its node's leader (one intranode hop;
   // the arena machinery buys nothing for a single pair).
@@ -143,73 +157,15 @@ void Comm::bcast_hier(void* buf, std::size_t bytes, int root,
     recv(buf, bytes, root, coll_tag(cs, 0), nullptr, 1);
 
   if (r == leader) {
-    // Leg 2: binomial over the node leaders, rooted at the root's node
-    // (every internode hop is one modeled-link charge).
-    int vn = (k - root_node + h.nodes) % h.nodes;
-    if (vn != 0) {
-      int mask = 1;
-      while ((vn & mask) == 0) mask <<= 1;
-      int parent =
-          h.leader[static_cast<std::size_t>(((vn & ~mask) + root_node) %
-                                            h.nodes)];
-      recv(buf, bytes, parent, coll_tag(cs, 1), nullptr, 1);
-    }
-    for (int mask = 1; mask < h.nodes && (vn & (mask - 1)) == 0; mask <<= 1) {
-      if ((vn & mask) == 0) {
-        int child = vn | mask;
-        if (child < h.nodes)
-          send(buf, bytes,
-               h.leader[static_cast<std::size_t>((child + root_node) %
-                                                 h.nodes)],
-               coll_tag(cs, 1), 1);
-      }
-    }
-    // Leg 3: intranode publish. Direct when the buffer is arena-resident
-    // (every member pulls straight from it), else one staged slot copy that
-    // all members read — the write-once discipline the arena exists for.
-    int b = h.first[static_cast<std::size_t>(k)];
-    int end = h.first[static_cast<std::size_t>(k) + 1];
-    if (arena_ok) {
-      bool direct = bytes > 0 && cw.arena().contains(buf, bytes);
-      if (direct) {
-        cw.begin_epoch(r, e, cw.arena().offset_of(buf), bytes);
-      } else {
-        cw.begin_epoch(r, e, shm::kNil, bytes);
-        std::memcpy(cw.payload(r), buf, bytes);
-        cw.publish_chunks(r, 1);
-      }
-      for (int w = b; w < end; ++w)
-        if (w != r && w != root)
-          spin_until_quiet(eng, resil::Site::kCollAck, w,
-                           [&] { return cw.acked(w, e, 1); });
-    } else {
-      std::vector<Request> reqs;
-      for (int w = b; w < end; ++w)
-        if (w != r && w != root)
-          reqs.push_back(isend(buf, bytes, w, coll_tag(cs, 2), 1));
-      waitall(reqs);
-    }
+    // Leg 2: binomial over the node leaders, rooted at the root's node.
+    leader_tree(*this, h, root_node, buf, bytes, coll_tag(cs, 1));
+    // Leg 3: intranode publish, written into shared memory once for every
+    // member (direct when the buffer is arena-resident).
+    leg3.write(buf, false,
+               [&](int w) { return w >= b && w < end && w != root; });
     return;
   }
-
-  // Member: pull the payload from the node leader (the root already holds
-  // it and took no part in leg 3).
-  if (r == root) return;
-  if (arena_ok) {
-    spin_until_quiet(eng, resil::Site::kCollDoorbell, leader,
-                     [&] { return cw.ready(leader, e, 0); });
-    coll::SlotHeader* sh = cw.header(leader);
-    if (sh->src_off != shm::kNil) {
-      std::memcpy(buf, cw.arena().at(sh->src_off), bytes);
-    } else {
-      spin_until_quiet(eng, resil::Site::kCollDoorbell, leader,
-                       [&] { return cw.ready(leader, e, 1); });
-      std::memcpy(buf, cw.payload(leader), bytes);
-    }
-    cw.set_ack(r, e, 1);
-  } else {
-    recv(buf, bytes, leader, coll_tag(cs, 2), nullptr, 1);
-  }
+  if (r != root) leg3.read(r, buf, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,56 +176,30 @@ template <typename T>
 void Comm::reduce_hier(const T* in, T* out, std::size_t n, ReduceOp op,
                        int root, bool all, std::uint64_t cs) {
   Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
   int r = rank();
   std::size_t bytes = n * sizeof(T);
   HierTopo h = hier_topo(eng);
   int k = h.my_node;
   int leader = h.leader[static_cast<std::size_t>(k)];
   int last_leader = h.leader[static_cast<std::size_t>(h.nodes) - 1];
+  int b = h.first[static_cast<std::size_t>(k)];
+  int end = h.first[static_cast<std::size_t>(k) + 1];
   eng.counters().coll_hier_ops++;
-  bool arena_ok = cw.valid() && bytes <= cw.slot_bytes();
-  std::uint64_t e = epoch_base(cs);       // Phase 0: member deposits.
-  std::uint64_t er = epoch_base(cs) | 1;  // Phase 1: leader result publish.
+  // Phase 0: the node's ordered fold. Phase 1: the leader's result publish.
+  SlotStream fold(eng, leader, epoch_base(cs), bytes, false);
+  SlotStream result(eng, leader, epoch_base(cs) | 1, bytes, false);
+  auto members = [&](int w) { return w >= b && w < end; };
 
   if (r != leader) {
-    // Member: hand the operand to the node leader. Direct deposits publish
-    // the arena offset so the leader folds straight from the user buffer.
-    if (arena_ok) {
-      bool direct = cw.arena().contains(in, bytes);
-      if (direct) {
-        cw.begin_epoch(r, e, cw.arena().offset_of(in), bytes);
-      } else {
-        cw.begin_epoch(r, e, shm::kNil, bytes);
-        std::memcpy(cw.payload(r), in, bytes);
-        cw.publish_chunks(r, 1);
-      }
-    } else {
-      send(in, bytes, leader, coll_tag(cs, 0), 1);
-    }
+    FoldWriter(eng, fold, in).finish();
     // Result leg. Allreduce: every member reads its own leader's publish.
     // Pure reduce: the result lives at the LAST node's leader, which hands
     // it to the root (root == 0 by the dispatch gate, so the root can be a
     // plain member here when node 0's leader is NUMA-chosen elsewhere).
-    if (all) {
-      if (arena_ok) {
-        spin_until_quiet(eng, resil::Site::kCollDoorbell, leader,
-                         [&] { return cw.ready(leader, er, 1); });
-        std::memcpy(out, cw.payload(leader), bytes);
-        cw.set_ack(r, er, 1);
-      } else {
-        recv(out, bytes, leader, coll_tag(cs, 2), nullptr, 1);
-      }
-    } else if (r == root) {
+    if (all)
+      result.read(r, out, false);
+    else if (r == root)
       recv(out, bytes, last_leader, coll_tag(cs, 2), nullptr, 1);
-    }
-    if (arena_ok) {
-      // Deposit-consumed handshake: the leader acks its own cell once every
-      // member operand (direct reads included) is folded; until then
-      // neither a direct `in` nor this slot may be reused.
-      spin_until_quiet(eng, resil::Site::kCollAck, leader,
-                       [&] { return cw.acked(leader, e, 1); });
-    }
     return;
   }
 
@@ -285,48 +215,17 @@ void Comm::reduce_hier(const T* in, T* out, std::size_t n, ReduceOp op,
   }
   // Chain prefix: node k's leader receives the fold of every rank below
   // first[k] from the previous node's leader.
-  bool seeded = false;
-  if (k > 0) {
+  if (k > 0)
     recv(acc, bytes, h.leader[static_cast<std::size_t>(k) - 1],
          coll_tag(cs, 1), nullptr, 1);
-    seeded = true;
-  }
-  // Fold the node's members in ascending rank order. With the contiguous
-  // partition this extends the flat ascending fold exactly (node 0 seeds
-  // with rank 0 == root), so the chain result is bit-identical to the
-  // p2p/shm oracles regardless of deposit modes or leader choice.
-  std::vector<std::byte> stage;
-  int b = h.first[static_cast<std::size_t>(k)];
-  int end = h.first[static_cast<std::size_t>(k) + 1];
-  for (int w = b; w < end; ++w) {
-    const T* src;
-    if (w == r) {
-      src = in;
-    } else if (arena_ok) {
-      spin_until_quiet(eng, resil::Site::kCollGather, w,
-                       [&] { return cw.ready(w, e, 0); });
-      coll::SlotHeader* sh = cw.header(w);
-      if (sh->src_off != shm::kNil) {
-        src = reinterpret_cast<const T*>(cw.arena().at(sh->src_off));
-      } else {
-        spin_until_quiet(eng, resil::Site::kCollGather, w,
-                         [&] { return cw.ready(w, e, 1); });
-        src = reinterpret_cast<const T*>(cw.payload(w));
-      }
-    } else {
-      if (stage.size() < bytes) stage.resize(bytes);
-      recv(stage.data(), bytes, w, coll_tag(cs, 0), nullptr, 1);
-      src = reinterpret_cast<const T*>(stage.data());
-    }
-    if (!seeded) {
-      std::memcpy(acc, src, bytes);
-      seeded = true;
-    } else {
-      fold_chunk(eng, op, acc, src, n);
-    }
-  }
-  // Every member operand is folded: release direct buffers and slots.
-  if (arena_ok && end - b > 1) cw.set_ack(r, e, 1);
+  // Fold the node's members in ascending rank order onto that prefix (node
+  // 0 seeds with rank 0 == root). With the contiguous partition this
+  // extends the flat ascending fold exactly, so the chain result is
+  // bit-identical to the p2p/shm oracles.
+  coll_detail::fold_lead<T>(
+      eng, fold, op, in, b, end, k > 0 ? -1 : b,
+      [&](std::uint64_t t) { return acc + fold.offset(t) / sizeof(T); },
+      [](std::uint64_t, const T*, std::size_t) {});
   // Chain hop to the next node's leader (internode, modeled-charged).
   if (k < h.nodes - 1)
     send(acc, bytes, h.leader[static_cast<std::size_t>(k) + 1],
@@ -343,40 +242,8 @@ void Comm::reduce_hier(const T* in, T* out, std::size_t n, ReduceOp op,
 
   // Allreduce: binomial bcast over the leaders rooted at the final node,
   // then each leader republishes through its own slot.
-  int vn = (k + 1) % h.nodes;  // Relative to root node N-1.
-  if (vn != 0) {
-    int mask = 1;
-    while ((vn & mask) == 0) mask <<= 1;
-    int parent = h.leader[static_cast<std::size_t>(
-        ((vn & ~mask) + h.nodes - 1) % h.nodes)];
-    recv(acc, bytes, parent, coll_tag(cs, 3), nullptr, 1);
-  }
-  for (int mask = 1; mask < h.nodes && (vn & (mask - 1)) == 0; mask <<= 1) {
-    if ((vn & mask) == 0) {
-      int child = vn | mask;
-      if (child < h.nodes)
-        send(acc, bytes,
-             h.leader[static_cast<std::size_t>((child + h.nodes - 1) %
-                                               h.nodes)],
-             coll_tag(cs, 3), 1);
-    }
-  }
-  if (end - b > 1) {
-    if (arena_ok) {
-      cw.begin_epoch(r, er, shm::kNil, bytes);
-      std::memcpy(cw.payload(r), acc, bytes);
-      cw.publish_chunks(r, 1);
-      for (int w = b; w < end; ++w)
-        if (w != r)
-          spin_until_quiet(eng, resil::Site::kCollAck, w,
-                           [&] { return cw.acked(w, er, 1); });
-    } else {
-      std::vector<Request> reqs;
-      for (int w = b; w < end; ++w)
-        if (w != r) reqs.push_back(isend(acc, bytes, w, coll_tag(cs, 2), 1));
-      waitall(reqs);
-    }
-  }
+  leader_tree(*this, h, h.nodes - 1, acc, bytes, coll_tag(cs, 3));
+  if (end - b > 1) result.write(acc, false, members);
 }
 
 template void Comm::reduce_hier<double>(const double*, double*, std::size_t,

@@ -18,7 +18,7 @@ Options::Options(int argc, char** argv) {
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq == std::string::npos)
-      values_[arg] = "1";
+      values_[arg].assign(1, '1');  // `= "1"` trips a GCC 12 -Wrestrict bug.
     else
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
   }

@@ -3,7 +3,8 @@
 //  - The pt2pt algorithms (classical shared-memory-friendly ones:
 //    dissemination barrier, binomial bcast, linear reduce, ring allgather,
 //    pairwise alltoall(v)) — the fallback below the tuned crossover and the
-//    correctness oracle the tests cross-check against.
+//    correctness oracle the tests cross-check against. Every pairwise
+//    exchange runs through one schedule, pairwise().
 //
 //  - The shared-memory collective arena fast path (src/coll/): every
 //    operand is written into (or published from) shared memory ONCE and
@@ -12,6 +13,15 @@
 //    costs ~n slot copies instead of the binomial tree's 2·log n
 //    full-payload ring copies; alltoall halves its copy volume whenever the
 //    source matrix is arena-resident (readers pull straight from it).
+//    Each op is a short call into one of three slot protocols plus the
+//    arena barrier:
+//      slot stream      one writer, many readers (bcast; reduce's result)
+//                       — coll_internal.hpp
+//      ordered fold     many writers, one folding leader (reduce,
+//                       allreduce) — coll_internal.hpp
+//      exchange rounds  every rank writes and reads blocks, rounds closed
+//                       by the arena barrier (allgather, alltoall(v) and
+//                       their strided forms) — Exchange below
 //
 // Selection mirrors lmt::Policy: NEMO_COLL=shm|p2p forces a family, auto
 // compares the op's symmetric size measure against the tuned
@@ -28,7 +38,7 @@
 // cross-match. The same sequence number feeds the arena epoch tags.
 #include <algorithm>
 #include <cstring>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/coll_internal.hpp"
@@ -40,44 +50,41 @@ namespace nemo::core {
 namespace {
 
 using coll_detail::coll_tag;
+using coll_detail::div_ceil;
 using coll_detail::epoch_base;
 using coll_detail::fold_chunk;
+using coll_detail::FoldWriter;
+using coll_detail::SlotStream;
 using coll_detail::spin_until;
-using coll_detail::spin_until_quiet;
 
 std::uint64_t next_coll_seq(Engine& eng) { return eng.bump_coll_seq(); }
-
-/// Staged-bcast sub-buffer geometry: the slot splits into up to kBcastSubBufs
-/// cacheline-multiple chunks so readers pipeline behind the writer.
-struct SubGeom {
-  std::size_t sub;     ///< Chunk bytes.
-  std::uint64_t nsub;  ///< Pipeline depth (chunks resident at once).
-};
-
-SubGeom sub_geometry(std::size_t slot_bytes) {
-  std::size_t sub = std::max<std::size_t>(
-      slot_bytes / coll::WorldColl::kBcastSubBufs, kCacheLine);
-  sub -= sub % kCacheLine;
-  std::uint64_t nsub = std::max<std::uint64_t>(1, slot_bytes / sub);
-  nsub = std::min<std::uint64_t>(nsub, coll::WorldColl::kBcastSubBufs);
-  return {sub, nsub};
-}
 
 /// Writer w's per-destination stride index for dest d (self excluded).
 std::size_t dest_index(int w, int d) { return d < w ? d : d - 1; }
 
-std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) {
-  return b == 0 ? 0 : (a + b - 1) / b;
+/// Payload bytes of one collective-arena slot (0 without an arena).
+std::size_t slot_bytes(Engine& eng) {
+  return eng.coll_view().valid() ? eng.coll_view().slot_bytes() : 0;
 }
 
-/// Would a staged bcast of `bytes` through this slot stay within the
-/// 24-bit epoch-tagged ack chunk budget? Only breachable by pathological
-/// geometry (a >1 GiB message through a 64 B slot), but the answer must be
-/// a p2p fallback, not the ack_value assert. World-symmetric (the direct
-/// path needs no chunks, but directness is writer-local, so the
-/// conservative staged bound decides for everyone).
-bool ack_budget_ok(std::size_t slot_bytes, std::size_t bytes) {
-  return div_ceil(bytes, sub_geometry(slot_bytes).sub) < (1ull << 24);
+/// Whole-block arena reads at or above this size stream past the cache.
+std::size_t nt_min(Engine& eng) {
+  return eng.world()
+      .tuning()
+      .for_placement(PairPlacement::kDifferentSockets)
+      .nt_min;
+}
+
+/// Would a slot stream of `bytes` stay within the 24-bit epoch-tagged ack
+/// chunk budget? Only breachable by pathological geometry (a >1 GiB message
+/// through a 64 B slot), but the answer must be a p2p fallback, not the
+/// ack_value assert. World-symmetric (a direct stream needs no chunks, but
+/// directness is writer-local, so the staged bound decides for everyone).
+bool ack_budget_ok(Engine& eng, std::size_t bytes) {
+  coll::WorldColl& cw = eng.coll_view();
+  return cw.valid() &&
+         div_ceil(bytes, SlotStream::chunk_bytes(cw.slot_bytes())) <
+             (1ull << 24);
 }
 
 /// Scoped collective observation: one kCollOp span in the rank's ring plus
@@ -108,6 +115,201 @@ class CollScope {
   std::uint64_t t0_ = 0;
 };
 
+/// Arena barrier: every rank RELEASE-stores its arrival sequence into its
+/// padded flag; the lowest surviving rank (rank 0 until it dies) gathers
+/// them and RELEASE-stores the release word everyone else spins on.
+/// Fenced ranks' arrival cells are tombstoned to always-arrived, so
+/// skipping them here is belt-and-braces that also avoids touching
+/// reclaimed lines.
+void shm_barrier(Engine& eng) {
+  trace::Span sp(eng.tracer(), trace::kCollBarrier, trace::Mode::kRings);
+  coll::WorldColl& cw = eng.coll_view();
+  int n = eng.nranks(), r = eng.rank();
+  std::uint64_t seq = eng.next_coll_barrier_seq();
+  int coord = eng.lowest_alive();
+  resil::fault_point(resil::Site::kBarrierArrive, r);
+  cw.barrier_arrive(r, seq);
+  if (r == coord) {
+    for (int i = 0; i < n; ++i) {
+      if (i == r || eng.rank_fenced(i)) continue;
+      spin_until(eng, resil::Site::kBarrierRelease, i, true,
+                 [&] { return cw.barrier_arrived(i, seq); });
+    }
+    cw.barrier_release(seq);
+  } else {
+    spin_until(eng, resil::Site::kBarrierRelease, coord, true,
+               [&] { return cw.barrier_released(seq); });
+  }
+}
+
+/// Exchange rounds: in round t every rank deposits its outgoing blocks into
+/// its own slot, then takes its block from every other writer's slot; the
+/// arena barrier closes each round, so no writer overwrites its slot (or
+/// returns, freeing a direct-read source) before every reader finished
+/// with it. A writer whose whole source is arena-resident publishes the
+/// offset instead and deposits nothing. header.bytes carries each writer's
+/// staged round count, so direct and staged writers agree on the schedule.
+/// Constructing publishes; run() executes the rounds.
+class Exchange {
+ public:
+  Exchange(Engine& eng, std::uint64_t epoch, const void* direct_src,
+           std::uint64_t rounds)
+      : eng_(eng), cw_(eng.coll_view()), epoch_(epoch), mine_(rounds) {
+    cw_.begin_epoch(eng.rank(), epoch,
+                    direct_src != nullptr ? cw_.arena().offset_of(direct_src)
+                                          : shm::kNil,
+                    rounds);
+  }
+
+  /// deposit(t, slot) fills this rank's slot for round t. take(w, t, src,
+  /// direct) copies writer w's blocks out of `src`: its slot payload, or —
+  /// direct writers, round 0 only — its arena-resident source.
+  template <typename Deposit, typename Take>
+  void run(Deposit&& deposit, Take&& take) {
+    int n = eng_.nranks(), r = eng_.rank();
+    // Everyone reads every header before round 0 so all ranks agree on the
+    // global round count. Fenced writers never publish (their headers are
+    // tombstoned); survivors skip them and leave their blocks untouched.
+    std::uint64_t rounds = std::max<std::uint64_t>(mine_, 1);
+    for (int w = 0; w < n; ++w) {
+      if (w == r || eng_.rank_fenced(w)) continue;
+      spin_until(eng_, resil::Site::kCollDoorbell, w, true,
+                 [&] { return cw_.ready(w, epoch_, 0); });
+      rounds = std::max(rounds, cw_.header(w)->bytes);
+    }
+    for (std::uint64_t t = 0; t < rounds; ++t) {
+      if (t < mine_) {
+        deposit(t, cw_.payload(r));
+        cw_.publish_chunks(r, t + 1);
+      }
+      for (int w = 0; w < n; ++w) {
+        if (w == r || eng_.rank_fenced(w)) continue;
+        coll::SlotHeader* h = cw_.header(w);
+        if (h->src_off != shm::kNil) {
+          if (t == 0) take(w, t, cw_.arena().at(h->src_off), true);
+          continue;
+        }
+        if (t >= h->bytes) continue;  // This writer already finished.
+        spin_until(eng_, resil::Site::kCollDoorbell, w, true,
+                   [&] { return cw_.ready(w, epoch_, t + 1); });
+        take(w, t, cw_.payload(w), false);
+      }
+      shm_barrier(eng_);
+    }
+  }
+
+ private:
+  Engine& eng_;
+  coll::WorldColl& cw_;
+  std::uint64_t epoch_;
+  std::uint64_t mine_;  ///< This rank's staged rounds (0 = direct).
+};
+
+/// Pairwise p2p exchange: n-1 steps; at step s this rank exchanges with
+/// r^s when n is a power of two, else sends to r+s and receives from r-s.
+/// step(to, from) returns that step's send and receive segment lists; a
+/// side with zero bytes is skipped (both ends agree, counts being
+/// symmetric). Sends are marked collective so the LMT policy applies its
+/// lower activation threshold (§4.4).
+template <typename Step>
+void pairwise(Engine& eng, int tag, Step&& step) {
+  int n = eng.nranks(), r = eng.rank();
+  bool pow2 = (n & (n - 1)) == 0;
+  for (int s = 1; s < n; ++s) {
+    int to = pow2 ? (r ^ s) : (r + s) % n;
+    int from = pow2 ? (r ^ s) : (r - s + n) % n;
+    auto [ssegs, rsegs] = step(to, from);
+    Request sq, rq;
+    if (total_bytes(ssegs) > 0)
+      sq = eng.start_send(std::move(ssegs), to, tag, /*collective=*/true,
+                          /*context=*/1);
+    if (total_bytes(rsegs) > 0)
+      rq = eng.start_recv(std::move(rsegs), from, tag, 1);
+    if (sq) eng.wait(sq);
+    if (rq) eng.wait(rq);
+  }
+}
+
+/// One rank's alltoall(v) block layout: explicit per-rank counts and
+/// displacements, or — counts == nullptr — `per` bytes per rank, dense.
+struct Blocks {
+  const std::size_t* counts = nullptr;
+  const std::size_t* displs = nullptr;
+  std::size_t per = 0;
+  [[nodiscard]] std::size_t count(int d) const {
+    return counts != nullptr ? counts[d] : per;
+  }
+  [[nodiscard]] std::size_t displ(int d) const {
+    return displs != nullptr ? displs[d] : static_cast<std::size_t>(d) * per;
+  }
+};
+
+/// Alltoall(v) once the dispatcher chose a family. The shm family runs
+/// exchange rounds: each writer's slot splits into one `cap`-byte stride
+/// per destination, and a block larger than its stride takes several
+/// rounds; a writer whose send span is arena-resident publishes a
+/// per-destination (offset, length) table instead. The p2p family runs
+/// pairwise() over the same blocks.
+void alltoall_blocks(Engine& eng, const std::byte* in, Blocks sb,
+                     std::byte* out, Blocks rb, bool shm) {
+  int n = eng.nranks(), r = eng.rank();
+  if (!shm) {
+    std::memcpy(out + rb.displ(r), in + sb.displ(r), sb.count(r));
+    pairwise(eng, coll_tag(next_coll_seq(eng), 0), [&](int to, int from) {
+      return std::pair{ConstSegmentList{{in + sb.displ(to), sb.count(to)}},
+                       SegmentList{{out + rb.displ(from), rb.count(from)}}};
+    });
+    return;
+  }
+  coll::WorldColl& cw = eng.coll_view();
+  std::size_t cap = coll::alltoall_chunk_capacity(cw.slot_bytes(), n);
+  std::size_t span = 0, send_max = 0, my_bytes = 0;
+  for (int d = 0; d < n; ++d) {
+    span = std::max(span, sb.displ(d) + sb.count(d));
+    if (d != r) {
+      send_max = std::max(send_max, sb.count(d));
+      my_bytes += sb.count(d);
+    }
+  }
+  eng.counters().coll_shm_bytes += my_bytes;
+  bool direct = span > 0 && cw.arena().contains(in, span);
+  if (direct) {
+    std::uint64_t* tab = cw.table(r);
+    for (int d = 0; d < n; ++d) {
+      tab[2 * d] = sb.displ(d);
+      tab[2 * d + 1] = sb.count(d);
+    }
+  }
+  Exchange x(eng, epoch_base(next_coll_seq(eng)), direct ? in : nullptr,
+             direct ? 0 : div_ceil(send_max, cap));
+  std::memcpy(out + rb.displ(r), in + sb.displ(r), sb.count(r));
+  std::size_t nt = nt_min(eng);
+  x.run(
+      [&](std::uint64_t t, std::byte* slot) {
+        std::size_t off = static_cast<std::size_t>(t) * cap;
+        for (int d = 0; d < n; ++d)
+          if (d != r && off < sb.count(d))
+            std::memcpy(slot + dest_index(r, d) * cap, in + sb.displ(d) + off,
+                        std::min(cap, sb.count(d) - off));
+      },
+      [&](int w, std::uint64_t t, const std::byte* src, bool whole) {
+        std::byte* dst = out + rb.displ(w);
+        std::size_t want = rb.count(w);
+        if (whole) {
+          const std::uint64_t* wt = cw.table(w);
+          NEMO_ASSERT(wt[2 * r + 1] == want);
+          // Whole direct-read blocks stream past the cache above nt_min,
+          // like bcast; staged chunks stay cached (slot-bounded).
+          if (want > 0) shm::copy_for(want >= nt, dst, src + wt[2 * r], want);
+          return;
+        }
+        std::size_t off = static_cast<std::size_t>(t) * cap;
+        if (off < want)
+          std::memcpy(dst + off, src + dest_index(w, r) * cap,
+                      std::min(cap, want - off));
+      });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -136,76 +338,8 @@ bool Comm::use_shm_coll(std::size_t op_bytes, std::size_t slot_need) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena barrier (shm): flat below the tuned barrier_tree_ranks, k-ary tree
-// at/above it. Both schedules share the same cells and the same release
-// word, so the choice is pure scheduling — but it must be world-symmetric
-// (every rank reads the same tuning table), or ranks would wait on arrival
-// flags nobody publishes.
+// Barrier
 // ---------------------------------------------------------------------------
-
-void Comm::flat_barrier() {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  int n = size(), r = rank();
-  std::uint64_t seq = eng.next_coll_barrier_seq();
-  // The lowest surviving rank coordinates (rank 0 until it dies); fenced
-  // ranks' arrival cells are tombstoned to always-arrived, so skipping them
-  // here is belt-and-braces that also avoids touching reclaimed lines.
-  int coord = eng.lowest_alive();
-  resil::fault_point(resil::Site::kBarrierArrive, r);
-  cw.barrier_arrive(r, seq);
-  if (r == coord) {
-    for (int i = 0; i < n; ++i) {
-      if (i == r || eng.rank_fenced(i)) continue;
-      spin_until(eng, resil::Site::kBarrierRelease, i,
-                 [&] { return cw.barrier_arrived(i, seq); });
-    }
-    cw.barrier_release(seq);
-  } else {
-    spin_until(eng, resil::Site::kBarrierRelease, coord,
-               [&] { return cw.barrier_released(seq); });
-  }
-}
-
-void Comm::tree_barrier() {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  int n = size(), r = rank();
-  long k = static_cast<long>(eng.barrier_tree_k());
-  std::uint64_t seq = eng.next_coll_barrier_seq();
-  // Gather up the k-ary tree: a parent's flag asserts its whole subtree
-  // arrived, so rank 0 polls k lines instead of n-1.
-  long first_child = k * r + 1;
-  for (long c = first_child; c < first_child + k && c < n; ++c) {
-    int child = static_cast<int>(c);
-    spin_until(eng, resil::Site::kBarrierRelease, child,
-               [&] { return cw.barrier_arrived(child, seq); });
-  }
-  if (r == 0) {
-    cw.barrier_release(seq);
-  } else {
-    resil::fault_point(resil::Site::kBarrierArrive, r);
-    cw.barrier_arrive(r, seq);
-    spin_until(eng, resil::Site::kBarrierRelease, 0,
-               [&] { return cw.barrier_released(seq); });
-  }
-}
-
-void Comm::shm_barrier() {
-  Engine& eng = engine_;
-  trace::Span sp(eng.tracer(), trace::kCollBarrier, trace::Mode::kRings);
-  // Degraded worlds always run flat: the k-ary schedule assumes rank 0 is
-  // the releaser and every interior node forwards, neither of which holds
-  // once a rank is fenced. Flat with a survivor coordinator does.
-  if (!eng.any_fenced() &&
-      static_cast<std::uint32_t>(size()) >= eng.barrier_tree_ranks()) {
-    eng.counters().coll_barrier_tree++;
-    tree_barrier();
-  } else {
-    eng.counters().coll_barrier_flat++;
-    flat_barrier();
-  }
-}
 
 void Comm::barrier_p2p() {
   Engine& eng = engine_;
@@ -229,7 +363,7 @@ void Comm::barrier() {
   if (size() > 1 && eng.coll_view().valid() &&
       eng.world().coll_mode() != coll::Mode::kP2p) {
     eng.counters().coll_shm_ops++;
-    shm_barrier();
+    shm_barrier(eng);
     return;
   }
   eng.counters().coll_p2p_ops++;
@@ -241,123 +375,36 @@ void Comm::barrier() {
 // ---------------------------------------------------------------------------
 
 void Comm::bcast_p2p(void* buf, std::size_t bytes, int root) {
-  Engine& eng = engine_;
-  std::uint64_t cs = next_coll_seq(eng);
-  int n = size(), r = rank();
+  int tag = coll_tag(next_coll_seq(engine_), 0);
+  int n = size();
   // Binomial tree rooted at `root`; relative ranks make the tree uniform.
-  int vr = (r - root + n) % n;
-  int tag = coll_tag(cs, 0);
-  // Receive from parent.
-  if (vr != 0) {
-    int mask = 1;
-    while ((vr & mask) == 0) mask <<= 1;
-    int parent = ((vr & ~mask) + root) % n;
-    recv(buf, bytes, parent, tag, nullptr, 1);
-  }
-  // Forward to children.
-  int mask = 1;
-  while (mask < n && (vr & (mask - 1)) == 0) {
-    if ((vr & mask) == 0) {
-      int child_vr = vr | mask;
-      if (child_vr < n) send(buf, bytes, (child_vr + root) % n, tag, 1);
-    }
-    mask <<= 1;
-  }
-}
-
-void Comm::bcast_shm(void* buf, std::size_t bytes, int root,
-                     std::uint64_t epoch) {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  shm::Arena& arena = cw.arena();
-  int n = size(), r = rank();
-  eng.counters().coll_shm_bytes += bytes;
-  std::size_t nt_min =
-      eng.world().tuning()
-          .for_placement(PairPlacement::kDifferentSockets)
-          .nt_min;
-  SubGeom g = sub_geometry(cw.slot_bytes());
-
-  if (r == root) {
-    if (bytes > 0 && arena.contains(buf, bytes)) {
-      // Direct: publish the source offset, every reader pulls straight from
-      // the user buffer — zero staging copies.
-      cw.begin_epoch(r, epoch, arena.offset_of(buf), bytes);
-      for (int i = 0; i < n; ++i)
-        if (i != r && !eng.rank_fenced(i))
-          spin_until(eng, resil::Site::kCollAck, i,
-                     [&] { return cw.acked(i, epoch, 1); });
-      return;
-    }
-    // Staged: NT-stream once into the slot, chunked over the sub-buffers
-    // with a doorbell so readers pipeline behind the writer; reader acks
-    // gate sub-buffer reuse for messages larger than the slot.
-    std::uint64_t nchunks = div_ceil(bytes, g.sub);
-    cw.begin_epoch(r, epoch, shm::kNil, bytes);
-    const std::byte* src = static_cast<const std::byte*>(buf);
-    bool nt = bytes >= nt_min;
-    for (std::uint64_t i = 0; i < nchunks; ++i) {
-      if (i >= g.nsub) {
-        std::uint64_t need = i - g.nsub + 1;
-        for (int k = 0; k < n; ++k)
-          if (k != r && !eng.rank_fenced(k))
-            spin_until(eng, resil::Site::kCollAck, k,
-                       [&] { return cw.acked(k, epoch, need); });
-      }
-      std::size_t off = static_cast<std::size_t>(i) * g.sub;
-      std::size_t len = std::min(g.sub, bytes - off);
-      shm::copy_for(nt, cw.payload(r) + (i % g.nsub) * g.sub, src + off, len);
-      cw.publish_chunks(r, i + 1);
-    }
-    std::uint64_t fin = std::max<std::uint64_t>(nchunks, 1);
-    for (int k = 0; k < n; ++k)
-      if (k != r && !eng.rank_fenced(k))
-        spin_until(eng, resil::Site::kCollAck, k,
-                   [&] { return cw.acked(k, epoch, fin); });
-    return;
-  }
-
-  // Reader.
-  std::byte* dst = static_cast<std::byte*>(buf);
-  spin_until(eng, resil::Site::kCollDoorbell, root,
-             [&] { return cw.ready(root, epoch, 0); });
-  coll::SlotHeader* h = cw.header(root);
-  std::uint64_t src_off = h->src_off;
-  std::size_t total = h->bytes;
-  if (src_off != shm::kNil) {
-    shm::copy_for(total >= nt_min, dst, arena.at(src_off), total);
-    cw.set_ack(r, epoch, 1);
-    return;
-  }
-  std::uint64_t nchunks = div_ceil(total, g.sub);
-  for (std::uint64_t i = 0; i < nchunks; ++i) {
-    spin_until(eng, resil::Site::kCollDoorbell, root,
-               [&] { return cw.ready(root, epoch, i + 1); });
-    std::size_t off = static_cast<std::size_t>(i) * g.sub;
-    std::size_t len = std::min(g.sub, total - off);
-    shm::copy_for(total >= nt_min, dst + off,
-                  cw.payload(root) + (i % g.nsub) * g.sub, len);
-    cw.set_ack(r, epoch, i + 1);
-  }
-  if (nchunks == 0) cw.set_ack(r, epoch, 1);
+  auto real = [&](int v) { return (v + root) % n; };
+  coll_detail::binomial(
+      (rank() - root + n) % n, n,
+      [&](int parent) { recv(buf, bytes, real(parent), tag, nullptr, 1); },
+      [&](int child) { send(buf, bytes, real(child), tag, 1); });
 }
 
 void Comm::bcast(void* buf, std::size_t bytes, int root) {
   if (size() == 1) return;
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpBcast, bytes);
-  if (use_hier_coll(bytes)) {
+  bool fits = ack_budget_ok(eng, bytes);
+  if (fits && use_hier_coll(bytes)) {
     bcast_hier(buf, bytes, root, next_coll_seq(eng));
     return;
   }
-  std::size_t need =
-      eng.coll_view().valid() &&
-              ack_budget_ok(eng.coll_view().slot_bytes(), bytes)
-          ? kCacheLine
-          : SIZE_MAX;  // Over budget: fail the slot check -> p2p.
-  if (use_shm_coll(bytes, need)) {
-    std::uint64_t cs = next_coll_seq(eng);
-    bcast_shm(buf, bytes, root, epoch_base(cs));
+  // Over budget: fail the slot check -> p2p.
+  if (use_shm_coll(bytes, fits ? kCacheLine : SIZE_MAX)) {
+    eng.counters().coll_shm_bytes += bytes;
+    // The root NT-streams once into its slot (or publishes an
+    // arena-resident buffer); readers copy out, past the cache when large.
+    bool nt = bytes >= nt_min(eng);
+    SlotStream s(eng, root, epoch_base(next_coll_seq(eng)), bytes, true);
+    if (rank() == root)
+      s.write(buf, nt, [](int) { return true; });
+    else
+      s.read(rank(), buf, nt);
     return;
   }
   bcast_p2p(buf, bytes, root);
@@ -440,74 +487,6 @@ void Comm::allgather_p2p(const void* sendbuf, std::size_t per_rank,
   }
 }
 
-void Comm::allgather_shm(const void* sendbuf, std::size_t per_rank,
-                         void* recvbuf, std::uint64_t epoch) {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  shm::Arena& arena = cw.arena();
-  int n = size(), r = rank();
-  std::size_t nt_min = eng.world()
-                           .tuning()
-                           .for_placement(PairPlacement::kDifferentSockets)
-                           .nt_min;
-  eng.counters().coll_shm_bytes += per_rank * static_cast<std::size_t>(n - 1);
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t slot = cw.slot_bytes();
-
-  // Publish: direct offset when the block is arena-resident (readers pull
-  // straight from the user buffer), else the number of staged rounds.
-  bool direct = per_rank > 0 && arena.contains(in, per_rank);
-  std::uint64_t my_rounds = direct ? 0 : div_ceil(per_rank, slot);
-  cw.begin_epoch(r, epoch,
-                 direct ? arena.offset_of(in) : shm::kNil, my_rounds);
-  std::memcpy(out + static_cast<std::size_t>(r) * per_rank, in, per_rank);
-
-  // Everyone reads every header before round 0 so all ranks agree on the
-  // global round count (staged and direct writers may coexist).
-  // Fenced writers never publish (their headers are tombstoned); survivors
-  // skip them and leave the dead rank's recvbuf block untouched.
-  std::uint64_t rounds = std::max<std::uint64_t>(my_rounds, 1);
-  for (int w = 0; w < n; ++w) {
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollDoorbell, w,
-               [&] { return cw.ready(w, epoch, 0); });
-    rounds = std::max(rounds, cw.header(w)->bytes);
-  }
-
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    if (t < my_rounds) {
-      std::size_t off = static_cast<std::size_t>(t) * slot;
-      std::size_t len = std::min(slot, per_rank - off);
-      std::memcpy(cw.payload(r), in + off, len);
-      cw.publish_chunks(r, t + 1);
-    }
-    for (int w = 0; w < n; ++w) {
-      if (w == r || eng.rank_fenced(w)) continue;
-      coll::SlotHeader* h = cw.header(w);
-      std::byte* dst = out + static_cast<std::size_t>(w) * per_rank;
-      if (h->src_off != shm::kNil) {
-        // Whole direct-read blocks can dwarf the LLC; stream past it like
-        // bcast does (staged chunks below stay cached — they are bounded
-        // by the slot and consumed immediately).
-        if (t == 0)
-          shm::copy_for(per_rank >= nt_min, dst, arena.at(h->src_off),
-                        per_rank);
-        continue;
-      }
-      if (t >= h->bytes) continue;  // This writer already finished.
-      spin_until(eng, resil::Site::kCollDoorbell, w,
-                 [&] { return cw.ready(w, epoch, t + 1); });
-      std::size_t off = static_cast<std::size_t>(t) * slot;
-      std::size_t len = std::min(slot, per_rank - off);
-      std::memcpy(dst + off, cw.payload(w), len);
-    }
-    // Reuse gate: no writer may overwrite its slot (or return, freeing its
-    // direct-read buffer) before every reader finished the round.
-    shm_barrier();
-  }
-}
-
 void Comm::allgather(const void* sendbuf, std::size_t per_rank,
                      void* recvbuf) {
   if (size() == 1) {
@@ -516,65 +495,44 @@ void Comm::allgather(const void* sendbuf, std::size_t per_rank,
   }
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpAllgather, per_rank);
-  if (use_shm_coll(per_rank, kCacheLine)) {
-    std::uint64_t cs = next_coll_seq(eng);
-    allgather_shm(sendbuf, per_rank, recvbuf, epoch_base(cs));
+  if (!use_shm_coll(per_rank, kCacheLine)) {
+    allgather_p2p(sendbuf, per_rank, recvbuf);
     return;
   }
-  allgather_p2p(sendbuf, per_rank, recvbuf);
+  // One chunk shared by every destination: the whole slot per round.
+  coll::WorldColl& cw = eng.coll_view();
+  int n = size(), r = rank();
+  eng.counters().coll_shm_bytes += per_rank * static_cast<std::size_t>(n - 1);
+  const auto* in = static_cast<const std::byte*>(sendbuf);
+  auto* out = static_cast<std::byte*>(recvbuf);
+  std::size_t slot = cw.slot_bytes();
+  std::size_t nt = nt_min(eng);
+  bool direct = per_rank > 0 && cw.arena().contains(in, per_rank);
+  Exchange x(eng, epoch_base(next_coll_seq(eng)), direct ? in : nullptr,
+             direct ? 0 : div_ceil(per_rank, slot));
+  std::memcpy(out + static_cast<std::size_t>(r) * per_rank, in, per_rank);
+  x.run(
+      [&](std::uint64_t t, std::byte* dst) {
+        std::size_t off = static_cast<std::size_t>(t) * slot;
+        std::memcpy(dst, in + off, std::min(slot, per_rank - off));
+      },
+      [&](int w, std::uint64_t t, const std::byte* src, bool whole) {
+        std::byte* dst = out + static_cast<std::size_t>(w) * per_rank;
+        // Whole direct-read blocks can dwarf the LLC; stream past it like
+        // bcast does (staged chunks stay cached — they are bounded by the
+        // slot and consumed immediately).
+        if (whole) {
+          shm::copy_for(per_rank >= nt, dst, src, per_rank);
+          return;
+        }
+        std::size_t off = static_cast<std::size_t>(t) * slot;
+        std::memcpy(dst + off, src, std::min(slot, per_rank - off));
+      });
 }
 
 // ---------------------------------------------------------------------------
 // Alltoall(v)
 // ---------------------------------------------------------------------------
-
-void Comm::alltoall_p2p(const void* sendbuf, std::size_t per_rank,
-                        void* recvbuf) {
-  Engine& eng = engine_;
-  std::uint64_t cs = next_coll_seq(eng);
-  int n = size(), r = rank();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::memcpy(out + static_cast<std::size_t>(r) * per_rank,
-              in + static_cast<std::size_t>(r) * per_rank, per_rank);
-  int tag = coll_tag(cs, 0);
-  // Pairwise exchange: at step s talk to (r^s) when n is a power of two,
-  // else to (r+s, r-s). Marked collective so the policy can use its lower
-  // activation threshold (§4.4).
-  bool pow2 = (n & (n - 1)) == 0;
-  for (int s = 1; s < n; ++s) {
-    int to = pow2 ? (r ^ s) : (r + s) % n;
-    int from = pow2 ? (r ^ s) : (r - s + n) % n;
-    ConstSegmentList ssegs{
-        {in + static_cast<std::size_t>(to) * per_rank, per_rank}};
-    SegmentList rsegs{
-        {out + static_cast<std::size_t>(from) * per_rank, per_rank}};
-    Request sq = engine_.start_send(std::move(ssegs), to, tag,
-                                    /*collective=*/true, /*context=*/1);
-    Request rq = engine_.start_recv(std::move(rsegs), from, tag, 1);
-    wait(sq);
-    wait(rq);
-  }
-}
-
-void Comm::alltoall_shm(const void* sendbuf, std::size_t per_rank,
-                        void* recvbuf, std::uint64_t epoch) {
-  // The uniform exchange is exactly alltoallv with constant counts and
-  // dense displacements; one shared implementation keeps the concurrent
-  // round schedule in a single place. Scratch is thread-local (one vector
-  // per rank thread, reused across calls) so the fast path stays free of
-  // steady-state heap traffic.
-  auto nsz = static_cast<std::size_t>(size());
-  static thread_local std::vector<std::size_t> meta;
-  meta.resize(2 * nsz);
-  std::size_t* counts = meta.data();
-  std::size_t* displs = meta.data() + nsz;
-  for (std::size_t d = 0; d < nsz; ++d) {
-    counts[d] = per_rank;
-    displs[d] = d * per_rank;
-  }
-  alltoallv_shm(sendbuf, counts, displs, recvbuf, counts, displs, epoch);
-}
 
 void Comm::alltoall(const void* sendbuf, std::size_t per_rank,
                     void* recvbuf) {
@@ -590,136 +548,11 @@ void Comm::alltoall(const void* sendbuf, std::size_t per_rank,
   if (use_hier_coll(per_rank) &&
       alltoall_hier(sendbuf, per_rank, recvbuf, next_coll_seq(eng)))
     return;
-  if (use_shm_coll(per_rank,
-                   coll::alltoall_chunk_capacity(
-                       eng.coll_view().valid() ? eng.coll_view().slot_bytes()
-                                               : 0,
-                       size()))) {
-    std::uint64_t cs = next_coll_seq(eng);
-    alltoall_shm(sendbuf, per_rank, recvbuf, epoch_base(cs));
-    return;
-  }
-  alltoall_p2p(sendbuf, per_rank, recvbuf);
-}
-
-void Comm::alltoallv_p2p(const void* sendbuf, const std::size_t* scounts,
-                         const std::size_t* sdispls, void* recvbuf,
-                         const std::size_t* rcounts,
-                         const std::size_t* rdispls) {
-  Engine& eng = engine_;
-  std::uint64_t cs = next_coll_seq(eng);
-  int n = size(), r = rank();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::memcpy(out + rdispls[r], in + sdispls[r], scounts[r]);
-  int tag = coll_tag(cs, 0);
-  bool pow2 = (n & (n - 1)) == 0;
-  for (int s = 1; s < n; ++s) {
-    int to = pow2 ? (r ^ s) : (r + s) % n;
-    int from = pow2 ? (r ^ s) : (r - s + n) % n;
-    Request sq, rq;
-    if (scounts[to] > 0) {
-      ConstSegmentList ssegs{{in + sdispls[to], scounts[to]}};
-      sq = engine_.start_send(std::move(ssegs), to, tag, /*collective=*/true,
-                              /*context=*/1);
-    }
-    if (rcounts[from] > 0) {
-      SegmentList rsegs{{out + rdispls[from], rcounts[from]}};
-      rq = engine_.start_recv(std::move(rsegs), from, tag, 1);
-    }
-    if (sq) wait(sq);
-    if (rq) wait(rq);
-  }
-}
-
-void Comm::alltoallv_shm(const void* sendbuf, const std::size_t* scounts,
-                         const std::size_t* sdispls, void* recvbuf,
-                         const std::size_t* rcounts,
-                         const std::size_t* rdispls, std::uint64_t epoch) {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  shm::Arena& arena = cw.arena();
-  int n = size(), r = rank();
-  std::size_t nt_min = eng.world()
-                           .tuning()
-                           .for_placement(PairPlacement::kDifferentSockets)
-                           .nt_min;
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t cap = coll::alltoall_chunk_capacity(cw.slot_bytes(), n);
-
-  // Direct when the whole send span is arena-resident; the per-dest table
-  // then carries absolute (offset, len) entries. Staged writers chunk each
-  // destination block through their per-dest stride; header.bytes carries
-  // the writer's round count so mixed modes agree on the schedule.
-  std::size_t span = 0, send_max = 0, my_bytes = 0;
-  for (int d = 0; d < n; ++d) {
-    span = std::max(span, sdispls[d] + scounts[d]);
-    if (d != r) {
-      send_max = std::max(send_max, scounts[d]);
-      my_bytes += scounts[d];
-    }
-  }
-  eng.counters().coll_shm_bytes += my_bytes;
-  bool direct = span > 0 && arena.contains(in, span);
-  std::uint64_t my_rounds = direct ? 0 : div_ceil(send_max, cap);
-  std::uint64_t* tab = cw.table(r);
-  if (direct) {
-    std::uint64_t base = arena.offset_of(in);
-    for (int d = 0; d < n; ++d) {
-      tab[2 * d] = base + sdispls[d];
-      tab[2 * d + 1] = scounts[d];
-    }
-  }
-  cw.begin_epoch(r, epoch, direct ? arena.offset_of(in) : shm::kNil,
-                 my_rounds);
-  std::memcpy(out + rdispls[r], in + sdispls[r], scounts[r]);
-
-  std::uint64_t rounds = std::max<std::uint64_t>(my_rounds, 1);
-  for (int w = 0; w < n; ++w) {
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollDoorbell, w,
-               [&] { return cw.ready(w, epoch, 0); });
-    rounds = std::max(rounds, cw.header(w)->bytes);
-  }
-
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    if (t < my_rounds) {
-      std::size_t off = static_cast<std::size_t>(t) * cap;
-      for (int d = 0; d < n; ++d) {
-        if (d == r || off >= scounts[d]) continue;
-        std::size_t len = std::min(cap, scounts[d] - off);
-        std::memcpy(cw.payload(r) + dest_index(r, d) * cap,
-                    in + sdispls[d] + off, len);
-      }
-      cw.publish_chunks(r, t + 1);
-    }
-    for (int w = 0; w < n; ++w) {
-      if (w == r || eng.rank_fenced(w)) continue;
-      coll::SlotHeader* h = cw.header(w);
-      std::byte* dst = out + rdispls[w];
-      if (h->src_off != shm::kNil) {
-        if (t == 0) {
-          const std::uint64_t* wt = cw.table(w);
-          std::uint64_t len = wt[2 * r + 1];
-          NEMO_ASSERT(len == rcounts[w]);
-          // Whole direct-read blocks stream past the cache above nt_min,
-          // like bcast; staged chunks stay cached (slot-bounded).
-          if (len > 0)
-            shm::copy_for(len >= nt_min, dst, arena.at(wt[2 * r]), len);
-        }
-        continue;
-      }
-      if (t >= h->bytes) continue;
-      spin_until(eng, resil::Site::kCollDoorbell, w,
-                 [&] { return cw.ready(w, epoch, t + 1); });
-      std::size_t off = static_cast<std::size_t>(t) * cap;
-      if (off >= rcounts[w]) continue;
-      std::size_t len = std::min(cap, rcounts[w] - off);
-      std::memcpy(dst + off, cw.payload(w) + dest_index(w, r) * cap, len);
-    }
-    shm_barrier();
-  }
+  bool shm = use_shm_coll(
+      per_rank, coll::alltoall_chunk_capacity(slot_bytes(eng), size()));
+  Blocks uniform{nullptr, nullptr, per_rank};
+  alltoall_blocks(eng, static_cast<const std::byte*>(sendbuf), uniform,
+                  static_cast<std::byte*>(recvbuf), uniform, shm);
 }
 
 std::size_t Comm::alltoallv_min_row_bytes(const std::size_t* scounts) {
@@ -738,8 +571,8 @@ std::size_t Comm::alltoallv_min_row_bytes(const std::size_t* scounts) {
     // Probe cells are exact-match parity buffers, so a dead rank's cell can
     // never be tombstoned to "always ready" — survivors must skip it.
     if (w == r || eng.rank_fenced(w)) continue;
-    spin_until_quiet(eng, resil::Site::kCollProbe, w,
-                     [&] { return cw.probe_ready(w, seq); });
+    spin_until(eng, resil::Site::kCollProbe, w, false,
+               [&] { return cw.probe_ready(w, seq); });
     mn = std::min(mn, cw.probe_value(w, seq));
   }
   return mn;
@@ -748,10 +581,10 @@ std::size_t Comm::alltoallv_min_row_bytes(const std::size_t* scounts) {
 void Comm::alltoallv(const void* sendbuf, const std::size_t* scounts,
                      const std::size_t* sdispls, void* recvbuf,
                      const std::size_t* rcounts, const std::size_t* rdispls) {
+  const auto* in = static_cast<const std::byte*>(sendbuf);
+  auto* out = static_cast<std::byte*>(recvbuf);
   if (size() == 1) {
-    std::memcpy(static_cast<std::byte*>(recvbuf) + rdispls[0],
-                static_cast<const std::byte*>(sendbuf) + sdispls[0],
-                scounts[0]);
+    std::memcpy(out + rdispls[0], in + sdispls[0], scounts[0]);
     return;
   }
   Engine& eng = engine_;
@@ -767,19 +600,13 @@ void Comm::alltoallv(const void* sendbuf, const std::size_t* scounts,
   // (worth ~0.6 us/op at 2 ranks, the gating PR 4 gave up). Forced modes
   // and arenaless worlds skip the probe — the conditions below are all
   // world-symmetric, so every rank agrees on whether it runs.
-  std::size_t cap = coll::alltoall_chunk_capacity(
-      eng.coll_view().valid() ? eng.coll_view().slot_bytes() : 0, size());
+  std::size_t cap = coll::alltoall_chunk_capacity(slot_bytes(eng), size());
   std::size_t proxy = SIZE_MAX;
   if (eng.coll_view().valid() && cap > 0 &&
       eng.world().coll_mode() == coll::Mode::kAuto)
     proxy = alltoallv_min_row_bytes(scounts);
-  if (use_shm_coll(proxy, cap)) {
-    std::uint64_t cs = next_coll_seq(eng);
-    alltoallv_shm(sendbuf, scounts, sdispls, recvbuf, rcounts, rdispls,
-                  epoch_base(cs));
-    return;
-  }
-  alltoallv_p2p(sendbuf, scounts, sdispls, recvbuf, rcounts, rdispls);
+  bool shm = use_shm_coll(proxy, cap);
+  alltoall_blocks(eng, in, {scounts, sdispls}, out, {rcounts, rdispls}, shm);
 }
 
 // ---------------------------------------------------------------------------
@@ -790,34 +617,23 @@ void Comm::alltoallv(const void* sendbuf, const std::size_t* scounts,
 // segment lists to the engine, which gathers into cells / transfers them via
 // the segment-capable LMT backends. Neither family materialises an
 // intermediate contiguous staging buffer — the pack-path telemetry records
-// every op as `direct`, and a test asserts `staged` stays zero.
+// every op as `direct`.
 // ---------------------------------------------------------------------------
 
-void Comm::pack_into(const void* base, const Datatype& dt, std::size_t count,
-                     std::byte* dst, bool direct) {
+namespace {
+
+/// Pack `count` elements of `dt` at `base` into a shared slot, streaming
+/// through the NT engine above the tuned threshold.
+void pack_into(Engine& eng, const std::byte* base, const Datatype& dt,
+               std::size_t count, std::byte* dst) {
   std::size_t bytes = dt.size() * count;
-  bool nt = bytes >= engine_.pack_nt_min();
-  dt.pack(static_cast<const std::byte*>(base), count, dst, nt);
-  tune::Counters& c = engine_.counters();
-  if (direct) {
-    c.pack_direct_ops++;
-    c.pack_direct_bytes += bytes;
-  } else {
-    c.pack_staged_ops++;
-    c.pack_staged_bytes += bytes;
-  }
+  bool nt = bytes >= eng.pack_nt_min();
+  dt.pack(base, count, dst, nt);
+  tune::Counters& c = eng.counters();
+  c.pack_direct_ops++;
+  c.pack_direct_bytes += bytes;
   if (nt) c.pack_nt_ops++;
 }
-
-void Comm::unpack_from(const std::byte* src, const Datatype& dt,
-                       std::size_t count, void* base) {
-  // Cached stores: the unpacked blocks land in the user's receive buffer,
-  // which the caller is about to touch.
-  dt.unpack(src, count, static_cast<std::byte*>(base));
-  engine_.counters().unpack_ops++;
-}
-
-namespace {
 
 /// Self-exchange: re-layout `count` elements from sdt at `in` to rdt at
 /// `out` through the two segment maps (no staging buffer).
@@ -834,107 +650,18 @@ void strided_self_copy(const std::byte* in, const Datatype& sdt,
 void Comm::alltoall_strided(const void* sendbuf, const Datatype& sdt,
                             std::size_t count, void* recvbuf,
                             const Datatype& rdt) {
-  NEMO_ASSERT(sdt.size() == rdt.size());
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  if (size() == 1) {
-    strided_self_copy(in, sdt, out, rdt, count);
-    return;
-  }
-  Engine& eng = engine_;
-  std::size_t packed = sdt.size() * count;
-  std::size_t cap = coll::alltoall_chunk_capacity(
-      eng.coll_view().valid() ? eng.coll_view().slot_bytes() : 0, size());
-  // Single deposit round: the packed per-destination block must fit one
-  // per-dest chunk, else the need is unmeetable and use_shm_coll records
-  // the p2p fallback. World-symmetric (dt/count are the same everywhere).
-  std::size_t need = packed > 0 && packed <= cap ? cap : SIZE_MAX;
-  if (use_shm_coll(packed, need)) {
-    std::uint64_t cs = next_coll_seq(eng);
-    alltoall_strided_shm(in, sdt, count, out, rdt, epoch_base(cs));
-    return;
-  }
-  alltoall_strided_p2p(in, sdt, count, out, rdt);
-}
-
-void Comm::alltoall_strided_shm(const void* sendbuf, const Datatype& sdt,
-                                std::size_t count, void* recvbuf,
-                                const Datatype& rdt, std::uint64_t epoch) {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  int n = size(), r = rank();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t cap = coll::alltoall_chunk_capacity(cw.slot_bytes(), n);
-  std::size_t packed = sdt.size() * count;
-  std::size_t sext = count * sdt.extent(), rext = count * rdt.extent();
-  NEMO_ASSERT(packed <= cap);
-  eng.counters().coll_shm_bytes +=
-      packed * static_cast<std::size_t>(n - 1);
-
-  // The per-dest slot chunk IS the pack buffer: each destination's strided
-  // block streams from the user buffer straight into shared memory, so the
-  // packed form exists exactly once.
-  cw.begin_epoch(r, epoch, shm::kNil, 1);
-  for (int d = 0; d < n; ++d) {
-    if (d == r) continue;
-    pack_into(in + static_cast<std::size_t>(d) * sext, sdt, count,
-              cw.payload(r) + dest_index(r, d) * cap, /*direct=*/true);
-  }
-  cw.publish_chunks(r, 1);
-  strided_self_copy(in + static_cast<std::size_t>(r) * sext, sdt,
-                    out + static_cast<std::size_t>(r) * rext, rdt, count);
-
-  for (int w = 0; w < n; ++w) {
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollDoorbell, w,
-               [&] { return cw.ready(w, epoch, 1); });
-    unpack_from(cw.payload(w) + dest_index(w, r) * cap, rdt, count,
-                out + static_cast<std::size_t>(w) * rext);
-  }
-  // Reuse gate: no writer may overwrite its slot before every reader
-  // unpacked this round.
-  shm_barrier();
-}
-
-void Comm::alltoall_strided_p2p(const void* sendbuf, const Datatype& sdt,
-                                std::size_t count, void* recvbuf,
-                                const Datatype& rdt) {
-  Engine& eng = engine_;
-  std::uint64_t cs = next_coll_seq(eng);
-  int n = size(), r = rank();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t sext = count * sdt.extent(), rext = count * rdt.extent();
-  std::size_t packed = sdt.size() * count;
-  strided_self_copy(in + static_cast<std::size_t>(r) * sext, sdt,
-                    out + static_cast<std::size_t>(r) * rext, rdt, count);
-  int tag = coll_tag(cs, 0);
-  bool pow2 = (n & (n - 1)) == 0;
-  for (int s = 1; s < n; ++s) {
-    int to = pow2 ? (r ^ s) : (r + s) % n;
-    int from = pow2 ? (r ^ s) : (r - s + n) % n;
-    // The merged segment lists go straight to the engine — cell gather on
-    // the eager path, vectorial transfer on the segment-capable backends.
-    ConstSegmentList ssegs =
-        sdt.map(in + static_cast<std::size_t>(to) * sext, count);
-    SegmentList rsegs =
-        rdt.map(out + static_cast<std::size_t>(from) * rext, count);
-    Request sq = engine_.start_send(std::move(ssegs), to, tag,
-                                    /*collective=*/true, /*context=*/1);
-    Request rq = engine_.start_recv(std::move(rsegs), from, tag, 1);
-    tune::Counters& c = eng.counters();
-    c.pack_direct_ops++;
-    c.pack_direct_bytes += packed;
-    c.unpack_ops++;
-    wait(sq);
-    wait(rq);
-  }
+  strided_coll(sendbuf, sdt, count, recvbuf, rdt, /*spread=*/true);
 }
 
 void Comm::allgather_strided(const void* sendbuf, const Datatype& sdt,
                              std::size_t count, void* recvbuf,
                              const Datatype& rdt) {
+  strided_coll(sendbuf, sdt, count, recvbuf, rdt, /*spread=*/false);
+}
+
+void Comm::strided_coll(const void* sendbuf, const Datatype& sdt,
+                        std::size_t count, void* recvbuf, const Datatype& rdt,
+                        bool spread) {
   NEMO_ASSERT(sdt.size() == rdt.size());
   const auto* in = static_cast<const std::byte*>(sendbuf);
   auto* out = static_cast<std::byte*>(recvbuf);
@@ -943,79 +670,61 @@ void Comm::allgather_strided(const void* sendbuf, const Datatype& sdt,
     return;
   }
   Engine& eng = engine_;
+  int n = size(), r = rank();
   std::size_t packed = sdt.size() * count;
-  std::size_t slot =
-      eng.coll_view().valid() ? eng.coll_view().slot_bytes() : 0;
-  // Single deposit round: the whole packed contribution must fit one slot.
-  std::size_t need = packed > 0 && packed <= slot ? kCacheLine : SIZE_MAX;
+  // Alltoall sends block d of the send buffer to rank d; allgather sends
+  // its one block to everyone (send stride 0).
+  std::size_t sext = spread ? count * sdt.extent() : 0;
+  std::size_t rext = count * rdt.extent();
+  // Alltoall packs each destination's block into its own slot stride;
+  // allgather packs its one block into the shared whole slot.
+  std::size_t chunk = spread
+                          ? coll::alltoall_chunk_capacity(slot_bytes(eng), n)
+                          : slot_bytes(eng);
+  auto stride = [&](int w, int d) {
+    return spread ? dest_index(w, d) * chunk : 0;
+  };
+  strided_self_copy(in + static_cast<std::size_t>(r) * sext, sdt,
+                    out + static_cast<std::size_t>(r) * rext, rdt, count);
+  // Single deposit round: the packed block must fit its chunk, else the
+  // need is unmeetable and use_shm_coll records the p2p fallback.
+  // World-symmetric (dt/count are the same everywhere).
+  std::size_t need = packed > 0 && packed <= chunk ? kCacheLine : SIZE_MAX;
   if (use_shm_coll(packed, need)) {
-    std::uint64_t cs = next_coll_seq(eng);
-    allgather_strided_shm(in, sdt, count, out, rdt, epoch_base(cs));
+    eng.counters().coll_shm_bytes +=
+        packed * static_cast<std::size_t>(n - 1);
+    // The slot chunk IS the pack buffer: each strided block streams from
+    // the user buffer straight into shared memory, so the packed form
+    // exists exactly once.
+    Exchange x(eng, epoch_base(next_coll_seq(eng)), nullptr, 1);
+    x.run(
+        [&](std::uint64_t, std::byte* slot) {
+          if (!spread) return pack_into(eng, in, sdt, count, slot);
+          for (int d = 0; d < n; ++d)
+            if (d != r)
+              pack_into(eng, in + static_cast<std::size_t>(d) * sext, sdt,
+                        count, slot + stride(r, d));
+        },
+        [&](int w, std::uint64_t, const std::byte* src, bool) {
+          // Cached stores: the unpacked blocks land in the user's receive
+          // buffer, which the caller is about to touch.
+          rdt.unpack(src + stride(w, r), count,
+                     out + static_cast<std::size_t>(w) * rext);
+          eng.counters().unpack_ops++;
+        });
     return;
   }
-  allgather_strided_p2p(in, sdt, count, out, rdt);
-}
-
-void Comm::allgather_strided_shm(const void* sendbuf, const Datatype& sdt,
-                                 std::size_t count, void* recvbuf,
-                                 const Datatype& rdt, std::uint64_t epoch) {
-  Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  int n = size(), r = rank();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t packed = sdt.size() * count;
-  std::size_t rext = count * rdt.extent();
-  NEMO_ASSERT(packed <= cw.slot_bytes());
-  eng.counters().coll_shm_bytes +=
-      packed * static_cast<std::size_t>(n - 1);
-
-  cw.begin_epoch(r, epoch, shm::kNil, 1);
-  pack_into(in, sdt, count, cw.payload(r), /*direct=*/true);
-  cw.publish_chunks(r, 1);
-  strided_self_copy(in, sdt, out + static_cast<std::size_t>(r) * rext, rdt,
-                    count);
-
-  for (int w = 0; w < n; ++w) {
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollDoorbell, w,
-               [&] { return cw.ready(w, epoch, 1); });
-    unpack_from(cw.payload(w), rdt, count,
-                out + static_cast<std::size_t>(w) * rext);
-  }
-  shm_barrier();
-}
-
-void Comm::allgather_strided_p2p(const void* sendbuf, const Datatype& sdt,
-                                 std::size_t count, void* recvbuf,
-                                 const Datatype& rdt) {
-  Engine& eng = engine_;
-  std::uint64_t cs = next_coll_seq(eng);
-  int n = size(), r = rank();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t rext = count * rdt.extent();
-  std::size_t packed = sdt.size() * count;
-  strided_self_copy(in, sdt, out + static_cast<std::size_t>(r) * rext, rdt,
-                    count);
-  int tag = coll_tag(cs, 0);
-  // Linear exchange of the local block (a ring would have to re-pack
-  // forwarded blocks — exactly the staging copy this path exists to avoid).
-  for (int s = 1; s < n; ++s) {
-    int to = (r + s) % n, from = (r - s + n) % n;
-    ConstSegmentList ssegs = sdt.map(in, count);
-    SegmentList rsegs =
-        rdt.map(out + static_cast<std::size_t>(from) * rext, count);
-    Request sq = engine_.start_send(std::move(ssegs), to, tag,
-                                    /*collective=*/true, /*context=*/1);
-    Request rq = engine_.start_recv(std::move(rsegs), from, tag, 1);
+  // The merged segment lists go straight to the engine — cell gather on
+  // the eager path, vectorial transfer on the segment-capable backends.
+  pairwise(eng, coll_tag(next_coll_seq(eng), 0), [&](int to, int from) {
     tune::Counters& c = eng.counters();
     c.pack_direct_ops++;
     c.pack_direct_bytes += packed;
     c.unpack_ops++;
-    wait(sq);
-    wait(rq);
-  }
+    return std::pair{
+        sdt.map(in + static_cast<std::size_t>(to) * sext, count),
+        rdt.map(out + static_cast<std::size_t>(from) * rext, count)};
+  });
 }
 
 // --- Reductions ---------------------------------------------------------------
@@ -1041,207 +750,75 @@ void Comm::reduce_impl(const T* in, T* out, std::size_t n, ReduceOp op,
   }
 }
 
-template <typename T>
-void Comm::allreduce_impl(const T* in, T* out, std::size_t n, ReduceOp op,
-                          int tag) {
-  reduce_impl<T>(in, out, n, op, 0, tag);
-  // Distribute via the p2p tree directly: the dispatcher already chose the
-  // p2p family for this operation (re-dispatching through bcast() would
-  // also double-count the op in the coll telemetry).
-  bcast_p2p(out, n * sizeof(T), 0);
-}
-
-/// Leader-based pipelined shm reduction (arena v2). Every non-leader rank
-/// deposits its operand (direct offset when arena-resident, else sub-buffer
-/// staged chunks, exactly the bcast geometry) and the leader folds each
-/// sub-chunk AS SOON AS every writer's doorbell for it fires — PR 4 instead
-/// serialized whole-slot rounds on the leader's doorbell. Folded chunks are
-/// published through the leader's own slot, where the result readers (the
-/// root for reduce, everyone for allreduce) pipeline behind the fold; for
-/// allreduce this fuses what used to be a separate full bcast phase into
-/// the fold itself. The leader is the NUMA-chosen World::coll_leader (the
-/// node owning the plurality of operand buffers), decoupled from the user
-/// root.
-///
-/// Fold order: the p2p oracle seeds with the ROOT's operand and then folds
-/// ranks 0..p-1 in ascending order, skipping the root. The leader
-/// reproduces exactly that element-wise order per chunk — direct operands
-/// are sliced too, even though they are fully available from chunk 0 — so
-/// the result matches the oracle bit-for-bit regardless of deposit modes,
-/// leader choice, or chunk size, and the cross-check tests can compare
-/// exactly.
+/// Leader-based pipelined shm reduction: an ordered fold whose leader
+/// stream doubles as the result stream. Every non-leader rank deposits its
+/// operand and the leader folds each sub-chunk as soon as every writer's
+/// doorbell for it fires, publishing the folded chunk through its own slot,
+/// where the result readers (the root for reduce, everyone for allreduce)
+/// pipeline behind the fold. The leader is the NUMA-chosen
+/// World::coll_leader (the node owning the plurality of operand buffers),
+/// decoupled from the user root; the fold seeds with the root's slice, as
+/// the p2p oracle does.
 ///
 /// Deadlock shape to respect: in allreduce every rank is writer AND reader.
 /// The leader's result sub-buffers recycle on reader acks, and writer
 /// deposits recycle on the leader's fold doorbell — if writers finished all
 /// deposits before consuming any result chunk, both gates could starve
-/// each other. Non-leader ranks therefore run deposit and result
+/// each other. Non-leader readers therefore run deposit and result
 /// consumption as one interleaved loop, advancing whichever side is ready.
 template <typename T>
 void Comm::reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op,
                       int root, bool all, std::uint64_t epoch) {
   Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
-  shm::Arena& arena = cw.arena();
   int p = size(), r = rank();
   // NUMA-chosen leader, remapped to the lowest survivor when the configured
   // leader has been fenced (world-symmetric after fence_world()).
   int leader = eng.effective_coll_leader();
   NEMO_ASSERT(leader >= 0 && leader < p);
-  std::size_t bytes = n * sizeof(T);
-  eng.counters().coll_shm_bytes += bytes;
-  SubGeom g = sub_geometry(cw.slot_bytes());
-  std::size_t chunk_elems = g.sub / sizeof(T);
-  NEMO_ASSERT(chunk_elems > 0);
-  // Every operand spans the same element count, so the chunk schedule is
-  // one world-symmetric value for every rank and both deposit modes.
-  std::uint64_t nchunks = div_ceil(n, chunk_elems);
-  std::uint64_t rounds = std::max<std::uint64_t>(1, nchunks);
-  bool reads_result = all || r == root;
+  eng.counters().coll_shm_bytes += n * sizeof(T);
+  SlotStream lead(eng, leader, epoch, n * sizeof(T), true);
+  auto reads = [&](int k) { return all || k == root; };
 
   if (r != leader) {
-    bool direct = bytes > 0 && arena.contains(in, bytes);
-    std::uint64_t my_chunks = direct ? 0 : nchunks;
-    cw.begin_epoch(r, epoch, direct ? arena.offset_of(in) : shm::kNil,
-                   my_chunks);
-    std::uint64_t dep = 0, got = 0;
-    std::uint32_t spins = 0;
-    bool stalled = false;
-    // Both sides of the interleaved loop block on the leader, so the guard
-    // watches it; a dead leader makes the whole op unfinishable.
-    resil::WaitGuard guard =
-        eng.make_guard(resil::Site::kCollDoorbell, leader);
-    try {
-      while (dep < my_chunks || (reads_result && got < rounds)) {
-        bool advanced = false;
-        // Deposit side. Sub-buffer reuse gate: the leader's doorbell at
-        // dep-nsub+1 proves it folded chunk dep-nsub out of every slot.
-        if (dep < my_chunks &&
-            (dep < g.nsub || cw.ready(leader, epoch, dep - g.nsub + 1))) {
-          std::size_t first = static_cast<std::size_t>(dep) * chunk_elems;
-          std::size_t cnt = std::min(chunk_elems, n - first);
-          trace::Span dsp(eng.tracer(), trace::kCollDeposit,
-                          trace::Mode::kRings, dep, cnt * sizeof(T));
-          resil::fault_point(resil::Site::kCollDeposit, r);
-          std::memcpy(cw.payload(r) + (dep % g.nsub) * g.sub, in + first,
-                      cnt * sizeof(T));
-          cw.publish_chunks(r, ++dep);
-          advanced = true;
-        }
-        // Result side: consume folded chunks as the leader publishes them.
-        if (reads_result && got < rounds &&
-            cw.ready(leader, epoch, got + 1)) {
-          std::size_t first = static_cast<std::size_t>(got) * chunk_elems;
-          std::size_t cnt = first < n ? std::min(chunk_elems, n - first) : 0;
-          trace::Span rsp(eng.tracer(), trace::kCollRelease,
-                          trace::Mode::kRings, got, cnt * sizeof(T));
-          if (cnt > 0)
-            std::memcpy(out + first,
-                        cw.payload(leader) + (got % g.nsub) * g.sub,
-                        cnt * sizeof(T));
-          cw.set_ack(r, epoch, ++got);
-          advanced = true;
-        }
-        if (!advanced) {
-          if (!stalled) {
-            eng.counters().coll_epoch_stalls++;
-            if (trace::on())
-              eng.tracer().emit(trace::kEpochStall, trace::kInstant,
-                                static_cast<std::uint64_t>(leader));
-            stalled = true;
-          }
-          if ((++spins & 0x3F) == 0) {
-            eng.progress();
-            guard.check();
-            std::this_thread::yield();
-          }
-        }
+    FoldWriter dep(eng, lead, in);
+    if (!reads(r)) {
+      dep.finish();
+      return;
+    }
+    auto* dst = reinterpret_cast<std::byte*>(out);
+    std::uint64_t got = 0;
+    auto take = [&] {
+      if (got == lead.chunks() || !lead.ready(got)) return false;
+      trace::Span sp(eng.tracer(), trace::kCollRelease, trace::Mode::kRings,
+                     got, lead.length(got));
+      lead.take(r, got++, dst, false);
+      return true;
+    };
+    // Both sides block on the leader, so the wait watches it; a dead
+    // leader makes the whole op unfinishable.
+    spin_until(eng, resil::Site::kCollDoorbell, leader, true, [&] {
+      while (dep.step() || take()) {
       }
-    } catch (const resil::PeerDeadError& e) {
-      eng.peer_death_fence(e);
-      throw;
-    }
-    if (!reads_result) {
-      // Pure writer: a direct operand is read chunk by chunk, so the
-      // buffer stays live until the fold's LAST doorbell; ack so the
-      // leader can return (and its slot be reused by the next collective).
-      spin_until(eng, resil::Site::kCollDoorbell, leader,
-                 [&] { return cw.ready(leader, epoch, rounds); });
-      cw.set_ack(r, epoch, rounds);
-    }
+      return dep.done() && got == lead.chunks();
+    });
     return;
   }
 
-  // Leader. Snapshot every writer's direct-read offset during the gather: a
-  // writer that deposited nothing (direct mode) still exits only after the
-  // final doorbell + ack, but its header may be reopened for the NEXT
-  // collective the moment it does — never re-read it mid-fold.
-  std::vector<std::uint64_t> src_offs(static_cast<std::size_t>(p), shm::kNil);
-  for (int w = 0; w < p; ++w) {
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollGather, w,
-               [&] { return cw.ready(w, epoch, 0); });
-    src_offs[static_cast<std::size_t>(w)] = cw.header(w)->src_off;
-  }
-  bool stage_result = all || r != root;  // Someone reads from our slot.
-  bool want_result = all || r == root;   // Our own `out` is significant.
-  cw.begin_epoch(r, epoch, shm::kNil, 0);
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    std::size_t first = static_cast<std::size_t>(t) * chunk_elems;
-    std::size_t cnt = first < n ? std::min(chunk_elems, n - first) : 0;
-    if (cnt > 0) {
-      trace::Span fsp(eng.tracer(), trace::kCollFold, trace::Mode::kRings, t,
-                      cnt * sizeof(T));
-      T* dst;
-      if (stage_result) {
-        // Result sub-buffer reuse gate: every reader acked the chunk that
-        // previously occupied this sub-buffer.
-        if (t >= g.nsub) {
-          std::uint64_t need = t - g.nsub + 1;
-          for (int k = 0; k < p; ++k)
-            if (k != r && (all || k == root) && !eng.rank_fenced(k))
-              spin_until(eng, resil::Site::kCollAck, k,
-                         [&] { return cw.acked(k, epoch, need); });
-        }
-        dst = reinterpret_cast<T*>(cw.payload(r) + (t % g.nsub) * g.sub);
-      } else {
-        dst = out + first;
-      }
-      // Seed with the root's slice, then fold 0..p-1 ascending skipping
-      // the root: the exact element-wise order of the p2p oracle,
-      // independent of who leads. Fenced ranks contribute nothing; a
-      // fenced root's seed falls back to the lowest surviving rank (the
-      // oracle over the survivor set).
-      auto slice_of = [&](int w) -> const T* {
-        if (w == r) return in + first;
-        if (src_offs[static_cast<std::size_t>(w)] != shm::kNil)
-          return reinterpret_cast<const T*>(
-                     arena.at(src_offs[static_cast<std::size_t>(w)])) +
-                 first;
-        spin_until(eng, resil::Site::kCollDoorbell, w,
-                   [&] { return cw.ready(w, epoch, t + 1); });
-        return reinterpret_cast<const T*>(cw.payload(w) +
-                                          (t % g.nsub) * g.sub);
-      };
-      int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
-      resil::fault_point(resil::Site::kCollFold, r);
-      std::memcpy(dst, slice_of(seed), cnt * sizeof(T));
-      for (int w = 0; w < p; ++w) {
-        if (w == seed || eng.rank_fenced(w)) continue;
-        fold_chunk(eng, op, dst, slice_of(w), cnt);
-      }
-      if (stage_result && want_result)
-        std::memcpy(out + first, dst, cnt * sizeof(T));
-    }
-    cw.publish_chunks(r, t + 1);  // Chunk t folded (and published).
-  }
-  // Final handshake: readers consumed the last result chunk, pure writers
-  // saw the final doorbell — every direct operand and our own slot are now
-  // dead for this epoch.
-  for (int w = 0; w < p; ++w)
-    if (w != r && !eng.rank_fenced(w))
-      spin_until(eng, resil::Site::kCollAck, w,
-                 [&] { return cw.acked(w, epoch, rounds); });
+  bool stage = all || r != root;  // Someone reads the result from our slot.
+  bool want = all || r == root;   // Our own `out` is significant.
+  // A fenced root's seed falls back to the lowest surviving rank (the
+  // oracle over the survivor set).
+  int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
+  fold_lead<T>(
+      eng, lead, op, in, 0, p, seed,
+      [&](std::uint64_t t) {
+        return stage ? reinterpret_cast<T*>(lead.claim(t, reads))
+                     : out + lead.offset(t) / sizeof(T);
+      },
+      [&](std::uint64_t t, const T* acc, std::size_t cnt) {
+        if (stage && want)
+          std::memcpy(out + lead.offset(t) / sizeof(T), acc, cnt * sizeof(T));
+      });
 }
 
 template <typename T>
@@ -1254,31 +831,27 @@ void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
   Engine& eng = engine_;
   CollScope obs(eng, all ? trace::kOpAllreduce : trace::kOpReduce,
                 n * sizeof(T));
-  // The pipelined fold tags reader acks per sub-chunk (and pure writers ack
-  // the final chunk count), so the staged-bcast ack chunk budget gates the
-  // shm path for reduce exactly as it does for bcast.
-  std::size_t need =
-      eng.coll_view().valid() &&
-              ack_budget_ok(eng.coll_view().slot_bytes(), n * sizeof(T))
-          ? kCacheLine
-          : SIZE_MAX;
+  // The fold and its result ride slot streams, so the stream's ack chunk
+  // budget gates both arena families exactly as it does for bcast.
+  bool fits = ack_budget_ok(eng, n * sizeof(T));
   std::uint64_t cs = next_coll_seq(eng);
   // Hierarchical two-level schedule: auto mode, enough synthetic nodes, and
   // (for reduce) root 0 — the chain fold reproduces the flat ascending
   // order only when the fold seeds at rank 0. `root` is a symmetric
   // argument, so the gate stays world-symmetric.
-  if ((all || root == 0) && use_hier_coll(n * sizeof(T))) {
+  if (fits && (all || root == 0) && use_hier_coll(n * sizeof(T))) {
     reduce_hier<T>(in, out, n, op, root, all, cs);
     return;
   }
-  if (use_shm_coll(n * sizeof(T), need)) {
+  if (use_shm_coll(n * sizeof(T), fits ? kCacheLine : SIZE_MAX)) {
     reduce_shm<T>(in, out, n, op, root, all, epoch_base(cs));
     return;
   }
-  if (all)
-    allreduce_impl<T>(in, out, n, op, coll_tag(cs, 1));
-  else
-    reduce_impl<T>(in, out, n, op, root, coll_tag(cs, 1));
+  reduce_impl<T>(in, out, n, op, all ? 0 : root, coll_tag(cs, 1));
+  // Allreduce distributes via the p2p tree directly: the dispatcher already
+  // chose the p2p family for this operation (re-dispatching through bcast()
+  // would also double-count the op in the coll telemetry).
+  if (all) bcast_p2p(out, n * sizeof(T), 0);
 }
 
 void Comm::reduce_f64(const double* in, double* out, std::size_t n,

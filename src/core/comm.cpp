@@ -382,8 +382,6 @@ Engine::Engine(World& world, int rank)
                                 shm::FastboxSlot::kHeaderBytes);
   drain_budget_ = std::max<std::uint32_t>(1, tuning.drain_budget);
   poll_hot_ = tuning.poll_hot;
-  barrier_tree_ranks_ = std::max<std::uint32_t>(2, tuning.barrier_tree_ranks);
-  barrier_tree_k_ = std::max<std::uint32_t>(2, tuning.barrier_tree_k);
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
   // overrode the table row (core/knobs.cpp), so resolving the table choice
   // against CPUID is the full precedence chain. pack_nt_min 0 means

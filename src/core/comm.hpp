@@ -382,15 +382,6 @@ class Engine {
   /// Next count-probe sequence (auto-mode alltoallv's size proxy); lock-step
   /// across ranks for the same reason.
   std::uint64_t next_coll_probe_seq() { return ++coll_probe_seq_; }
-  /// World size at/above which the arena barrier runs the k-ary tree
-  /// schedule (cached from the tuning table at construction).
-  [[nodiscard]] std::uint32_t barrier_tree_ranks() const {
-    return barrier_tree_ranks_;
-  }
-  /// Tree fan-in (cached, clamped >= 2).
-  [[nodiscard]] std::uint32_t barrier_tree_k() const {
-    return barrier_tree_k_;
-  }
   /// Reduction kernel every fold on this rank runs (NEMO_SIMD > tuning
   /// table > CPUID best; resolved once at construction).
   [[nodiscard]] simd::Kernel simd_kernel() const { return simd_kernel_; }
@@ -579,8 +570,6 @@ class Engine {
   coll::WorldColl coll_;  ///< View of the world's collective arena.
   std::uint64_t coll_bar_seq_ = 0;    ///< Arena-barrier sequence issued.
   std::uint64_t coll_probe_seq_ = 0;  ///< Count-probe sequence issued.
-  std::uint32_t barrier_tree_ranks_ = UINT32_MAX;  ///< Tuned tree threshold.
-  std::uint32_t barrier_tree_k_ = 4;               ///< Tuned tree fan-in.
   transport::Transport* xport_ = nullptr;  ///< World-owned transport.
   bool xport_hooks_ = false;  ///< Cached has_hooks() (hot-path gate).
   std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
@@ -726,13 +715,6 @@ class Comm {
   /// requires (0 capacity forces pt2pt even under NEMO_COLL=shm).
   bool use_shm_coll(std::size_t op_bytes, std::size_t slot_need);
 
-  /// One arena-barrier round: the k-ary tree schedule at/above the tuned
-  /// barrier_tree_ranks, flat below it (both keep pt2pt progress flowing
-  /// while spinning).
-  void shm_barrier();
-  void flat_barrier();
-  void tree_barrier();
-
   /// Auto-mode alltoallv's rank-consistent size proxy: exchange each
   /// rank's total row bytes through the arena's count-probe cells and
   /// return the minimum — every rank computes the same value, so the
@@ -740,27 +722,15 @@ class Comm {
   std::size_t alltoallv_min_row_bytes(const std::size_t* scounts);
 
   // pt2pt algorithms: the fallback below coll_activation and the
-  // correctness oracle the tests cross-check against.
+  // correctness oracle the tests cross-check against (the pairwise
+  // exchanges share one schedule, pairwise() in core/collectives.cpp).
   void barrier_p2p();
   void bcast_p2p(void* buf, std::size_t bytes, int root);
   void allgather_p2p(const void* sendbuf, std::size_t per_rank,
                      void* recvbuf);
-  void alltoall_p2p(const void* sendbuf, std::size_t per_rank,
-                    void* recvbuf);
-  void alltoallv_p2p(const void* sendbuf, const std::size_t* scounts,
-                     const std::size_t* sdispls, void* recvbuf,
-                     const std::size_t* rcounts, const std::size_t* rdispls);
 
-  // Shared-memory collective arena algorithms (src/coll/).
-  void bcast_shm(void* buf, std::size_t bytes, int root, std::uint64_t epoch);
-  void allgather_shm(const void* sendbuf, std::size_t per_rank,
-                     void* recvbuf, std::uint64_t epoch);
-  void alltoall_shm(const void* sendbuf, std::size_t per_rank, void* recvbuf,
-                    std::uint64_t epoch);
-  void alltoallv_shm(const void* sendbuf, const std::size_t* scounts,
-                     const std::size_t* sdispls, void* recvbuf,
-                     const std::size_t* rcounts, const std::size_t* rdispls,
-                     std::uint64_t epoch);
+  /// Shared-memory reduction over the collective arena (an ordered fold;
+  /// see core/coll_internal.hpp).
   template <typename T>
   void reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op, int root,
                   bool all, std::uint64_t epoch);
@@ -785,34 +755,12 @@ class Comm {
   void reduce_impl(const T* in, T* out, std::size_t n, ReduceOp op, int root,
                    int tag_base);
   template <typename T>
-  void allreduce_impl(const T* in, T* out, std::size_t n, ReduceOp op,
-                      int tag_base);
-  template <typename T>
   void reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
                        int root, bool all);
-
-  /// Pack `count` elements of `dt` at `base` into `dst`, streaming through
-  /// the NT engine above the tuned threshold; bumps the pack-path counters
-  /// (`direct` = destination is a shared slot/cell, not a staging buffer).
-  void pack_into(const void* base, const Datatype& dt, std::size_t count,
-                 std::byte* dst, bool direct);
-  void unpack_from(const std::byte* src, const Datatype& dt,
-                   std::size_t count, void* base);
-
-  /// Strided alltoall over the collective arena (single deposit round;
-  /// callers checked the packed per-dest bytes fit one slot chunk).
-  void alltoall_strided_shm(const void* sendbuf, const Datatype& sdt,
-                            std::size_t count, void* recvbuf,
-                            const Datatype& rdt, std::uint64_t epoch);
-  void alltoall_strided_p2p(const void* sendbuf, const Datatype& sdt,
-                            std::size_t count, void* recvbuf,
-                            const Datatype& rdt);
-  void allgather_strided_shm(const void* sendbuf, const Datatype& sdt,
-                             std::size_t count, void* recvbuf,
-                             const Datatype& rdt, std::uint64_t epoch);
-  void allgather_strided_p2p(const void* sendbuf, const Datatype& sdt,
-                             std::size_t count, void* recvbuf,
-                             const Datatype& rdt);
+  /// Both strided collectives: alltoall when `spread`, else allgather.
+  void strided_coll(const void* sendbuf, const Datatype& sdt,
+                    std::size_t count, void* recvbuf, const Datatype& rdt,
+                    bool spread);
 
   Engine engine_;
   /// Reduction receive scratch, grown to the high-water mark once instead

@@ -62,12 +62,6 @@ enum class Cma { kOn, kOff, kNoSyscall };
 // One row per knob, alphabetical. Defaults in parentheses depend on the
 // host or the tuning cache; every other default is a value the row accepts.
 const Knob kKnobs[] = {
-    {"NEMO_BARRIER_TREE", "(tuned)", "off|on|<ranks >= 2>",
-     "arena barrier: flat, k-ary tree, or the world size from which the "
-     "tree runs",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.barrier_tree_ranks = threshold("NEMO_BARRIER_TREE", v);
-     }},
     {"NEMO_CMA", "auto", "auto|on|off|nosyscall",
      "cross-memory attach: off vetoes the backend, nosyscall exercises its "
      "staged fallback",

@@ -596,25 +596,13 @@ LmtModels::CollOutcome LmtModels::allreduce_coll(bool shm,
   return out_c;
 }
 
-double LmtModels::barrier_coll_ns(bool tree, int nranks, int k) {
-  NEMO_ASSERT(nranks >= 1 && k >= 2);
+double LmtModels::barrier_coll_ns(int nranks) {
+  NEMO_ASSERT(nranks >= 1);
   // An arrival flag is one cache line bouncing between a spinner and the
   // publisher: charge one cache-to-cache transfer per polled flag (the
   // line always misses — another core just wrote it).
   double line_ns = machine_.timing.c2c_ns;
-  if (!tree || nranks < 2)
-    return static_cast<double>(nranks - 1) * line_ns + line_ns;
-  // Parents at each level poll their <= k children sequentially; levels
-  // telescope (a subtree's arrival folds into one flag), so the critical
-  // path is depth * k line transfers plus the release line.
-  int depth = 0;
-  long reach = 1;
-  while (reach < nranks) {
-    reach = reach * k + 1;
-    ++depth;
-  }
-  return static_cast<double>(depth) * static_cast<double>(k) * line_ns +
-         line_ns;
+  return static_cast<double>(nranks - 1) * line_ns + line_ns;
 }
 
 LmtModels::CollOutcome LmtModels::alltoall_coll(bool shm,

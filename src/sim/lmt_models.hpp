@@ -112,11 +112,9 @@ class LmtModels {
   CollOutcome allreduce_coll(bool shm, const std::vector<int>& cores,
                              std::size_t bytes, int iters = 3,
                              std::size_t slot_bytes = 256 * KiB);
-  /// Barrier replay in nanoseconds per round: flat = the root polls n-1
-  /// remote arrival lines sequentially + one release line; tree = each
-  /// level's parents poll k child lines concurrently, depth ceil(log_k n)
-  /// levels, + the release line.
-  double barrier_coll_ns(bool tree, int nranks, int k);
+  /// Arena-barrier replay in nanoseconds per round: the coordinator polls
+  /// n-1 remote arrival lines sequentially, plus one release line.
+  double barrier_coll_ns(int nranks);
 
   /// NAS-IS-like run (Table 2 last row): `total_keys` 4-byte keys bucket-
   /// sorted across ranks for `iters` iterations. Returns {seconds, misses}.

@@ -230,8 +230,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   coll.set("shm_bytes", c.coll_shm_bytes);
   coll.set("fallbacks", c.coll_fallbacks);
   coll.set("epoch_stalls", c.coll_epoch_stalls);
-  coll.set("barrier_flat", c.coll_barrier_flat);
-  coll.set("barrier_tree", c.coll_barrier_tree);
   coll.set("hier_ops", c.coll_hier_ops);
   j.set("coll", std::move(coll));
 
@@ -270,8 +268,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   Json pack = Json::object();
   pack.set("direct_ops", c.pack_direct_ops);
   pack.set("direct_bytes", c.pack_direct_bytes);
-  pack.set("staged_ops", c.pack_staged_ops);
-  pack.set("staged_bytes", c.pack_staged_bytes);
   pack.set("nt_ops", c.pack_nt_ops);
   pack.set("unpack_ops", c.unpack_ops);
   j.set("pack", std::move(pack));

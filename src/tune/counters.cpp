@@ -23,8 +23,6 @@ Counters& Counters::operator+=(const Counters& o) {
   coll_shm_bytes += o.coll_shm_bytes;
   coll_fallbacks += o.coll_fallbacks;
   coll_epoch_stalls += o.coll_epoch_stalls;
-  coll_barrier_flat += o.coll_barrier_flat;
-  coll_barrier_tree += o.coll_barrier_tree;
   coll_hier_ops += o.coll_hier_ops;
   peer_deaths += o.peer_deaths;
   fence_epochs += o.fence_epochs;
@@ -44,8 +42,6 @@ Counters& Counters::operator+=(const Counters& o) {
   }
   pack_direct_ops += o.pack_direct_ops;
   pack_direct_bytes += o.pack_direct_bytes;
-  pack_staged_ops += o.pack_staged_ops;
-  pack_staged_bytes += o.pack_staged_bytes;
   pack_nt_ops += o.pack_nt_ops;
   unpack_ops += o.unpack_ops;
   return *this;

@@ -40,8 +40,6 @@ struct Counters {
   std::uint64_t coll_fallbacks = 0; ///< shm wanted but geometry forbade it.
   std::uint64_t coll_epoch_stalls = 0;  ///< Waits on a not-yet-published
                                         ///< epoch/doorbell/ack/barrier word.
-  std::uint64_t coll_barrier_flat = 0;  ///< Arena barriers run flat.
-  std::uint64_t coll_barrier_tree = 0;  ///< Arena barriers run k-ary tree.
   std::uint64_t coll_hier_ops = 0;  ///< Collectives that ran the two-level
                                     ///< (leader/transport) schedule.
 
@@ -71,14 +69,10 @@ struct Counters {
   std::array<std::uint64_t, kSimdKernels> simd_fold_bytes{};
 
   // Datatype pack/unpack path telemetry. `direct` = packed straight into a
-  // shared destination (collective-arena slot, fastbox/ring cell);
-  // `staged` = packed into a private contiguous staging buffer first (the
-  // copy the strided collectives exist to eliminate — a test asserts this
-  // stays zero on the shm strided path).
+  // shared destination (collective-arena slot, fastbox/ring cell) — the
+  // strided collectives never pack into a private staging buffer.
   std::uint64_t pack_direct_ops = 0;
   std::uint64_t pack_direct_bytes = 0;
-  std::uint64_t pack_staged_ops = 0;
-  std::uint64_t pack_staged_bytes = 0;
   std::uint64_t pack_nt_ops = 0;  ///< Packs that streamed via NT stores.
   std::uint64_t unpack_ops = 0;   ///< Unpacks from shared slots/cells.
 

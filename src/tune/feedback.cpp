@@ -124,11 +124,11 @@ TuningTable apply_counter_feedback(TuningTable t, const Counters& c,
   // the cache on every strided collective, evicting the working set the
   // cutoff exists to protect. Lower pack_nt_min to the observed average
   // (floored well above the streaming break-even) so they start streaming.
-  std::uint64_t pack_ops = c.pack_direct_ops + c.pack_staged_ops;
+  std::uint64_t pack_ops = c.pack_direct_ops;
   if (pack_ops > 0 && c.pack_nt_ops == 0 && t.pack_nt_min != 0 &&
       t.pack_nt_min != SIZE_MAX) {
-    std::size_t avg = static_cast<std::size_t>(
-        (c.pack_direct_bytes + c.pack_staged_bytes) / pack_ops);
+    std::size_t avg =
+        static_cast<std::size_t>(c.pack_direct_bytes / pack_ops);
     if (avg >= t.pack_nt_min / 2) {
       t.pack_nt_min = std::max<std::size_t>(kPackNtFloor, avg);
       trace_knob(trace::kKnobPackNtMin, t.pack_nt_min);

@@ -100,7 +100,6 @@ TuningTable formula_defaults(const Topology& topo) {
       t.for_placement(PairPlacement::kSharedCache).nt_min = llc->size_bytes / 2;
   }
   t.fastbox_max = 2 * KiB - 64;  // One default slot's payload.
-  t.barrier_tree_k = coll::default_barrier_tree_k(topo);
   // Packed strided operands stream under the same don't-flush-the-cache
   // bound as the ring copies; the kernel stays CPUID-auto until the simd
   // probe measures a concrete winner.
@@ -150,9 +149,6 @@ std::string to_json(const TuningTable& t) {
   root.set("coll_activation", static_cast<std::uint64_t>(t.coll_activation));
   root.set("coll_slot_bytes",
            static_cast<std::uint64_t>(t.coll_slot_bytes));
-  root.set("barrier_tree_ranks",
-           static_cast<std::uint64_t>(t.barrier_tree_ranks));
-  root.set("barrier_tree_k", static_cast<std::uint64_t>(t.barrier_tree_k));
   root.set("simd_kernel", std::string(simd::choice_name(t.simd_kernel)));
   root.set("pack_nt_min", static_cast<std::uint64_t>(t.pack_nt_min));
   root.set("coll_hier_nodes",
@@ -208,10 +204,6 @@ std::optional<TuningTable> from_json(const std::string& text,
       (*doc)["coll_activation"].as_uint(t.coll_activation);
   t.coll_slot_bytes = static_cast<std::uint32_t>(
       (*doc)["coll_slot_bytes"].as_uint(t.coll_slot_bytes));
-  t.barrier_tree_ranks = static_cast<std::uint32_t>(
-      (*doc)["barrier_tree_ranks"].as_uint(t.barrier_tree_ranks));
-  t.barrier_tree_k = static_cast<std::uint32_t>(
-      (*doc)["barrier_tree_k"].as_uint(t.barrier_tree_k));
   if (std::string k = (*doc)["simd_kernel"].as_string(); !k.empty()) {
     try {
       t.simd_kernel = simd::choice_from_string(k, "simd_kernel");
@@ -231,9 +223,7 @@ std::optional<TuningTable> from_json(const std::string& text,
       t.fastbox_slot_bytes < kFastboxSlotBytesMin ||
       t.fastbox_slot_bytes > kFastboxSlotBytesMax ||
       t.fastbox_slot_bytes % kCacheLine != 0 || t.drain_budget < 1 ||
-      !coll_slot_in_range(t.coll_slot_bytes) || t.barrier_tree_ranks < 2 ||
-      t.barrier_tree_k < 2 || t.barrier_tree_k > 64 ||
-      t.coll_hier_nodes < 2) {
+      !coll_slot_in_range(t.coll_slot_bytes) || t.coll_hier_nodes < 2) {
     if (err != nullptr) *err = "out-of-range tuning values";
     return std::nullopt;
   }

@@ -121,17 +121,6 @@ struct TuningTable {
   /// overrides.
   bool poll_hot = false;
 
-  /// World size at/above which the arena barrier combines arrivals up a
-  /// k-ary tree instead of rank 0 gathering all n-1 flags (flat stays
-  /// cheaper below ~8 ranks: the tree adds a level of store-then-poll
-  /// latency that only pays off once the root's linear gather dominates).
-  /// NEMO_BARRIER_TREE overrides (`off` = never, `on` = always, or a
-  /// threshold).
-  std::uint32_t barrier_tree_ranks = 8;
-  /// Tree fan-in. formula_defaults derives it from the topology (one
-  /// parent gathers an LLC-sharing domain); clamped to [2, 64] on load.
-  std::uint32_t barrier_tree_k = 4;
-
   /// Reduction kernel the collective folds run with. kAuto defers to CPUID
   /// (best supported, AVX-512 -> AVX2 -> scalar) when the World resolves
   /// it; the calibrate simd probe records a concrete winner. NEMO_SIMD

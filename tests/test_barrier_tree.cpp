@@ -1,9 +1,9 @@
-// Arena-barrier scheduling (flat vs k-ary tree) and NUMA-aware reduction
-// leader choice — the collective-arena v2 surfaces. The barrier cross-check
-// runs both schedules at 2/8/16/33 ranks against a shared phase counter
-// (the strongest observable property of a barrier: nobody enters round i+1
-// before everyone finished round i), plus a 16-rank storm; leader choice is
-// unit-tested on synthetic NUMA maps and end-to-end through World.
+// Arena barrier and NUMA-aware reduction leader choice — the collective-
+// arena v2 surfaces. The barrier check runs at 2/8/16/33 ranks against a
+// shared phase counter (the strongest observable property of a barrier:
+// nobody enters round i+1 before everyone finished round i), plus a
+// 16-rank storm; leader choice is unit-tested on synthetic NUMA maps and
+// end-to-end through World.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,13 +19,12 @@ namespace nemo::core {
 namespace {
 
 /// A slim world: barrier tests want many ranks, not big per-pair buffers
-/// (a 33-rank world has 1056 ordered pairs). The schedule under test must
-/// beat any ambient NEMO_COLL / NEMO_BARRIER_TREE (CI forces both in smoke
-/// steps, and the environment beats the programmatic tuning table), so
-/// tests pin them per World.
-Config slim_config(int nranks, const char* tree) {
+/// (a 33-rank world has 1056 ordered pairs). The arena path must beat any
+/// ambient NEMO_COLL (CI forces it in smoke steps, and the environment
+/// beats the programmatic config), so tests pin it per World.
+Config slim_config(int nranks) {
   Config cfg;
-  cfg.env = {{"NEMO_COLL", "shm"}, {"NEMO_BARRIER_TREE", tree}};
+  cfg.env = {{"NEMO_COLL", "shm"}};
   cfg.nranks = nranks;
   cfg.use_fastbox = false;
   cfg.cells_per_rank = 16;
@@ -36,19 +35,14 @@ Config slim_config(int nranks, const char* tree) {
   return cfg;
 }
 
-/// Pin the barrier schedule through the tuning table (UINT32_MAX = flat
-/// always, 2 = tree always) and verify the phase-counter invariant over
-/// `rounds` rounds; also assert the telemetry says the intended schedule
-/// actually ran.
-void barrier_cross_check(int nranks, bool tree, int rounds) {
-  Config cfg = slim_config(nranks, tree ? "on" : "off");
-  tune::TuningTable t = tune::formula_defaults(detect_host());
-  t.barrier_tree_ranks = tree ? 2 : UINT32_MAX;
-  cfg.tuning = t;
+/// Run `rounds` double barriers on an `nranks` world and check the
+/// phase-counter invariant after the first of each pair; also assert the
+/// telemetry says every barrier took the arena path.
+void barrier_phase_check(int nranks, int rounds) {
   // One counter for the whole world: rank 0 allocates and broadcasts the
   // arena *offset* — raw pointers don't survive a process boundary (each
   // forked rank maps the arena at its own base), offsets always do.
-  run(cfg, [&](Comm& comm) {
+  run(slim_config(nranks), [&](Comm& comm) {
     int n = comm.size();
     std::uint64_t off = 0;
     if (comm.rank() == 0) {
@@ -59,6 +53,8 @@ void barrier_cross_check(int nranks, bool tree, int rounds) {
     }
     comm.bcast(&off, sizeof off, 0);
     auto* ctr = reinterpret_cast<std::uint64_t*>(comm.world().arena().at(off));
+    const tune::Counters& c = comm.engine().counters();
+    std::uint64_t shm0 = c.coll_shm_ops;
     for (int i = 0; i < rounds; ++i) {
       shm::aref(*ctr).fetch_add(1, std::memory_order_acq_rel);
       comm.barrier();
@@ -66,27 +62,18 @@ void barrier_cross_check(int nranks, bool tree, int rounds) {
       ASSERT_EQ(shm::aref(*ctr).load(std::memory_order_acquire),
                 static_cast<std::uint64_t>(n) *
                     static_cast<std::uint64_t>(i + 1))
-          << "round " << i << " nranks " << nranks << " tree " << tree;
+          << "round " << i << " nranks " << nranks;
       comm.barrier();
     }
-    const tune::Counters& c = comm.engine().counters();
-    if (tree) {
-      EXPECT_EQ(c.coll_barrier_tree, static_cast<std::uint64_t>(2 * rounds));
-      EXPECT_EQ(c.coll_barrier_flat, 0u);
-    } else {
-      EXPECT_EQ(c.coll_barrier_flat, static_cast<std::uint64_t>(2 * rounds));
-      EXPECT_EQ(c.coll_barrier_tree, 0u);
-    }
+    EXPECT_EQ(c.coll_shm_ops - shm0, static_cast<std::uint64_t>(2 * rounds));
   });
 }
 
 class BarrierSchedule : public ::testing::TestWithParam<int> {};
 
-TEST_P(BarrierSchedule, FlatAndTreeAgreeOnPhases) {
+TEST_P(BarrierSchedule, PhasesHold) {
   int nranks = GetParam();
-  int rounds = nranks >= 16 ? 5 : 20;
-  barrier_cross_check(nranks, /*tree=*/false, rounds);
-  barrier_cross_check(nranks, /*tree=*/true, rounds);
+  barrier_phase_check(nranks, nranks >= 16 ? 5 : 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, BarrierSchedule,
@@ -96,53 +83,9 @@ INSTANTIATE_TEST_SUITE_P(Worlds, BarrierSchedule,
                          });
 
 TEST(BarrierSchedule, SixteenRankStorm) {
-  // Back-to-back barriers under the tree schedule: a missed arrival or a
-  // stale release sequence shows up as a hang (ctest timeout) or a phase
-  // violation.
-  Config cfg = slim_config(16, "on");
-  tune::TuningTable t = tune::formula_defaults(detect_host());
-  t.barrier_tree_ranks = 2;
-  t.barrier_tree_k = 3;  // Non-default fan-in: exercise an uneven last level.
-  cfg.tuning = t;
-  run(cfg, [&](Comm& comm) {
-    std::uint64_t off = 0;
-    if (comm.rank() == 0) {
-      auto* p = reinterpret_cast<std::uint64_t*>(
-          comm.shared_alloc(sizeof(std::uint64_t)));
-      shm::aref(*p).store(0);
-      off = comm.world().arena().offset_of(p);
-    }
-    comm.bcast(&off, sizeof off, 0);
-    auto* ctr = reinterpret_cast<std::uint64_t*>(comm.world().arena().at(off));
-    for (int i = 0; i < 150; ++i) {
-      shm::aref(*ctr).fetch_add(1, std::memory_order_acq_rel);
-      comm.barrier();
-      ASSERT_EQ(shm::aref(*ctr).load(std::memory_order_acquire),
-                16u * static_cast<std::uint64_t>(i + 1))
-          << i;
-      comm.barrier();
-    }
-  });
-}
-
-TEST(BarrierSchedule, AutoSelectsBySizeThreshold) {
-  // With the default-ish threshold pinned at 8, a 4-rank world runs flat
-  // and an 8-rank world runs the tree — observable in the counters.
-  for (int nranks : {4, 8}) {
-    Config cfg = slim_config(nranks, "8");
-    tune::TuningTable t = tune::formula_defaults(detect_host());
-    t.barrier_tree_ranks = 8;
-    cfg.tuning = t;
-    run(cfg, [&](Comm& comm) {
-      for (int i = 0; i < 5; ++i) comm.barrier();
-      const tune::Counters& c = comm.engine().counters();
-      if (comm.size() >= 8) {
-        EXPECT_EQ(c.coll_barrier_tree, 5u);
-      } else {
-        EXPECT_EQ(c.coll_barrier_flat, 5u);
-      }
-    });
-  }
+  // Back-to-back barriers: a missed arrival or a stale release sequence
+  // shows up as a hang (ctest timeout) or a phase violation.
+  barrier_phase_check(16, 150);
 }
 
 // ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ TEST(KnobTable, ThirtySixSortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 36u);
+  EXPECT_EQ(knobs().size(), 35u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
@@ -154,7 +154,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BadValue{"NEMO_COLL_SLOT_BYTES", "32MiB"},
                       BadValue{"NEMO_COLL_LEADER", "4"},
                       BadValue{"NEMO_PEER_TIMEOUT_MS", "0"},
-                      BadValue{"NEMO_BARRIER_TREE", "treeish"},
                       BadValue{"NEMO_CMA", "maybe"},
                       BadValue{"NEMO_COLL", "bogus"},
                       BadValue{"NEMO_LMT", "tcp"},

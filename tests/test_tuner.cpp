@@ -35,15 +35,6 @@ class ScopedEnv {
   const char* name_;
 };
 
-/// `base` with one knob pinned, as a World would resolve it.
-TuningTable pinned(TuningTable base, const char* knob, const char* v) {
-  core::Config cfg;
-  cfg.topo = xeon_e5345();
-  cfg.tuning = std::move(base);
-  cfg.env[knob] = v;
-  return *core::resolve_config(std::move(cfg)).tuning;
-}
-
 std::string temp_path(const char* tag) {
   return "/tmp/nemo-test-" + std::string(tag) + "-" +
          std::to_string(::getpid()) + ".json";
@@ -148,12 +139,10 @@ TEST(TuningTable, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(r->drain_budget, 512u);
 }
 
-TEST(TuningTable, CollAndBarrierFieldsRoundTrip) {
+TEST(TuningTable, CollFieldsRoundTrip) {
   TuningTable t = formula_defaults(xeon_e5345());
   t.coll_activation = 48 * KiB;
   t.coll_slot_bytes = 128 * KiB;
-  t.barrier_tree_ranks = 12;
-  t.barrier_tree_k = 3;
   t.coll_hier_nodes = 7;
   std::string body = to_json(t);
   EXPECT_NE(body.find("nemo-tune/6"), std::string::npos);
@@ -161,17 +150,20 @@ TEST(TuningTable, CollAndBarrierFieldsRoundTrip) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->coll_activation, 48 * KiB);
   EXPECT_EQ(r->coll_slot_bytes, 128 * KiB);
-  EXPECT_EQ(r->barrier_tree_ranks, 12u);
-  EXPECT_EQ(r->barrier_tree_k, 3u);
   EXPECT_EQ(r->coll_hier_nodes, 7u);
+  // Schema-6 caches written while the arena barrier still had a tree
+  // schedule carry its two keys; unknown keys are ignored, so they load.
+  std::string legacy = body;
+  auto at = legacy.find('{');
+  ASSERT_NE(at, std::string::npos);
+  legacy.insert(at + 1, "\"barrier_tree_ranks\": 8, \"barrier_tree_k\": 4, ");
+  auto old = from_json(legacy);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(*old, *r);
   // Out-of-range coll geometry degrades to "invalid" like the fastbox
   // fields (it feeds coll::WorldColl::create directly).
   TuningTable bad = t;
   bad.coll_slot_bytes = 100;  // Not a cacheline multiple.
-  EXPECT_FALSE(from_json(to_json(bad)).has_value());
-  // Same for a degenerate tree fan-in (the barrier schedule divides by it).
-  bad = t;
-  bad.barrier_tree_k = 1;
   EXPECT_FALSE(from_json(to_json(bad)).has_value());
 }
 
@@ -219,25 +211,6 @@ TEST(TuningCache, OlderSchemasAreStaleAndFallBackToFormulas) {
     EXPECT_EQ(eff, formula_defaults(topo)) << schema;
   }
   std::remove(path.c_str());
-}
-
-TEST(TuningTable, BarrierTreeKnob) {
-  TuningTable base = formula_defaults(xeon_e5345());
-  // e5345: pairs of cores share each L2, so the formula fan-in is 2.
-  EXPECT_EQ(base.barrier_tree_k, 2u);
-  EXPECT_EQ(formula_defaults(nehalem()).barrier_tree_k, 4u);
-  // Private-LLC hosts get the generic fan-in.
-  EXPECT_EQ(formula_defaults(flat_smp(4, 8 * MiB)).barrier_tree_k, 4u);
-
-  auto tree = [&base](const char* v) {
-    return pinned(base, "NEMO_BARRIER_TREE", v).barrier_tree_ranks;
-  };
-  EXPECT_EQ(tree("off"), UINT32_MAX);
-  EXPECT_EQ(tree("on"), 2u);
-  EXPECT_EQ(tree("16"), 16u);
-  // A typo fails loudly instead of silently running the wrong schedule.
-  EXPECT_THROW(tree("treeish"), std::invalid_argument);
-  EXPECT_EQ(tree("1"), 2u);  // Threshold below 2 = always.
 }
 
 TEST(TuningCache, RoundTripAndFingerprintMismatchInvalidation) {
