@@ -2,10 +2,14 @@
 // worlds and the large-message alltoall(v) paths Figure 7 depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -240,6 +244,161 @@ class CollCross : public ::testing::TestWithParam<CrossParam> {
     return {512, kTestSlot / 2, kTestSlot, 2 * kTestSlot + 192};
   }
 };
+
+// ---------------------------------------------------------------------------
+// Reduction checks shared by the threads-mode and procs-mode worlds. gtest
+// failures inside a forked rank never reach the runner, so in a procs-mode
+// world a failed check prints and aborts the rank instead (run() then
+// reports the world as failed).
+// ---------------------------------------------------------------------------
+
+void require(Comm& comm, bool ok, const std::string& what) {
+  if (ok) return;
+  if (comm.engine().world().config().mode == LaunchMode::kProcesses) {
+    std::fprintf(stderr, "rank %d: %s\n", comm.rank(), what.c_str());
+    std::abort();
+  }
+  ADD_FAILURE() << "rank " << comm.rank() << ": " << what;
+}
+
+/// Reduce to the last rank and allreduce at element counts straddling a
+/// 16 KiB slot (doubles: 2048 elements per slot).
+void reduce_allreduce_all_sizes(Comm& comm) {
+  int n = comm.size();
+  for (std::size_t kN : {31u, 2048u, 5000u}) {
+    std::vector<double> in(kN), out(kN, -1);
+    for (std::size_t i = 0; i < kN; ++i)
+      in[i] = static_cast<double>(comm.rank()) + static_cast<double>(i);
+    comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum, n - 1);
+    if (comm.rank() == n - 1) {
+      for (std::size_t i = 0; i < kN; ++i)
+        require(comm,
+                out[i] == n * (n - 1) / 2.0 + static_cast<double>(n) *
+                                                  static_cast<double>(i),
+                "reduce n=" + std::to_string(kN) + " i=" + std::to_string(i));
+    }
+    std::vector<double> amax(kN);
+    comm.allreduce_f64(in.data(), amax.data(), kN, Comm::ReduceOp::kMax);
+    for (std::size_t i = 0; i < kN; ++i)
+      require(comm,
+              amax[i] == static_cast<double>(n - 1) + static_cast<double>(i),
+              "allreduce n=" + std::to_string(kN) + " i=" + std::to_string(i));
+  }
+  std::int64_t one = comm.rank() + 1, sum = 0;
+  comm.allreduce_i64(&one, &sum, 1, Comm::ReduceOp::kSum);
+  require(comm, sum == static_cast<std::int64_t>(n) * (n + 1) / 2,
+          "allreduce_i64 scalar");
+}
+
+/// Regression: a reduce whose writers finish at different times (one
+/// direct-mode arena-resident operand consumed in round 0, others staged
+/// over several rounds) immediately followed by more arena collectives. The
+/// early-exiting writer opens the next epoch on its slot while its peers
+/// are still combining — they must work from a header snapshot, not re-read
+/// the live slot (which used to deadlock the world). Needs a 16 KiB slot.
+void reduce_mixed_direct_and_staged(Comm& comm) {
+  int n = comm.size();
+  const std::size_t kN = 5000;  // 3 staged rounds.
+  bool direct = comm.rank() == 1;
+  std::vector<double> heap(direct ? 0 : kN);
+  double* in = direct ? reinterpret_cast<double*>(comm.shared_alloc(
+                            kN * sizeof(double), alignof(double)))
+                      : heap.data();
+  for (int it = 0; it < 20; ++it) {
+    for (std::size_t i = 0; i < kN; ++i)
+      in[i] = static_cast<double>(comm.rank() + it) + static_cast<double>(i);
+    std::vector<double> out(kN, -1);
+    comm.reduce_f64(in, out.data(), kN, Comm::ReduceOp::kSum, 0);
+    // No intervening barrier: the next collective reuses the arena as
+    // soon as each rank's part of the reduce completes.
+    std::uint32_t word =
+        comm.rank() == 2 ? 99u + static_cast<std::uint32_t>(it) : 0u;
+    comm.bcast(&word, sizeof word, 2);
+    require(comm, word == 99u + static_cast<std::uint32_t>(it),
+            "bcast after reduce, it=" + std::to_string(it));
+    if (comm.rank() == 0) {
+      for (std::size_t i = 0; i < kN; i += 997)
+        require(comm,
+                out[i] == n * (n - 1) / 2.0 +
+                              static_cast<double>(n) *
+                                  (static_cast<double>(i) + it),
+                "reduce it=" + std::to_string(it) + " i=" + std::to_string(i));
+    }
+  }
+}
+
+/// Operand element i of rank r, chosen so the fold order shows in the bits
+/// of float sums (the ranks' magnitudes differ).
+template <typename T>
+T operand(int r, std::size_t i) {
+  if constexpr (std::is_floating_point_v<T>)
+    return static_cast<T>(1.0 / (r + 3) + static_cast<double>(i % 97) * 1e-3 *
+                                              (r % 2 != 0 ? -1.0 : 1.0));
+  else
+    return static_cast<T>(static_cast<std::int64_t>((i * 31 + 7) % 2001) -
+                          1000 + r * 77);
+}
+
+template <typename T>
+T apply(Comm::ReduceOp op, T a, T b) {
+  switch (op) {
+    case Comm::ReduceOp::kSum: return a + b;
+    case Comm::ReduceOp::kProd: return a * b;
+    case Comm::ReduceOp::kMin: return std::min(a, b);
+    case Comm::ReduceOp::kMax: return std::max(a, b);
+  }
+  return a;
+}
+
+/// The p2p oracle's fold: seed with the root's operand, then every other
+/// rank in ascending order.
+template <typename T>
+std::vector<T> oracle(int n, int root, std::size_t count, Comm::ReduceOp op) {
+  std::vector<T> acc(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    acc[i] = operand<T>(root, i);
+    for (int w = 0; w < n; ++w)
+      if (w != root) acc[i] = apply(op, acc[i], operand<T>(w, i));
+  }
+  return acc;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Typed entry points (`Reduce`/`Allreduce` bind e.g. reduce_f32 and
+/// allreduce_f32) at odd counts straddling a 16 KiB slot, every op (no
+/// integer products), roots 0 and n-1; bit-exact against the oracle fold.
+template <typename T, typename Reduce, typename Allreduce>
+void typed_reductions(Comm& comm, Reduce&& reduce, Allreduce&& allreduce) {
+  int n = comm.size();
+  for (std::size_t count : {1u, 17u, 1001u, 4099u, 9001u}) {
+    std::vector<T> in(count);
+    for (std::size_t i = 0; i < count; ++i) in[i] = operand<T>(comm.rank(), i);
+    for (auto op : {Comm::ReduceOp::kSum, Comm::ReduceOp::kProd,
+                    Comm::ReduceOp::kMin, Comm::ReduceOp::kMax}) {
+      // Integer products of these operands overflow.
+      if (op == Comm::ReduceOp::kProd && !std::is_floating_point_v<T>)
+        continue;
+      std::string at = "count " + std::to_string(count) + " op " +
+                       std::to_string(static_cast<int>(op));
+      for (int root : {0, n - 1}) {
+        std::vector<T> out(count, T{});
+        reduce(in.data(), out.data(), count, op, root);
+        if (comm.rank() == root)
+          require(comm, same_bits(out, oracle<T>(n, root, count, op)),
+                  "reduce " + at + " root " + std::to_string(root));
+      }
+      std::vector<T> all(count, T{});
+      allreduce(in.data(), all.data(), count, op);
+      require(comm, same_bits(all, oracle<T>(n, 0, count, op)),
+              "allreduce " + at);
+    }
+  }
+}
 
 TEST_P(CollCross, BcastEveryRootAllSizes) {
   run(config(), [&](Comm& comm) {
@@ -489,30 +648,62 @@ TEST_P(CollCross, AlltoallStridedOverflowingChunkFallsBackCorrectly) {
 }
 
 TEST_P(CollCross, ReduceAllreduceAllSizes) {
+  run(config(), [&](Comm& comm) { reduce_allreduce_all_sizes(comm); });
+}
+
+TEST_P(CollCross, TypedReductionsOddCountsMatchOracle) {
+  run(config(), [&](Comm& comm) {
+    using Op = Comm::ReduceOp;
+    typed_reductions<float>(
+        comm,
+        [&](const float* i, float* o, std::size_t c, Op op, int root) {
+          comm.reduce_f32(i, o, c, op, root);
+        },
+        [&](const float* i, float* o, std::size_t c, Op op) {
+          comm.allreduce_f32(i, o, c, op);
+        });
+    typed_reductions<std::int32_t>(
+        comm,
+        [&](const std::int32_t* i, std::int32_t* o, std::size_t c, Op op,
+            int root) { comm.reduce_i32(i, o, c, op, root); },
+        [&](const std::int32_t* i, std::int32_t* o, std::size_t c, Op op) {
+          comm.allreduce_i32(i, o, c, op);
+        });
+    typed_reductions<std::int64_t>(
+        comm,
+        [&](const std::int64_t* i, std::int64_t* o, std::size_t c, Op op,
+            int root) { comm.reduce_i64(i, o, c, op, root); },
+        [&](const std::int64_t* i, std::int64_t* o, std::size_t c, Op op) {
+          comm.allreduce_i64(i, o, c, op);
+        });
+  });
+}
+
+TEST_P(CollCross, InPlaceReductionsStraddlingTheSlot) {
+  // in == out: every rank's operand is also its result buffer, so no rank
+  // may overwrite its operand before every peer folded it.
   run(config(), [&](Comm& comm) {
     int n = comm.size();
-    // Element counts straddling the slot (doubles: slot holds 2K elems).
-    for (std::size_t kN : {31u, 2048u, 5000u}) {
-      std::vector<double> in(kN), out(kN, -1);
-      for (std::size_t i = 0; i < kN; ++i)
-        in[i] = static_cast<double>(comm.rank()) + static_cast<double>(i);
-      comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum,
-                      n - 1);
-      if (comm.rank() == n - 1) {
-        for (std::size_t i = 0; i < kN; ++i)
-          EXPECT_DOUBLE_EQ(out[i], n * (n - 1) / 2.0 +
-                                       static_cast<double>(n) *
-                                           static_cast<double>(i));
+    for (std::size_t count : {2047u, 2048u, 2049u, 5000u}) {
+      for (auto op : {Comm::ReduceOp::kSum, Comm::ReduceOp::kMax}) {
+        std::string at = "count " + std::to_string(count) + " op " +
+                         std::to_string(static_cast<int>(op));
+        std::vector<double> buf(count);
+        for (int root : {0, n - 1}) {
+          for (std::size_t i = 0; i < count; ++i)
+            buf[i] = operand<double>(comm.rank(), i);
+          comm.reduce_f64(buf.data(), buf.data(), count, op, root);
+          if (comm.rank() == root)
+            require(comm, same_bits(buf, oracle<double>(n, root, count, op)),
+                    "in-place reduce " + at + " root " + std::to_string(root));
+        }
+        for (std::size_t i = 0; i < count; ++i)
+          buf[i] = operand<double>(comm.rank(), i);
+        comm.allreduce_f64(buf.data(), buf.data(), count, op);
+        require(comm, same_bits(buf, oracle<double>(n, 0, count, op)),
+                "in-place allreduce " + at);
       }
-      std::vector<double> amax(kN);
-      comm.allreduce_f64(in.data(), amax.data(), kN, Comm::ReduceOp::kMax);
-      for (std::size_t i = 0; i < kN; ++i)
-        EXPECT_DOUBLE_EQ(amax[i],
-                         static_cast<double>(n - 1) + static_cast<double>(i));
     }
-    std::int64_t one = comm.rank() + 1, sum = 0;
-    comm.allreduce_i64(&one, &sum, 1, Comm::ReduceOp::kSum);
-    EXPECT_EQ(sum, static_cast<std::int64_t>(n) * (n + 1) / 2);
   });
 }
 
@@ -578,48 +769,32 @@ TEST(CollAuto, ActivationBoundaryRoutesAndWorks) {
   });
 }
 
-// Regression: a reduce whose writers finish at different times (one
-// direct-mode arena-resident operand consumed in round 0, others staged
-// over several rounds) immediately followed by more arena collectives. The
-// early-exiting writer opens the next epoch on its slot while the root is
-// still combining — the root must work from its header snapshot, not
-// re-read the live slot (which used to deadlock the world).
 TEST(CollAuto, ReduceMixedDirectAndStagedWritersBackToBack) {
   Config cfg;
   cfg.env["NEMO_COLL"] = "shm";
   cfg.nranks = 4;
   cfg.coll_slot_bytes = 16 * KiB;  // Doubles: 2048 elems/round.
   cfg.shared_pool_bytes = 32 * MiB;
-  run(cfg, [&](Comm& comm) {
-    int n = comm.size();
-    const std::size_t kN = 5000;  // 3 staged rounds.
-    bool direct = comm.rank() == 1;
-    std::vector<double> heap(direct ? 0 : kN);
-    double* in = direct
-                     ? reinterpret_cast<double*>(comm.shared_alloc(
-                           kN * sizeof(double), alignof(double)))
-                     : heap.data();
-    for (int it = 0; it < 20; ++it) {
-      for (std::size_t i = 0; i < kN; ++i)
-        in[i] = static_cast<double>(comm.rank() + it) +
-                static_cast<double>(i);
-      std::vector<double> out(kN, -1);
-      comm.reduce_f64(in, out.data(), kN, Comm::ReduceOp::kSum, 0);
-      // No intervening barrier: the next collective reuses the arena as
-      // soon as each rank's part of the reduce completes.
-      std::uint32_t word = comm.rank() == 2 ? 99u + static_cast<std::uint32_t>(it) : 0u;
-      comm.bcast(&word, sizeof word, 2);
-      ASSERT_EQ(word, 99u + static_cast<std::uint32_t>(it)) << it;
-      if (comm.rank() == 0) {
-        for (std::size_t i = 0; i < kN; i += 997)
-          ASSERT_DOUBLE_EQ(out[i],
-                           n * (n - 1) / 2.0 +
-                               static_cast<double>(n) *
-                                   (static_cast<double>(i) + it))
-              << it;
-      }
-    }
-  });
+  run(cfg, [&](Comm& comm) { reduce_mixed_direct_and_staged(comm); });
+}
+
+// Procs-mode worlds: heap operands cannot be read across address spaces,
+// so every one is staged through the slots (a threads world reads them in
+// place). Checks run inside the world and abort the rank on a mismatch.
+TEST(CollProcs, ReductionsStageHeapOperands) {
+  for (int nranks : {3, 4}) {
+    Config cfg;
+    cfg.env["NEMO_COLL"] = "shm";
+    cfg.mode = LaunchMode::kProcesses;
+    cfg.nranks = nranks;
+    cfg.coll_slot_bytes = kTestSlot;
+    cfg.shared_pool_bytes = 32 * MiB;
+    bool ok = run(cfg, [&](Comm& comm) {
+      reduce_allreduce_all_sizes(comm);
+      reduce_mixed_direct_and_staged(comm);
+    });
+    EXPECT_TRUE(ok) << nranks << " ranks";
+  }
 }
 
 // Auto-mode alltoallv gates on a rank-consistent symmetric proxy: the
