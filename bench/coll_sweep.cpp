@@ -23,10 +23,13 @@ namespace {
 
 /// Wall-clock microseconds per operation, median of `samples` timed bursts.
 /// Buffers are shared_alloc'd (arena-resident) so the shm path exercises
-/// its direct-read mode — the Nemesis single-copy ideal.
+/// its direct-read mode — the Nemesis single-copy ideal. With `heap` they
+/// are private vectors instead, as most callers' buffers are: read in place
+/// in this threads-mode world all the same.
 double real_coll_us(coll::Mode mode, const char* op, int nranks,
                     std::size_t bytes, int iters, int samples,
-                    std::map<std::string, std::string> pins = {}) {
+                    std::map<std::string, std::string> pins = {},
+                    bool heap = false) {
   // The mode IS the row being measured; pin it so an ambient NEMO_COLL
   // cannot silently redirect it.
   pins["NEMO_COLL"] = coll::to_string(mode);
@@ -41,9 +44,11 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
       2 * matrix * static_cast<std::size_t>(nranks) + 16 * MiB;
   double result = 0;
   core::run(cfg, [&](core::Comm& comm) {
-    std::byte* send = comm.shared_alloc(matrix);
-    std::byte* recv = (alltoall || allreduce) ? comm.shared_alloc(matrix)
-                                              : nullptr;
+    std::vector<std::byte> heap_bufs(heap ? 2 * matrix : 0);
+    std::byte* send = heap ? heap_bufs.data() : comm.shared_alloc(matrix);
+    std::byte* recv = heap ? heap_bufs.data() + matrix
+                      : (alltoall || allreduce) ? comm.shared_alloc(matrix)
+                                                : nullptr;
     pattern_fill({send, matrix}, static_cast<std::uint64_t>(comm.rank()));
     std::size_t elems = bytes / sizeof(double);
     std::vector<double> us;
@@ -72,7 +77,7 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
   return result;
 }
 
-/// MiB/s of the vertical fold an allreduce leader runs per merged rank
+/// MiB/s of the vertical fold a reduction runs per merged operand
 /// (dst[i] += src[i], f64) under the given kernel. In-process — no world,
 /// no transport — so the row isolates the compute half of the reduction.
 double fold_mibs(simd::Kernel k, std::size_t bytes, int iters, int samples) {
@@ -251,8 +256,8 @@ int main(int argc, char** argv) {
   }
 
   // End-to-end effect of the kernel choice: allreduce with NEMO_SIMD pinned
-  // (resolved at world construction, so it lands on the shm leader fold and
-  // the p2p combine loop alike).
+  // (resolved at world construction, so it lands on the shm partitioned
+  // fold and the p2p combine loop alike).
   std::printf("# Allreduce — fold kernel forced via NEMO_SIMD\n");
   const char* best_kn = simd::kernel_name(simd::best_supported());
   std::vector<const char*> forced_kernels{"scalar"};
@@ -273,6 +278,24 @@ int main(int argc, char** argv) {
                     static_cast<std::size_t>(256 * KiB), path, kn, wall_us);
       rows.emplace_back(row);
     }
+  }
+
+  // Allreduce over private heap operands, the buffers perfbench and most
+  // callers pass (every row above reduces arena-resident buffers).
+  std::printf("# Allreduce — heap operands, shm arena\n");
+  for (std::size_t bytes : {64 * KiB, 1 * MiB}) {
+    double wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 4,
+                                         bytes, iters, samples, {}, true)
+                          : 0.0;
+    std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce", 4,
+                bytes, "shm", wall_us, "heap", "-", "-");
+    char row[512];
+    std::snprintf(row, sizeof row,
+                  "{\"op\": \"allreduce\", \"ranks\": 4, \"bytes\": %zu, "
+                  "\"mode\": \"shm\", \"buffers\": \"heap\", "
+                  "\"wall_us\": %.2f}",
+                  bytes, wall_us);
+    rows.emplace_back(row);
   }
 
   // Strided alltoall: derived-datatype payload through pack-into-slot (shm)

@@ -12,15 +12,18 @@
 //   ProbeCell[2 * nranks]          per-rank seq-tagged count-probe cells
 //                                  (parity double-buffered, see below)
 //   nranks x slot:
-//     SlotHeader                   epoch / doorbell / direct-read offset
-//     table[2 * nranks] u64        per-dest (offset, len) for alltoallv
-//     payload[slot_bytes]          staged operand bytes
+//     SlotHeader                   epoch / doorbell / direct-read location
+//     table[2 * nranks] u64        per-dest (offset, len) for alltoallv;
+//                                  a reduction's result location
+//     payload[slot_bytes]          staged operand (or result share) bytes
 //
 // Synchronisation protocol. The cells below are the primitives; the slot
 // protocols built from them live in core/coll_internal.hpp (slot stream:
-// one writer, many readers; ordered fold: many writers, one folding
+// one writer, many readers; ordered fold: many writers, one folding node
 // leader) and core/collectives.cpp (exchange rounds: everyone writes and
-// reads, rounds closed by the barrier).
+// reads, rounds closed by the barrier — the flat reductions among them).
+// A writer whose buffer peers can read in place publishes its location
+// (locate()/resolve() below) instead of staging it in its slot.
 //
 //  - Epochs. Every collective instance owns a unique epoch value (the
 //    per-Comm collective sequence number, shifted to leave room for phases).
@@ -74,7 +77,7 @@ namespace nemo::coll {
 struct SlotHeader {
   alignas(kCacheLine) std::uint64_t epoch;  ///< RELEASE-published last.
   std::uint64_t chunks;   ///< Doorbell: payload chunks published this epoch.
-  std::uint64_t src_off;  ///< Direct-read arena offset; kNil = staged.
+  std::uint64_t src_off;  ///< Direct-read location (locate()); kNil = staged.
   std::uint64_t bytes;    ///< Op-specific meta (bytes, rounds, ...).
 };
 static_assert(sizeof(SlotHeader) == kCacheLine);
@@ -162,8 +165,12 @@ class WorldColl {
   }
 
   WorldColl() = default;
-  WorldColl(shm::Arena& arena, std::uint64_t off)
-      : arena_(&arena), st_(arena.at_as<CollState>(off)) {
+  /// `shared_space`: every rank runs in this address space (a threads
+  /// world), so any buffer is peer-readable, not only arena-resident ones.
+  WorldColl(shm::Arena& arena, std::uint64_t off, bool shared_space = false)
+      : arena_(&arena),
+        st_(arena.at_as<CollState>(off)),
+        shared_space_(shared_space) {
     std::byte* base = reinterpret_cast<std::byte*>(st_);
     barrier_ = reinterpret_cast<BarrierCell*>(base + sizeof(CollState));
     acks_ = reinterpret_cast<AckCell*>(barrier_ + st_->nranks);
@@ -175,6 +182,27 @@ class WorldColl {
   [[nodiscard]] int nranks() const { return static_cast<int>(st_->nranks); }
   [[nodiscard]] std::size_t slot_bytes() const { return st_->slot_bytes; }
   [[nodiscard]] shm::Arena& arena() const { return *arena_; }
+
+  // --- Direct-read locations ------------------------------------------------
+
+  /// Where peers can read `bytes` at `p` in place, for a header's src_off or
+  /// a table entry: the arena offset of an arena-resident buffer, the tagged
+  /// address of any buffer when every rank shares this address space (the
+  /// rule knem::Device applies for RemoteMode::kDirect), else kNil — the
+  /// bytes must be staged through a slot. Empty buffers are never direct.
+  [[nodiscard]] std::uint64_t locate(const void* p, std::size_t bytes) const {
+    if (bytes == 0) return shm::kNil;
+    if (arena_->contains(p, bytes)) return arena_->offset_of(p);
+    if (shared_space_) return reinterpret_cast<std::uintptr_t>(p) | kAddrTag;
+    return shm::kNil;
+  }
+  /// The reader-side view of a non-kNil locate() result.
+  [[nodiscard]] const std::byte* resolve(std::uint64_t loc) const {
+    if ((loc & kAddrTag) != 0)
+      return reinterpret_cast<const std::byte*>(
+          static_cast<std::uintptr_t>(loc & ~kAddrTag));
+    return arena_->at(loc);
+  }
 
   [[nodiscard]] SlotHeader* header(int r) const {
     return reinterpret_cast<SlotHeader*>(slot_base(r));
@@ -302,8 +330,13 @@ class WorldColl {
     return probes_[2 * static_cast<std::uint64_t>(r) + (seq & 1)];
   }
 
+  /// Marks a locate() result as an address rather than an arena offset
+  /// (user-space addresses never set bit 63; arena offsets stay far below).
+  static constexpr std::uint64_t kAddrTag = 1ull << 63;
+
   shm::Arena* arena_ = nullptr;
   CollState* st_ = nullptr;
+  bool shared_space_ = false;
   BarrierCell* barrier_ = nullptr;
   AckCell* acks_ = nullptr;
   ProbeCell* probes_ = nullptr;

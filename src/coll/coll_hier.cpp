@@ -82,10 +82,9 @@ HierTopo hier_topo(Engine& eng) {
   for (int k = 0; k < h.nodes; ++k) {
     int b = h.first[static_cast<std::size_t>(k)];
     int e = h.first[static_cast<std::size_t>(k) + 1];
-    // Same NUMA derivation the World uses for the flat coll_leader: the
-    // pinned core's node when bound, else the recorded ring-placement
-    // decision (computed even when mbind never ran, so the choice stays
-    // deterministic on single-node hosts).
+    // The pinned core's NUMA node when bound, else the recorded
+    // ring-placement decision (computed even when mbind never ran, so the
+    // choice stays deterministic on single-node hosts).
     std::vector<int> numa(static_cast<std::size_t>(e - b), -1);
     for (int r = b; r < e; ++r) {
       int core = w.core_of(r);
@@ -222,10 +221,7 @@ void Comm::reduce_hier(const T* in, T* out, std::size_t n, ReduceOp op,
   // 0 seeds with rank 0 == root). With the contiguous partition this
   // extends the flat ascending fold exactly, so the chain result is
   // bit-identical to the p2p/shm oracles.
-  coll_detail::fold_lead<T>(
-      eng, fold, op, in, b, end, k > 0 ? -1 : b,
-      [&](std::uint64_t t) { return acc + fold.offset(t) / sizeof(T); },
-      [](std::uint64_t, const T*, std::size_t) {});
+  coll_detail::fold_lead<T>(eng, fold, op, in, b, end, k > 0 ? -1 : b, acc);
   // Chain hop to the next node's leader (internode, modeled-charged).
   if (k < h.nodes - 1)
     send(acc, bytes, h.leader[static_cast<std::size_t>(k) + 1],

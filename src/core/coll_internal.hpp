@@ -1,12 +1,14 @@
 // Shared internals of the collective implementations (core/collectives.cpp
 // and coll/coll_hier.cpp): the tag/epoch namespacing contract, the one
-// progress-preserving wait, and the two arena slot protocols the flat and
-// hierarchical families share — the slot stream (one writer, many readers)
-// and the ordered fold (many writers, one folding leader). The tag and
-// epoch formulas are load-bearing across translation units: both families
-// derive them from the SAME per-Comm collective sequence number, so two
-// files disagreeing on them would cross-match messages from different
-// collective instances.
+// progress-preserving wait, the fold kernel call, and two arena slot
+// protocols — the slot stream (one writer, many readers; flat bcast and the
+// hierarchical legs) and the ordered fold (many writers, one folding node
+// leader; hierarchical reduce only — the flat reduce is a partitioned fold
+// over exchange rounds, in core/collectives.cpp). The tag and epoch
+// formulas are load-bearing across translation units: both families derive
+// them from the SAME per-Comm collective sequence number, so two files
+// disagreeing on them would cross-match messages from different collective
+// instances.
 #pragma once
 
 #include <algorithm>
@@ -88,8 +90,9 @@ void spin_until(Engine& eng, resil::Site site, int watch, bool stall,
 }
 
 /// Slot stream: rank `writer` serves `bytes` to a set of readers through
-/// its arena slot. A writer whose source is arena-resident publishes its
-/// offset and every reader copies straight from it; any other source
+/// its arena slot. A writer whose source is peer-readable
+/// (WorldColl::locate) publishes its location and every reader copies
+/// straight from it; any other source
 /// crosses chunk by chunk through the slot's kBcastSubBufs sub-buffers
 /// behind the doorbell, so readers pipeline behind the writer and a payload
 /// larger than the slot streams through it ring-style. Readers ack every
@@ -147,13 +150,6 @@ class SlotStream {
   void open(std::uint64_t src_off = shm::kNil) const {
     cw_.begin_epoch(writer_, epoch_, src_off, bytes_);
   }
-  /// The sub-buffer for chunk `i`, once every reader consumed its previous
-  /// tenant, chunk i - kBcastSubBufs.
-  template <typename Readers>
-  std::byte* claim(std::uint64_t i, Readers&& reads) const {
-    if (i >= nsub_) wait_acks(reads, i - nsub_ + 1);
-    return buffer(writer_, i);
-  }
   void publish(std::uint64_t i) const { cw_.publish_chunks(writer_, i + 1); }
   /// Wait until every reader acked `k` chunks.
   template <typename Readers>
@@ -166,18 +162,19 @@ class SlotStream {
   /// The whole writer side; `nt` selects streaming stores for staging.
   template <typename Readers>
   void write(const void* src, bool nt, Readers&& reads) const {
-    shm::Arena& arena = cw_.arena();
-    if (bytes_ > 0 && arena.contains(src, bytes_)) {
-      open(arena.offset_of(src));
+    if (std::uint64_t loc = cw_.locate(src, bytes_); loc != shm::kNil) {
+      open(loc);
       wait_acks(reads, 1);
       return;
     }
     open();
     const auto* in = static_cast<const std::byte*>(src);
     for (std::uint64_t i = 0; i < chunks_; ++i) {
-      std::byte* dst = claim(i, reads);
+      // Chunk i's sub-buffer is free once every reader consumed its
+      // previous tenant, chunk i - kBcastSubBufs.
+      if (i >= nsub_) wait_acks(reads, i - nsub_ + 1);
       if (std::size_t len = length(i))
-        shm::copy_for(nt, dst, in + offset(i), len);
+        shm::copy_for(nt, buffer(writer_, i), in + offset(i), len);
       publish(i);
     }
     wait_acks(reads, chunks_);
@@ -194,27 +191,24 @@ class SlotStream {
   [[nodiscard]] bool passed(std::uint64_t i) const {
     return i < nsub_ || ready(i - nsub_);
   }
-  /// Copy published chunk `i` to dst + offset(i) and ack it.
-  void take(int self, std::uint64_t i, std::byte* dst, bool nt) const {
-    if (std::size_t len = length(i))
-      shm::copy_for(nt, dst + offset(i), buffer(writer_, i), len);
-    cw_.set_ack(self, epoch_, i + 1);
-  }
-  /// The whole reader side: one direct copy, or every chunk in order.
+  /// The whole reader side: one direct copy, or every chunk in order, each
+  /// acked once copied.
   void read(int self, void* dst, bool nt) const {
     auto* out = static_cast<std::byte*>(dst);
     spin_until(eng_, resil::Site::kCollDoorbell, writer_, stalls_,
                [&] { return cw_.ready(writer_, epoch_, 0); });
     std::uint64_t src_off = cw_.header(writer_)->src_off;
     if (src_off != shm::kNil) {
-      shm::copy_for(nt, out, cw_.arena().at(src_off), bytes_);
+      shm::copy_for(nt, out, cw_.resolve(src_off), bytes_);
       cw_.set_ack(self, epoch_, 1);
       return;
     }
     for (std::uint64_t i = 0; i < chunks_; ++i) {
       spin_until(eng_, resil::Site::kCollDoorbell, writer_, stalls_,
                  [&] { return ready(i); });
-      take(self, i, out, nt);
+      if (std::size_t len = length(i))
+        shm::copy_for(nt, out + offset(i), buffer(writer_, i), len);
+      cw_.set_ack(self, epoch_, i + 1);
     }
   }
 
@@ -231,30 +225,42 @@ class SlotStream {
 };
 
 /// Ordered fold, writer side: this rank hands its operand to the leader
-/// owning stream `lead`. An arena-resident operand publishes its offset and
+/// owning stream `lead`. A peer-readable operand publishes its location and
 /// the leader folds straight from it; any other is staged chunk by chunk on
 /// the lead stream's geometry in the writer's own slot. The leader's
 /// doorbell for chunk k proves it folded chunk k out of every writer's
-/// slot, which frees that sub-buffer. step() never blocks — reduce
-/// interleaves it with consuming the result.
+/// slot, which frees that sub-buffer.
 class FoldWriter {
  public:
   FoldWriter(Engine& eng, const SlotStream& lead, const void* in)
       : eng_(eng), lead_(lead), in_(static_cast<const std::byte*>(in)) {
     coll::WorldColl& cw = eng.coll_view();
-    shm::Arena& arena = cw.arena();
     std::size_t bytes = lead.bytes();
-    bool direct = bytes > 0 && arena.contains(in, bytes);
-    chunks_ = direct || bytes == 0 ? 0 : lead.chunks();
-    cw.begin_epoch(eng.rank(), lead.epoch(),
-                   direct ? arena.offset_of(in) : shm::kNil, chunks_);
+    std::uint64_t loc = cw.locate(in, bytes);
+    chunks_ = loc != shm::kNil || bytes == 0 ? 0 : lead.chunks();
+    cw.begin_epoch(eng.rank(), lead.epoch(), loc, chunks_);
   }
 
-  [[nodiscard]] bool done() const { return dep_ == chunks_; }
+  /// Deposit everything, then wait for the fold's last doorbell (a direct
+  /// operand is read chunk by chunk, so it stays live until then) and ack
+  /// it so the leader can return and reuse its slot.
+  void finish() {
+    int leader = lead_.writer();
+    spin_until(eng_, resil::Site::kCollDoorbell, leader, lead_.stalls(), [&] {
+      while (step()) {
+      }
+      return dep_ == chunks_;
+    });
+    std::uint64_t last = lead_.chunks() - 1;
+    spin_until(eng_, resil::Site::kCollDoorbell, leader, lead_.stalls(),
+               [&] { return lead_.ready(last); });
+    eng_.coll_view().set_ack(eng_.rank(), lead_.epoch(), last + 1);
+  }
 
-  /// Deposit the next chunk if its sub-buffer is free.
+ private:
+  /// Deposit the next chunk if its sub-buffer is free; never blocks.
   bool step() {
-    if (done() || !lead_.passed(dep_)) return false;
+    if (dep_ == chunks_ || !lead_.passed(dep_)) return false;
     int self = eng_.rank();
     std::size_t len = lead_.length(dep_);
     trace::Span sp(eng_.tracer(), trace::kCollDeposit, trace::Mode::kRings,
@@ -265,23 +271,6 @@ class FoldWriter {
     return true;
   }
 
-  /// The pure writer: deposit everything, then wait for the fold's last
-  /// doorbell (a direct operand is read chunk by chunk, so it stays live
-  /// until then) and ack it so the leader can return and reuse its slot.
-  void finish() {
-    int leader = lead_.writer();
-    spin_until(eng_, resil::Site::kCollDoorbell, leader, lead_.stalls(), [&] {
-      while (step()) {
-      }
-      return done();
-    });
-    std::uint64_t last = lead_.chunks() - 1;
-    spin_until(eng_, resil::Site::kCollDoorbell, leader, lead_.stalls(),
-               [&] { return lead_.ready(last); });
-    eng_.coll_view().set_ack(eng_.rank(), lead_.epoch(), last + 1);
-  }
-
- private:
   Engine& eng_;
   const SlotStream& lead_;
   const std::byte* in_;
@@ -314,18 +303,17 @@ void fold_chunk(Engine& eng, Comm::ReduceOp op, T* dst, const T* src,
 }
 
 /// Ordered fold, leader side: fold the operands of ranks [lo, hi) (the
-/// leader's own is `in`) chunk by chunk into dst(t), each chunk seeded with
-/// rank `seed`'s slice — or, seed < 0, with what dst(t) already holds — and
+/// leader's own is `in`) chunk by chunk into `acc`, each chunk seeded with
+/// rank `seed`'s slice — or, seed < 0, with what `acc` already holds — and
 /// then folded in ascending rank order. That is exactly the element-wise
 /// order of the p2p oracle, independent of who leads, of deposit modes and
 /// of chunk size, so results match it bit for bit. Fenced ranks contribute
-/// nothing. Chunk t's doorbell on `lead` is published after emit(t, acc,
-/// count); the fold returns once every writer acked the last chunk, when
-/// their operands and slots are dead for this epoch.
-template <typename T, typename Dst, typename Emit>
+/// nothing. Chunk t's doorbell on `lead` is published once it is folded;
+/// the fold returns once every writer acked the last chunk, when their
+/// operands and slots are dead for this epoch.
+template <typename T>
 void fold_lead(Engine& eng, const SlotStream& lead, Comm::ReduceOp op,
-               const T* in, int lo, int hi, int seed, Dst&& dst,
-               Emit&& emit) {
+               const T* in, int lo, int hi, int seed, T* acc) {
   coll::WorldColl& cw = eng.coll_view();
   int me = lead.writer();
   // Snapshot every writer's direct-read offset first: a direct writer
@@ -346,22 +334,21 @@ void fold_lead(Engine& eng, const SlotStream& lead, Comm::ReduceOp op,
     if (cnt > 0) {
       trace::Span sp(eng.tracer(), trace::kCollFold, trace::Mode::kRings, t,
                      cnt * sizeof(T));
-      T* acc = dst(t);
+      T* dst = acc + first;
       auto slice_of = [&](int w) -> const T* {
         if (w == me) return in + first;
         std::uint64_t off = src_offs[static_cast<std::size_t>(w - lo)];
         if (off != shm::kNil)
-          return reinterpret_cast<const T*>(cw.arena().at(off)) + first;
+          return reinterpret_cast<const T*>(cw.resolve(off)) + first;
         spin_until(eng, resil::Site::kCollDoorbell, w, lead.stalls(),
                    [&] { return cw.ready(w, lead.epoch(), t + 1); });
         return reinterpret_cast<const T*>(lead.buffer(w, t));
       };
       resil::fault_point(resil::Site::kCollFold, me);
-      if (seed >= 0) std::memcpy(acc, slice_of(seed), cnt * sizeof(T));
+      if (seed >= 0) std::memcpy(dst, slice_of(seed), cnt * sizeof(T));
       for (int w = lo; w < hi; ++w)
         if (w != seed && !eng.rank_fenced(w))
-          fold_chunk(eng, op, acc, slice_of(w), cnt);
-      emit(t, acc, cnt);
+          fold_chunk(eng, op, dst, slice_of(w), cnt);
     }
     lead.publish(t);
   }

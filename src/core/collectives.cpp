@@ -7,21 +7,24 @@
 //    exchange runs through one schedule, pairwise().
 //
 //  - The shared-memory collective arena fast path (src/coll/): every
-//    operand is written into (or published from) shared memory ONCE and
-//    every reader pulls it directly, instead of re-copying payloads through
-//    the per-pair copy rings at each tree hop. A 256 KiB bcast over 8 ranks
-//    costs ~n slot copies instead of the binomial tree's 2·log n
-//    full-payload ring copies; alltoall halves its copy volume whenever the
-//    source matrix is arena-resident (readers pull straight from it).
-//    Each op is a short call into one of three slot protocols plus the
+//    operand is written into shared memory at most ONCE — not at all when
+//    peers can read it in place (WorldColl::locate: arena-resident
+//    buffers, and any buffer of a threads world) — and every reader pulls
+//    it directly, instead of re-copying payloads through the per-pair copy
+//    rings at each tree hop. A 256 KiB bcast over 8 ranks costs ~n slot
+//    copies instead of the binomial tree's 2·log n full-payload ring
+//    copies; alltoall halves its copy volume whenever the source matrix is
+//    peer-readable. Each op is a short call into a slot protocol plus the
 //    arena barrier:
-//      slot stream      one writer, many readers (bcast; reduce's result)
-//                       — coll_internal.hpp
-//      ordered fold     many writers, one folding leader (reduce,
-//                       allreduce) — coll_internal.hpp
+//      slot stream      one writer, many readers (bcast) —
+//                       coll_internal.hpp
 //      exchange rounds  every rank writes and reads blocks, rounds closed
 //                       by the arena barrier (allgather, alltoall(v) and
-//                       their strided forms) — Exchange below
+//                       their strided forms; reduce and allreduce as a
+//                       partitioned fold, two doorbells a round) —
+//                       Exchange below
+//    The hierarchical family (coll/coll_hier.cpp) adds the ordered fold,
+//    one folding leader per node, from coll_internal.hpp.
 //
 // Selection mirrors lmt::Policy: NEMO_COLL=shm|p2p forces a family, auto
 // compares the op's symmetric size measure against the tuned
@@ -53,7 +56,6 @@ using coll_detail::coll_tag;
 using coll_detail::div_ceil;
 using coll_detail::epoch_base;
 using coll_detail::fold_chunk;
-using coll_detail::FoldWriter;
 using coll_detail::SlotStream;
 using coll_detail::spin_until;
 
@@ -146,55 +148,79 @@ void shm_barrier(Engine& eng) {
 /// its own slot, then takes its block from every other writer's slot; the
 /// arena barrier closes each round, so no writer overwrites its slot (or
 /// returns, freeing a direct-read source) before every reader finished
-/// with it. A writer whose whole source is arena-resident publishes the
-/// offset instead and deposits nothing. header.bytes carries each writer's
-/// staged round count, so direct and staged writers agree on the schedule.
-/// Constructing publishes; run() executes the rounds.
+/// with it. A writer whose whole source is peer-readable publishes its
+/// location (WorldColl::locate) instead and deposits nothing. header.bytes
+/// carries each writer's staged round count, so direct and staged writers
+/// agree on the schedule. A round may ring `phases` doorbells (the
+/// partitioned fold rings one per deposit and one per folded share);
+/// run() is the one-phase schedule, the pieces below serve the others.
 class Exchange {
  public:
-  Exchange(Engine& eng, std::uint64_t epoch, const void* direct_src,
-           std::uint64_t rounds)
-      : eng_(eng), cw_(eng.coll_view()), epoch_(epoch), mine_(rounds) {
-    cw_.begin_epoch(eng.rank(), epoch,
-                    direct_src != nullptr ? cw_.arena().offset_of(direct_src)
-                                          : shm::kNil,
-                    rounds);
+  Exchange(Engine& eng, std::uint64_t epoch, std::uint64_t src,
+           std::uint64_t rounds, std::uint64_t phases = 1)
+      : eng_(eng),
+        cw_(eng.coll_view()),
+        epoch_(epoch),
+        mine_(rounds),
+        phases_(phases) {
+    cw_.begin_epoch(eng.rank(), epoch, src, rounds);
   }
 
-  /// deposit(t, slot) fills this rank's slot for round t. take(w, t, src,
-  /// direct) copies writer w's blocks out of `src`: its slot payload, or —
-  /// direct writers, round 0 only — its arena-resident source.
-  template <typename Deposit, typename Take>
-  void run(Deposit&& deposit, Take&& take) {
-    int n = eng_.nranks(), r = eng_.rank();
-    // Everyone reads every header before round 0 so all ranks agree on the
-    // global round count. Fenced writers never publish (their headers are
-    // tombstoned); survivors skip them and leave their blocks untouched.
+  /// Read every live writer's header and return the global round count
+  /// (at least one). Fenced writers never publish (their headers are
+  /// tombstoned); survivors skip them and leave their blocks untouched.
+  std::uint64_t sync() {
     std::uint64_t rounds = std::max<std::uint64_t>(mine_, 1);
-    for (int w = 0; w < n; ++w) {
-      if (w == r || eng_.rank_fenced(w)) continue;
+    for (int w = 0; w < eng_.nranks(); ++w) {
+      if (w == eng_.rank() || eng_.rank_fenced(w)) continue;
       spin_until(eng_, resil::Site::kCollDoorbell, w, true,
                  [&] { return cw_.ready(w, epoch_, 0); });
       rounds = std::max(rounds, cw_.header(w)->bytes);
     }
+    return rounds;
+  }
+  /// Writer w's direct-read source, or nullptr when it stages.
+  [[nodiscard]] const std::byte* source(int w) const {
+    std::uint64_t loc = cw_.header(w)->src_off;
+    return loc != shm::kNil ? cw_.resolve(loc) : nullptr;
+  }
+  /// Ring this rank's doorbell for `phase` of round t.
+  void ring(std::uint64_t t, std::uint64_t phase) const {
+    cw_.publish_chunks(eng_.rank(), t * phases_ + phase + 1);
+  }
+  /// Wait until writer w rang `phase` of round t.
+  void await(int w, std::uint64_t t, std::uint64_t phase,
+             resil::Site site) const {
+    spin_until(eng_, site, w, true, [&] {
+      return cw_.ready(w, epoch_, t * phases_ + phase + 1);
+    });
+  }
+  /// Close a round: nobody reads this round's slots or sources after it.
+  void close() const { shm_barrier(eng_); }
+
+  /// deposit(t, slot) fills this rank's slot for round t. take(w, t, src,
+  /// direct) copies writer w's blocks out of `src`: its slot payload, or —
+  /// direct writers, round 0 only — its peer-readable source.
+  template <typename Deposit, typename Take>
+  void run(Deposit&& deposit, Take&& take) {
+    int n = eng_.nranks(), r = eng_.rank();
+    std::uint64_t rounds = sync();
     for (std::uint64_t t = 0; t < rounds; ++t) {
       if (t < mine_) {
         deposit(t, cw_.payload(r));
-        cw_.publish_chunks(r, t + 1);
+        ring(t, 0);
       }
       for (int w = 0; w < n; ++w) {
         if (w == r || eng_.rank_fenced(w)) continue;
-        coll::SlotHeader* h = cw_.header(w);
-        if (h->src_off != shm::kNil) {
-          if (t == 0) take(w, t, cw_.arena().at(h->src_off), true);
+        if (const std::byte* src = source(w)) {
+          if (t == 0) take(w, t, src, true);
           continue;
         }
-        if (t >= h->bytes) continue;  // This writer already finished.
-        spin_until(eng_, resil::Site::kCollDoorbell, w, true,
-                   [&] { return cw_.ready(w, epoch_, t + 1); });
+        if (t >= cw_.header(w)->bytes) continue;  // Writer already finished.
+        await(w, t, 0, resil::Site::kCollDoorbell);
         take(w, t, cw_.payload(w), false);
       }
-      shm_barrier(eng_);
+      close();
     }
   }
 
@@ -202,7 +228,8 @@ class Exchange {
   Engine& eng_;
   coll::WorldColl& cw_;
   std::uint64_t epoch_;
-  std::uint64_t mine_;  ///< This rank's staged rounds (0 = direct).
+  std::uint64_t mine_;    ///< This rank's staged rounds (0 = direct).
+  std::uint64_t phases_;  ///< Doorbells per round.
 };
 
 /// Pairwise p2p exchange: n-1 steps; at step s this rank exchanges with
@@ -272,16 +299,16 @@ void alltoall_blocks(Engine& eng, const std::byte* in, Blocks sb,
     }
   }
   eng.counters().coll_shm_bytes += my_bytes;
-  bool direct = span > 0 && cw.arena().contains(in, span);
-  if (direct) {
+  std::uint64_t src = cw.locate(in, span);
+  if (src != shm::kNil) {
     std::uint64_t* tab = cw.table(r);
     for (int d = 0; d < n; ++d) {
       tab[2 * d] = sb.displ(d);
       tab[2 * d + 1] = sb.count(d);
     }
   }
-  Exchange x(eng, epoch_base(next_coll_seq(eng)), direct ? in : nullptr,
-             direct ? 0 : div_ceil(send_max, cap));
+  Exchange x(eng, epoch_base(next_coll_seq(eng)), src,
+             src != shm::kNil ? 0 : div_ceil(send_max, cap));
   std::memcpy(out + rb.displ(r), in + sb.displ(r), sb.count(r));
   std::size_t nt = nt_min(eng);
   x.run(
@@ -507,9 +534,9 @@ void Comm::allgather(const void* sendbuf, std::size_t per_rank,
   auto* out = static_cast<std::byte*>(recvbuf);
   std::size_t slot = cw.slot_bytes();
   std::size_t nt = nt_min(eng);
-  bool direct = per_rank > 0 && cw.arena().contains(in, per_rank);
-  Exchange x(eng, epoch_base(next_coll_seq(eng)), direct ? in : nullptr,
-             direct ? 0 : div_ceil(per_rank, slot));
+  std::uint64_t src = cw.locate(in, per_rank);
+  Exchange x(eng, epoch_base(next_coll_seq(eng)), src,
+             src != shm::kNil ? 0 : div_ceil(per_rank, slot));
   std::memcpy(out + static_cast<std::size_t>(r) * per_rank, in, per_rank);
   x.run(
       [&](std::uint64_t t, std::byte* dst) {
@@ -696,7 +723,7 @@ void Comm::strided_coll(const void* sendbuf, const Datatype& sdt,
     // The slot chunk IS the pack buffer: each strided block streams from
     // the user buffer straight into shared memory, so the packed form
     // exists exactly once.
-    Exchange x(eng, epoch_base(next_coll_seq(eng)), nullptr, 1);
+    Exchange x(eng, epoch_base(next_coll_seq(eng)), shm::kNil, 1);
     x.run(
         [&](std::uint64_t, std::byte* slot) {
           if (!spread) return pack_into(eng, in, sdt, count, slot);
@@ -734,7 +761,7 @@ void Comm::reduce_impl(const T* in, T* out, std::size_t n, ReduceOp op,
                        int root, int tag) {
   int p = size(), r = rank();
   if (r == root) {
-    std::memcpy(out, in, n * sizeof(T));
+    if (out != in) std::memcpy(out, in, n * sizeof(T));
     // Per-Comm receive scratch sized to the high-water mark: this used to
     // be a fresh std::vector<T>(n) on every reduction pass.
     if (reduce_scratch_.size() < n * sizeof(T))
@@ -750,100 +777,173 @@ void Comm::reduce_impl(const T* in, T* out, std::size_t n, ReduceOp op,
   }
 }
 
-/// Leader-based pipelined shm reduction: an ordered fold whose leader
-/// stream doubles as the result stream. Every non-leader rank deposits its
-/// operand and the leader folds each sub-chunk as soon as every writer's
-/// doorbell for it fires, publishing the folded chunk through its own slot,
-/// where the result readers (the root for reduce, everyone for allreduce)
-/// pipeline behind the fold. The leader is the NUMA-chosen
-/// World::coll_leader (the node owning the plurality of operand buffers),
-/// decoupled from the user root; the fold seeds with the root's slice, as
-/// the p2p oracle does.
-///
-/// Deadlock shape to respect: in allreduce every rank is writer AND reader.
-/// The leader's result sub-buffers recycle on reader acks, and writer
-/// deposits recycle on the leader's fold doorbell — if writers finished all
-/// deposits before consuming any result chunk, both gates could starve
-/// each other. Non-leader readers therefore run deposit and result
-/// consumption as one interleaved loop, advancing whichever side is ready.
+namespace {
+
+/// Smallest share worth a folder of its own: a round shorter than
+/// `folders` of these folds on fewer ranks, down to one (a single rank
+/// folds everything, as a leader would).
+constexpr std::size_t kShareFloor = 4 * KiB;
+
+/// The partitioned fold accumulates in blocks of this size, so the running
+/// result stays in L1 while every operand streams past it.
+constexpr std::size_t kFoldBlock = 8 * KiB;
+
+/// One round's share geometry: `len` bytes cut into `count` shares on
+/// cache-line boundaries (so on element boundaries too, for every element
+/// size dividing a line). Share k belongs to the k-th surviving rank.
+struct Shares {
+  Shares(std::size_t round_len, std::size_t folders)
+      : len(round_len),
+        count(static_cast<int>(
+            std::clamp<std::size_t>(round_len / kShareFloor, 1, folders))) {}
+  [[nodiscard]] std::size_t begin(int k) const {
+    std::size_t lines = div_ceil(len, kCacheLine);
+    return std::min(len, lines * static_cast<std::size_t>(k) /
+                             static_cast<std::size_t>(count) * kCacheLine);
+  }
+  [[nodiscard]] std::size_t end(int k) const { return begin(k + 1); }
+
+  std::size_t len;
+  int count;
+};
+
+}  // namespace
+
+/// Partitioned shm reduction over two-phase exchange rounds. Every round
+/// cuts its slice of the vector into one share per surviving rank (fewer
+/// for short rounds, see Shares). A rank deposits its operand (staging it
+/// into its slot unless peers read it in place) and rings phase 0; folds
+/// its own share of every operand, seeded with the root's slice and then
+/// in ascending rank order — the p2p oracle's order, so the result is bit
+/// for bit the oracle's whatever the share geometry — and rings phase 1;
+/// then copies every other share's result into its `out` (everyone for
+/// allreduce, only the root for reduce). The arena barrier closes the
+/// round, so no rank returns, or restages its slot, while a peer still
+/// reads its operand or its result. A folder keeps its result share in its
+/// `out` when peers can read it there, else in its own slot over its own
+/// operand share, which only it reads. Peer-readable operands and results
+/// need no staging: the op is one round spanning the whole vector. Any
+/// staged side cuts it into slot-sized rounds.
 template <typename T>
 void Comm::reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op,
                       int root, bool all, std::uint64_t epoch) {
+  static_assert(kCacheLine % sizeof(T) == 0 && kFoldBlock % kCacheLine == 0);
   Engine& eng = engine_;
+  coll::WorldColl& cw = eng.coll_view();
   int p = size(), r = rank();
-  // NUMA-chosen leader, remapped to the lowest survivor when the configured
-  // leader has been fenced (world-symmetric after fence_world()).
-  int leader = eng.effective_coll_leader();
-  NEMO_ASSERT(leader >= 0 && leader < p);
-  eng.counters().coll_shm_bytes += n * sizeof(T);
-  SlotStream lead(eng, leader, epoch, n * sizeof(T), true);
-  auto reads = [&](int k) { return all || k == root; };
+  std::size_t bytes = n * sizeof(T);
+  eng.counters().coll_shm_bytes += bytes;
+  bool want = all || r == root;  // Our `out` is significant.
+  const auto* inb = reinterpret_cast<const std::byte*>(in);
+  auto* outb = reinterpret_cast<std::byte*>(out);
+  std::uint64_t src = cw.locate(in, bytes);
+  std::uint64_t res = want ? cw.locate(out, bytes) : shm::kNil;
+  cw.table(r)[0] = res;  // Published with the epoch below.
+  bool staged = src == shm::kNil || res == shm::kNil;
+  Exchange x(eng, epoch, src, staged ? div_ceil(bytes, cw.slot_bytes()) : 0,
+             2);
+  std::uint64_t rounds = x.sync();
+  std::size_t width = rounds == 1 ? bytes : cw.slot_bytes();
 
-  if (r != leader) {
-    FoldWriter dep(eng, lead, in);
-    if (!reads(r)) {
-      dep.finish();
-      return;
-    }
-    auto* dst = reinterpret_cast<std::byte*>(out);
-    std::uint64_t got = 0;
-    auto take = [&] {
-      if (got == lead.chunks() || !lead.ready(got)) return false;
-      trace::Span sp(eng.tracer(), trace::kCollRelease, trace::Mode::kRings,
-                     got, lead.length(got));
-      lead.take(r, got++, dst, false);
-      return true;
-    };
-    // Both sides block on the leader, so the wait watches it; a dead
-    // leader makes the whole op unfinishable.
-    spin_until(eng, resil::Site::kCollDoorbell, leader, true, [&] {
-      while (dep.step() || take()) {
-      }
-      return dep.done() && got == lead.chunks();
-    });
-    return;
+  // Folders are the survivors in rank order. A fenced root's seed falls
+  // back to the lowest survivor (the oracle over the survivor set).
+  std::vector<int> live;
+  int me = 0;
+  for (int w = 0; w < p; ++w) {
+    if (w == r) me = static_cast<int>(live.size());
+    if (w == r || !eng.rank_fenced(w)) live.push_back(w);
   }
-
-  bool stage = all || r != root;  // Someone reads the result from our slot.
-  bool want = all || r == root;   // Our own `out` is significant.
-  // A fenced root's seed falls back to the lowest surviving rank (the
-  // oracle over the survivor set).
   int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
-  fold_lead<T>(
-      eng, lead, op, in, 0, p, seed,
-      [&](std::uint64_t t) {
-        return stage ? reinterpret_cast<T*>(lead.claim(t, reads))
-                     : out + lead.offset(t) / sizeof(T);
-      },
-      [&](std::uint64_t t, const T* acc, std::size_t cnt) {
-        if (stage && want)
-          std::memcpy(out + lead.offset(t) / sizeof(T), acc, cnt * sizeof(T));
-      });
+  std::vector<const std::byte*> from(static_cast<std::size_t>(p));
+
+  for (std::uint64_t t = 0; t < rounds; ++t) {
+    std::size_t lo = static_cast<std::size_t>(t) * width;
+    Shares sh(std::min(width, bytes - lo), live.size());
+    resil::fault_point(resil::Site::kCollDeposit, r);
+    if (src == shm::kNil && sh.len > 0) {
+      trace::Span sp(eng.tracer(), trace::kCollDeposit, trace::Mode::kRings,
+                     t, sh.len);
+      std::memcpy(cw.payload(r), inb + lo, sh.len);
+    }
+    x.ring(t, 0);
+
+    if (me < sh.count && sh.end(me) > sh.begin(me)) {
+      std::size_t a = sh.begin(me), b = sh.end(me);
+      for (int w : live) {
+        const std::byte*& f = from[static_cast<std::size_t>(w)];
+        if (w == r) {
+          f = inb + lo;
+        } else if (const std::byte* direct = x.source(w)) {
+          f = direct + lo;
+        } else {
+          x.await(w, t, 0, resil::Site::kCollGather);
+          f = cw.payload(w);
+        }
+      }
+      std::byte* keep = res != shm::kNil ? outb + lo : cw.payload(r);
+      resil::fault_point(resil::Site::kCollFold, r);
+      trace::Span sp(eng.tracer(), trace::kCollFold, trace::Mode::kRings, t,
+                     b - a);
+      alignas(kCacheLine) std::byte acc[kFoldBlock];
+      auto* acc_t = reinterpret_cast<T*>(acc);
+      for (std::size_t x0 = a; x0 < b; x0 += kFoldBlock) {
+        std::size_t len = std::min(kFoldBlock, b - x0);
+        std::memcpy(acc, from[static_cast<std::size_t>(seed)] + x0, len);
+        for (int w : live)
+          if (w != seed)
+            fold_chunk(eng, op, acc_t,
+                       reinterpret_cast<const T*>(
+                           from[static_cast<std::size_t>(w)] + x0),
+                       len / sizeof(T));
+        std::memcpy(keep + x0, acc, len);
+        if (want && res == shm::kNil) std::memcpy(outb + lo + x0, acc, len);
+      }
+    }
+    x.ring(t, 1);
+
+    if (want) {
+      trace::Span sp(eng.tracer(), trace::kCollRelease, trace::Mode::kRings,
+                     t, sh.len);
+      // Start after our own share so the readers of one share stagger.
+      for (int i = 1; i <= sh.count; ++i) {
+        int k = (me + i) % sh.count;
+        std::size_t a = sh.begin(k), b = sh.end(k);
+        if (k == me || a == b) continue;
+        int f = live[static_cast<std::size_t>(k)];
+        x.await(f, t, 1, resil::Site::kCollDoorbell);
+        std::uint64_t kept = cw.table(f)[0];
+        const std::byte* res_f =
+            kept != shm::kNil ? cw.resolve(kept) + lo : cw.payload(f);
+        std::memcpy(outb + lo + a, res_f + a, b - a);
+      }
+    }
+    x.close();
+  }
 }
 
 template <typename T>
 void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
                            int root, bool all) {
   if (size() == 1) {
-    std::memcpy(out, in, n * sizeof(T));
+    if (out != in) std::memcpy(out, in, n * sizeof(T));
     return;
   }
   Engine& eng = engine_;
   CollScope obs(eng, all ? trace::kOpAllreduce : trace::kOpReduce,
                 n * sizeof(T));
-  // The fold and its result ride slot streams, so the stream's ack chunk
-  // budget gates both arena families exactly as it does for bcast.
-  bool fits = ack_budget_ok(eng, n * sizeof(T));
   std::uint64_t cs = next_coll_seq(eng);
   // Hierarchical two-level schedule: auto mode, enough synthetic nodes, and
   // (for reduce) root 0 — the chain fold reproduces the flat ascending
   // order only when the fold seeds at rank 0. `root` is a symmetric
-  // argument, so the gate stays world-symmetric.
-  if (fits && (all || root == 0) && use_hier_coll(n * sizeof(T))) {
+  // argument, so the gate stays world-symmetric. Its node fold and result
+  // ride slot streams, so the stream's ack chunk budget gates it as it
+  // does bcast; the flat partitioned fold has no such budget.
+  if (ack_budget_ok(eng, n * sizeof(T)) && (all || root == 0) &&
+      use_hier_coll(n * sizeof(T))) {
     reduce_hier<T>(in, out, n, op, root, all, cs);
     return;
   }
-  if (use_shm_coll(n * sizeof(T), fits ? kCacheLine : SIZE_MAX)) {
+  if (use_shm_coll(n * sizeof(T), kCacheLine)) {
     reduce_shm<T>(in, out, n, op, root, all, epoch_base(cs));
     return;
   }

@@ -202,27 +202,6 @@ World::World(Config cfg)
                       coll::WorldColl::region_bytes(cfg_.nranks, coll_slot));
   }
 
-  // Reduction leader: the rank whose NUMA node backs the plurality of
-  // ranks. Each rank's node comes from its pinned core when bound; unbound
-  // ranks fall back to the recorded ring-placement decision for one of
-  // their pairs (computed even when mbind never ran, so the choice stays
-  // deterministic and testable on single-node hosts).
-  if (cfg_.coll_leader >= 0) {
-    coll_leader_ = cfg_.coll_leader;
-  } else if (cfg_.nranks > 1) {
-    std::vector<int> node_of_rank(static_cast<std::size_t>(cfg_.nranks), -1);
-    for (int r = 0; r < cfg_.nranks; ++r) {
-      int core = core_of(r);
-      if (core >= 0 && core < cfg_.topo.num_cores)
-        node_of_rank[static_cast<std::size_t>(r)] =
-            cfg_.topo.numa_node_of(core);
-      else
-        node_of_rank[static_cast<std::size_t>(r)] =
-            ring_placement(r, (r + 1) % cfg_.nranks).node;
-    }
-    coll_leader_ = coll::choose_leader(node_of_rank);
-  }
-
   std::uint64_t shared_state_begin = arena_.alloc(8, kCacheLine);
   knem_off_ = knem::Device::create(arena_);
 
@@ -374,7 +353,8 @@ Engine::Engine(World& world, int rank)
     progress_hist_ = &trace::registry().hist("progress.pass_ns");
   matcher_.set_counters(&counters_);
   if (world.coll_off() != shm::kNil)
-    coll_ = coll::WorldColl(world.arena(), world.coll_off());
+    coll_ = coll::WorldColl(world.arena(), world.coll_off(),
+                            world.config().mode == LaunchMode::kThreads);
   const tune::TuningTable& tuning = world.tuning();
   fastbox_max_ =
       std::min<std::size_t>(tuning.fastbox_max,
@@ -397,7 +377,6 @@ Engine::Engine(World& world, int rank)
   on_death_ = world.on_peer_death();
   fenced_.assign(static_cast<std::size_t>(world.nranks()), 0);
   tombstoned_.assign(static_cast<std::size_t>(world.nranks()), 0);
-  effective_leader_ = world.coll_leader();
   if (live_.valid()) live_.beat(rank_);  // Stamp 0 means "never started".
   backends_.resize(5);
   int n = world.nranks();
@@ -1222,8 +1201,6 @@ int Engine::lowest_alive() const {
   return 0;
 }
 
-int Engine::effective_coll_leader() const { return effective_leader_; }
-
 void Engine::reclaim_fenced() noexcept {
   if (!coll_.valid()) return;
   for (int r = 0; r < nranks(); ++r) {
@@ -1296,17 +1273,6 @@ void Engine::peer_death_fence(int dead_rank, resil::Site site,
   poll_order_.erase(
       std::remove(poll_order_.begin(), poll_order_.end(), dead_rank),
       poll_order_.end());
-
-  // Shrink the leader choice to the survivor set — degrade mode only.
-  // Abort mode keeps the configured schedule so the next wait involving
-  // the dead leader fails fast on its sticky dead flag.
-  if (on_death_ == resil::OnPeerDeath::kDegrade) {
-    int lead = world_.coll_leader();
-    if (lead >= 0 && lead < nranks() &&
-        fenced_[static_cast<std::size_t>(lead)] != 0)
-      lead = lowest_alive();
-    effective_leader_ = lead;
-  }
 
   if (trace::on()) tracer_.emit(trace::kFence, trace::kEnd);
 }

@@ -113,11 +113,6 @@ struct Config {
   /// Per-rank collective-arena slot capacity. 0 = the tuning table's
   /// coll_slot_bytes (NEMO_COLL_SLOT_BYTES overrides either).
   std::size_t coll_slot_bytes = 0;
-  /// Combining leader for shm reduce/allreduce. -1 = auto: the rank on the
-  /// NUMA node backing the plurality of ranks (coll::choose_leader over the
-  /// core binding / recorded ring placements; rank 0 on single-node hosts).
-  /// NEMO_COLL_LEADER overrides.
-  int coll_leader = -1;
 
   /// Model I/OAT presence (the software DMA channel).
   bool dma_available = true;
@@ -231,9 +226,6 @@ class World {
   [[nodiscard]] std::uint64_t coll_off() const { return coll_off_; }
   /// Effective collective path mode after env resolution.
   [[nodiscard]] coll::Mode coll_mode() const { return cfg_.coll; }
-  /// The shm reduce/allreduce combining leader (env > Config > NUMA-derived;
-  /// see Config::coll_leader).
-  [[nodiscard]] int coll_leader() const { return coll_leader_; }
 
   /// Effective NUMA placement mode after env resolution.
   [[nodiscard]] shm::NumaPlacement numa_mode() const {
@@ -307,7 +299,6 @@ class World {
   std::vector<std::uint64_t> fastbox_offs_;
   std::vector<RingPlacement> ring_place_;
   std::uint64_t coll_off_ = shm::kNil;
-  int coll_leader_ = 0;
   std::uint64_t knem_off_ = 0;
   std::uint64_t pid_table_off_ = 0;
   std::uint64_t barrier_off_ = 0;
@@ -431,11 +422,8 @@ class Engine {
     return on_death_ == resil::OnPeerDeath::kDegrade && fenced_count_ > 0;
   }
   /// Lowest rank this engine still considers alive (the degraded-mode
-  /// coordinator / fallback leader).
+  /// barrier coordinator and reduction seed).
   [[nodiscard]] int lowest_alive() const;
-  /// The shm reduce/allreduce leader over the survivor set: the configured
-  /// leader until it dies, then the lowest alive rank.
-  [[nodiscard]] int effective_coll_leader() const;
   /// Tombstone every fenced rank's collective-arena cells. Only safe once
   /// no survivor can still be parked in the diverged epoch — i.e. from
   /// Comm::fence_world() after all fence flags are up. Idempotent per rank.
@@ -591,7 +579,6 @@ class Engine {
   std::vector<unsigned char> fenced_;  ///< Per-rank: death already fenced.
   std::vector<unsigned char> tombstoned_;  ///< Per-rank: cells reclaimed.
   int fenced_count_ = 0;
-  int effective_leader_ = 0;
 
   /// Reset the lock-step collective sequence counters to the fence's agreed
   /// floor (fence_world), restoring cross-rank counter agreement after

@@ -95,12 +95,6 @@ const Knob kKnobs[] = {
      [](const std::string& v, Config&, TuningTable& t) {
        t.coll_hier_nodes = threshold("NEMO_COLL_HIER", v);
      }},
-    {"NEMO_COLL_LEADER", "(NUMA-chosen)", "<rank>",
-     "combining leader rank for shm reduce/allreduce",
-     [](const std::string& v, Config& c, TuningTable&) {
-       c.coll_leader = static_cast<int>(
-           parse_int("NEMO_COLL_LEADER", v, 0, c.nranks - 1));
-     }},
     {"NEMO_COLL_SLOT_BYTES", "(tuned)", "<size 64B..16MiB>",
      "per-rank collective-arena slot capacity",
      [](const std::string& v, Config& c, TuningTable& t) {

@@ -44,8 +44,8 @@ namespace nemo::resil {
 /// NEMO_FAULT.
 enum class Site : std::uint8_t {
   // Crash sites (injectable via NEMO_FAULT).
-  kCollDeposit = 0,   ///< reduction writer about to publish a chunk
-  kCollFold,          ///< leader about to fold a peer contribution
+  kCollDeposit = 0,   ///< reduction rank about to deposit its operand
+  kCollFold,          ///< reduction rank about to fold its share
   kBarrierArrive,     ///< rank about to store its barrier arrival
   kCmaRendezvous,     ///< sender just published an RTS for a CMA transfer
   kFastboxPut,        ///< sender about to write an eager fastbox slot
@@ -54,7 +54,7 @@ enum class Site : std::uint8_t {
   kCollAck,           ///< waiting for a consumer ack
   kCollProbe,         ///< waiting for an alltoallv probe cell
   kBarrierRelease,    ///< waiting for the barrier release word
-  kCollGather,        ///< leader waiting for writer deposits
+  kCollGather,        ///< folder waiting for a peer's operand deposit
   kEngineWait,        ///< Engine::wait on an incomplete request
   kCellAlloc,         ///< waiting for a free ctrl cell
   kPendingCtrl,       ///< draining the deferred ctrl queue

@@ -99,9 +99,9 @@ enum Event : std::uint16_t {
   kRingPush,      // CopyRing chunk copy-in, a0=peer a1=b   (full)
   kRingPop,       // CopyRing chunk copy-out, a0=peer a1=b  (full)
   kCollOp,        // one collective, a0=Op a1=bytes         (rings)
-  kCollDeposit,   // reduce operand deposit, a0=chunk a1=b  (rings)
-  kCollFold,      // leader per-chunk fold, a0=chunk a1=b   (rings)
-  kCollRelease,   // folded-result read-back, a0=chunk a1=b (rings)
+  kCollDeposit,   // reduce operand staging, a0=round a1=b  (rings)
+  kCollFold,      // share / hier chunk fold, a0=round a1=b (rings)
+  kCollRelease,   // folded-share read-back, a0=round a1=b  (rings)
   kCollBarrier,   // arena barrier                          (rings)
   kFence,         // post-death epoch fence, a0=dead rank   (rings)
   // Instants.

@@ -1,14 +1,18 @@
-// Arena barrier and NUMA-aware reduction leader choice — the collective-
-// arena v2 surfaces. The barrier check runs at 2/8/16/33 ranks against a
-// shared phase counter (the strongest observable property of a barrier:
-// nobody enters round i+1 before everyone finished round i), plus a
-// 16-rank storm; leader choice is unit-tested on synthetic NUMA maps and
-// end-to-end through World.
+// Arena barrier, NUMA-aware leader choice and survivor-set reductions. The
+// barrier check runs at 2/8/16/33 ranks against a shared phase counter (the
+// strongest observable property of a barrier: nobody enters round i+1
+// before everyone finished round i), plus a 16-rank storm; the leader
+// choice (the hierarchical collectives' per-node leader) is unit-tested on
+// synthetic NUMA maps; the partitioned reduction runs over every survivor
+// set of a degraded 4-rank world.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coll/coll.hpp"
@@ -107,74 +111,83 @@ TEST(CollLeader, PluralityNodeWinsTiesToLowerNode) {
   EXPECT_EQ(coll::choose_leader({-1, 2, 2, 0}), 1);
 }
 
-TEST(CollLeader, WorldDerivesLeaderFromSyntheticNumaBinding) {
-  // e5345 synthesizes one NUMA node per socket (cores 0-3 -> node 0,
-  // 4-7 -> node 1). Three of four ranks bound to socket 1: rank 1 leads.
-  Config cfg;
-  cfg.nranks = 4;
-  cfg.topo = xeon_e5345();
-  cfg.core_binding = {0, 4, 5, 6};
-  World w(cfg);
-  EXPECT_EQ(w.coll_leader(), 1);
+// ---------------------------------------------------------------------------
+// Reductions over every survivor set.
+// ---------------------------------------------------------------------------
 
-  // All ranks on one socket: the single-node fallback picks rank 0.
-  Config cfg0;
-  cfg0.nranks = 4;
-  cfg0.topo = xeon_e5345();
-  cfg0.core_binding = {0, 1, 2, 3};
-  World w0(cfg0);
-  EXPECT_EQ(w0.coll_leader(), 0);
+/// Operand element i of rank r: the ranks' magnitudes differ, so a fold in
+/// the wrong order shows in the bits of the sums.
+double operand(int r, std::size_t i) {
+  return 1.0 / (r + 3) + static_cast<double>(i % 89) * 1e-3;
 }
 
-TEST(CollLeader, EnvOverrideAndValidation) {
-  Config cfg;
-  cfg.nranks = 4;
-  cfg.env["NEMO_COLL_LEADER"] = "2";
-  World w(cfg);
-  EXPECT_EQ(w.coll_leader(), 2);
-  // Out-of-range or junk fails loudly instead of silently redirecting the
-  // fold.
-  cfg.env["NEMO_COLL_LEADER"] = "4";
-  EXPECT_THROW(World{cfg}, std::invalid_argument);
-  cfg.env["NEMO_COLL_LEADER"] = "banana";
-  EXPECT_THROW(World{cfg}, std::invalid_argument);
+/// The p2p oracle's fold over the survivors `live` (ascending): seed with
+/// `seed`'s operand, then every other survivor in rank order.
+std::vector<double> oracle(const std::vector<int>& live, int seed,
+                           std::size_t n) {
+  std::vector<double> acc(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] = operand(seed, i);
+    for (int w : live)
+      if (w != seed) acc[i] += operand(w, i);
+  }
+  return acc;
 }
 
-TEST(CollLeader, ReduceCorrectUnderEveryLeader) {
-  // The fold must be leader-invariant: same results whether the leader is
-  // the root, another rank, or env-pinned — across reduce roots and
-  // allreduce, with operands spanning several sub-chunks.
-  for (int leader = 0; leader < 3; ++leader) {
+TEST(CollReduce, CorrectForEveryRootAndSurvivorSet) {
+  // The partitioned fold splits its shares over whichever ranks survive:
+  // reduce at every surviving root and allreduce must match the oracle
+  // over the survivor set bit for bit, with operands spanning several
+  // slot rounds. The ranks outside the set leave the world right after
+  // startup (death flag raised, as a killed rank's would be) and the
+  // survivors fence them in degrade mode.
+  constexpr int kRanks = 4;
+  const std::size_t kN = 5000;  // Doubles: 3 rounds of a 16 KiB slot.
+  for (unsigned mask = 1; mask < (1u << kRanks); ++mask) {
+    std::vector<int> live;
+    for (int r = 0; r < kRanks; ++r)
+      if ((mask & (1u << r)) != 0) live.push_back(r);
+    if (live.size() < 2) continue;
     Config cfg;
-    cfg.env["NEMO_COLL"] = "shm";
-    cfg.nranks = 3;
-    cfg.coll_slot_bytes = 16 * KiB;  // Doubles: 512-elem sub-chunks.
-    cfg.coll_leader = leader;
+    // The ranks below are this process's threads.
+    cfg.env = {{"NEMO_COLL", "shm"}, {"NEMO_WORLD_MODE", "threads"}};
+    cfg.nranks = kRanks;
+    cfg.coll_slot_bytes = 16 * KiB;
     cfg.shared_pool_bytes = 8 * MiB;
-    run(cfg, [&](Comm& comm) {
-      int n = comm.size();
-      const std::size_t kN = 5000;  // ~10 sub-chunks.
-      std::vector<double> in(kN), out(kN, -1);
-      for (std::size_t i = 0; i < kN; ++i)
-        in[i] = static_cast<double>(comm.rank()) + static_cast<double>(i);
-      for (int root = 0; root < n; ++root) {
-        comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum,
-                        root);
-        if (comm.rank() == root) {
-          for (std::size_t i = 0; i < kN; i += 501)
-            ASSERT_DOUBLE_EQ(out[i], n * (n - 1) / 2.0 +
-                                         static_cast<double>(n) *
-                                             static_cast<double>(i))
-                << "leader " << leader << " root " << root;
+    cfg.on_peer_death = resil::OnPeerDeath::kDegrade;
+    World world(cfg);
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < kRanks; ++r) {
+      ranks.emplace_back([&, r] {
+        Comm comm(world, r);
+        bool dies = (mask & (1u << r)) == 0;
+        if (dies) world.liveness().mark_dead(r);
+        world.hard_barrier();  // Every death flag is up past here.
+        if (dies) return;
+        comm.fence_world();
+        std::vector<double> in(kN), out(kN);
+        for (std::size_t i = 0; i < kN; ++i) in[i] = operand(r, i);
+        auto same = [&](int seed) {
+          return std::memcmp(out.data(), oracle(live, seed, kN).data(),
+                             kN * sizeof(double)) == 0;
+        };
+        for (int root : live) {
+          std::fill(out.begin(), out.end(), -1.0);
+          comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum,
+                          root);
+          if (r == root) {
+            EXPECT_TRUE(same(root))
+                << "survivors " << mask << " root " << root;
+          }
         }
-      }
-      std::vector<double> mx(kN);
-      comm.allreduce_f64(in.data(), mx.data(), kN, Comm::ReduceOp::kMax);
-      for (std::size_t i = 0; i < kN; i += 501)
-        ASSERT_DOUBLE_EQ(mx[i],
-                         static_cast<double>(n - 1) + static_cast<double>(i))
-            << "leader " << leader;
-    });
+        comm.allreduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum);
+        // Allreduce seeds at rank 0, or the lowest survivor once it died.
+        EXPECT_TRUE(same(live.front()))
+            << "survivors " << mask << " rank " << r;
+        comm.barrier();
+      });
+    }
+    for (auto& t : ranks) t.join();
   }
 }
 

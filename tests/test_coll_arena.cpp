@@ -1,9 +1,11 @@
 // Unit tests for the collective-arena primitives (src/coll/): layout and
 // footprint, the epoch/doorbell publication protocol, epoch-tagged acks,
-// the flat-barrier words, chunk-capacity geometry, and NEMO_COLL parsing.
+// the flat-barrier words, chunk-capacity geometry, direct-read locations,
+// and NEMO_COLL parsing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "coll/coll.hpp"
 #include "coll/coll_arena.hpp"
@@ -49,6 +51,30 @@ TEST_F(CollArena, CreateGeometryAndFootprint) {
   for (int r = 0; r + 1 < n; ++r)
     EXPECT_GE(cw.payload(r + 1) - cw.payload(r),
               static_cast<std::ptrdiff_t>(slot));
+}
+
+TEST_F(CollArena, DirectReadLocations) {
+  std::uint64_t off = WorldColl::create(arena_, 2, 4 * KiB);
+  WorldColl procs(arena_, off);
+  WorldColl threads(arena_, off, /*shared_space=*/true);
+  std::byte* shared = arena_.at(arena_.alloc(256));
+  std::vector<std::byte> heap(256);
+  // Arena-resident buffers are offsets in either world, readable by all.
+  for (const WorldColl* cw : {&procs, &threads}) {
+    std::uint64_t loc = cw->locate(shared, 256);
+    EXPECT_EQ(loc, arena_.offset_of(shared));
+    EXPECT_EQ(cw->resolve(loc), shared);
+    EXPECT_EQ(cw->locate(shared, 0), shm::kNil);  // Nothing to read.
+  }
+  // A private heap buffer must be staged across address spaces, but a
+  // threads world reads it in place through its tagged address.
+  EXPECT_EQ(procs.locate(heap.data(), heap.size()), shm::kNil);
+  std::uint64_t loc = threads.locate(heap.data(), heap.size());
+  EXPECT_NE(loc, shm::kNil);
+  EXPECT_EQ(threads.resolve(loc), heap.data());
+  // A buffer straddling the arena's end is not arena-resident.
+  std::byte* tail = arena_.base() + arena_.size() - 16;
+  EXPECT_EQ(procs.locate(tail, 32), shm::kNil);
 }
 
 TEST_F(CollArena, EpochPublicationProtocol) {

@@ -248,12 +248,11 @@ class CollCross : public ::testing::TestWithParam<CrossParam> {
 // ---------------------------------------------------------------------------
 // Reduction checks shared by the threads-mode and procs-mode worlds. gtest
 // failures inside a forked rank never reach the runner, so in a procs-mode
-// world a failed check prints and aborts the rank instead (run() then
-// reports the world as failed).
+// world fail() prints and aborts the rank instead (run() then reports the
+// world as failed).
 // ---------------------------------------------------------------------------
 
-void require(Comm& comm, bool ok, const std::string& what) {
-  if (ok) return;
+void fail(Comm& comm, const std::string& what) {
   if (comm.engine().world().config().mode == LaunchMode::kProcesses) {
     std::fprintf(stderr, "rank %d: %s\n", comm.rank(), what.c_str());
     std::abort();
@@ -272,22 +271,22 @@ void reduce_allreduce_all_sizes(Comm& comm) {
     comm.reduce_f64(in.data(), out.data(), kN, Comm::ReduceOp::kSum, n - 1);
     if (comm.rank() == n - 1) {
       for (std::size_t i = 0; i < kN; ++i)
-        require(comm,
-                out[i] == n * (n - 1) / 2.0 + static_cast<double>(n) *
-                                                  static_cast<double>(i),
-                "reduce n=" + std::to_string(kN) + " i=" + std::to_string(i));
+        if (out[i] != n * (n - 1) / 2.0 + static_cast<double>(n) *
+                                              static_cast<double>(i))
+          return fail(comm, "reduce n=" + std::to_string(kN) +
+                                " i=" + std::to_string(i));
     }
     std::vector<double> amax(kN);
     comm.allreduce_f64(in.data(), amax.data(), kN, Comm::ReduceOp::kMax);
     for (std::size_t i = 0; i < kN; ++i)
-      require(comm,
-              amax[i] == static_cast<double>(n - 1) + static_cast<double>(i),
-              "allreduce n=" + std::to_string(kN) + " i=" + std::to_string(i));
+      if (amax[i] != static_cast<double>(n - 1) + static_cast<double>(i))
+        return fail(comm, "allreduce n=" + std::to_string(kN) +
+                              " i=" + std::to_string(i));
   }
   std::int64_t one = comm.rank() + 1, sum = 0;
   comm.allreduce_i64(&one, &sum, 1, Comm::ReduceOp::kSum);
-  require(comm, sum == static_cast<std::int64_t>(n) * (n + 1) / 2,
-          "allreduce_i64 scalar");
+  if (sum != static_cast<std::int64_t>(n) * (n + 1) / 2)
+    fail(comm, "allreduce_i64 scalar");
 }
 
 /// Regression: a reduce whose writers finish at different times (one
@@ -314,15 +313,14 @@ void reduce_mixed_direct_and_staged(Comm& comm) {
     std::uint32_t word =
         comm.rank() == 2 ? 99u + static_cast<std::uint32_t>(it) : 0u;
     comm.bcast(&word, sizeof word, 2);
-    require(comm, word == 99u + static_cast<std::uint32_t>(it),
-            "bcast after reduce, it=" + std::to_string(it));
+    if (word != 99u + static_cast<std::uint32_t>(it))
+      return fail(comm, "bcast after reduce, it=" + std::to_string(it));
     if (comm.rank() == 0) {
       for (std::size_t i = 0; i < kN; i += 997)
-        require(comm,
-                out[i] == n * (n - 1) / 2.0 +
-                              static_cast<double>(n) *
-                                  (static_cast<double>(i) + it),
-                "reduce it=" + std::to_string(it) + " i=" + std::to_string(i));
+        if (out[i] != n * (n - 1) / 2.0 + static_cast<double>(n) *
+                                              (static_cast<double>(i) + it))
+          return fail(comm, "reduce it=" + std::to_string(it) +
+                                " i=" + std::to_string(i));
     }
   }
 }
@@ -388,14 +386,14 @@ void typed_reductions(Comm& comm, Reduce&& reduce, Allreduce&& allreduce) {
       for (int root : {0, n - 1}) {
         std::vector<T> out(count, T{});
         reduce(in.data(), out.data(), count, op, root);
-        if (comm.rank() == root)
-          require(comm, same_bits(out, oracle<T>(n, root, count, op)),
-                  "reduce " + at + " root " + std::to_string(root));
+        if (comm.rank() == root &&
+            !same_bits(out, oracle<T>(n, root, count, op)))
+          fail(comm, "reduce " + at + " root " + std::to_string(root));
       }
       std::vector<T> all(count, T{});
       allreduce(in.data(), all.data(), count, op);
-      require(comm, same_bits(all, oracle<T>(n, 0, count, op)),
-              "allreduce " + at);
+      if (!same_bits(all, oracle<T>(n, 0, count, op)))
+        fail(comm, "allreduce " + at);
     }
   }
 }
@@ -693,15 +691,16 @@ TEST_P(CollCross, InPlaceReductionsStraddlingTheSlot) {
           for (std::size_t i = 0; i < count; ++i)
             buf[i] = operand<double>(comm.rank(), i);
           comm.reduce_f64(buf.data(), buf.data(), count, op, root);
-          if (comm.rank() == root)
-            require(comm, same_bits(buf, oracle<double>(n, root, count, op)),
-                    "in-place reduce " + at + " root " + std::to_string(root));
+          if (comm.rank() == root &&
+              !same_bits(buf, oracle<double>(n, root, count, op)))
+            fail(comm,
+                 "in-place reduce " + at + " root " + std::to_string(root));
         }
         for (std::size_t i = 0; i < count; ++i)
           buf[i] = operand<double>(comm.rank(), i);
         comm.allreduce_f64(buf.data(), buf.data(), count, op);
-        require(comm, same_bits(buf, oracle<double>(n, 0, count, op)),
-                "in-place allreduce " + at);
+        if (!same_bits(buf, oracle<double>(n, 0, count, op)))
+          fail(comm, "in-place allreduce " + at);
       }
     }
   });
@@ -785,7 +784,7 @@ TEST(CollProcs, ReductionsStageHeapOperands) {
   for (int nranks : {3, 4}) {
     Config cfg;
     cfg.env["NEMO_COLL"] = "shm";
-    cfg.mode = LaunchMode::kProcesses;
+    cfg.env["NEMO_WORLD_MODE"] = "procs";  // Whatever the environment says.
     cfg.nranks = nranks;
     cfg.coll_slot_bytes = kTestSlot;
     cfg.shared_pool_bytes = 32 * MiB;

@@ -116,17 +116,8 @@ class FaultMatrix : public ::testing::TestWithParam<int> {};
 
 TEST_P(FaultMatrix, KillAtCollDeposit) {
   int n = GetParam();
-  // Victim must not be the fold leader (the leader never deposits).
-  Config probe;
-  probe.nranks = n;
-  probe.mode = LaunchMode::kProcesses;
-  probe.shm_name = test_shm_name();
-  int leader;
-  {
-    World w(probe);
-    leader = w.coll_leader();
-  }
-  int victim = leader == 2 ? 3 : 2;
+  // Every rank deposits its operand, so any rank can be the victim.
+  int victim = 2;
   Scenario sc{"coll_deposit",
               {Site::kCollDoorbell, Site::kCollAck, Site::kCollGather,
                Site::kBarrierRelease, Site::kEngineWait}};
@@ -141,16 +132,9 @@ TEST_P(FaultMatrix, KillAtCollDeposit) {
 
 TEST_P(FaultMatrix, KillAtCollFold) {
   int n = GetParam();
-  // The fold runs on the leader, so the leader is the victim.
-  Config probe;
-  probe.nranks = n;
-  probe.mode = LaunchMode::kProcesses;
-  probe.shm_name = test_shm_name();
-  int victim;
-  {
-    World w(probe);
-    victim = w.coll_leader();
-  }
+  // Every rank folds a share of the 256 KiB operand, so any rank can be
+  // the victim.
+  int victim = 2;
   Scenario sc{"coll_fold",
               {Site::kCollDoorbell, Site::kCollAck, Site::kCollGather,
                Site::kBarrierRelease, Site::kEngineWait}};

@@ -50,7 +50,7 @@ TEST(KnobTable, ThirtySixSortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 35u);
+  EXPECT_EQ(knobs().size(), 34u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
@@ -152,7 +152,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BadValue{"NEMO_TRACE_RING_SLOTS", "1"},
                       BadValue{"NEMO_RING_BUF_BYTES", "2GiB"},
                       BadValue{"NEMO_COLL_SLOT_BYTES", "32MiB"},
-                      BadValue{"NEMO_COLL_LEADER", "4"},
                       BadValue{"NEMO_PEER_TIMEOUT_MS", "0"},
                       BadValue{"NEMO_CMA", "maybe"},
                       BadValue{"NEMO_COLL", "bogus"},
@@ -203,14 +202,15 @@ TEST(KnobPins, ResolutionIsIdempotent) {
   Config cfg = base_config();
   cfg.env = {{"NEMO_NT_MIN", "1MiB"},      {"NEMO_COLL_SLOT_BYTES", "100"},
              {"NEMO_RING_BUF_BYTES", "33KiB"}, {"NEMO_CMA", "nosyscall"},
-             {"NEMO_COLL_LEADER", "3"},    {"NEMO_TRACE_RING_SLOTS", "100"}};
+             {"NEMO_PEER_TIMEOUT_MS", "1234"},
+             {"NEMO_TRACE_RING_SLOTS", "100"}};
   Config once = resolve_config(cfg);
   EXPECT_TRUE(resolve_config(once) == once);
   EXPECT_EQ(once.coll_slot_bytes, 128u);  // Rounded up to a cache line.
   EXPECT_EQ(once.tuning->coll_slot_bytes, 128u);
   EXPECT_TRUE(once.cma_enabled);
   EXPECT_TRUE(once.cma_sim_fail);
-  EXPECT_EQ(once.coll_leader, 3);
+  EXPECT_EQ(once.peer_timeout_ms, 1234u);
 }
 
 TEST(KnobPins, WorldAppliesTraceRingSlots) {
