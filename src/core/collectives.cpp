@@ -151,18 +151,14 @@ void shm_barrier(Engine& eng) {
 /// with it. A writer whose whole source is peer-readable publishes its
 /// location (WorldColl::locate) instead and deposits nothing. header.bytes
 /// carries each writer's staged round count, so direct and staged writers
-/// agree on the schedule. A round may ring `phases` doorbells (the
-/// partitioned fold rings one per deposit and one per folded share);
-/// run() is the one-phase schedule, the pieces below serve the others.
+/// agree on the schedule. A round has two doorbells: phase 0, blocks
+/// deposited, and phase 1, which only the partitioned fold rings (share
+/// folded). run() is the one-phase schedule; the fold uses the pieces.
 class Exchange {
  public:
   Exchange(Engine& eng, std::uint64_t epoch, std::uint64_t src,
-           std::uint64_t rounds, std::uint64_t phases = 1)
-      : eng_(eng),
-        cw_(eng.coll_view()),
-        epoch_(epoch),
-        mine_(rounds),
-        phases_(phases) {
+           std::uint64_t rounds)
+      : eng_(eng), cw_(eng.coll_view()), epoch_(epoch), mine_(rounds) {
     cw_.begin_epoch(eng.rank(), epoch, src, rounds);
   }
 
@@ -186,13 +182,13 @@ class Exchange {
   }
   /// Ring this rank's doorbell for `phase` of round t.
   void ring(std::uint64_t t, std::uint64_t phase) const {
-    cw_.publish_chunks(eng_.rank(), t * phases_ + phase + 1);
+    cw_.publish_chunks(eng_.rank(), 2 * t + phase + 1);
   }
   /// Wait until writer w rang `phase` of round t.
   void await(int w, std::uint64_t t, std::uint64_t phase,
              resil::Site site) const {
     spin_until(eng_, site, w, true, [&] {
-      return cw_.ready(w, epoch_, t * phases_ + phase + 1);
+      return cw_.ready(w, epoch_, 2 * t + phase + 1);
     });
   }
   /// Close a round: nobody reads this round's slots or sources after it.
@@ -228,8 +224,7 @@ class Exchange {
   Engine& eng_;
   coll::WorldColl& cw_;
   std::uint64_t epoch_;
-  std::uint64_t mine_;    ///< This rank's staged rounds (0 = direct).
-  std::uint64_t phases_;  ///< Doorbells per round.
+  std::uint64_t mine_;  ///< This rank's staged rounds (0 = direct).
 };
 
 /// Pairwise p2p exchange: n-1 steps; at step s this rank exchanges with
@@ -840,8 +835,7 @@ void Comm::reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op,
   std::uint64_t res = want ? cw.locate(out, bytes) : shm::kNil;
   cw.table(r)[0] = res;  // Published with the epoch below.
   bool staged = src == shm::kNil || res == shm::kNil;
-  Exchange x(eng, epoch, src, staged ? div_ceil(bytes, cw.slot_bytes()) : 0,
-             2);
+  Exchange x(eng, epoch, src, staged ? div_ceil(bytes, cw.slot_bytes()) : 0);
   std::uint64_t rounds = x.sync();
   std::size_t width = rounds == 1 ? bytes : cw.slot_bytes();
 
