@@ -191,9 +191,6 @@ class Exchange {
       return cw_.ready(w, epoch_, 2 * t + phase + 1);
     });
   }
-  /// Close a round: nobody reads this round's slots or sources after it.
-  void close() const { shm_barrier(eng_); }
-
   /// deposit(t, slot) fills this rank's slot for round t. take(w, t, src,
   /// direct) copies writer w's blocks out of `src`: its slot payload, or —
   /// direct writers, round 0 only — its peer-readable source.
@@ -216,7 +213,7 @@ class Exchange {
         await(w, t, 0, resil::Site::kCollDoorbell);
         take(w, t, cw_.payload(w), false);
       }
-      close();
+      shm_barrier(eng_);
     }
   }
 
@@ -911,7 +908,7 @@ void Comm::reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op,
         std::memcpy(outb + lo + a, res_f + a, b - a);
       }
     }
-    x.close();
+    shm_barrier(eng);
   }
 }
 
