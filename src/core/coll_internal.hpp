@@ -57,12 +57,11 @@ void binomial(int v, int n, Up&& up, Down&& down) {
 /// liveness guard turns a dead peer into PeerDeadError (running the local
 /// epoch fence first) instead of spinning forever. `watch` is the specific
 /// rank the wait depends on, -1 when any peer could unblock it. With
-/// `stall`, a first probe that misses counts one epoch stall (the telemetry
-/// the tuner reads as "readers arrive before writers publish"); waits off
-/// an arena op's data path (count probes, hierarchical legs) pass false so
-/// their misses stay out of the stall rate the feedback pass divides by
-/// coll_shm_ops. `ready` may do work, as long as the call that returns true
-/// has finished it.
+/// `stall`, a first probe that misses counts one epoch stall ("readers
+/// arrive before writers publish"); waits off an arena op's data path (count
+/// probes, hierarchical legs) pass false so their misses stay out of the
+/// per-op stall rate (coll_epoch_stalls / coll_shm_ops). `ready` may do
+/// work, as long as the call that returns true has finished it.
 template <typename Pred>
 void spin_until(Engine& eng, resil::Site site, int watch, bool stall,
                 Pred&& ready) {

@@ -35,25 +35,8 @@ bool classifiable(const Topology& topo, int a, int b) {
          a != b;
 }
 
-/// Per-pair ring geometry: the tuned placement row when it names one, else
-/// the world-wide Config value. Rows only apply when both cores are
-/// known (placement classification needs them).
-std::pair<std::uint32_t, std::uint32_t> ring_geometry(
-    const Config& cfg, const tune::TuningTable& tuning, const Topology& topo,
-    int score, int dcore) {
-  std::uint32_t bufs = cfg.ring_bufs;
-  std::uint32_t buf_bytes = cfg.ring_buf_bytes;
-  if (classifiable(topo, score, dcore)) {
-    const tune::PlacementTuning& row =
-        tuning.for_placement(topo.classify(score, dcore));
-    if (row.ring_bufs != 0) bufs = row.ring_bufs;
-    if (row.ring_buf_bytes != 0) buf_bytes = row.ring_buf_bytes;
-  }
-  return {bufs, buf_bytes};
-}
-
-/// Per-rank collective slot capacity: programmatic Config beats the tuned /
-/// cached value; NEMO_COLL_SLOT_BYTES beats both (its row writes both).
+/// Per-rank collective slot capacity: programmatic Config beats the formula
+/// value; NEMO_COLL_SLOT_BYTES beats both (its row writes both).
 std::uint32_t effective_coll_slot_bytes(const Config& cfg,
                                         const tune::TuningTable& tuning) {
   std::size_t v =
@@ -69,17 +52,11 @@ std::size_t auto_arena_bytes(const Config& cfg,
   std::size_t per_rank = 2 * sizeof(shm::QueueState) +
                          cfg.cells_per_rank * sizeof(Cell) + 4 * KiB;
   std::size_t pairs = n * (n - 1);
-  // Size for the largest geometry any placement row could select, plus page
-  // slack for the NUMA-bindable page-aligned carving.
-  std::size_t max_bufs = cfg.ring_bufs;
-  std::size_t max_buf_bytes = cfg.ring_buf_bytes;
-  for (const auto& row : tuning.place) {
-    max_bufs = std::max<std::size_t>(max_bufs, row.ring_bufs);
-    max_buf_bytes = std::max<std::size_t>(max_buf_bytes, row.ring_buf_bytes);
-  }
+  // Page slack for the NUMA-bindable page-aligned carving.
   std::size_t per_ring =
       sizeof(shm::CopyRingState) +
-      max_bufs * (sizeof(shm::CopyRingSlot) + max_buf_bytes) +
+      std::size_t{cfg.ring_bufs} *
+          (sizeof(shm::CopyRingSlot) + cfg.ring_buf_bytes) +
       4 * KiB + 2 * shm::Arena::kPageBytes;
   std::size_t per_fastbox =
       sizeof(shm::FastboxState) +
@@ -151,8 +128,6 @@ World::World(Config cfg)
                             static_cast<std::size_t>(cfg_.nranks) +
                         static_cast<std::size_t>(d);
       int score = core_of(s), dcore = core_of(d);
-      auto [bufs, buf_bytes] =
-          ring_geometry(cfg_, tuning(), cfg_.topo, score, dcore);
       shm::RegionPlacement want =
           shm::choose_region_placement(numa_mode(), cfg_.topo, score, dcore);
       bool place = want.node >= 0 || want.interleave;
@@ -164,7 +139,8 @@ World::World(Config cfg)
       rp.interleaved = want.interleave;
 
       std::uint64_t ring_off =
-          shm::CopyRing::create(arena_, bufs, buf_bytes, place);
+          shm::CopyRing::create(arena_, cfg_.ring_bufs, cfg_.ring_buf_bytes,
+                                place);
       ring_offs_[idx] = ring_off;
       shm::CopyRing ring(arena_, ring_off);
       std::byte* data = arena_.at(ring.data_off());
@@ -329,8 +305,7 @@ namespace {
 lmt::PolicyConfig effective_policy(const World& w, const Config& cfg) {
   lmt::PolicyConfig pc = cfg.policy;
   pc.vmsplice_available = pc.vmsplice_available && w.vmsplice_ok();
-  pc.cma_available =
-      pc.cma_available && w.cma_ok() && w.tuning().cma_available;
+  pc.cma_available = pc.cma_available && w.cma_ok();
   pc.dma_available = pc.dma_available && cfg.dma_available;
   pc.tuning = &w.tuning();  // World outlives every engine's policy.
   return pc;
@@ -361,7 +336,6 @@ Engine::Engine(World& world, int rank)
                             tuning.fastbox_slot_bytes -
                                 shm::FastboxSlot::kHeaderBytes);
   drain_budget_ = std::max<std::uint32_t>(1, tuning.drain_budget);
-  poll_hot_ = tuning.poll_hot;
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
   // overrode the table row (core/knobs.cpp), so resolving the table choice
   // against CPUID is the full precedence chain. pack_nt_min 0 means
@@ -384,7 +358,6 @@ Engine::Engine(World& world, int rank)
   peer_free_q_.reserve(static_cast<std::size_t>(n));
   fb_out_.resize(static_cast<std::size_t>(n));
   fb_in_.resize(static_cast<std::size_t>(n));
-  fb_hot_.assign(static_cast<std::size_t>(n), 0);
   for (int r = 0; r < n; ++r) {
     peer_recv_q_.emplace_back(world.arena(), world.recv_q_off(r));
     peer_free_q_.emplace_back(world.arena(), world.free_q_off(r));
@@ -554,8 +527,7 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   if (dst == rank_) {
     eager = true;  // Self sends always go through the (local) eager path.
   } else if (world_.config().lmt == lmt::LmtKind::kAuto) {
-    eager = !policy_.use_lmt(total, collective, world_.core_of(rank_),
-                             world_.core_of(dst));
+    eager = !policy_.use_lmt(total, collective);
   } else {
     eager = total <= world_.config().eager_threshold;
   }
@@ -859,7 +831,6 @@ bool Engine::poll_fastbox(int src) {
     return false;
   expected_seq_[static_cast<std::size_t>(src)]++;
   stats_.fastbox_recv++;
-  fb_hot_[static_cast<std::size_t>(src)]++;
   // Fastbox messages are always complete (len == total): deliver straight
   // from the slot, then return it to the sender.
   trace::Span sp(tracer_, trace::kFastboxPop, trace::Mode::kFull,
@@ -874,19 +845,6 @@ bool Engine::poll_fastbox(int src) {
 void Engine::poll_fastboxes() {
   if (!world_.use_fastbox()) return;
   for (int src : poll_order_) poll_fastbox(src);
-}
-
-void Engine::reorder_poll() {
-  // Hot peers first: under alltoall-style load at 8+ ranks most passes find
-  // only a few boxes full; scanning those first shortens the latency of the
-  // common case. Stable sort keeps rank order among equally-warm peers; the
-  // decay halves history so a peer that goes quiet drifts back.
-  std::stable_sort(poll_order_.begin(), poll_order_.end(),
-                   [&](int a, int b) {
-                     return fb_hot_[static_cast<std::size_t>(a)] >
-                            fb_hot_[static_cast<std::size_t>(b)];
-                   });
-  for (auto& h : fb_hot_) h >>= 1;
 }
 
 void Engine::sync_stream(int src, std::uint32_t seq) {
@@ -1114,7 +1072,6 @@ void Engine::progress() {
   // NEMO_PEER_TIMEOUT_MS (spin loops run progress() every 64 spins).
   if (live_.valid() && (counters_.progress_passes & 0x3F) == 0)
     live_.beat(rank_);
-  if (poll_hot_ && (counters_.progress_passes & 0x1FF) == 0) reorder_poll();
   poll_fastboxes();
 
   progress_sends();

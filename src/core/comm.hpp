@@ -47,11 +47,10 @@ enum class LaunchMode { kThreads, kProcesses };
 /// Everything a World is built from. Every NEMO_* knob lands in a field
 /// here or in `tuning` (see core/knobs.hpp for the table); the World
 /// resolves them once at construction: a pin in `env` beats the process
-/// environment, which beats the programmatic field / tuning cache /
-/// formula value.
+/// environment, which beats the programmatic field / formula value.
 struct Config {
   /// Per-World knob pins, NEMO_* name -> value. Unknown names throw at
-  /// World construction. Process-scoped knobs (NEMO_TUNE, ...) cannot be
+  /// World construction. Process-scoped knobs (NEMO_TRACE_OUT) cannot be
   /// pinned.
   std::map<std::string, std::string> env;
 
@@ -80,9 +79,8 @@ struct Config {
   bool use_fastbox = true;
 
   /// Minimum rendezvous size that switches the shm-copy ring to streaming
-  /// (non-temporal) stores. 0 = auto: the tuned per-placement row (half the
-  /// detected last-level cache by formula). SIZE_MAX (or NEMO_NT_MIN=off) =
-  /// never.
+  /// (non-temporal) stores. 0 = auto: the per-placement formula row (half
+  /// the last-level cache). SIZE_MAX (or NEMO_NT_MIN=off) = never.
   std::size_t nt_min = 0;
 
   std::size_t arena_bytes = 0;        ///< 0 = auto.
@@ -96,8 +94,8 @@ struct Config {
   Topology topo{};
 
   /// Tuning table override. Unset = tune::effective_table for the world's
-  /// topology (persistent cache when valid, else formulas). Knobs that land
-  /// in the table override either, a programmatic table included.
+  /// topology (the formulas). Knobs that land in the table override either,
+  /// a programmatic table included.
   std::optional<tune::TuningTable> tuning;
 
   /// NUMA placement policy for per-pair shared regions (ring buffers,
@@ -193,8 +191,7 @@ class World {
   [[nodiscard]] int nranks() const { return cfg_.nranks; }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Topology& topology() const { return cfg_.topo; }
-  /// The effective (cache/formula + knobs) tuning state every layer
-  /// consults.
+  /// The effective (formula + knobs) tuning state every layer consults.
   [[nodiscard]] const tune::TuningTable& tuning() const {
     return *cfg_.tuning;
   }
@@ -477,9 +474,6 @@ class Engine {
   bool poll_fastbox(int src);
   /// Drain every inbound fastbox that is ready and in order, in poll_order_.
   void poll_fastboxes();
-  /// Hot-peer-first: re-sort poll_order_ by recent fastbox traffic and decay
-  /// the per-peer counts (called periodically when tuning.poll_hot).
-  void reorder_poll();
   /// A queue cell from `src` carries `seq`; any earlier message still parked
   /// in the pair's fastbox must be delivered first to preserve sender order.
   void sync_stream(int src, std::uint32_t seq);
@@ -513,11 +507,8 @@ class Engine {
   std::vector<shm::QueueView> peer_free_q_;
   std::vector<shm::Fastbox> fb_out_;  ///< Indexed by destination rank.
   std::vector<shm::Fastbox> fb_in_;   ///< Indexed by source rank.
-  /// Fastbox poll order (all peers). Identity order unless tuning.poll_hot,
-  /// which re-sorts by fb_hot_ so hot peers are polled first.
+  /// Fastbox poll order: every live peer, in rank order.
   std::vector<int> poll_order_;
-  std::vector<std::uint64_t> fb_hot_;  ///< Recent hits per source (decayed).
-  bool poll_hot_ = false;
 
   std::unique_ptr<shm::DmaEngine> dma_channel_;
   std::unique_ptr<shm::DmaEngine> kthread_channel_;

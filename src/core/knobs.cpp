@@ -60,7 +60,7 @@ std::uint32_t threshold(const char* knob, const std::string& v) {
 enum class Cma { kOn, kOff, kNoSyscall };
 
 // One row per knob, alphabetical. Defaults in parentheses depend on the
-// host or the tuning cache; every other default is a value the row accepts.
+// host or the formulas; every other default is a value the row accepts.
 const Knob kKnobs[] = {
     {"NEMO_CMA", "auto", "auto|on|off|nosyscall",
      "cross-memory attach: off vetoes the backend, nosyscall exercises its "
@@ -84,18 +84,18 @@ const Knob kKnobs[] = {
        c.coll = known("NEMO_COLL", v, coll::mode_from_string(v),
                       "auto|shm|p2p");
      }},
-    {"NEMO_COLL_ACTIVATION", "(tuned)", "<size>",
+    {"NEMO_COLL_ACTIVATION", "(formula)", "<size>",
      "operation size from which auto collectives take the arena",
      [](const std::string& v, Config&, TuningTable& t) {
        t.coll_activation = size("NEMO_COLL_ACTIVATION", v);
      }},
-    {"NEMO_COLL_HIER", "(tuned)", "off|on|<nodes >= 2>",
+    {"NEMO_COLL_HIER", "(formula)", "off|on|<nodes >= 2>",
      "two-level collectives: never, always, or the node count from which "
      "they run",
      [](const std::string& v, Config&, TuningTable& t) {
        t.coll_hier_nodes = threshold("NEMO_COLL_HIER", v);
      }},
-    {"NEMO_COLL_SLOT_BYTES", "(tuned)", "<size 64B..16MiB>",
+    {"NEMO_COLL_SLOT_BYTES", "(formula)", "<size 64B..16MiB>",
      "per-rank collective-arena slot capacity",
      [](const std::string& v, Config& c, TuningTable& t) {
        c.coll_slot_bytes = t.coll_slot_bytes = line_size(
@@ -106,7 +106,7 @@ const Knob kKnobs[] = {
      [](const std::string& v, Config&, TuningTable& t) {
        t.dma_min = size("NEMO_DMA_MIN", v);
      }},
-    {"NEMO_DRAIN_BUDGET", "(tuned)", "<cells 1..65536>",
+    {"NEMO_DRAIN_BUDGET", "(formula)", "<cells 1..65536>",
      "recv-queue cells drained per progress() pass",
      [](const std::string& v, Config&, TuningTable& t) {
        t.drain_budget = static_cast<std::uint32_t>(
@@ -117,18 +117,18 @@ const Knob kKnobs[] = {
      [](const std::string& v, Config& c, TuningTable&) {
        c.use_fastbox = parse_flag("NEMO_FASTBOX", v);
      }},
-    {"NEMO_FASTBOX_MAX", "(tuned)", "<size>",
+    {"NEMO_FASTBOX_MAX", "(formula)", "<size>",
      "largest eager message routed through the fastbox",
      [](const std::string& v, Config&, TuningTable& t) {
        t.fastbox_max = size("NEMO_FASTBOX_MAX", v);
      }},
-    {"NEMO_FASTBOX_SLOTS", "(tuned)", "<slots 1..64>",
+    {"NEMO_FASTBOX_SLOTS", "(formula)", "<slots 1..64>",
      "slots per fastbox ring",
      [](const std::string& v, Config&, TuningTable& t) {
        t.fastbox_slots = static_cast<std::uint32_t>(
            parse_int("NEMO_FASTBOX_SLOTS", v, 1, tune::kFastboxSlotsMax));
      }},
-    {"NEMO_FASTBOX_SLOT_BYTES", "(tuned)", "<size 128B..16KiB>",
+    {"NEMO_FASTBOX_SLOT_BYTES", "(formula)", "<size 128B..16KiB>",
      "fastbox slot stride including its 64 B header",
      [](const std::string& v, Config&, TuningTable& t) {
        t.fastbox_slot_bytes =
@@ -141,8 +141,6 @@ const Knob kKnobs[] = {
        (void)resil::parse_fault_spec(v);
        c.fault = v;
      }},
-    {"NEMO_FEEDBACK", "1", "0|1",
-     "run the telemetry feedback pass during calibration", nullptr},
     {"NEMO_LMT", "auto", "auto|shm|vmsplice|writev|knem|cma",
      "force one rendezvous backend for every message",
      [](const std::string& v, Config& c, TuningTable&) {
@@ -157,11 +155,10 @@ const Knob kKnobs[] = {
                               {"knem", LmtKind::kKnem},
                               {"cma", LmtKind::kCma}});
      }},
-    {"NEMO_LMT_ACTIVATION", "(tuned)", "<size>",
-     "eager/rendezvous switch, every placement row",
+    {"NEMO_LMT_ACTIVATION", "(formula)", "<size>",
+     "eager/rendezvous switch",
      [](const std::string& v, Config&, TuningTable& t) {
-       std::size_t n = size("NEMO_LMT_ACTIVATION", v);
-       for (auto& pt : t.place) pt.lmt_activation = n;
+       t.lmt_activation = size("NEMO_LMT_ACTIVATION", v);
      }},
     {"NEMO_NET_BW_MBS", "12000", "<MiB/s >= 1>",
      "modeled internode link bandwidth",
@@ -180,7 +177,7 @@ const Knob kKnobs[] = {
      [](const std::string& v, Config& c, TuningTable&) {
        c.nodes_spec = v;
      }},
-    {"NEMO_NT_MIN", "(tuned)", "<size>|off",
+    {"NEMO_NT_MIN", "(formula)", "<size>|off",
      "rendezvous size from which ring copies use non-temporal stores",
      [](const std::string& v, Config& c, TuningTable& t) {
        c.nt_min = size("NEMO_NT_MIN", v, /*allow_off=*/true);
@@ -202,7 +199,7 @@ const Knob kKnobs[] = {
            "NEMO_ON_PEER_DEATH", v,
            {{"abort", OnPeerDeath::kAbort}, {"degrade", OnPeerDeath::kDegrade}});
      }},
-    {"NEMO_PACK_NT_MIN", "(tuned)", "<size>|off",
+    {"NEMO_PACK_NT_MIN", "(formula)", "<size>|off",
      "packed size from which datatype packs use non-temporal stores",
      [](const std::string& v, Config&, TuningTable& t) {
        t.pack_nt_min = size("NEMO_PACK_NT_MIN", v, /*allow_off=*/true);
@@ -216,26 +213,19 @@ const Knob kKnobs[] = {
                : static_cast<std::size_t>(
                      parse_int("NEMO_PEER_TIMEOUT_MS", v, 1, LONG_MAX));
      }},
-    {"NEMO_POLL_HOT", "(tuned)", "0|1",
-     "poll fastboxes hot-peer-first by recent traffic",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.poll_hot = parse_flag("NEMO_POLL_HOT", v);
-     }},
-    {"NEMO_RING_BUFS", "(tuned)", "<buffers 1..1024>",
-     "copy-ring depth per ordered pair, every placement row",
-     [](const std::string& v, Config& c, TuningTable& t) {
+    {"NEMO_RING_BUFS", "4", "<buffers 1..1024>",
+     "copy-ring depth per ordered pair",
+     [](const std::string& v, Config& c, TuningTable&) {
        c.ring_bufs = static_cast<std::uint32_t>(
            parse_int("NEMO_RING_BUFS", v, 1, tune::kRingBufsMax));
-       for (auto& pt : t.place) pt.ring_bufs = c.ring_bufs;
      }},
-    {"NEMO_RING_BUF_BYTES", "(tuned)", "<size 64B..1GiB>",
-     "copy-ring buffer size, every placement row",
-     [](const std::string& v, Config& c, TuningTable& t) {
+    {"NEMO_RING_BUF_BYTES", "32KiB", "<size 64B..1GiB>",
+     "copy-ring buffer size",
+     [](const std::string& v, Config& c, TuningTable&) {
        c.ring_buf_bytes = line_size("NEMO_RING_BUF_BYTES", v, kCacheLine,
                                     tune::kRingBufBytesMax);
-       for (auto& pt : t.place) pt.ring_buf_bytes = c.ring_buf_bytes;
      }},
-    {"NEMO_SIMD", "(tuned)", "auto|scalar|avx2|avx512",
+    {"NEMO_SIMD", "(formula)", "auto|scalar|avx2|avx512",
      "reduction fold kernel; auto takes the widest the CPU runs",
      [](const std::string& v, Config&, TuningTable& t) {
        t.simd_kernel = simd::choice_from_string(v, "NEMO_SIMD");
@@ -260,10 +250,6 @@ const Knob kKnobs[] = {
            "NEMO_TRANSPORT", v,
            {{"auto", "auto"}, {"shm", "shm"}, {"modeled", "modeled"}});
      }},
-    {"NEMO_TUNE", "1", "0|1", "consult the fingerprinted tuning cache",
-     nullptr},
-    {"NEMO_TUNE_CACHE", "(fingerprinted path)", "<path>",
-     "tuning-cache file", nullptr},
     {"NEMO_WORLD_MODE", "threads", "threads|procs",
      "rank launch: threads, or one forked process per rank",
      [](const std::string& v, Config& c, TuningTable&) {

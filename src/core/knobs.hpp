@@ -3,8 +3,8 @@
 // the value into a core::Config field or the World's tune::TuningTable. A
 // World resolves every row once, at construction:
 //
-//   Config::env pin  >  process environment  >  programmatic Config field,
-//                                               tuning cache or formula
+//   Config::env pin  >  process environment  >  programmatic Config field
+//                                               or formula table
 //
 // The parser, the default, `nemo-tune --knobs` and docs/TUNING.md all read
 // the same row (tests/test_knobs.cpp checks the docs against it), and
@@ -28,8 +28,8 @@ namespace nemo {
 struct Knob {
   const char* name;  ///< Environment variable, e.g. "NEMO_NT_MIN".
   /// Documented default: a value the knob accepts (setting it changes
-  /// nothing), or a description in parentheses, e.g. "(tuned)", when the
-  /// default depends on the host or the tuning cache.
+  /// nothing), or a description in parentheses, e.g. "(formula)", when the
+  /// default depends on the host or the paper's formulas.
   const char* def;
   const char* values;  ///< Accepted vocabulary, as shown to humans.
   const char* doc;     ///< One-line meaning.
@@ -48,8 +48,8 @@ std::span<const Knob> knobs();
 const Knob* find_knob(std::string_view name);
 
 /// Process-environment lookup; empty values read as unset. For
-/// process-scoped knobs and non-knob variables (HOME, XDG_CACHE_HOME):
-/// asserts that a NEMO_* name is a process-scoped row.
+/// process-scoped knobs (NEMO_TRACE_OUT) and non-knob variables: asserts
+/// that a NEMO_* name is a process-scoped row.
 std::optional<std::string> process_env(const char* name);
 
 }  // namespace nemo

@@ -16,11 +16,8 @@
 // otherwise the default double-buffering (which wins under a shared cache).
 //
 // When a tune::TuningTable is attached (the runtime always attaches the
-// World's effective table), its measured per-placement crossovers replace
-// the static formulas: activation and backend come from the placement row,
-// DMAmin from the measured value when present. Availability still gates the
-// final backend (a table preferring KNEM falls back per the formula chain
-// when the module cannot load).
+// World's effective table), activation and DMAmin come from the table, so
+// the NEMO_LMT_ACTIVATION / NEMO_DMA_MIN knobs reach the policy.
 #pragma once
 
 #include <cstddef>
@@ -39,15 +36,14 @@ struct PolicyConfig {
   std::size_t lmt_activation = 64 * 1024;   ///< Eager→LMT switch (Nemesis).
   std::size_t knem_activation = 8 * 1024;   ///< KNEM pays off from here...
   std::size_t knem_collective_activation = 4 * 1024;  ///< ...or here in colls.
-  std::size_t dma_min_override = 0;         ///< Nonzero: skip the formula.
 
   bool knem_available = true;
   bool vmsplice_available = true;
   bool cma_available = true;
   bool dma_available = true;
 
-  /// Measured per-machine tuning (nullptr = pure formula policy). Not
-  /// owned; must outlive the Policy (the World owns the runtime's table).
+  /// The World's tuning table (nullptr = the constants above). Not owned;
+  /// must outlive the Policy (the World owns the runtime's table).
   const tune::TuningTable* tuning = nullptr;
 
   bool operator==(const PolicyConfig&) const = default;
@@ -63,13 +59,15 @@ struct PolicyConfig {
 ///
 /// Placement semantics: cores are *logical* ids in the configured Topology
 /// (which may be synthetic, e.g. the e5345 preset). A core of -1 means "this
-/// rank is not bound"; pairs with any unknown core conservatively read the
-/// cross-socket tuning row — the same "assume no shared cache" default the
-/// formula policy uses. NUMA placement of the shared buffers themselves is
-/// decided one layer up (shm::choose_region_placement consumed by World);
-/// this class only picks thresholds and backends per message.
+/// rank is not bound"; pairs with any unknown core are treated as sharing
+/// no cache. NUMA placement of the shared buffers themselves is decided one
+/// layer up (shm::choose_region_placement consumed by World); this class
+/// only picks thresholds and backends per message.
 class Policy {
  public:
+  /// Message size from which CMA is preferred when KNEM is absent.
+  static constexpr std::size_t kCmaActivation = 8 * 1024;
+
   Policy(Topology topo, PolicyConfig cfg)
       : topo_(std::move(topo)), cfg_(cfg) {}
 
@@ -82,32 +80,17 @@ class Policy {
   }
 
   [[nodiscard]] std::size_t dma_min_for(int recv_core) const {
-    if (cfg_.dma_min_override != 0) return cfg_.dma_min_override;
     if (cfg_.tuning != nullptr && cfg_.tuning->dma_min != 0)
       return cfg_.tuning->dma_min;
     return dma_min(topo_, recv_core);
   }
 
-  /// Placement row consulted for a core pair. Unknown cores (no binding)
-  /// conservatively read the cross-socket row — the same "assume no shared
-  /// cache" default the formula policy uses.
-  [[nodiscard]] const tune::PlacementTuning& tuning_row(int sender_core,
-                                                        int recv_core) const {
-    PairPlacement p = PairPlacement::kDifferentSockets;
-    if (cores_known(sender_core, recv_core))
-      p = topo_.classify(sender_core, recv_core);
-    return cfg_.tuning->for_placement(p);
-  }
-
   /// Should this message leave the eager path? `collective` selects the
-  /// lower activation threshold discussed in §4.4; cores (when known) select
-  /// the tuned placement row.
-  [[nodiscard]] bool use_lmt(std::size_t bytes, bool collective = false,
-                             int sender_core = -1, int recv_core = -1) const {
+  /// lower activation threshold discussed in §4.4.
+  [[nodiscard]] bool use_lmt(std::size_t bytes, bool collective = false) const {
     if (cfg_.tuning != nullptr) {
-      std::size_t act = collective
-                            ? cfg_.tuning->collective_activation
-                            : tuning_row(sender_core, recv_core).lmt_activation;
+      std::size_t act = collective ? cfg_.tuning->collective_activation
+                                   : cfg_.tuning->lmt_activation;
       return bytes > act;
     }
     if (cfg_.knem_available) {
@@ -118,37 +101,18 @@ class Policy {
     return bytes > cfg_.lmt_activation;
   }
 
-  /// Resolve kAuto into a concrete backend for a (sender, receiver) pair.
-  /// The tuned row states a preference; availability gates it, falling back
-  /// down the formula chain (knem -> vmsplice-on-unshared -> default).
+  /// Resolve kAuto into a concrete backend for a (sender, receiver) pair:
+  /// the §3.5 preference chain, gated by availability.
   [[nodiscard]] LmtKind choose_kind(std::size_t bytes, int sender_core,
                                     int recv_core) const {
+    if (cfg_.knem_available) return LmtKind::kKnem;
+    // CMA stands in for an unavailable KNEM (same single-copy
+    // receiver-driven shape, no driver) once the message amortises the
+    // attach syscall, then vmsplice on unshared-cache pairs, then the
+    // default double-buffered ring.
+    if (cfg_.cma_available && bytes >= kCmaActivation) return LmtKind::kCma;
     bool shared = cores_known(sender_core, recv_core) &&
                   topo_.shared_cache(sender_core, recv_core).has_value();
-    if (cfg_.tuning != nullptr) {
-      switch (tuning_row(sender_core, recv_core).backend) {
-        case tune::Backend::kKnem:
-          if (cfg_.knem_available) return LmtKind::kKnem;
-          break;
-        case tune::Backend::kCma:
-          if (cfg_.cma_available) return LmtKind::kCma;
-          break;
-        case tune::Backend::kVmsplice:
-          if (cfg_.vmsplice_available) return LmtKind::kVmsplice;
-          break;
-        case tune::Backend::kDefault:
-          return LmtKind::kDefaultShm;
-      }
-    } else if (cfg_.knem_available) {
-      return LmtKind::kKnem;
-    }
-    // Fallback chain: CMA stands in for an unavailable KNEM (same
-    // single-copy receiver-driven shape, no driver) once the message
-    // amortises the attach syscall, then vmsplice on unshared-cache pairs,
-    // then the default double-buffered ring.
-    std::size_t cma_act =
-        cfg_.tuning != nullptr ? cfg_.tuning->cma_activation : 8 * 1024;
-    if (cfg_.cma_available && bytes >= cma_act) return LmtKind::kCma;
     if (cfg_.vmsplice_available && !shared) return LmtKind::kVmsplice;
     return LmtKind::kDefaultShm;
   }

@@ -116,15 +116,4 @@ int available_cores() {
   return n > 0 ? n : 1;
 }
 
-AffinitySnapshot save_affinity() {
-  AffinitySnapshot snap;
-  CPU_ZERO(&snap.set);
-  snap.valid = ::sched_getaffinity(0, sizeof(snap.set), &snap.set) == 0;
-  return snap;
-}
-
-void restore_affinity(const AffinitySnapshot& snap) {
-  if (snap.valid) ::sched_setaffinity(0, sizeof(snap.set), &snap.set);
-}
-
 }  // namespace nemo::shm

@@ -40,14 +40,4 @@ bool pin_self_to_core(int core);
 /// Number of cores this process may run on.
 int available_cores();
 
-/// Snapshot of the calling thread's affinity mask, so code that pins for a
-/// measurement (the calibrator) can undo it instead of leaving the thread —
-/// and every later available_cores() query — stuck on one core.
-struct AffinitySnapshot {
-  cpu_set_t set;
-  bool valid = false;
-};
-AffinitySnapshot save_affinity();
-void restore_affinity(const AffinitySnapshot& snap);
-
 }  // namespace nemo::shm

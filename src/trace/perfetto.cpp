@@ -12,15 +12,15 @@ namespace nemo::trace {
 
 namespace {
 
-// The world shares one pid; rank-less timelines get stable synthetic tids.
+// The world shares one pid; sim replays (ranks -2, -3, ...) get stable
+// synthetic tids.
 constexpr int kPid = 0;
-constexpr int kTuneTid = 1000000;  // the global (rank -1) tracer
+constexpr int kSimTid = 1000001;  // sim rank 0
 
-int tid_of(int rank) { return rank < 0 ? kTuneTid - 1 - rank : rank; }
+int tid_of(int rank) { return rank < 0 ? kSimTid - 2 - rank : rank; }
 
 std::string thread_label(int rank) {
-  if (rank == -1) return "tune";
-  if (rank < -1) return "sim rank " + std::to_string(-rank - 2);
+  if (rank < 0) return "sim rank " + std::to_string(-rank - 2);
   return "rank " + std::to_string(rank);
 }
 
@@ -51,7 +51,6 @@ std::pair<const char*, const char*> arg_names(std::uint16_t id) {
     case kEpochStall: return {"waiting_on", ""};
     case kFence: return {"dead_rank", ""};
     case kPeerDeath: return {"rank", "site"};
-    case kFeedback: return {"knob", "value"};
     default: return {"a0", "a1"};
   }
 }
@@ -67,8 +66,6 @@ tune::Json make_args(std::uint16_t id, std::uint64_t a0, std::uint64_t a1) {
   auto [n0, n1] = arg_names(id);
   if (id == kCollOp)
     args.set(n0, std::string(coll_op_name(a0)));
-  else if (id == kFeedback)
-    args.set(n0, std::string(knob_name(a0)));
   else
     args.set(n0, a0);
   if (n1[0] != '\0') args.set(n1, a1);

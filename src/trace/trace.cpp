@@ -146,7 +146,6 @@ const char* event_name(std::uint16_t id) {
     case kRingStall: return "ring.stall";
     case kEpochStall: return "coll.epoch_stall";
     case kPeerDeath: return "resil.peer_death";
-    case kFeedback: return "tune.feedback";
     case kNetLink: return "net.link";
     case kNetCtrl: return "net.ctrl";
     case kSnapshot: return "snapshot";
@@ -180,18 +179,6 @@ const char* coll_op_name(std::uint64_t id) {
   }
 }
 
-const char* knob_name(std::uint64_t id) {
-  switch (id) {
-    case kKnobDrainBudget: return "drain_budget";
-    case kKnobRingBufs: return "ring_bufs";
-    case kKnobFastboxSlots: return "fastbox_slots";
-    case kKnobPollHot: return "poll_hot";
-    case kKnobCollActivation: return "coll_activation";
-    case kKnobPackNtMin: return "pack_nt_min";
-    default: return "knob";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Ring / Tracer
 // ---------------------------------------------------------------------------
@@ -213,13 +200,6 @@ void Tracer::flush() {
   if (!ring_ || ring_->head() == flushed_head_) return;
   flush_to_collector(rank_, *ring_, flushed_head_, ring_->head());
   flushed_head_ = ring_->head();
-}
-
-Tracer& global_tracer() {
-  // Deliberately leaked: the exit-time dump (atexit) flushes it explicitly,
-  // which must stay safe regardless of static destruction order.
-  static Tracer* t = new Tracer(-1);
-  return *t;
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +294,6 @@ bool write_dump(const std::string& path, std::string* err) {
 void maybe_write_env_dump() {
   auto out = process_env("NEMO_TRACE_OUT");
   if (!out) return;
-  global_tracer().flush();
   std::string err;
   if (!write_dump(*out, &err))
     std::fprintf(stderr, "nemo: trace dump failed: %s\n", err.c_str());

@@ -34,7 +34,7 @@ namespace nemo::trace {
 
 enum class Mode : int {
   kOff = 0,    // record nothing; the gate is the only cost
-  kRings = 1,  // coarse events: LMT activation, coll phases, stalls, feedback
+  kRings = 1,  // coarse events: LMT activation, coll phases, stalls
   kFull = 2,   // + per-pass / per-chunk spans and counter snapshots
 };
 
@@ -111,7 +111,6 @@ enum Event : std::uint16_t {
   kRingStall,        // CopyRing full, a0=peer              (rings)
   kEpochStall,       // arena spin missed, a0=waited rank   (rings)
   kPeerDeath,        // death verdict, a0=rank a1=site      (rings)
-  kFeedback,         // tuning decision, a0=Knob a1=value   (rings)
   // Transport layer (modeled interconnect; see src/transport/).
   kNetLink,  // internode transfer, a0=peer a1=bytes        (rings)
   kNetCtrl,  // internode control doorbell, a0=peer         (full)
@@ -149,18 +148,6 @@ enum CollOp : std::uint64_t {
   kOpCount
 };
 const char* coll_op_name(std::uint64_t id);
-
-/// Tuning-knob ids carried in kFeedback.a0 (value in a1).
-enum Knob : std::uint64_t {
-  kKnobDrainBudget = 0,
-  kKnobRingBufs,
-  kKnobFastboxSlots,
-  kKnobPollHot,
-  kKnobCollActivation,
-  kKnobPackNtMin,
-  kKnobCount
-};
-const char* knob_name(std::uint64_t id);
 
 // ---------------------------------------------------------------------------
 // The ring
@@ -226,9 +213,8 @@ inline constexpr std::size_t kDefaultRingSlots = 8192;
 // Per-rank tracer
 // ---------------------------------------------------------------------------
 
-/// One per Engine (and one process-global instance for rank-less contexts
-/// like the tuning feedback pass). Allocates its ring only when tracing is
-/// enabled at construction — disabled mode allocates nothing.
+/// One per Engine. Allocates its ring only when tracing is enabled at
+/// construction — disabled mode allocates nothing.
 class Tracer {
  public:
   explicit Tracer(int rank, std::size_t ring_slots = kDefaultRingSlots);
@@ -274,10 +260,6 @@ class Span {
   Tracer* t_;
   Event e_;
 };
-
-/// Process-global tracer for contexts without a rank (tuning feedback,
-/// tools). Serialized use only (single-threaded phases).
-Tracer& global_tracer();
 
 // ---------------------------------------------------------------------------
 // Collector: rings flushed by finished Tracers, aggregated per process and

@@ -1,8 +1,7 @@
 // Telemetry registry: lightweight per-rank counters the engine bumps on its
 // hot paths (plain increments on engine-private memory — no atomics, no
-// sampling) and the tuner/benches read back. Dumped as JSON via the benches'
-// --telemetry flag; the size-class histogram and fastbox hit rate are the
-// measured inputs the next calibration round tunes against.
+// sampling) and the benches read back. Dumped as JSON via the benches'
+// --telemetry flag.
 #pragma once
 
 #include <array>

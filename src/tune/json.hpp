@@ -1,8 +1,7 @@
-// Minimal JSON document model for the tuning subsystem: the persistent
-// tuning cache and the telemetry dumps are both small, schema'd documents,
-// so a compact recursive-descent parser + writer beats an external
-// dependency. Numbers are stored as double (every field we serialize fits
-// in 53 bits) plus the original integer when exact.
+// Minimal JSON document model: the telemetry and trace dumps are small,
+// schema'd documents, so a compact recursive-descent parser + writer beats
+// an external dependency. Numbers are stored as double (every field we
+// serialize fits in 53 bits) plus the original integer when exact.
 #pragma once
 
 #include <cstdint>

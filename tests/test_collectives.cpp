@@ -748,7 +748,7 @@ TEST(CollAuto, ActivationBoundaryRoutesAndWorks) {
   Config cfg;
   cfg.env["NEMO_COLL"] = "auto";
   cfg.nranks = 4;
-  tune::TuningTable t = tune::formula_defaults(detect_host());
+  tune::TuningTable t = tune::effective_table(detect_host());
   t.coll_activation = 4 * KiB;
   cfg.tuning = t;
   run(cfg, [&](Comm& comm) {
@@ -806,7 +806,7 @@ TEST(CollAuto, AlltoallvTinyRowsGateToP2p) {
   Config cfg;
   cfg.env["NEMO_COLL"] = "auto";
   cfg.nranks = 4;
-  tune::TuningTable t = tune::formula_defaults(detect_host());
+  tune::TuningTable t = tune::effective_table(detect_host());
   t.coll_activation = 4 * KiB;
   cfg.tuning = t;
   cfg.shared_pool_bytes = 32 * MiB;
@@ -861,7 +861,7 @@ TEST(CollAuto, AlltoallvOneTinyParticipantDragsAllToP2p) {
   Config cfg;
   cfg.env["NEMO_COLL"] = "auto";
   cfg.nranks = 3;
-  tune::TuningTable t = tune::formula_defaults(detect_host());
+  tune::TuningTable t = tune::effective_table(detect_host());
   t.coll_activation = 4 * KiB;
   cfg.tuning = t;
   run(cfg, [&](Comm& comm) {

@@ -23,7 +23,7 @@ Config base_config() {
   Config cfg;
   cfg.nranks = 4;
   cfg.topo = xeon_e5345();
-  cfg.tuning = tune::formula_defaults(cfg.topo);
+  cfg.tuning = tune::effective_table(cfg.topo);
   return cfg;
 }
 
@@ -39,7 +39,7 @@ bool ambient(const char* knob) {
   return v != nullptr && *v != '\0';
 }
 
-TEST(KnobTable, ThirtySixSortedUniqueRows) {
+TEST(KnobTable, SortedUniqueRows) {
   std::set<std::string> seen;
   std::string prev;
   for (const Knob& k : knobs()) {
@@ -50,7 +50,7 @@ TEST(KnobTable, ThirtySixSortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 34u);
+  EXPECT_EQ(knobs().size(), 30u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
@@ -86,7 +86,7 @@ TEST(KnobTable, DocsRowsMatchTheTableByNameAndDefault) {
 
 TEST(KnobTable, ConcreteDefaultsResolveLikeUnset) {
   // Setting a knob to its documented default must change nothing; a
-  // default in parentheses describes a host- or cache-derived value. A knob
+  // default in parentheses describes a host- or formula-derived value. A knob
   // already set in the ambient environment has no "unset" baseline here.
   const Config unset = resolved(base_config());
   int checked = 0;
@@ -101,20 +101,6 @@ TEST(KnobTable, ConcreteDefaultsResolveLikeUnset) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
-}
-
-TEST(KnobTable, TuneDefaultReadsTheCacheLikeUnset) {
-  // NEMO_TUNE is process-scoped: effective_table reads it from the
-  // environment, so this checks its environment parsing directly.
-  if (ambient("NEMO_TUNE")) GTEST_SKIP() << "NEMO_TUNE set in the environment";
-  const Knob* k = find_knob("NEMO_TUNE");
-  ASSERT_NE(k, nullptr);
-  Topology topo = xeon_e5345();
-  tune::TuningTable unset = tune::effective_table(topo);
-  ::setenv("NEMO_TUNE", k->def, 1);
-  tune::TuningTable pinned = tune::effective_table(topo);
-  ::unsetenv("NEMO_TUNE");
-  EXPECT_TRUE(pinned == unset);
 }
 
 struct BadValue {
@@ -175,7 +161,7 @@ TEST(KnobPins, UnknownAndProcessScopedPinsThrow) {
   cfg.env["NEMO_RNG_BUFS"] = "8";  // Typo.
   EXPECT_THROW((void)resolve_config(cfg), std::invalid_argument);
   cfg = base_config();
-  cfg.env["NEMO_TUNE"] = "0";  // Chooses the cache before any World.
+  cfg.env["NEMO_TRACE_OUT"] = "t.json";  // Read at process exit.
   EXPECT_THROW((void)resolve_config(cfg), std::invalid_argument);
 }
 
@@ -193,9 +179,7 @@ TEST(KnobPins, PinBeatsEnvironmentBeatsProgrammaticField) {
   Config from_pin = resolved(cfg);
   ::unsetenv("NEMO_RING_BUFS");
   EXPECT_EQ(from_env.ring_bufs, 6u);
-  EXPECT_EQ(from_env.tuning->place[0].ring_bufs, 6u);
   EXPECT_EQ(from_pin.ring_bufs, 9u);
-  EXPECT_EQ(from_pin.tuning->place[0].ring_bufs, 9u);
 }
 
 TEST(KnobPins, ResolutionIsIdempotent) {

@@ -17,11 +17,11 @@ namespace nemo {
 namespace {
 
 /// A World config on a synthetic topology with the formula tuning table
-/// (hermetic: no cache) and the placement mode pinned.
+/// and the placement mode pinned.
 core::Config numa_config(const Topology& topo, const char* mode) {
   core::Config cfg;
   cfg.topo = topo;
-  cfg.tuning = tune::formula_defaults(topo);
+  cfg.tuning = tune::effective_table(topo);
   cfg.env["NEMO_NUMA_PLACEMENT"] = mode;
   return cfg;
 }

@@ -1,10 +1,11 @@
 // Selection policy (§3.5): DMAmin formula against every preset topology, the
-// measured thresholds the paper reports, activation thresholds, and backend
-// choice per placement.
+// measured thresholds the paper reports, activation thresholds (from the
+// constants or an attached tuning table), and backend choice per placement.
 #include <gtest/gtest.h>
 
 #include "knem/knem_device.hpp"
 #include "lmt/policy.hpp"
+#include "tune/tuning.hpp"
 
 namespace nemo::lmt {
 namespace {
@@ -38,11 +39,32 @@ TEST(Policy, DmaMinNehalemAllCoresShareL3) {
   EXPECT_EQ(Policy::dma_min(t, 2), 1 * MiB);
 }
 
-TEST(Policy, OverrideWins) {
+TEST(Policy, TableDmaMinOverridesTheFormula) {
+  // NEMO_DMA_MIN lands in TuningTable::dma_min; 0 keeps the formula.
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
   PolicyConfig cfg;
-  cfg.dma_min_override = 123 * KiB;
+  cfg.tuning = &t;
   Policy p(xeon_e5345(), cfg);
+  EXPECT_EQ(p.dma_min_for(0), 1 * MiB);
+  t.dma_min = 123 * KiB;
   EXPECT_EQ(p.dma_min_for(0), 123 * KiB);
+}
+
+TEST(Policy, TableActivationsReplaceTheConstants) {
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
+  t.lmt_activation = 16 * KiB;
+  t.collective_activation = 1 * KiB;
+  PolicyConfig cfg;
+  cfg.tuning = &t;
+  Policy p(xeon_e5345(), cfg);
+  EXPECT_FALSE(p.use_lmt(16 * KiB));
+  EXPECT_TRUE(p.use_lmt(16 * KiB + 1));
+  EXPECT_FALSE(p.use_lmt(1 * KiB, /*collective=*/true));
+  EXPECT_TRUE(p.use_lmt(1 * KiB + 1, /*collective=*/true));
+  // The table's activation holds without KNEM too (no 64 KiB fallback).
+  cfg.knem_available = false;
+  Policy no_knem(xeon_e5345(), cfg);
+  EXPECT_TRUE(no_knem.use_lmt(16 * KiB + 1));
 }
 
 TEST(Policy, ActivationThresholds) {
