@@ -168,6 +168,14 @@ int main(int argc, char** argv) {
       if (comm.rank() == 0)
         std::printf("%12zu %12.2f %12.1f\n", sz, usec, mibs);
     }
+    // The KNEM device's statistics live in the arena, shared by every rank.
+    knem::DeviceStats st = comm.engine().knem_device().stats();
+    if (comm.rank() == 0 && st.recv_cmds != 0)
+      std::printf("# knem: %llu receive commands, %llu B copied, %llu B of "
+                  "them by the sender\n",
+                  static_cast<unsigned long long>(st.recv_cmds),
+                  static_cast<unsigned long long>(st.bytes_copied),
+                  static_cast<unsigned long long>(st.sender_copied_bytes));
     if (!telemetry.empty()) {
       comm.hard_barrier();
       telemetry[static_cast<std::size_t>(comm.rank())] +=

@@ -2,8 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
+
+#include "resil/resil.hpp"
 
 namespace nemo::knem {
 
@@ -32,6 +35,33 @@ std::uint64_t pages_touched(std::uint64_t addr, std::uint64_t len) {
 
 void stat_add(std::uint64_t& field, std::uint64_t v) {
   aref(field).fetch_add(v, std::memory_order_relaxed);
+}
+
+/// Smallest payload published to the sender. Smaller ones are at most four
+/// page-sized chunks, which the receiver copies alone.
+constexpr std::uint64_t kShareMin = 16 * KiB;
+
+/// Chunk size of a shared copy: about an eighth of the payload, between a
+/// page and 256 KiB, in whole cache lines.
+std::uint64_t share_chunk(std::uint64_t total) {
+  std::uint64_t c = std::clamp<std::uint64_t>(total / 8, 4 * KiB, 256 * KiB);
+  return c / kCacheLine * kCacheLine;
+}
+
+/// Copy message bytes [off, off + len) of `segs` to `dst`.
+void gather(std::span<const ConstSegment> segs, std::uint64_t off,
+            std::byte* dst, std::uint64_t len) {
+  std::size_t i = 0;
+  while (i < segs.size() && off >= segs[i].len) off -= segs[i++].len;
+  while (len > 0) {
+    NEMO_ASSERT(i < segs.size());
+    std::uint64_t n = std::min<std::uint64_t>(segs[i].len - off, len);
+    std::memcpy(dst, segs[i].base + off, n);
+    dst += n;
+    len -= n;
+    off = 0;
+    ++i;
+  }
 }
 
 }  // namespace
@@ -123,6 +153,9 @@ std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
   slot->owner_arena_base = reinterpret_cast<std::uint64_t>(arena_->base());
   slot->stage_off = kNil;
   aref(slot->stage_state).store(0, std::memory_order_relaxed);
+  aref(slot->share.n).store(0, std::memory_order_relaxed);
+  aref(slot->share.claim).store(0, std::memory_order_relaxed);
+  aref(slot->share.done).store(0, std::memory_order_relaxed);
 
   std::uint64_t total = 0, pinned = 0;
   std::uint32_t n = 0;
@@ -206,6 +239,10 @@ std::optional<Device::Resolved> Device::resolve(
     std::uint64_t cookie_id) const {
   const CookieSlot* s = find(cookie_id);
   if (s == nullptr) return std::nullopt;
+  return resolve_slot(s);
+}
+
+Device::Resolved Device::resolve_slot(const CookieSlot* s) const {
   Resolved r;
   r.pid = s->owner_pid;
   r.owner_rank = s->owner_rank;
@@ -254,6 +291,17 @@ std::optional<Device::Resolved> Device::resolve(
 KnemResult Device::recv_sync(std::uint64_t cookie_id,
                              std::span<const Segment> local,
                              std::uint32_t flags, shm::DmaEngine* engine) {
+  if ((flags & kFlagDma) == 0 || engine == nullptr) {
+    // CPU copy on the calling (receiver) core: the chunk loop with nothing
+    // published, so this core claims every chunk.
+    ShareRecv rx;
+    KnemResult res = recv_share_start(cookie_id, local, /*share=*/false, rx);
+    if (res == KnemResult::kOk) {
+      bool landed = recv_share_progress(rx, local);
+      NEMO_ASSERT(landed);
+    }
+    return res;
+  }
   auto r = resolve(cookie_id);
   if (!r) return KnemResult::kBadCookie;
   std::size_t cap = 0;
@@ -261,25 +309,130 @@ KnemResult Device::recv_sync(std::uint64_t cookie_id,
   if (cap < r->total) return KnemResult::kTruncated;
 
   stat_add(st_->stats.recv_cmds, 1);
-  if ((flags & kFlagDma) != 0 && engine != nullptr) {
-    stat_add(st_->stats.dma_recv_cmds, 1);
-    // Synchronous I/OAT mode: submit, then poll the status byte before
-    // returning to "user space".
-    volatile std::uint8_t status =
-        static_cast<std::uint8_t>(shm::DmaStatus::kPending);
-    SegmentList loc(local.begin(), local.end());
-    engine->submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid),
-                                    r->segs, std::move(loc), &status);
-    while (status == static_cast<std::uint8_t>(shm::DmaStatus::kPending))
-      std::this_thread::yield();
-    std::atomic_thread_fence(std::memory_order_acquire);
-  } else {
-    // CPU copy on the calling (receiver) core.
-    shm::RemoteMemPort port(r->mode, r->pid);
-    port.read(r->segs, local, /*non_temporal=*/false);
-  }
+  stat_add(st_->stats.dma_recv_cmds, 1);
+  // Synchronous I/OAT mode: submit, then poll the status byte before
+  // returning to "user space".
+  volatile std::uint8_t status =
+      static_cast<std::uint8_t>(shm::DmaStatus::kPending);
+  SegmentList loc(local.begin(), local.end());
+  engine->submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid),
+                                  r->segs, std::move(loc), &status);
+  while (status == static_cast<std::uint8_t>(shm::DmaStatus::kPending))
+    std::this_thread::yield();
+  std::atomic_thread_fence(std::memory_order_acquire);
   stat_add(st_->stats.bytes_copied, r->total);
   return KnemResult::kOk;
+}
+
+KnemResult Device::recv_share_start(std::uint64_t cookie_id,
+                                    std::span<const Segment> local,
+                                    bool share, ShareRecv& rx) {
+  NEMO_ASSERT(rx.share_ == nullptr);
+  const CookieSlot* s = find(cookie_id);
+  if (s == nullptr) return KnemResult::kBadCookie;
+  const std::uint64_t total = s->total_bytes;
+  std::size_t cap = 0;
+  for (const auto& seg : local) cap += seg.len;
+  if (cap < total) return KnemResult::kTruncated;
+
+  stat_add(st_->stats.recv_cmds, 1);
+  ShareBlock* sh = &const_cast<CookieSlot*>(s)->share;
+  rx.src_ = resolve_slot(s);
+  rx.chunk_ = share_chunk(total);
+  rx.n_ = (total + rx.chunk_ - 1) / rx.chunk_;
+  rx.pending_ = ShareRecv::kNone;
+  rx.drained_ = false;
+  rx.wait_sender_ = false;
+  rx.share_ = sh;
+  if (!share || total < kShareMin || local.empty() || local[0].len < total)
+    return KnemResult::kOk;
+
+  // The sender writes its chunks straight into `local`, so publish only a
+  // destination it can address.
+  const bool same_pid = rx.src_.pid == pid_;
+  if (arena_->contains(local[0].base, total)) {
+    sh->dst = arena_->offset_of(local[0].base);
+    sh->dst_is_off = 1;
+  } else if (same_pid) {
+    sh->dst = reinterpret_cast<std::uint64_t>(local[0].base);
+    sh->dst_is_off = 0;
+  } else {
+    return KnemResult::kOk;
+  }
+  sh->chunk = rx.chunk_;
+  rx.wait_sender_ = same_pid;
+  aref(sh->n).store(rx.n_, std::memory_order_release);
+  return KnemResult::kOk;
+}
+
+bool Device::recv_share_progress(ShareRecv& rx,
+                                 std::span<const Segment> local) {
+  ShareBlock* sh = rx.share_;
+  NEMO_ASSERT(sh != nullptr);
+  const std::uint64_t total = rx.src_.total;
+  shm::RemoteMemPort port(rx.src_.mode, rx.src_.pid);
+  while (!rx.drained_) {
+    if (rx.pending_ == ShareRecv::kNone) {
+      std::uint64_t i = aref(sh->claim).fetch_add(1, std::memory_order_relaxed);
+      if (i >= rx.n_) {
+        rx.drained_ = true;
+        break;
+      }
+      rx.pending_ = i;
+    }
+    // A throwing read leaves the chunk pending, so a later call retries it.
+    std::uint64_t off = rx.pending_ * rx.chunk_;
+    port.read_range(rx.src_.segs, local, off,
+                    std::min(rx.chunk_, total - off));
+    aref(sh->done).fetch_add(1, std::memory_order_release);
+    rx.pending_ = ShareRecv::kNone;
+  }
+  if (aref(sh->done).load(std::memory_order_acquire) < rx.n_) return false;
+  stat_add(st_->stats.bytes_copied, total);
+  rx.share_ = nullptr;
+  return true;
+}
+
+bool Device::send_share_progress(std::uint64_t cookie_id,
+                                 std::span<const ConstSegment> segs) {
+  const CookieSlot* cs = find(cookie_id);
+  if (cs == nullptr) return true;
+  ShareBlock* sh = &const_cast<CookieSlot*>(cs)->share;
+  const std::uint64_t n = aref(sh->n).load(std::memory_order_acquire);
+  if (n == 0) return false;
+  std::byte* dst = sh->dst_is_off != 0
+                       ? arena_->at(sh->dst)
+                       : reinterpret_cast<std::byte*>(sh->dst);
+  const std::uint64_t total = cs->total_bytes;
+  std::uint64_t moved = 0;
+  for (;;) {
+    std::uint64_t i = aref(sh->claim).fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    // Crash site: this chunk is claimed and will never be copied.
+    resil::fault_point(resil::Site::kKnemShare, rank_);
+    std::uint64_t off = i * sh->chunk;
+    std::uint64_t len = std::min(sh->chunk, total - off);
+    gather(segs, off, dst + off, len);
+    moved += len;
+    aref(sh->done).fetch_add(1, std::memory_order_release);
+  }
+  if (moved != 0) stat_add(st_->stats.sender_copied_bytes, moved);
+  return true;
+}
+
+void ShareRecv::abandon() noexcept {
+  if (share_ == nullptr) return;
+  std::uint64_t claimed = std::min(
+      aref(share_->claim).fetch_add(n_, std::memory_order_acq_rel), n_);
+  if (wait_sender_) {
+    // Every claimed chunk but this party's pending one is the sender's
+    // until `done` counts it.
+    std::uint64_t mine = pending_ != kNone ? 1 : 0;
+    while (aref(share_->done).load(std::memory_order_acquire) + mine <
+           claimed)
+      std::this_thread::yield();
+  }
+  share_ = nullptr;
 }
 
 KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
@@ -358,6 +511,8 @@ DeviceStats Device::stats() const {
       aref(st_->stats.async_recv_cmds).load(std::memory_order_relaxed);
   out.bytes_copied =
       aref(st_->stats.bytes_copied).load(std::memory_order_relaxed);
+  out.sender_copied_bytes =
+      aref(st_->stats.sender_copied_bytes).load(std::memory_order_relaxed);
   out.pages_pinned =
       aref(st_->stats.pages_pinned).load(std::memory_order_relaxed);
   out.cookie_leaks =

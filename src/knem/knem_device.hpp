@@ -9,6 +9,9 @@
 //                    moves the data with a single copy. Flags select the
 //                    copy engine (CPU vs DMA) and completion model (inline
 //                    vs status-byte polled), exactly as in the paper:
+//                      (none)     -> CPU copy, cut into chunks that the
+//                                    receiver and the waiting sender claim
+//                                    from the cookie's share block
 //                      kFlagDma   -> I/OAT-like engine (non-temporal, no
 //                                    cache fill, background channel)
 //                      kFlagAsync -> return immediately; completion = the
@@ -45,6 +48,23 @@ struct SegBlock {
   shm::RemoteSegment segs[kBlockSegs];
 };
 
+/// Share block of a cookie: one synchronous CPU receive split between the
+/// receiver and the waiting sender. The receiver publishes where the
+/// payload goes and how it is cut (`n` last, with release); then both
+/// parties claim chunk indexes with fetch_add on `claim` and bump `done`
+/// (release) after each copied chunk. `claim` and `done` each sit on their
+/// own line, away from the published fields.
+struct ShareBlock {
+  alignas(kCacheLine) std::uint64_t dst;  ///< Receive buffer (see dst_is_off).
+  std::uint64_t chunk;       ///< Bytes per chunk; the last may be short.
+  std::uint32_t dst_is_off;  ///< 1: dst is an arena offset; 0: an address
+                             ///< in the (shared) address space.
+  std::uint32_t pad;
+  std::uint64_t n;           ///< Chunk count; nonzero = published.
+  alignas(kCacheLine) std::uint64_t claim;  ///< Next unclaimed chunk index.
+  alignas(kCacheLine) std::uint64_t done;   ///< Chunks copied so far.
+};
+
 struct CookieSlot {
   std::uint64_t state;    ///< 0 free, 1 claimed (atomic).
   std::uint64_t id;       ///< Generation-stamped id (0 = invalid).
@@ -64,6 +84,7 @@ struct CookieSlot {
   std::uint64_t stage_off;  ///< Arena offset of the staging buffer.
   shm::RemoteSegment inline_segs[kInlineSegs];
   std::uint64_t more;     ///< First SegBlock offset or kNil.
+  ShareBlock share;       ///< Reset by submit_send.
 };
 
 struct DeviceStats {
@@ -71,7 +92,8 @@ struct DeviceStats {
   std::uint64_t recv_cmds;
   std::uint64_t dma_recv_cmds;
   std::uint64_t async_recv_cmds;
-  std::uint64_t bytes_copied;
+  std::uint64_t bytes_copied;   ///< Each byte once, whoever copied it.
+  std::uint64_t sender_copied_bytes;  ///< The sender's share of those.
   std::uint64_t pages_pinned;   ///< Cumulative.
   std::uint64_t cookie_leaks;   ///< Releases of stale ids (diagnostic).
   std::uint64_t cma_read_cmds;  ///< CMA-backend receives (single copy).
@@ -100,6 +122,8 @@ enum class KnemResult {
 };
 
 const char* to_string(KnemResult r);
+
+class ShareRecv;
 
 class Device {
  public:
@@ -134,7 +158,8 @@ class Device {
 
   /// RECEIVE COMMAND, synchronous: returns when the data is in `local`.
   /// With kFlagDma the copy runs on `engine` (completion is polled — the
-  /// paper's synchronous I/OAT mode); otherwise the calling thread copies.
+  /// paper's synchronous I/OAT mode); otherwise the calling thread copies
+  /// every chunk (nothing is published to the sender).
   KnemResult recv_sync(std::uint64_t cookie_id,
                        std::span<const Segment> local, std::uint32_t flags,
                        shm::DmaEngine* engine);
@@ -144,6 +169,30 @@ class Device {
   KnemResult recv_async(std::uint64_t cookie_id, SegmentList local,
                         std::uint32_t flags, shm::DmaEngine& engine,
                         volatile std::uint8_t* status);
+
+  // -- Shared CPU copy. A synchronous CPU receive is one chunk loop: the
+  //    receiver and, when the receive buffer is addressable by the sender,
+  //    the sender waiting for FIN claim chunks from the cookie's share
+  //    block. Each byte is still copied once.
+
+  /// Receiver: resolve the cookie into `rx`, check the buffer and cut the
+  /// payload into chunks. With `share`, publish the chunks to the sender
+  /// when it can address `local`: a same-process world, or one
+  /// arena-resident segment (published as an arena offset).
+  KnemResult recv_share_start(std::uint64_t cookie_id,
+                              std::span<const Segment> local, bool share,
+                              ShareRecv& rx);
+
+  /// Receiver: claim and copy chunks until none is left. Returns true once
+  /// every chunk, the sender's included, has landed; false while a sender
+  /// chunk is still in flight (call again, do not spin here).
+  bool recv_share_progress(ShareRecv& rx, std::span<const Segment> local);
+
+  /// Sender: claim and copy chunks of a published share until none is
+  /// left. Returns true once none is left; false while nothing is
+  /// published yet.
+  bool send_share_progress(std::uint64_t cookie_id,
+                           std::span<const ConstSegment> segs);
 
   // -- CMA staging fallback (receiver-driven downgrade when the CMA
   //    syscalls fail at transfer time: EPERM from ptrace_scope/seccomp).
@@ -181,11 +230,43 @@ class Device {
   void push_block(std::uint64_t off);
   void free_chain(CookieSlot* s);
   [[nodiscard]] const CookieSlot* find(std::uint64_t cookie_id) const;
+  [[nodiscard]] Resolved resolve_slot(const CookieSlot* s) const;
 
   shm::Arena* arena_;
   DeviceState* st_;
   int rank_;
   pid_t pid_;
+};
+
+/// The receiver's state of one shared CPU-copy receive (lmt::RecvCtx keeps
+/// it): the cookie resolved once and this party's place in the chunk loop.
+/// Destroying it before the copy completes abandons the receive.
+class ShareRecv {
+ public:
+  ShareRecv() = default;
+  ShareRecv(const ShareRecv&) = delete;
+  ShareRecv& operator=(const ShareRecv&) = delete;
+  ~ShareRecv() { abandon(); }
+
+  /// Close the claim word (fetch_add(n)) so the sender claims nothing
+  /// more, then wait for any chunk a same-process sender already claimed.
+  /// Only then may the receive buffer go back to the user. A sender in
+  /// another process is not waited for: the peer-death fence abandons a
+  /// receive only once that sender is declared dead. No-op when the copy
+  /// completed or never started.
+  void abandon() noexcept;
+
+ private:
+  friend class Device;
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  ShareBlock* share_ = nullptr;  ///< Null when finished or not started.
+  Device::Resolved src_;
+  std::uint64_t chunk_ = 0;
+  std::uint64_t n_ = 0;
+  std::uint64_t pending_ = kNone;  ///< Own claimed chunk not yet copied.
+  bool drained_ = false;           ///< Own claims ran past n.
+  bool wait_sender_ = false;       ///< Published to a same-process sender.
 };
 
 }  // namespace nemo::knem

@@ -89,7 +89,9 @@ class VmspliceBackend final : public Backend {
 
 /// Single-copy transfer through the KNEM pseudo-device (§3.2-3.4): the
 /// sender declares a cookie; the receiver drives the copy, optionally on the
-/// DMA engine and/or asynchronously; FIN releases the cookie.
+/// DMA engine and/or asynchronously; FIN releases the cookie. A synchronous
+/// CPU copy is shared: the receiver publishes chunks in the cookie's share
+/// block and the sender, waiting for FIN anyway, claims and copies some.
 class KnemBackend final : public Backend {
  public:
   explicit KnemBackend(core::Engine& eng) : eng_(eng) {}

@@ -16,6 +16,19 @@
 // way: double-buffered shm ring (default), vmsplice'd pipe (single copy),
 // writev'd pipe (two copies, Fig. 3's comparison), or the KNEM device
 // (single copy, optionally DMA-offloaded and/or asynchronous).
+//
+// KNEM's synchronous CPU copy splits that single copy between both cores:
+//
+//   sender                                receiver
+//   ------                                --------
+//   send_init(): cookie -> RTS ->          recv_init(): resolve the cookie,
+//                                          cut chunks, publish them in the
+//                                          cookie's share block
+//   send_progress(): claim + copy chunks   recv_progress(): claim + copy
+//     until none is left                     chunks; done once every
+//                                            chunk has landed
+//                <- FIN <-
+//   send_fin(): release the cookie
 #pragma once
 
 #include <cstdint>
@@ -23,6 +36,7 @@
 
 #include "common/iovec.hpp"
 #include "common/topology.hpp"
+#include "knem/knem_device.hpp"
 
 namespace nemo {
 
@@ -48,7 +62,7 @@ const char* to_string(LmtKind k);
 
 /// KNEM operating mode (paper §3.3-3.4).
 enum class KnemMode : std::uint32_t {
-  kSyncCopy = 0,   ///< Receiver core copies inline.
+  kSyncCopy = 0,   ///< CPU copy split between receiver and waiting sender.
   kAsyncCopy = 1,  ///< Kernel-thread offload on the receiver core.
   kSyncDma = 2,    ///< I/OAT engine, polled before returning.
   kAsyncDma = 3,   ///< I/OAT engine, status-byte completion.
@@ -111,6 +125,7 @@ struct RecvCtx {
   std::size_t seg_off = 0;
   volatile std::uint8_t async_status = 0;  ///< KNEM async completion byte.
   bool async_submitted = false;
+  knem::ShareRecv knem_share;  ///< KNEM synchronous CPU copy: resolved once.
 
   void* user = nullptr;
 };

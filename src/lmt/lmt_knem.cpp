@@ -16,9 +16,12 @@ void KnemBackend::send_init(SendCtx& ctx) {
   ctx.rts.sender_core = core >= 0 ? static_cast<std::uint32_t>(core) : 0;
 }
 
-bool KnemBackend::send_progress(SendCtx&) {
-  // All data motion is receiver-driven; the sender merely waits for FIN.
-  return true;
+bool KnemBackend::send_progress(SendCtx& ctx) {
+  // While it waits for FIN, the sender copies chunks the receiver published
+  // (a synchronous CPU receive); DMA and async receives publish nothing.
+  if (ctx.fin_seen) return true;
+  return eng_.knem_device().send_share_progress(
+      ctx.knem_cookie, std::span<const ConstSegment>(ctx.segs));
 }
 
 void KnemBackend::send_fin(SendCtx& ctx) {
@@ -34,6 +37,13 @@ void KnemBackend::recv_init(RecvCtx& ctx) {
   int my_core = eng_.world().core_of(eng_.rank());
   ctx.rts.knem_flags = eng_.policy().knem_flags(
       ctx.total, my_core, eng_.world().config().knem_mode);
+  if (ctx.rts.knem_flags == 0) {
+    // Synchronous CPU copy: resolve the cookie once and publish the chunks
+    // to the sender, so it can start copying before recv_progress runs.
+    knem::KnemResult res = eng_.knem_device().recv_share_start(
+        ctx.rts.knem_cookie, ctx.segs, /*share=*/true, ctx.knem_share);
+    NEMO_ASSERT_MSG(res == knem::KnemResult::kOk, to_string(res));
+  }
 }
 
 bool KnemBackend::recv_progress(RecvCtx& ctx) {
@@ -42,13 +52,17 @@ bool KnemBackend::recv_progress(RecvCtx& ctx) {
   bool dma = (flags & knem::kFlagDma) != 0;
   bool async = (flags & knem::kFlagAsync) != 0;
 
+  if (!dma && !async) {
+    // Shared CPU copy: claim chunks alongside the sender. Returns false
+    // while a sender chunk is in flight, so Engine::wait's guard still
+    // bounds the wait on a sender that dies mid-chunk.
+    return dev.recv_share_progress(ctx.knem_share, ctx.segs);
+  }
   if (!async) {
-    // Synchronous receive command: the call returns with the data placed —
-    // either copied inline by this (receiver) core, or DMA-submitted and
-    // polled before returning.
-    knem::KnemResult res =
-        dev.recv_sync(ctx.rts.knem_cookie, ctx.segs, flags,
-                      dma ? &eng_.dma_channel() : nullptr);
+    // Synchronous I/OAT receive command: DMA-submitted and polled before
+    // the call returns with the data placed.
+    knem::KnemResult res = dev.recv_sync(ctx.rts.knem_cookie, ctx.segs,
+                                         flags, &eng_.dma_channel());
     NEMO_ASSERT_MSG(res == knem::KnemResult::kOk, to_string(res));
     return true;
   }

@@ -49,6 +49,7 @@ enum class Site : std::uint8_t {
   kBarrierArrive,     ///< rank about to store its barrier arrival
   kCmaRendezvous,     ///< sender just published an RTS for a CMA transfer
   kFastboxPut,        ///< sender about to write an eager fastbox slot
+  kKnemShare,         ///< KNEM sender just claimed a chunk of a shared copy
   // Wait sites (where a bounded wait can observe the death).
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack

@@ -3,6 +3,8 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "common/common.hpp"
@@ -35,161 +37,112 @@ bool cma_available() {
 
 namespace {
 
-/// Streamed generalized copy for kDirect: walks both segment lists.
-std::size_t direct_copy(std::span<const RemoteSegment> remote,
-                        std::span<const Segment> local, bool non_temporal) {
-  std::size_t ri = 0, roff = 0, li = 0, loff = 0, copied = 0;
-  while (ri < remote.size() && li < local.size()) {
-    if (remote[ri].len == roff) {
-      ++ri;
-      roff = 0;
-      continue;
-    }
-    if (local[li].len == loff) {
-      ++li;
-      loff = 0;
-      continue;
-    }
-    std::size_t n = remote[ri].len - roff;
-    std::size_t ln = local[li].len - loff;
-    if (ln < n) n = ln;
-    const void* src =
-        reinterpret_cast<const void*>(remote[ri].addr + roff);
-    void* dst = local[li].base + loff;
-    if (non_temporal)
-      nt_memcpy(dst, src, n);
-    else
-      std::memcpy(dst, src, n);
+/// Walk both segment lists as one byte stream over [off, off + len) and hand
+/// each matched piece to fn(remote address, local pointer, bytes). Returns
+/// the bytes visited (short when either list ends first).
+template <class Local, class Fn>
+std::size_t for_each_piece(std::span<const RemoteSegment> remote,
+                           std::span<const Local> local, std::size_t off,
+                           std::size_t len, Fn&& fn) {
+  std::size_t ri = 0, roff = off, li = 0, loff = off, done = 0;
+  while (ri < remote.size() && roff >= remote[ri].len)
+    roff -= remote[ri++].len;
+  while (li < local.size() && loff >= local[li].len) loff -= local[li++].len;
+  while (done < len && ri < remote.size() && li < local.size()) {
+    std::size_t n = std::min({static_cast<std::size_t>(remote[ri].len - roff),
+                              local[li].len - loff, len - done});
+    if (n != 0) fn(remote[ri].addr + roff, local[li].base + loff, n);
     roff += n;
     loff += n;
-    copied += n;
+    done += n;
+    if (roff == remote[ri].len) {
+      ++ri;
+      roff = 0;
+    }
+    if (loff == local[li].len) {
+      ++li;
+      loff = 0;
+    }
   }
-  return copied;
+  return done;
 }
 
-constexpr std::size_t kIovMax = 64;
+/// One CMA syscall: process_vm_readv or process_vm_writev.
+using CmaCall = ssize_t (*)(pid_t, const struct iovec*, unsigned long,
+                            const struct iovec*, unsigned long,
+                            unsigned long);
+
+/// Kernel copy of message bytes [off, off + len) through `call`, with the
+/// matched pieces batched into iovec arrays.
+template <class Local>
+std::size_t cma_copy(CmaCall call, const char* name, pid_t pid,
+                     std::span<const RemoteSegment> remote,
+                     std::span<const Local> local, std::size_t off,
+                     std::size_t len) {
+  constexpr std::size_t kIovMax = 64;
+  struct iovec liov[kIovMax], riov[kIovMax];
+  std::size_t k = 0, batch = 0, copied = 0;
+  auto flush = [&] {
+    if (k == 0) return;
+    ssize_t got = call(pid, liov, k, riov, k, 0);
+    if (got < 0) throw SysError(name, errno);
+    NEMO_ASSERT_MSG(static_cast<std::size_t>(got) == batch,
+                    "short CMA copy (partial page?)");
+    copied += batch;
+    k = 0;
+    batch = 0;
+  };
+  for_each_piece(remote, local, off, len,
+                 [&](std::uint64_t addr, const std::byte* p, std::size_t n) {
+                   riov[k] = {reinterpret_cast<void*>(addr), n};
+                   liov[k] = {const_cast<std::byte*>(p), n};
+                   ++k;
+                   batch += n;
+                   if (k == kIovMax) flush();
+                 });
+  flush();
+  return copied;
+}
 
 }  // namespace
 
 std::size_t RemoteMemPort::read(std::span<const RemoteSegment> remote,
                                 std::span<const Segment> local,
                                 bool non_temporal) const {
-  if (mode_ == RemoteMode::kDirect)
-    return direct_copy(remote, local, non_temporal);
+  // A CMA copy is the kernel's and cache-filling — exactly like KNEM's
+  // non-I/OAT kernel copy, so non_temporal is not honoured there (callers
+  // know via mode()).
+  if (!non_temporal || mode_ != RemoteMode::kDirect)
+    return read_range(remote, local, 0, SIZE_MAX);
+  return for_each_piece(remote, local, 0, SIZE_MAX,
+                        [](std::uint64_t src, std::byte* dst, std::size_t n) {
+                          nt_memcpy(dst, reinterpret_cast<const void*>(src), n);
+                        });
+}
 
-  // CMA: the kernel performs the copy; we batch iovecs. Note the kernel copy
-  // is cache-filling — exactly like KNEM's non-I/OAT kernel copy, so the
-  // non_temporal request cannot be honoured here (callers know via mode()).
-  std::size_t copied = 0;
-  std::size_t ri = 0, roff = 0, li = 0, loff = 0;
-  while (ri < remote.size() && li < local.size()) {
-    struct iovec liov[kIovMax], riov[kIovMax];
-    std::size_t nl = 0, nr = 0, batch = 0;
-    std::size_t ri2 = ri, roff2 = roff, li2 = li, loff2 = loff;
-    // Build matched-length iovec batches.
-    while (ri2 < remote.size() && li2 < local.size() && nl < kIovMax &&
-           nr < kIovMax) {
-      if (remote[ri2].len == roff2) {
-        ++ri2;
-        roff2 = 0;
-        continue;
-      }
-      if (local[li2].len == loff2) {
-        ++li2;
-        loff2 = 0;
-        continue;
-      }
-      std::size_t n = remote[ri2].len - roff2;
-      std::size_t ln = local[li2].len - loff2;
-      if (ln < n) n = ln;
-      riov[nr].iov_base = reinterpret_cast<void*>(remote[ri2].addr + roff2);
-      riov[nr].iov_len = n;
-      ++nr;
-      liov[nl].iov_base = local[li2].base + loff2;
-      liov[nl].iov_len = n;
-      ++nl;
-      roff2 += n;
-      loff2 += n;
-      batch += n;
-    }
-    if (batch == 0) break;
-    ssize_t got = ::process_vm_readv(peer_pid_, liov, nl, riov, nr, 0);
-    if (got < 0) throw SysError("process_vm_readv", errno);
-    NEMO_ASSERT_MSG(static_cast<std::size_t>(got) == batch,
-                    "short CMA read (partial page?)");
-    copied += batch;
-    ri = ri2;
-    roff = roff2;
-    li = li2;
-    loff = loff2;
-  }
-  return copied;
+std::size_t RemoteMemPort::read_range(std::span<const RemoteSegment> remote,
+                                      std::span<const Segment> local,
+                                      std::size_t off,
+                                      std::size_t len) const {
+  if (mode_ == RemoteMode::kCma)
+    return cma_copy(::process_vm_readv, "process_vm_readv", peer_pid_, remote,
+                    local, off, len);
+  return for_each_piece(remote, local, off, len,
+                        [](std::uint64_t src, std::byte* dst, std::size_t n) {
+                          std::memcpy(dst, reinterpret_cast<const void*>(src), n);
+                        });
 }
 
 std::size_t RemoteMemPort::write(std::span<const RemoteSegment> remote,
                                  std::span<const ConstSegment> local) const {
-  if (mode_ == RemoteMode::kDirect) {
-    std::size_t ri = 0, roff = 0, li = 0, loff = 0, copied = 0;
-    while (ri < remote.size() && li < local.size()) {
-      if (remote[ri].len == roff) {
-        ++ri;
-        roff = 0;
-        continue;
-      }
-      if (local[li].len == loff) {
-        ++li;
-        loff = 0;
-        continue;
-      }
-      std::size_t n = remote[ri].len - roff;
-      std::size_t ln = local[li].len - loff;
-      if (ln < n) n = ln;
-      std::memcpy(reinterpret_cast<void*>(remote[ri].addr + roff),
-                  local[li].base + loff, n);
-      roff += n;
-      loff += n;
-      copied += n;
-    }
-    return copied;
-  }
-  std::size_t copied = 0;
-  std::size_t ri = 0, roff = 0, li = 0, loff = 0;
-  while (ri < remote.size() && li < local.size()) {
-    struct iovec liov[kIovMax], riov[kIovMax];
-    std::size_t nl = 0, nr = 0, batch = 0;
-    while (ri < remote.size() && li < local.size() && nl < kIovMax &&
-           nr < kIovMax) {
-      if (remote[ri].len == roff) {
-        ++ri;
-        roff = 0;
-        continue;
-      }
-      if (local[li].len == loff) {
-        ++li;
-        loff = 0;
-        continue;
-      }
-      std::size_t n = remote[ri].len - roff;
-      std::size_t ln = local[li].len - loff;
-      if (ln < n) n = ln;
-      riov[nr].iov_base = reinterpret_cast<void*>(remote[ri].addr + roff);
-      riov[nr].iov_len = n;
-      ++nr;
-      liov[nl].iov_base = const_cast<std::byte*>(local[li].base) + loff;
-      liov[nl].iov_len = n;
-      ++nl;
-      roff += n;
-      loff += n;
-      batch += n;
-    }
-    if (batch == 0) break;
-    ssize_t got = ::process_vm_writev(peer_pid_, liov, nl, riov, nr, 0);
-    if (got < 0) throw SysError("process_vm_writev", errno);
-    NEMO_ASSERT_MSG(static_cast<std::size_t>(got) == batch,
-                    "short CMA write");
-    copied += batch;
-  }
-  return copied;
+  if (mode_ == RemoteMode::kCma)
+    return cma_copy(::process_vm_writev, "process_vm_writev", peer_pid_,
+                    remote, local, 0, SIZE_MAX);
+  return for_each_piece(
+      remote, local, 0, SIZE_MAX,
+      [](std::uint64_t dst, const std::byte* src, std::size_t n) {
+        std::memcpy(reinterpret_cast<void*>(dst), src, n);
+      });
 }
 
 }  // namespace nemo::shm

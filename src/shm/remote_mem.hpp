@@ -62,6 +62,12 @@ class RemoteMemPort {
                    std::span<const Segment> local,
                    bool non_temporal = false) const;
 
+  /// Copy message bytes [off, off + len) remote -> local: both lists are
+  /// walked as one byte stream from their start. Returns bytes copied.
+  std::size_t read_range(std::span<const RemoteSegment> remote,
+                         std::span<const Segment> local, std::size_t off,
+                         std::size_t len) const;
+
   /// Copy local -> remote (used by the one-sided tests; KNEM's recv command
   /// only ever reads).
   std::size_t write(std::span<const RemoteSegment> remote,

@@ -198,6 +198,32 @@ TEST_P(FaultMatrix, KillAtFastboxPut) {
                {receiver});
 }
 
+TEST_P(FaultMatrix, KillAtKnemShare) {
+  int n = GetParam();
+  int victim = 2;
+  int receiver = 3;
+  // The receive buffer is arena-resident, so the receiver publishes its
+  // chunks to the sending process. The victim dies holding a claimed
+  // chunk it never copies: the receiver must get a verdict, not wait
+  // forever for that chunk. It may run the whole loop alone first, so the
+  // victim keeps sending until it claims one.
+  Scenario sc{"knem_share",
+              {Site::kEngineWait, Site::kCellAlloc, Site::kPendingCtrl}};
+  run_scenario(n, victim, sc, lmt::LmtKind::kKnem,
+               [=](Comm& comm, int v) {
+                 constexpr std::size_t kN = 4 * MiB;
+                 if (comm.rank() != v && comm.rank() != receiver) return;
+                 std::byte* buf = comm.shared_alloc(kN);
+                 for (int i = 0; i < 1000; ++i) {
+                   if (comm.rank() == v)
+                     comm.send(buf, kN, receiver, 10);
+                   else
+                     comm.recv(buf, kN, v, 10);
+                 }
+               },
+               {receiver});
+}
+
 INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));
 
 TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {

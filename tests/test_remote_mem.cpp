@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -87,6 +88,46 @@ TEST(RemoteMem, CmaManySegmentsBatched) {
   EXPECT_EQ(port.read(remote, SegmentList{{dst.data(), dst.size()}}),
             dst.size());
   EXPECT_EQ(pattern_check(dst, 6), kPatternOk);
+}
+
+TEST(RemoteMem, CmaSelfWriteManySegments) {
+  if (!cma_available()) GTEST_SKIP();
+  constexpr int kSegs = 150;  // Three iovec batches.
+  constexpr std::size_t kSegLen = 700;
+  std::vector<std::byte> src(kSegs * kSegLen), dst(kSegs * kSegLen);
+  pattern_fill(src, 8);
+  ConstSegmentList local;
+  for (int i = 0; i < kSegs; ++i)
+    local.push_back({src.data() + static_cast<std::size_t>(i) * kSegLen,
+                     kSegLen});
+  RemoteMemPort port(RemoteMode::kCma, ::getpid());
+  EXPECT_EQ(port.write(rsegs(dst.data(), dst.size()), local), dst.size());
+  EXPECT_EQ(pattern_check(dst, 8), kPatternOk);
+}
+
+TEST(RemoteMem, ReadRangeMatchesTheWholeReadPieceByPiece) {
+  // Odd-sized segments on both sides; every range starts and ends inside
+  // segments, and ranges past the end come back short.
+  std::vector<std::byte> src(10000), dst(10000);
+  pattern_fill(src, 9);
+  RemoteSegmentList remote;
+  for (std::size_t off = 0, len = 333; off < src.size(); off += len)
+    remote.push_back({reinterpret_cast<std::uint64_t>(src.data() + off),
+                      std::min(len, src.size() - off)});
+  SegmentList local;
+  for (std::size_t off = 0, len = 1021; off < dst.size(); off += len)
+    local.push_back({dst.data() + off, std::min(len, dst.size() - off)});
+  std::vector<RemoteMode> modes{RemoteMode::kDirect};
+  if (cma_available()) modes.push_back(RemoteMode::kCma);
+  for (RemoteMode mode : modes) {
+    std::fill(dst.begin(), dst.end(), std::byte{0});
+    RemoteMemPort port(mode, ::getpid());
+    for (std::size_t off = 0; off < src.size(); off += 1500)
+      EXPECT_EQ(port.read_range(remote, local, off, 1500),
+                std::min<std::size_t>(1500, src.size() - off));
+    EXPECT_EQ(pattern_check(dst, 9), kPatternOk) << to_string(mode);
+    EXPECT_EQ(port.read_range(remote, local, src.size(), 10), 0u);
+  }
 }
 
 TEST(RemoteMem, CmaCrossProcessRead) {
