@@ -32,6 +32,10 @@ Config knem_config(LaunchMode mode = LaunchMode::kThreads) {
   cfg.lmt = lmt::LmtKind::kKnem;
   cfg.knem_mode = lmt::KnemMode::kSyncCopy;
   cfg.eager_threshold = 8 * KiB;  // 8 KiB + 1 already takes the rendezvous.
+  // Whatever the environment says: the cases assert who copied what.
+  cfg.env["NEMO_WORLD_MODE"] =
+      mode == LaunchMode::kThreads ? "threads" : "procs";
+  cfg.env["NEMO_LMT"] = "knem";
   return cfg;
 }
 
