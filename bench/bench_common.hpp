@@ -3,7 +3,7 @@
 //   [sim]  — deterministic series from the cache-simulator replay models,
 //            configured as the paper's Xeon E5345;
 //   [real] — wall-clock numbers from this host's actual runtime (threads over
-//            the shared arena, real vmsplice pipes, CMA, NT-copy DMA).
+//            the shared arena, real vmsplice pipes, the KNEM device, NT-copy DMA).
 // EXPERIMENTS.md grounds its shape claims on [sim] and uses [real] as
 // corroboration, since the host is not a 2009 Clovertown.
 #pragma once

@@ -13,7 +13,6 @@
 
 #include "bench_common.hpp"
 #include "common/options.hpp"
-#include "shm/remote_mem.hpp"
 
 using namespace nemo;
 using namespace nemo::bench;
@@ -58,16 +57,9 @@ int main(int argc, char** argv) {
     seed_cfg.nt_min = static_cast<std::size_t>(-1);
     seed_cfg.use_fastbox = false;
 
-    // CMA availability mirrors the World's gate: the syscall probe plus the
-    // resolved NEMO_CMA kill switch. An unavailable row still emits JSON —
-    // marked "skipped" so the bench gate reports it loudly instead of
-    // failing.
-    bool cma_ok = shm::cma_available() &&
-                  core::resolve_config(cfg_for(lmt::LmtKind::kCma)).cma_enabled;
     struct RealRow {
       const char* name;
       core::Config cfg;
-      bool available = true;
     } real_rows[] = {
         {"default", cfg_for(lmt::LmtKind::kDefaultShm)},
         {"default-seed", seed_cfg},
@@ -75,25 +67,12 @@ int main(int argc, char** argv) {
         {"knem", cfg_for(lmt::LmtKind::kKnem)},
         {"knem+ioat",
          cfg_for(lmt::LmtKind::kKnem, lmt::KnemMode::kSyncDma)},
-        {"cma", cfg_for(lmt::LmtKind::kCma), cma_ok},
     };
     std::vector<std::string> json_rows;
     std::vector<tune::Counters> telemetry(2);
     std::vector<tune::Counters>* tel =
         opt.has("telemetry") ? &telemetry : nullptr;
     for (const auto& row : real_rows) {
-      if (!row.available) {
-        std::printf("%-24s (cma unavailable on this host)\n", row.name);
-        for (auto s : sizes) {
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "{\"strategy\": \"%s\", \"bytes\": %zu, "
-                        "\"skipped\": \"cma unavailable\"}",
-                        row.name, s);
-          json_rows.emplace_back(buf);
-        }
-        continue;
-      }
       std::vector<double> vals;
       for (auto s : sizes) {
         double mibs = real_pingpong_mibs(row.cfg, s, iters, tel);

@@ -2,15 +2,12 @@
 // cache: default vs vmsplice vs KNEM vs KNEM+I/OAT.
 //
 // Paper's shape: KNEM clearly ahead (up to >3x default, ~2x vmsplice);
-// vmsplice above default; I/OAT takes over for the largest messages. The
-// real block adds this repo's CMA backend — the same single-copy shape as
-// KNEM without the kernel module — when the host kernel permits it.
+// vmsplice above default; I/OAT takes over for the largest messages.
 #include <cstdlib>
 #include <string_view>
 
 #include "bench_common.hpp"
 #include "common/options.hpp"
-#include "shm/remote_mem.hpp"
 
 using namespace nemo;
 using namespace nemo::bench;
@@ -41,25 +38,17 @@ int main(int argc, char** argv) {
     warn_if_oversubscribed(2);
     std::printf("\n[real:this-host]\n");
     print_header(sizes);
-    bool cma_ok = shm::cma_available() &&
-                  core::resolve_config(cfg_for(lmt::LmtKind::kCma)).cma_enabled;
     struct RealRow {
       const char* name;
       lmt::LmtKind kind;
       lmt::KnemMode mode;
-      bool available = true;
     } real_rows[] = {
         {"default", lmt::LmtKind::kDefaultShm, lmt::KnemMode::kSyncCopy},
         {"vmsplice", lmt::LmtKind::kVmsplice, lmt::KnemMode::kSyncCopy},
         {"knem", lmt::LmtKind::kKnem, lmt::KnemMode::kSyncCopy},
         {"knem+ioat", lmt::LmtKind::kKnem, lmt::KnemMode::kSyncDma},
-        {"cma", lmt::LmtKind::kCma, lmt::KnemMode::kSyncCopy, cma_ok},
     };
     for (const auto& row : real_rows) {
-      if (!row.available) {
-        std::printf("%-24s (cma unavailable on this host)\n", row.name);
-        continue;
-      }
       std::vector<double> vals;
       for (auto s : sizes)
         vals.push_back(

@@ -22,8 +22,8 @@ lmt::LmtKind parse_kind(const std::string& s) {
   if (s == "vmsplice") return lmt::LmtKind::kVmsplice;
   if (s == "writev") return lmt::LmtKind::kVmspliceWritev;
   if (s == "knem") return lmt::LmtKind::kKnem;
-  if (s == "cma") return lmt::LmtKind::kCma;
-  return lmt::LmtKind::kAuto;
+  if (s == "auto") return lmt::LmtKind::kAuto;
+  reject_value("--lmt", s, "default|vmsplice|writev|knem|auto");
 }
 
 lmt::KnemMode parse_mode(const std::string& s) {
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   Options opt(argc, argv);
   opt.declare("op", "pingpong|exchange|alltoall (default pingpong)");
   opt.declare("ranks", "ranks (default 2; alltoall default 8)");
-  opt.declare("lmt", "default|vmsplice|writev|knem|cma|auto");
+  opt.declare("lmt", "default|vmsplice|writev|knem|auto");
   opt.declare("knem-mode", "sync-copy|async-copy|sync-dma|async-dma|auto");
   opt.declare("min", "smallest message (default 1KiB)");
   opt.declare("max", "largest message (default 4MiB)");

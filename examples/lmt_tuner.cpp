@@ -12,6 +12,7 @@
 #include "shm/pipes.hpp"
 #include "shm/nt_copy.hpp"
 #include "shm/remote_mem.hpp"
+#include "tune/tuning.hpp"
 
 using namespace nemo;
 
@@ -39,11 +40,12 @@ int main(int argc, char** argv) {
               shm::cma_available() ? "yes" : "no",
               shm::nt_copy_available() ? "yes" : "no");
 
+  const tune::TuningTable table = tune::effective_table(topo);
   lmt::PolicyConfig pc;
-  lmt::Policy policy(topo, pc);
+  lmt::Policy policy(topo, pc, table);
   std::printf("\nactivation: eager -> LMT at >%s (pingpong), >%s (collective)\n",
-              format_size(pc.knem_activation).c_str(),
-              format_size(pc.knem_collective_activation).c_str());
+              format_size(table.lmt_activation).c_str(),
+              format_size(table.collective_activation).c_str());
 
   std::printf("\nDMAmin per core (cache/(2*sharers)):\n");
   for (int c = 0; c < topo.num_cores; ++c)
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
   int pairs = 0;
   for (int a = 0; a < topo.num_cores && pairs < 12; ++a)
     for (int b = a + 1; b < topo.num_cores && pairs < 12; ++b, ++pairs) {
-      lmt::LmtKind kind = policy.choose_kind(msg, a, b);
+      lmt::LmtKind kind = policy.choose_kind(a, b);
       std::uint32_t flags = policy.knem_flags(msg, b, lmt::KnemMode::kAuto);
       std::printf("  (%d,%d) %-22s -> %-10s %s\n", a, b,
                   to_string(topo.classify(a, b)), to_string(kind),
@@ -67,13 +69,13 @@ int main(int argc, char** argv) {
 
   lmt::PolicyConfig no_knem = pc;
   no_knem.knem_available = false;
-  lmt::Policy policy2(topo, no_knem);
+  lmt::Policy policy2(topo, no_knem, table);
   std::printf("\nsame, when loading a kernel module is NOT acceptable:\n");
   pairs = 0;
   for (int a = 0; a < topo.num_cores && pairs < 6; ++a)
     for (int b = a + 1; b < topo.num_cores && pairs < 6; ++b, ++pairs)
       std::printf("  (%d,%d) %-22s -> %s\n", a, b,
                   to_string(topo.classify(a, b)),
-                  to_string(policy2.choose_kind(msg, a, b)));
+                  to_string(policy2.choose_kind(a, b)));
   return 0;
 }

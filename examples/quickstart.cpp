@@ -1,6 +1,6 @@
 // Quickstart: the smallest complete nemolmt program.
 //
-//   build/examples/quickstart [--ranks=4] [--lmt=knem|cma|default|vmsplice|auto]
+//   build/examples/quickstart [--ranks=4] [--lmt=knem|default|vmsplice|auto]
 //
 // Launches N ranks (threads over one shared-memory arena), sends a large
 // message rank 0 -> 1 through the selected Large-Message-Transfer backend,
@@ -17,17 +17,20 @@ using namespace nemo;
 int main(int argc, char** argv) {
   Options opt(argc, argv);
   opt.declare("ranks", "number of ranks (default 4)");
-  opt.declare("lmt", "default|vmsplice|knem|cma|auto (default auto)");
+  opt.declare("lmt", "default|vmsplice|knem|auto (default auto)");
   opt.finalize();
 
   core::Config cfg;
   cfg.nranks = static_cast<int>(opt.get_int("ranks", 4));
   std::string kind = opt.get("lmt", "auto");
-  cfg.lmt = kind == "default"    ? lmt::LmtKind::kDefaultShm
-            : kind == "vmsplice" ? lmt::LmtKind::kVmsplice
-            : kind == "knem"     ? lmt::LmtKind::kKnem
-            : kind == "cma"      ? lmt::LmtKind::kCma
-                                 : lmt::LmtKind::kAuto;
+  if (kind == "default")
+    cfg.lmt = lmt::LmtKind::kDefaultShm;
+  else if (kind == "vmsplice")
+    cfg.lmt = lmt::LmtKind::kVmsplice;
+  else if (kind == "knem")
+    cfg.lmt = lmt::LmtKind::kKnem;
+  else if (kind != "auto")
+    reject_value("--lmt", kind, "default|vmsplice|knem|auto");
   cfg.knem_mode = lmt::KnemMode::kAuto;  // DMA offload past DMAmin.
 
   core::run(cfg, [&](core::Comm& comm) {
@@ -37,9 +40,10 @@ int main(int argc, char** argv) {
     if (comm.rank() == 0) {
       pattern_fill(buf, 42);
       comm.send(buf.data(), kN, 1 % comm.size(), /*tag=*/0);
+      ConstSegment seg{buf.data(), kN};
       std::printf("rank 0: sent %s via LMT '%s'\n", format_size(kN).c_str(),
-                  to_string(comm.engine().resolve_kind(kN, 1 % comm.size(),
-                                                       false)));
+                  to_string(comm.engine().resolve_kind(1 % comm.size(),
+                                                       {&seg, 1})));
     } else if (comm.rank() == 1) {
       core::RecvInfo info;
       comm.recv(buf.data(), kN, 0, 0, &info);

@@ -305,9 +305,7 @@ namespace {
 lmt::PolicyConfig effective_policy(const World& w, const Config& cfg) {
   lmt::PolicyConfig pc = cfg.policy;
   pc.vmsplice_available = pc.vmsplice_available && w.vmsplice_ok();
-  pc.cma_available = pc.cma_available && w.cma_ok();
   pc.dma_available = pc.dma_available && cfg.dma_available;
-  pc.tuning = &w.tuning();  // World outlives every engine's policy.
   return pc;
 }
 
@@ -316,7 +314,8 @@ lmt::PolicyConfig effective_policy(const World& w, const Config& cfg) {
 Engine::Engine(World& world, int rank)
     : world_(world),
       rank_(rank),
-      policy_(world.topology(), effective_policy(world, world.config())),
+      policy_(world.topology(), effective_policy(world, world.config()),
+              world.tuning()),  // World outlives every engine's policy.
       knem_dev_(world.arena(), world.knem_off(), rank, ::getpid()),
       recv_q_(world.arena(), world.recv_q_off(rank)),
       free_q_(world.arena(), world.free_q_off(rank)),
@@ -352,7 +351,7 @@ Engine::Engine(World& world, int rank)
   fenced_.assign(static_cast<std::size_t>(world.nranks()), 0);
   tombstoned_.assign(static_cast<std::size_t>(world.nranks()), 0);
   if (live_.valid()) live_.beat(rank_);  // Stamp 0 means "never started".
-  backends_.resize(5);
+  backends_.resize(4);
   int n = world.nranks();
   peer_recv_q_.reserve(static_cast<std::size_t>(n));
   peer_free_q_.reserve(static_cast<std::size_t>(n));
@@ -422,17 +421,22 @@ lmt::Backend& Engine::backend_for(lmt::LmtKind kind) {
   return *backends_[idx];
 }
 
-lmt::LmtKind Engine::resolve_kind(std::size_t bytes, int dst,
-                                  bool collective) {
-  (void)collective;
+lmt::LmtKind Engine::resolve_kind(int dst,
+                                  std::span<const ConstSegment> segs) const {
   lmt::LmtKind k = world_.config().lmt;
   if (k == lmt::LmtKind::kAuto)
-    k = policy_.choose_kind(bytes, world_.core_of(rank_),
-                            world_.core_of(dst));
+    k = policy_.choose_kind(world_.core_of(rank_), world_.core_of(dst));
   if ((k == lmt::LmtKind::kVmsplice || k == lmt::LmtKind::kVmspliceWritev) &&
       !world_.vmsplice_ok())
     k = lmt::LmtKind::kDefaultShm;
-  if (k == lmt::LmtKind::kCma && !world_.cma_ok())
+  // A KNEM receiver reads the sender's pages directly when it shares them:
+  // a threads world, or segments inside the arena. Anything else needs
+  // cross-memory attach; without it the message takes the copy ring.
+  if (k == lmt::LmtKind::kKnem && !world_.cma_ok() &&
+      world_.config().mode != LaunchMode::kThreads &&
+      !std::all_of(segs.begin(), segs.end(), [&](const ConstSegment& s) {
+        return s.len == 0 || world_.arena().contains(s.base, s.len);
+      }))
     k = lmt::LmtKind::kDefaultShm;
   return k;
 }
@@ -638,7 +642,7 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   }
 
   // Rendezvous.
-  lmt::LmtKind kind = resolve_kind(total, dst, collective);
+  lmt::LmtKind kind = resolve_kind(dst, segs);
   if (trace::on())
     tracer_.emit(trace::kLmtActivate, trace::kInstant,
                  static_cast<std::uint64_t>(dst), total);
@@ -656,7 +660,7 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   send_ctrl(dst, CellType::kRts, seq, &ctx->rts, tag, context);
   // Crash site: the RTS is published (it lives in shared cells, so it
   // survives this rank's death) but the rendezvous will never be fulfilled.
-  resil::fault_point(resil::Site::kCmaRendezvous, rank_);
+  resil::fault_point(resil::Site::kRendezvous, rank_);
   Key key{dst, seq};
   serial_sends_[dst].push_back(key);
   sends_[key] = SendEntry{std::move(ctx), req, &b};
@@ -764,8 +768,8 @@ void Engine::start_lmt_recv(int src, int tag, std::uint32_t seq,
   }
 
   Key key{src, seq};
-  if (kind == lmt::LmtKind::kKnem || kind == lmt::LmtKind::kCma) {
-    // Receiver-driven backends have no per-pair data FIFO; poll unordered.
+  if (kind == lmt::LmtKind::kKnem) {
+    // The receiver-driven backend has no per-pair data FIFO; poll unordered.
     knem_recvs_.push_back(key);
   } else {
     // Ring/pipe data is a per-pair FIFO by sender seq; keep the receive

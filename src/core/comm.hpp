@@ -115,13 +115,11 @@ struct Config {
   /// Model I/OAT presence (the software DMA channel).
   bool dma_available = true;
 
-  /// CMA kill-switch (NEMO_CMA=off): pretend process_vm_readv is absent so
-  /// policy/auto selection never picks the CMA backend (CI simulates
+  /// CMA kill-switch (NEMO_CMA=off): pretend process_vm_readv is absent, so
+  /// a KNEM message whose pages another process could only reach over
+  /// cross-memory attach takes the copy ring instead (CI simulates
   /// ptrace_scope/seccomp-restricted containers this way).
   bool cma_enabled = true;
-  /// NEMO_CMA=nosyscall: the CMA backend skips the syscall and exercises its
-  /// transfer-time staging fallback, as if the kernel returned EPERM.
-  bool cma_sim_fail = false;
 
   std::string shm_name;  ///< Nonempty: shm_open-backed arena (else anon).
 
@@ -315,7 +313,7 @@ struct EngineStats {
   std::uint64_t cells_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_recv = 0;
-  std::array<std::uint64_t, 5> rndv_by_kind{};  ///< Indexed by LmtKind 0..4.
+  std::array<std::uint64_t, 4> rndv_by_kind{};  ///< Indexed by LmtKind 0..3.
 };
 
 /// Per-rank progress engine. Single-threaded: every call happens on the
@@ -377,8 +375,10 @@ class Engine {
   /// NT streaming engine (tuned pack_nt_min / NEMO_PACK_NT_MIN).
   [[nodiscard]] std::size_t pack_nt_min() const { return pack_nt_min_; }
 
-  /// Resolve the LMT kind for a message (exposed for tests/benches).
-  lmt::LmtKind resolve_kind(std::size_t bytes, int dst, bool collective);
+  /// Resolve the LMT kind for a message to `dst` from `segs` (exposed for
+  /// tests/benches).
+  [[nodiscard]] lmt::LmtKind resolve_kind(
+      int dst, std::span<const ConstSegment> segs) const;
 
   /// The world's transport (topology + link accounting).
   [[nodiscard]] transport::Transport& transport() const { return *xport_; }

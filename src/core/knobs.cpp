@@ -57,26 +57,20 @@ std::uint32_t threshold(const char* knob, const std::string& v) {
   return static_cast<std::uint32_t>(parse_int(knob, v, 2, UINT32_MAX));
 }
 
-enum class Cma { kOn, kOff, kNoSyscall };
-
 // One row per knob, alphabetical. Defaults in parentheses depend on the
 // host or the formulas; every other default is a value the row accepts.
 const Knob kKnobs[] = {
-    {"NEMO_CMA", "auto", "auto|on|off|nosyscall",
-     "cross-memory attach: off vetoes the backend, nosyscall exercises its "
-     "staged fallback",
+    {"NEMO_CMA", "auto", "auto|on|off",
+     "cross-memory attach: off sends pulls it would serve to the copy ring",
      [](const std::string& v, Config& c, TuningTable&) {
-       Cma m = pick<Cma>("NEMO_CMA", v,
-                         {{"auto", Cma::kOn},
-                          {"on", Cma::kOn},
-                          {"1", Cma::kOn},
-                          {"true", Cma::kOn},
-                          {"off", Cma::kOff},
-                          {"0", Cma::kOff},
-                          {"false", Cma::kOff},
-                          {"nosyscall", Cma::kNoSyscall}});
-       c.cma_enabled = m != Cma::kOff;
-       c.cma_sim_fail = m == Cma::kNoSyscall;
+       c.cma_enabled = pick<bool>("NEMO_CMA", v,
+                                  {{"auto", true},
+                                   {"on", true},
+                                   {"1", true},
+                                   {"true", true},
+                                   {"off", false},
+                                   {"0", false},
+                                   {"false", false}});
      }},
     {"NEMO_COLL", "auto", "auto|shm|p2p",
      "collective family: arena above coll_activation, or force one",
@@ -141,7 +135,7 @@ const Knob kKnobs[] = {
        (void)resil::parse_fault_spec(v);
        c.fault = v;
      }},
-    {"NEMO_LMT", "auto", "auto|shm|vmsplice|writev|knem|cma",
+    {"NEMO_LMT", "auto", "auto|shm|vmsplice|writev|knem",
      "force one rendezvous backend for every message",
      [](const std::string& v, Config& c, TuningTable&) {
        using lmt::LmtKind;
@@ -152,8 +146,7 @@ const Knob kKnobs[] = {
                               {"vmsplice", LmtKind::kVmsplice},
                               {"writev", LmtKind::kVmspliceWritev},
                               {"vmsplice-writev", LmtKind::kVmspliceWritev},
-                              {"knem", LmtKind::kKnem},
-                              {"cma", LmtKind::kCma}});
+                              {"knem", LmtKind::kKnem}});
      }},
     {"NEMO_LMT_ACTIVATION", "(formula)", "<size>",
      "eager/rendezvous switch",

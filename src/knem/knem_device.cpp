@@ -151,8 +151,6 @@ std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
   slot->flags = 0;
   slot->more = kNil;
   slot->owner_arena_base = reinterpret_cast<std::uint64_t>(arena_->base());
-  slot->stage_off = kNil;
-  aref(slot->stage_state).store(0, std::memory_order_relaxed);
   aref(slot->share.n).store(0, std::memory_order_relaxed);
   aref(slot->share.claim).store(0, std::memory_order_relaxed);
   aref(slot->share.done).store(0, std::memory_order_relaxed);
@@ -230,8 +228,6 @@ void Device::release(std::uint64_t cookie_id) {
   auto* s = const_cast<CookieSlot*>(cs);
   free_chain(s);
   s->id = 0;
-  s->stage_off = kNil;
-  aref(s->stage_state).store(0, std::memory_order_relaxed);
   aref(s->state).store(0, std::memory_order_release);
 }
 
@@ -454,53 +450,6 @@ KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
   return KnemResult::kOk;
 }
 
-std::uint64_t Device::request_stage(std::uint64_t cookie_id) {
-  const CookieSlot* cs = find(cookie_id);
-  if (cs == nullptr) return kNil;
-  auto* s = const_cast<CookieSlot*>(cs);
-  std::uint64_t state = aref(s->stage_state).load(std::memory_order_acquire);
-  if (state != 0) return s->stage_off;  // Already requested.
-  // Publish the buffer offset before flipping the request word so the
-  // sender's acquire load sees a valid destination.
-  s->stage_off = arena_->alloc(cs->total_bytes > 0 ? cs->total_bytes : 1,
-                               kCacheLine);
-  aref(s->stage_state).store(1, std::memory_order_release);
-  stat_add(st_->stats.cma_stage_fallbacks, 1);
-  return s->stage_off;
-}
-
-bool Device::stage_ready(std::uint64_t cookie_id) const {
-  const CookieSlot* s = find(cookie_id);
-  if (s == nullptr) return false;
-  return aref(const_cast<std::uint64_t&>(s->stage_state))
-             .load(std::memory_order_acquire) == 2;
-}
-
-bool Device::try_fulfill_stage(std::uint64_t cookie_id,
-                               std::span<const ConstSegment> segs) {
-  const CookieSlot* cs = find(cookie_id);
-  if (cs == nullptr) return false;
-  auto* s = const_cast<CookieSlot*>(cs);
-  std::uint64_t state = aref(s->stage_state).load(std::memory_order_acquire);
-  if (state == 2) return true;
-  if (state != 1) return false;
-  std::byte* dst = arena_->at(s->stage_off);
-  std::uint64_t moved = 0;
-  for (const auto& seg : segs) {
-    if (seg.len == 0) continue;
-    std::memcpy(dst + moved, seg.base, seg.len);
-    moved += seg.len;
-  }
-  stat_add(st_->stats.cma_stage_bytes, moved);
-  aref(s->stage_state).store(2, std::memory_order_release);
-  return true;
-}
-
-void Device::note_cma_read(std::uint64_t bytes) {
-  stat_add(st_->stats.cma_read_cmds, 1);
-  stat_add(st_->stats.cma_bytes, bytes);
-}
-
 DeviceStats Device::stats() const {
   DeviceStats out;
   out.send_cmds = aref(st_->stats.send_cmds).load(std::memory_order_relaxed);
@@ -517,13 +466,6 @@ DeviceStats Device::stats() const {
       aref(st_->stats.pages_pinned).load(std::memory_order_relaxed);
   out.cookie_leaks =
       aref(st_->stats.cookie_leaks).load(std::memory_order_relaxed);
-  out.cma_read_cmds =
-      aref(st_->stats.cma_read_cmds).load(std::memory_order_relaxed);
-  out.cma_bytes = aref(st_->stats.cma_bytes).load(std::memory_order_relaxed);
-  out.cma_stage_fallbacks =
-      aref(st_->stats.cma_stage_fallbacks).load(std::memory_order_relaxed);
-  out.cma_stage_bytes =
-      aref(st_->stats.cma_stage_bytes).load(std::memory_order_relaxed);
   return out;
 }
 

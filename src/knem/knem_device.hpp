@@ -21,7 +21,8 @@
 // process) sees the same registry — standing in for kernel memory. Where the
 // real module reads the sender's pages via its kernel mapping, we read them
 // directly when they are shared (same address space or arena pages) and via
-// cross-memory attach otherwise.
+// cross-memory attach otherwise. Without cross-memory attach, the sender
+// sends such a buffer through the copy ring instead (Engine::resolve_kind).
 #pragma once
 
 #include <cstdint>
@@ -78,10 +79,6 @@ struct CookieSlot {
   /// arena at per-process bases, so arena-resident segments must be rebased
   /// (addr - owner_arena_base + local base) before they are dereferenced.
   std::uint64_t owner_arena_base;
-  /// CMA staging fallback (atomic): 0 unused, 1 receiver requested a staged
-  /// copy (stage_off published), 2 sender finished copying into the stage.
-  std::uint64_t stage_state;
-  std::uint64_t stage_off;  ///< Arena offset of the staging buffer.
   shm::RemoteSegment inline_segs[kInlineSegs];
   std::uint64_t more;     ///< First SegBlock offset or kNil.
   ShareBlock share;       ///< Reset by submit_send.
@@ -96,10 +93,6 @@ struct DeviceStats {
   std::uint64_t sender_copied_bytes;  ///< The sender's share of those.
   std::uint64_t pages_pinned;   ///< Cumulative.
   std::uint64_t cookie_leaks;   ///< Releases of stale ids (diagnostic).
-  std::uint64_t cma_read_cmds;  ///< CMA-backend receives (single copy).
-  std::uint64_t cma_bytes;      ///< Bytes moved by those single copies.
-  std::uint64_t cma_stage_fallbacks;  ///< Transfers downgraded to staging.
-  std::uint64_t cma_stage_bytes;      ///< Bytes moved through the stage.
 };
 
 struct DeviceState {
@@ -193,32 +186,6 @@ class Device {
   /// published yet.
   bool send_share_progress(std::uint64_t cookie_id,
                            std::span<const ConstSegment> segs);
-
-  // -- CMA staging fallback (receiver-driven downgrade when the CMA
-  //    syscalls fail at transfer time: EPERM from ptrace_scope/seccomp).
-  //    The receiver allocates a staging buffer and publishes a request in
-  //    the cookie slot; the sender (which can always read its own pages)
-  //    copies into it and marks it ready; the receiver copies out. Two
-  //    copies, but the transfer still completes. The staging buffer comes
-  //    from the bump allocator and is not reclaimed — acceptable for a
-  //    should-never-happen path that exists for graceful degradation.
-
-  /// Receiver: request a staged copy. Returns the staging buffer's arena
-  /// offset, or shm::kNil for a stale cookie. Idempotent per cookie.
-  std::uint64_t request_stage(std::uint64_t cookie_id);
-
-  /// Receiver: true once the sender has filled the staging buffer.
-  [[nodiscard]] bool stage_ready(std::uint64_t cookie_id) const;
-
-  /// Sender: if the receiver requested staging on this cookie, copy `segs`
-  /// into the stage and mark it ready. Returns true when the stage is
-  /// fulfilled (now or previously), false when no request is pending.
-  bool try_fulfill_stage(std::uint64_t cookie_id,
-                         std::span<const ConstSegment> segs);
-
-  /// Bump the CMA single-copy counters (the CMA backend's data motion does
-  /// not go through recv_sync, so it accounts itself).
-  void note_cma_read(std::uint64_t bytes);
 
   [[nodiscard]] DeviceStats stats() const;
   [[nodiscard]] std::uint32_t slots_in_use() const;

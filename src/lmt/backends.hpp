@@ -108,29 +108,6 @@ class KnemBackend final : public Backend {
   core::Engine& eng_;
 };
 
-/// Single-copy transfer via cross-memory attach (process_vm_readv) — the
-/// modern in-kernel successor to KNEM, needing no driver. The sender
-/// registers its segments in the same arena-resident cookie table the KNEM
-/// device uses (pid + iovec handshake); the receiver pulls the payload with
-/// one process_vm_readv-driven copy. Falls back to a shm staging copy at
-/// transfer time when the kernel refuses (ENOSYS, or EPERM from Yama
-/// ptrace_scope / seccomp).
-class CmaBackend final : public Backend {
- public:
-  explicit CmaBackend(core::Engine& eng) : eng_(eng) {}
-  [[nodiscard]] LmtKind kind() const override { return LmtKind::kCma; }
-  [[nodiscard]] bool needs_cts() const override { return false; }
-  [[nodiscard]] bool needs_fin() const override { return true; }
-  void send_init(SendCtx& ctx) override;
-  bool send_progress(SendCtx& ctx) override;
-  void send_fin(SendCtx& ctx) override;
-  void recv_init(RecvCtx& ctx) override;
-  bool recv_progress(RecvCtx& ctx) override;
-
- private:
-  core::Engine& eng_;
-};
-
 std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng);
 
 }  // namespace nemo::lmt

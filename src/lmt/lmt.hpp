@@ -53,8 +53,6 @@ enum class LmtKind : std::uint32_t {
   kVmsplice = 1,       ///< Single copy via vmsplice + readv.
   kVmspliceWritev = 2, ///< Two copies via writev + readv (Fig. 3 baseline).
   kKnem = 3,           ///< Single copy via the KNEM pseudo-device.
-  kCma = 4,            ///< Single copy via process_vm_readv (cross-memory
-                       ///< attach — the modern in-kernel KNEM successor).
   kAuto = 100,         ///< Let the policy pick per message (§3.5).
 };
 

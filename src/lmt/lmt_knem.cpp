@@ -1,3 +1,5 @@
+#include <cerrno>
+
 #include "core/comm.hpp"
 #include "lmt/backends.hpp"
 
@@ -56,7 +58,17 @@ bool KnemBackend::recv_progress(RecvCtx& ctx) {
     // Shared CPU copy: claim chunks alongside the sender. Returns false
     // while a sender chunk is in flight, so Engine::wait's guard still
     // bounds the wait on a sender that dies mid-chunk.
-    return dev.recv_share_progress(ctx.knem_share, ctx.segs);
+    try {
+      return dev.recv_share_progress(ctx.knem_share, ctx.segs);
+    } catch (const SysError& e) {
+      // A cross-memory read of a sender whose pid is gone: a death verdict.
+      // Flag the shared liveness cell so every rank converts it eagerly.
+      if (e.sys_errno() != ESRCH) throw;
+      resil::Liveness live = eng_.world().liveness();
+      if (live.valid()) live.mark_dead(ctx.peer);
+      throw resil::PeerDeadError(ctx.peer, resil::Site::kRendezvous,
+                                 /*from_timeout=*/false);
+    }
   }
   if (!async) {
     // Synchronous I/OAT receive command: DMA-submitted and polled before
@@ -97,8 +109,6 @@ std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng) {
       return std::make_unique<VmspliceBackend>(eng, /*use_writev=*/true);
     case LmtKind::kKnem:
       return std::make_unique<KnemBackend>(eng);
-    case LmtKind::kCma:
-      return std::make_unique<CmaBackend>(eng);
     case LmtKind::kAuto:
       break;
   }

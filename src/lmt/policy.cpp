@@ -10,7 +10,6 @@ const char* to_string(LmtKind k) {
     case LmtKind::kVmsplice: return "vmsplice";
     case LmtKind::kVmspliceWritev: return "vmsplice-writev";
     case LmtKind::kKnem: return "knem";
-    case LmtKind::kCma: return "cma";
     case LmtKind::kAuto: return "auto";
   }
   return "?";

@@ -15,9 +15,8 @@
 // communicating cores share no cache (where it beats the two-copy scheme);
 // otherwise the default double-buffering (which wins under a shared cache).
 //
-// When a tune::TuningTable is attached (the runtime always attaches the
-// World's effective table), activation and DMAmin come from the table, so
-// the NEMO_LMT_ACTIVATION / NEMO_DMA_MIN knobs reach the policy.
+// Activation and DMAmin come from the World's tuning table (the formulas
+// with the NEMO_LMT_ACTIVATION / NEMO_DMA_MIN knobs applied).
 #pragma once
 
 #include <cstddef>
@@ -33,18 +32,9 @@ namespace nemo::lmt {
 /// The availability flags start from the caller's intent and are ANDed with
 /// what World actually probed on the host (see effective_policy in comm.cpp).
 struct PolicyConfig {
-  std::size_t lmt_activation = 64 * 1024;   ///< Eager→LMT switch (Nemesis).
-  std::size_t knem_activation = 8 * 1024;   ///< KNEM pays off from here...
-  std::size_t knem_collective_activation = 4 * 1024;  ///< ...or here in colls.
-
   bool knem_available = true;
   bool vmsplice_available = true;
-  bool cma_available = true;
   bool dma_available = true;
-
-  /// The World's tuning table (nullptr = the constants above). Not owned;
-  /// must outlive the Policy (the World owns the runtime's table).
-  const tune::TuningTable* tuning = nullptr;
 
   bool operator==(const PolicyConfig&) const = default;
 };
@@ -65,11 +55,10 @@ struct PolicyConfig {
 /// only picks thresholds and backends per message.
 class Policy {
  public:
-  /// Message size from which CMA is preferred when KNEM is absent.
-  static constexpr std::size_t kCmaActivation = 8 * 1024;
-
-  Policy(Topology topo, PolicyConfig cfg)
-      : topo_(std::move(topo)), cfg_(cfg) {}
+  /// `tuning` is not owned and must outlive the Policy (the runtime passes
+  /// the World's table).
+  Policy(Topology topo, PolicyConfig cfg, const tune::TuningTable& tuning)
+      : topo_(std::move(topo)), cfg_(cfg), tuning_(&tuning) {}
 
   /// The paper's formula, computed from architecture characteristics only
   /// (one MPI process per core assumed, §3.5 second formula).
@@ -79,38 +68,22 @@ class Policy {
     return llc.size_bytes / (2 * sharers);
   }
 
+  /// The table's DMAmin, or the formula for `recv_core` when it is 0.
   [[nodiscard]] std::size_t dma_min_for(int recv_core) const {
-    if (cfg_.tuning != nullptr && cfg_.tuning->dma_min != 0)
-      return cfg_.tuning->dma_min;
-    return dma_min(topo_, recv_core);
+    return tuning_->dma_min != 0 ? tuning_->dma_min : dma_min(topo_, recv_core);
   }
 
   /// Should this message leave the eager path? `collective` selects the
   /// lower activation threshold discussed in §4.4.
   [[nodiscard]] bool use_lmt(std::size_t bytes, bool collective = false) const {
-    if (cfg_.tuning != nullptr) {
-      std::size_t act = collective ? cfg_.tuning->collective_activation
-                                   : cfg_.tuning->lmt_activation;
-      return bytes > act;
-    }
-    if (cfg_.knem_available) {
-      std::size_t act = collective ? cfg_.knem_collective_activation
-                                   : cfg_.knem_activation;
-      return bytes > act;
-    }
-    return bytes > cfg_.lmt_activation;
+    return bytes > (collective ? tuning_->collective_activation
+                               : tuning_->lmt_activation);
   }
 
   /// Resolve kAuto into a concrete backend for a (sender, receiver) pair:
   /// the §3.5 preference chain, gated by availability.
-  [[nodiscard]] LmtKind choose_kind(std::size_t bytes, int sender_core,
-                                    int recv_core) const {
+  [[nodiscard]] LmtKind choose_kind(int sender_core, int recv_core) const {
     if (cfg_.knem_available) return LmtKind::kKnem;
-    // CMA stands in for an unavailable KNEM (same single-copy
-    // receiver-driven shape, no driver) once the message amortises the
-    // attach syscall, then vmsplice on unshared-cache pairs, then the
-    // default double-buffered ring.
-    if (cfg_.cma_available && bytes >= kCmaActivation) return LmtKind::kCma;
     bool shared = cores_known(sender_core, recv_core) &&
                   topo_.shared_cache(sender_core, recv_core).has_value();
     if (cfg_.vmsplice_available && !shared) return LmtKind::kVmsplice;
@@ -135,6 +108,7 @@ class Policy {
 
   Topology topo_;
   PolicyConfig cfg_;
+  const tune::TuningTable* tuning_;
 };
 
 }  // namespace nemo::lmt

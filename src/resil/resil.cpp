@@ -16,7 +16,7 @@ const char* site_name(Site s) {
     case Site::kCollDeposit: return "coll_deposit";
     case Site::kCollFold: return "coll_fold";
     case Site::kBarrierArrive: return "barrier_arrive";
-    case Site::kCmaRendezvous: return "cma_rendezvous";
+    case Site::kRendezvous: return "rendezvous";
     case Site::kFastboxPut: return "fastbox_put";
     case Site::kKnemShare: return "knem_share";
     case Site::kCollDoorbell: return "coll_doorbell";
@@ -36,7 +36,7 @@ const char* site_name(Site s) {
 
 std::optional<Site> crash_site_from_string(const std::string& s) {
   for (auto site : {Site::kCollDeposit, Site::kCollFold, Site::kBarrierArrive,
-                    Site::kCmaRendezvous, Site::kFastboxPut,
+                    Site::kRendezvous, Site::kFastboxPut,
                     Site::kKnemShare}) {
     if (s == site_name(site)) return site;
   }
@@ -173,7 +173,7 @@ void WaitGuard::check() {
   if (watch_ >= 0 && live_->is_dead(watch_))
     throw PeerDeadError(watch_, site_, false);
 
-  // Eager verdicts: some other detector (parent reaper, CMA ESRCH, another
+  // Eager verdicts: some other detector (parent reaper, KNEM ESRCH, another
   // rank's timeout) already flagged a peer. Fenced ranks are exempt so a
   // degraded world's survivors can keep waiting on each other.
   for (int r = 0; r < live_->nranks(); ++r) {
@@ -243,7 +243,7 @@ FaultSpec parse_fault_spec(const std::string& spec) {
   auto resolved = crash_site_from_string(site);
   if (!resolved)
     bad("unknown crash site (coll_deposit, coll_fold, barrier_arrive, "
-        "cma_rendezvous, fastbox_put, knem_share)");
+        "rendezvous, fastbox_put, knem_share)");
   out.site = *resolved;
   if (spec.substr(c2 + 1) != "kill") bad("unknown op (only: kill)");
   return out;

@@ -9,7 +9,7 @@
 //  - a per-rank heartbeat table in the shared arena (`Liveness`): each rank
 //    bumps a beat counter + CLOCK_MONOTONIC stamp from its progress loop,
 //    and anyone may set a sticky "dead" flag (the parent reaper in procs
-//    mode, a CMA ESRCH verdict, or a heartbeat timeout);
+//    mode, a KNEM pull's ESRCH verdict, or a heartbeat timeout);
 //  - a bounded-wait primitive (`WaitGuard`) dropped into the slow path of
 //    every formerly-unbounded spin: it checks dead flags eagerly and, past
 //    `NEMO_PEER_TIMEOUT_MS`, converts a stale heartbeat into a death
@@ -47,7 +47,7 @@ enum class Site : std::uint8_t {
   kCollDeposit = 0,   ///< reduction rank about to deposit its operand
   kCollFold,          ///< reduction rank about to fold its share
   kBarrierArrive,     ///< rank about to store its barrier arrival
-  kCmaRendezvous,     ///< sender just published an RTS for a CMA transfer
+  kRendezvous,        ///< sender just published the RTS of a rendezvous
   kFastboxPut,        ///< sender about to write an eager fastbox slot
   kKnemShare,         ///< KNEM sender just claimed a chunk of a shared copy
   // Wait sites (where a bounded wait can observe the death).

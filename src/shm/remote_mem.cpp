@@ -1,9 +1,11 @@
 #include "shm/remote_mem.hpp"
 
 #include <sys/uio.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 
@@ -22,15 +24,30 @@ const char* to_string(RemoteMode m) {
 
 bool cma_available() {
   static const bool ok = [] {
-    char src_c = 42, dst_c = 0;
-    struct iovec l {
-      &dst_c, 1
-    };
-    struct iovec r {
-      &src_c, 1
-    };
-    ssize_t n = ::process_vm_readv(::getpid(), &l, 1, &r, 1, 0);
-    return n == 1 && dst_c == 42;
+    // Probe the way ranks use it: one process reading another's memory. A
+    // read of our own pid passes under Yama ptrace_scope=1, which still
+    // refuses the sibling reads of forked ranks; a child reading its parent
+    // is refused the same way. The child only makes the syscall and exits.
+    static const char kByte = 42;
+    const pid_t parent = ::getpid();
+    const pid_t child = ::fork();
+    if (child == 0) {
+      char got = 0;
+      struct iovec l {
+        &got, 1
+      };
+      struct iovec r {
+        const_cast<char*>(&kByte), 1
+      };
+      ::_exit(::process_vm_readv(parent, &l, 1, &r, 1, 0) == 1 && got == 42
+                  ? 0
+                  : 1);
+    }
+    if (child < 0) return false;
+    int status = 0;
+    while (::waitpid(child, &status, 0) < 0)
+      if (errno != EINTR) return false;
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
   }();
   return ok;
 }

@@ -44,7 +44,8 @@ enum class RemoteMode {
 const char* to_string(RemoteMode m);
 
 /// Whether CMA syscalls work in this environment (kernel + ptrace policy).
-/// Probed once against our own pid.
+/// Probed once, by a forked child reading this process: the same relation
+/// as one forked rank reading another.
 bool cma_available();
 
 class RemoteMemPort {

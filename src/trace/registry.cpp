@@ -183,7 +183,6 @@ const char* path_name(int i) {
     case 1: return "rndv-vmsplice";
     case 2: return "rndv-vmsplice-writev";
     case 3: return "rndv-knem";
-    case 4: return "rndv-cma";
     case tune::Counters::kPathEager: return "eager-queue";
     case tune::Counters::kPathFastbox: return "eager-fastbox";
   }

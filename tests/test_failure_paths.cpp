@@ -67,7 +67,7 @@ TEST(FailurePaths, ArenaExhaustionAborts) {
 TEST(FailurePaths, ZeroByteMessagesAllBackends) {
   for (lmt::LmtKind kind :
        {lmt::LmtKind::kDefaultShm, lmt::LmtKind::kVmsplice,
-        lmt::LmtKind::kKnem, lmt::LmtKind::kCma}) {
+        lmt::LmtKind::kKnem, lmt::LmtKind::kAuto}) {
     Config cfg;
     cfg.nranks = 2;
     cfg.lmt = kind;
@@ -97,7 +97,7 @@ TEST(FailurePaths, ChildKilledMidRendezvousIsReportedAndLeaksNothing) {
     Config cfg;
     cfg.nranks = 2;
     cfg.mode = LaunchMode::kProcesses;
-    cfg.lmt = lmt::LmtKind::kCma;
+    cfg.lmt = lmt::LmtKind::kAuto;  // Heap buffer: KNEM over CMA, else ring.
     cfg.shm_name = name;
     cfg.peer_timeout_ms = 5000;  // Backstop; the eager verdict lands first.
     World world(cfg);

@@ -156,16 +156,18 @@ TEST_P(FaultMatrix, KillAtBarrierArrive) {
                [](Comm& comm, int) { comm.barrier(); }, all_but(n, victim));
 }
 
-TEST_P(FaultMatrix, KillAtCmaRendezvous) {
+TEST_P(FaultMatrix, KillAtRendezvous) {
   int n = GetParam();
   int victim = 2;
   int receiver = 3;
-  // The victim dies right after publishing its RTS; only the posted
-  // receiver depends on it. Everyone else returns untouched.
-  Scenario sc{"cma_rendezvous",
-              {Site::kCmaRendezvous, Site::kEngineWait, Site::kCellAlloc,
+  // The victim dies right after publishing its RTS for a heap buffer; only
+  // the posted receiver depends on it. Everyone else returns untouched.
+  // With CMA the receiver's KNEM pull of the dead pid's pages fails with
+  // ESRCH, which must read as a death verdict, not a syscall error.
+  Scenario sc{"rendezvous",
+              {Site::kRendezvous, Site::kEngineWait, Site::kCellAlloc,
                Site::kPendingCtrl}};
-  run_scenario(n, victim, sc, lmt::LmtKind::kCma,
+  run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
                [=](Comm& comm, int v) {
                  static std::vector<std::byte> buf(4 * MiB);
                  if (comm.rank() == v) {

@@ -18,7 +18,6 @@
 #include "core/comm.hpp"
 #include "core/datatype.hpp"
 #include "knem/knem_device.hpp"
-#include "shm/remote_mem.hpp"
 
 namespace nemo::core {
 namespace {
@@ -178,10 +177,11 @@ TEST(KnemShareProcs, ArenaAndHeapReceivesLandByteForByte) {
   // Arena-resident receive: published as an arena offset, so the sender
   // process writes its chunks in place. Heap receive: another process's
   // private memory the sender cannot address, so the receiver pulls every
-  // chunk over CMA.
+  // chunk over CMA. Without CMA the heap message takes the copy ring and
+  // the KNEM device never sees it.
   constexpr std::size_t kN = 4 * MiB + 13;
-  const bool cma = shm::cma_available();
   bool ok = run(knem_config(LaunchMode::kProcesses), [&](Comm& comm) {
+    const bool cma = comm.world().cma_ok();
     std::byte* shared = comm.shared_alloc(kN);
     std::vector<std::byte> heap(kN);
     for (int round = 0; round < 4; ++round) {
@@ -189,20 +189,16 @@ TEST(KnemShareProcs, ArenaAndHeapReceivesLandByteForByte) {
       if (comm.rank() == 0) {
         pattern_fill({shared, kN}, seed);
         comm.send(shared, kN, 1, 8);
-        if (cma) {
-          pattern_fill(heap, seed + 100);
-          comm.send(heap.data(), kN, 1, 9);
-        }
+        pattern_fill(heap, seed + 100);
+        comm.send(heap.data(), kN, 1, 9);
       } else {
         std::fill_n(shared, kN, std::byte{0});
         comm.recv(shared, kN, 0, 8);
         if (pattern_check({shared, kN}, seed) != kPatternOk) std::_Exit(40);
-        if (cma) {
-          std::uint64_t helped = stats(comm).sender_copied_bytes;
-          comm.recv(heap.data(), kN, 0, 9);
-          if (pattern_check(heap, seed + 100) != kPatternOk) std::_Exit(41);
-          if (stats(comm).sender_copied_bytes != helped) std::_Exit(43);
-        }
+        std::uint64_t helped = stats(comm).sender_copied_bytes;
+        comm.recv(heap.data(), kN, 0, 9);
+        if (pattern_check(heap, seed + 100) != kPatternOk) std::_Exit(41);
+        if (stats(comm).sender_copied_bytes != helped) std::_Exit(43);
       }
     }
     comm.barrier();

@@ -142,6 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BadValue{"NEMO_CMA", "maybe"},
                       BadValue{"NEMO_COLL", "bogus"},
                       BadValue{"NEMO_LMT", "tcp"},
+                      BadValue{"NEMO_LMT", "cma"},
                       BadValue{"NEMO_SIMD", "sse9"},
                       BadValue{"NEMO_FASTBOX", "maybe"},
                       BadValue{"NEMO_NT_MIN", "lots"},
@@ -185,15 +186,14 @@ TEST(KnobPins, PinBeatsEnvironmentBeatsProgrammaticField) {
 TEST(KnobPins, ResolutionIsIdempotent) {
   Config cfg = base_config();
   cfg.env = {{"NEMO_NT_MIN", "1MiB"},      {"NEMO_COLL_SLOT_BYTES", "100"},
-             {"NEMO_RING_BUF_BYTES", "33KiB"}, {"NEMO_CMA", "nosyscall"},
+             {"NEMO_RING_BUF_BYTES", "33KiB"}, {"NEMO_CMA", "off"},
              {"NEMO_PEER_TIMEOUT_MS", "1234"},
              {"NEMO_TRACE_RING_SLOTS", "100"}};
   Config once = resolve_config(cfg);
   EXPECT_TRUE(resolve_config(once) == once);
   EXPECT_EQ(once.coll_slot_bytes, 128u);  // Rounded up to a cache line.
   EXPECT_EQ(once.tuning->coll_slot_bytes, 128u);
-  EXPECT_TRUE(once.cma_enabled);
-  EXPECT_TRUE(once.cma_sim_fail);
+  EXPECT_FALSE(once.cma_enabled);
   EXPECT_EQ(once.peer_timeout_ms, 1234u);
 }
 

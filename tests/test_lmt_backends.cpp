@@ -66,9 +66,7 @@ TEST(LmtProtocol, KnemCookiesReleasedAfterTraffic) {
 }
 
 TEST(LmtProtocol, StatsClassifyEagerVsRndv) {
-  Config cfg = cfg_with(lmt::LmtKind::kKnem);
-  cfg.policy.knem_activation = 8 * KiB;
-  run(cfg, [&](Comm& comm) {
+  run(cfg_with(lmt::LmtKind::kKnem), [&](Comm& comm) {
     std::vector<std::byte> small(1 * KiB), big(1 * MiB);
     if (comm.rank() == 0) {
       comm.send(small.data(), small.size(), 1, 1);
@@ -148,6 +146,8 @@ TEST(LmtProtocol, InterleavedRndvBothDirectionsSamePair) {
 }
 
 TEST(LmtProtocol, ResolveKindHonoursConfigAndPolicy) {
+  std::vector<std::byte> buf(1 * MiB);
+  const ConstSegment seg{buf.data(), buf.size()};
   Config cfg;
   cfg.nranks = 2;
   cfg.lmt = lmt::LmtKind::kAuto;
@@ -155,7 +155,7 @@ TEST(LmtProtocol, ResolveKindHonoursConfigAndPolicy) {
   cfg.core_binding = {0, 1};
   run(cfg, [&](Comm& comm) {
     // Auto + KNEM available resolves to KNEM regardless of placement.
-    EXPECT_EQ(comm.engine().resolve_kind(1 * MiB, 1 - comm.rank(), false),
+    EXPECT_EQ(comm.engine().resolve_kind(1 - comm.rank(), {&seg, 1}),
               lmt::LmtKind::kKnem);
   });
 
@@ -163,19 +163,18 @@ TEST(LmtProtocol, ResolveKindHonoursConfigAndPolicy) {
   cfg2.policy.knem_available = false;
   cfg2.core_binding = {0, 7};  // No shared cache on the modelled topology.
   run(cfg2, [&](Comm& comm) {
-    // No KNEM: CMA stands in where the host allows it (the World's probe
-    // gates the policy), else the chain continues to vmsplice.
-    lmt::LmtKind want = comm.world().cma_ok() ? lmt::LmtKind::kCma
-                                              : lmt::LmtKind::kVmsplice;
-    EXPECT_EQ(comm.engine().resolve_kind(1 * MiB, 1 - comm.rank(), false),
-              want);
+    EXPECT_EQ(comm.engine().resolve_kind(1 - comm.rank(), {&seg, 1}),
+              lmt::LmtKind::kVmsplice);
   });
 
-  Config cfg3 = cfg2;
-  cfg3.policy.cma_available = false;
+  // Without cross-memory attach a threads world keeps KNEM: the receiver
+  // reads the sender's heap in the shared address space.
+  Config cfg3 = cfg;
+  cfg3.env["NEMO_CMA"] = "off";
   run(cfg3, [&](Comm& comm) {
-    EXPECT_EQ(comm.engine().resolve_kind(1 * MiB, 1 - comm.rank(), false),
-              lmt::LmtKind::kVmsplice);
+    EXPECT_FALSE(comm.world().cma_ok());
+    EXPECT_EQ(comm.engine().resolve_kind(1 - comm.rank(), {&seg, 1}),
+              lmt::LmtKind::kKnem);
   });
 }
 

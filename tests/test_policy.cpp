@@ -1,6 +1,6 @@
 // Selection policy (§3.5): DMAmin formula against every preset topology, the
 // measured thresholds the paper reports, activation thresholds (from the
-// constants or an attached tuning table), and backend choice per placement.
+// tuning table), and backend choice per placement.
 #include <gtest/gtest.h>
 
 #include "knem/knem_device.hpp"
@@ -39,93 +39,73 @@ TEST(Policy, DmaMinNehalemAllCoresShareL3) {
   EXPECT_EQ(Policy::dma_min(t, 2), 1 * MiB);
 }
 
+/// A policy on the paper's machine over `t` (the formula table unless a
+/// test edits it).
+Policy e5345_policy(const tune::TuningTable& t, PolicyConfig cfg = {}) {
+  return Policy(xeon_e5345(), cfg, t);
+}
+
 TEST(Policy, TableDmaMinOverridesTheFormula) {
   // NEMO_DMA_MIN lands in TuningTable::dma_min; 0 keeps the formula.
   tune::TuningTable t = tune::effective_table(xeon_e5345());
-  PolicyConfig cfg;
-  cfg.tuning = &t;
-  Policy p(xeon_e5345(), cfg);
+  Policy p = e5345_policy(t);
   EXPECT_EQ(p.dma_min_for(0), 1 * MiB);
   t.dma_min = 123 * KiB;
   EXPECT_EQ(p.dma_min_for(0), 123 * KiB);
 }
 
-TEST(Policy, TableActivationsReplaceTheConstants) {
+TEST(Policy, ActivationThresholdsComeFromTheTable) {
   tune::TuningTable t = tune::effective_table(xeon_e5345());
-  t.lmt_activation = 16 * KiB;
-  t.collective_activation = 1 * KiB;
-  PolicyConfig cfg;
-  cfg.tuning = &t;
-  Policy p(xeon_e5345(), cfg);
-  EXPECT_FALSE(p.use_lmt(16 * KiB));
-  EXPECT_TRUE(p.use_lmt(16 * KiB + 1));
-  EXPECT_FALSE(p.use_lmt(1 * KiB, /*collective=*/true));
-  EXPECT_TRUE(p.use_lmt(1 * KiB + 1, /*collective=*/true));
-  // The table's activation holds without KNEM too (no 64 KiB fallback).
-  cfg.knem_available = false;
-  Policy no_knem(xeon_e5345(), cfg);
-  EXPECT_TRUE(no_knem.use_lmt(16 * KiB + 1));
-}
-
-TEST(Policy, ActivationThresholds) {
-  PolicyConfig cfg;  // KNEM available.
-  Policy p(xeon_e5345(), cfg);
-  // KNEM pays off past 8 KiB pingpong / 4 KiB collectives (§4.2, §4.4).
+  Policy p = e5345_policy(t);
+  // The formula table: KNEM pays off past 8 KiB pingpong / 4 KiB
+  // collectives (§4.2, §4.4).
   EXPECT_FALSE(p.use_lmt(8 * KiB));
   EXPECT_TRUE(p.use_lmt(8 * KiB + 1));
   EXPECT_FALSE(p.use_lmt(4 * KiB, /*collective=*/true));
   EXPECT_TRUE(p.use_lmt(4 * KiB + 1, /*collective=*/true));
-
+  // Edits to the table (NEMO_LMT_ACTIVATION) move both switches.
+  t.lmt_activation = 16 * KiB;
+  t.collective_activation = 1 * KiB;
+  EXPECT_FALSE(p.use_lmt(16 * KiB));
+  EXPECT_TRUE(p.use_lmt(16 * KiB + 1));
+  EXPECT_FALSE(p.use_lmt(1 * KiB, /*collective=*/true));
+  EXPECT_TRUE(p.use_lmt(1 * KiB + 1, /*collective=*/true));
+  // The table's activation holds without KNEM too.
   PolicyConfig no_knem;
   no_knem.knem_available = false;
-  Policy p2(xeon_e5345(), no_knem);
-  // Falls back to the hardwired Nemesis 64 KiB.
-  EXPECT_FALSE(p2.use_lmt(64 * KiB));
-  EXPECT_TRUE(p2.use_lmt(64 * KiB + 1));
+  EXPECT_TRUE(e5345_policy(t, no_knem).use_lmt(16 * KiB + 1));
 }
 
 TEST(Policy, ChooseKindPrefersKnem) {
-  Policy p(xeon_e5345(), PolicyConfig{});
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 1), LmtKind::kKnem);
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 7), LmtKind::kKnem);
-}
-
-TEST(Policy, ChooseKindCmaStandsInForKnem) {
-  // No KNEM module but a CMA-capable kernel: the same single-copy
-  // receiver-driven shape wins once the message amortises the attach.
-  PolicyConfig cfg;
-  cfg.knem_available = false;
-  Policy p(xeon_e5345(), cfg);
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 1), LmtKind::kCma);
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 7), LmtKind::kCma);
-  // Below the CMA activation the old chain applies.
-  EXPECT_EQ(p.choose_kind(4 * KiB, 0, 1), LmtKind::kDefaultShm);
-  EXPECT_EQ(p.choose_kind(4 * KiB, 0, 7), LmtKind::kVmsplice);
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
+  Policy p = e5345_policy(t);
+  EXPECT_EQ(p.choose_kind(0, 1), LmtKind::kKnem);
+  EXPECT_EQ(p.choose_kind(0, 7), LmtKind::kKnem);
 }
 
 TEST(Policy, ChooseKindVmspliceOnlyWithoutSharedCache) {
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
   PolicyConfig cfg;
   cfg.knem_available = false;  // "loading a custom module not acceptable".
-  cfg.cma_available = false;   // ...and a CMA-restricted kernel.
-  Policy p(xeon_e5345(), cfg);
+  Policy p = e5345_policy(t, cfg);
   // Shared cache: the two-copy scheme wins (§4.1) -> default.
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 1), LmtKind::kDefaultShm);
+  EXPECT_EQ(p.choose_kind(0, 1), LmtKind::kDefaultShm);
   // No shared cache: vmsplice.
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 2), LmtKind::kVmsplice);
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 7), LmtKind::kVmsplice);
+  EXPECT_EQ(p.choose_kind(0, 2), LmtKind::kVmsplice);
+  EXPECT_EQ(p.choose_kind(0, 7), LmtKind::kVmsplice);
 }
 
 TEST(Policy, ChooseKindFallsBackToDefault) {
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
   PolicyConfig cfg;
   cfg.knem_available = false;
-  cfg.cma_available = false;
   cfg.vmsplice_available = false;
-  Policy p(xeon_e5345(), cfg);
-  EXPECT_EQ(p.choose_kind(1 * MiB, 0, 7), LmtKind::kDefaultShm);
+  EXPECT_EQ(e5345_policy(t, cfg).choose_kind(0, 7), LmtKind::kDefaultShm);
 }
 
 TEST(Policy, KnemFlagsExplicitModes) {
-  Policy p(xeon_e5345(), PolicyConfig{});
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
+  Policy p = e5345_policy(t);
   EXPECT_EQ(p.knem_flags(1, 0, KnemMode::kSyncCopy), 0u);
   EXPECT_EQ(p.knem_flags(1, 0, KnemMode::kAsyncCopy), knem::kFlagAsync);
   EXPECT_EQ(p.knem_flags(1, 0, KnemMode::kSyncDma), knem::kFlagDma);
@@ -134,7 +114,8 @@ TEST(Policy, KnemFlagsExplicitModes) {
 }
 
 TEST(Policy, KnemAutoAppliesDmaMinAndAsyncIffDma) {
-  Policy p(xeon_e5345(), PolicyConfig{});
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
+  Policy p = e5345_policy(t);
   // Below 1 MiB on a shared-L2 core: CPU copy, synchronous.
   EXPECT_EQ(p.knem_flags(1 * MiB - 1, 0, KnemMode::kAuto), 0u);
   // At/above: DMA + async (KNEM enables async by default only with I/OAT).
@@ -143,9 +124,10 @@ TEST(Policy, KnemAutoAppliesDmaMinAndAsyncIffDma) {
 }
 
 TEST(Policy, KnemAutoRespectsDmaAvailability) {
+  tune::TuningTable t = tune::effective_table(xeon_e5345());
   PolicyConfig cfg;
   cfg.dma_available = false;
-  Policy p(xeon_e5345(), cfg);
+  Policy p = e5345_policy(t, cfg);
   EXPECT_EQ(p.knem_flags(16 * MiB, 0, KnemMode::kAuto), 0u);
   EXPECT_EQ(p.knem_flags(16 * MiB, 0, KnemMode::kSyncDma), 0u);
 }

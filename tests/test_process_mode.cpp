@@ -42,7 +42,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ProcessMode,
                          ::testing::Values(lmt::LmtKind::kDefaultShm,
                                            lmt::LmtKind::kVmsplice,
                                            lmt::LmtKind::kKnem,
-                                           lmt::LmtKind::kCma),
+                                           lmt::LmtKind::kAuto),
                          [](const auto& info) {
                            std::string s = lmt::to_string(info.param);
                            for (auto& c : s)

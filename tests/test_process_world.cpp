@@ -1,7 +1,8 @@
 // True multi-process worlds: forked ranks re-attach to a named shm arena at
 // their own base addresses, so every offset-addressed structure is exercised
-// with genuinely different VAs per rank, and the CMA backend moves private
-// heap memory across real address-space boundaries.
+// with genuinely different VAs per rank, and KNEM pulls private heap memory
+// across real address-space boundaries (or, without cross-memory attach,
+// sends it through the copy ring).
 //
 // gtest EXPECT failures inside a forked child do not propagate to the parent
 // runner, so child-side checks abort() on mismatch (the parent sees
@@ -19,6 +20,7 @@
 #include "core/comm.hpp"
 #include "knem/knem_device.hpp"
 #include "shm/process_runner.hpp"
+#include "shm/remote_mem.hpp"
 
 namespace nemo::core {
 namespace {
@@ -98,14 +100,14 @@ TEST(ProcessWorld, ShmHandoffPreservesOffsetViews) {
         << "rank " << r << " write did not land in the shared segment";
 }
 
-TEST(ProcessWorld, CmaRoundTripMatchesShmCopyOracle) {
-  // The same private-heap payload through the CMA backend and through the
-  // shm copy ring must arrive bit-identical. Each receiver verifies every
-  // byte against a locally regenerated expectation, and publishes a
-  // checksum so the parent can compare the two runs directly.
+TEST(ProcessWorld, KnemHeapRoundTripMatchesShmCopyOracle) {
+  // The same private-heap payload through KNEM and through the shm copy
+  // ring must arrive bit-identical. Each receiver verifies every byte
+  // against a locally regenerated expectation, and publishes a checksum so
+  // the parent can compare the two runs directly.
   constexpr std::size_t kN = 1 * MiB + 13;
   std::uint64_t sums[2] = {0, 0};
-  lmt::LmtKind kinds[2] = {lmt::LmtKind::kCma, lmt::LmtKind::kDefaultShm};
+  lmt::LmtKind kinds[2] = {lmt::LmtKind::kKnem, lmt::LmtKind::kDefaultShm};
   for (int k = 0; k < 2; ++k) {
     Config cfg = proc_config(2, kinds[k]);
     cfg.shm_name = test_shm_name();
@@ -131,7 +133,7 @@ TEST(ProcessWorld, CmaRoundTripMatchesShmCopyOracle) {
     sums[k] = shm::aref(*sum_slot).load(std::memory_order_acquire);
   }
   EXPECT_NE(sums[0], 0u);
-  EXPECT_EQ(sums[0], sums[1]) << "CMA payload differs from shm-copy oracle";
+  EXPECT_EQ(sums[0], sums[1]) << "KNEM payload differs from shm-copy oracle";
 }
 
 class ProcessWorldMatrix
@@ -161,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(lmt::LmtKind::kDefaultShm,
                                          lmt::LmtKind::kVmsplice,
                                          lmt::LmtKind::kKnem,
-                                         lmt::LmtKind::kCma),
+                                         lmt::LmtKind::kAuto),
                        ::testing::Values(2, 4, 8)),
     [](const auto& info) {
       std::string s = lmt::to_string(std::get<0>(info.param));
@@ -170,69 +172,41 @@ INSTANTIATE_TEST_SUITE_P(
       return s + "_x" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(ProcessWorld, CmaMovesFourMiBWithExactlyOneCopy) {
-  // The acceptance check: a 4 MiB rendezvous through the CMA backend is one
-  // process_vm_readv (counter-asserted), or — where the kernel refuses the
-  // attach — every byte is accounted to the staged path instead. The device
-  // stats live in the arena, so the receiving child's view is worldwide.
+TEST(ProcessWorld, KnemPullsFourMiBHeapWithExactlyOneCopy) {
+  // A 4 MiB heap-to-heap rendezvous through KNEM is one receive command
+  // whose bytes the receiver alone pulls: the sender cannot address a heap
+  // receive buffer, so nothing is shared. Without cross-memory attach the
+  // sender sends it through the copy ring instead. The device stats live in
+  // the arena, so the receiving child's view is worldwide.
   constexpr std::size_t kN = 4 * MiB;
-  Config cfg = proc_config(2, lmt::LmtKind::kCma);
+  Config cfg = proc_config(2, lmt::LmtKind::kKnem);
   cfg.shm_name = test_shm_name();
-  cfg.shared_pool_bytes = 8 * MiB;  // Headroom for a possible staged copy.
   World world(cfg);
-  bool cma_ok = world.cma_ok();
+  const bool cma_ok = world.cma_ok();
   shm::ProcessResult res = shm::run_forked_ranks(2, [&](int rank) {
     return child_rank(world, rank, [&](Comm& comm) {
       std::vector<std::byte> buf(kN);
       if (comm.rank() == 0) {
         pattern_fill(buf, 8);
         comm.send(buf.data(), kN, 1, 6);
+        auto want = cma_ok ? lmt::LmtKind::kKnem : lmt::LmtKind::kDefaultShm;
+        if (comm.engine().stats().rndv_by_kind[static_cast<std::size_t>(
+                want)] != 1)
+          std::abort();
       } else {
         comm.recv(buf.data(), kN, 0, 6);
         if (pattern_check(buf, 8) != kPatternOk) std::abort();
         knem::DeviceStats st = comm.engine().knem_device().stats();
-        bool single_copy = st.cma_read_cmds == 1 && st.cma_bytes == kN &&
-                           st.cma_stage_bytes == 0;
-        bool staged = st.cma_stage_fallbacks == 1 && st.cma_stage_bytes == kN;
-        if (!(single_copy || staged)) std::abort();
-      }
-    });
-  });
-  EXPECT_TRUE(res.all_ok);
-  // Where the forced-kind path fell back entirely (no CMA on the host), the
-  // data checks above still had to pass through the shm ring.
-  if (!cma_ok)
-    std::fprintf(stderr, "note: CMA unavailable, exercised fallback only\n");
-}
-
-TEST(ProcessWorld, SimulatedSyscallFailureTakesStagedPath) {
-  // NEMO_CMA=nosyscall semantics via the Config: the receiver must degrade
-  // mid-transfer to the sender-staged two-copy path, and every byte must be
-  // accounted to the stage counters (none to the single-copy ones).
-  constexpr std::size_t kN = 2 * MiB + 3;
-  Config cfg = proc_config(2, lmt::LmtKind::kCma);
-  cfg.shm_name = test_shm_name();
-  cfg.cma_sim_fail = true;
-  cfg.shared_pool_bytes = 8 * MiB;
-  World world(cfg);
-  if (!world.cma_ok()) GTEST_SKIP() << "CMA probe failed on this host";
-  shm::ProcessResult res = shm::run_forked_ranks(2, [&](int rank) {
-    return child_rank(world, rank, [&](Comm& comm) {
-      std::vector<std::byte> buf(kN);
-      if (comm.rank() == 0) {
-        pattern_fill(buf, 21);
-        comm.send(buf.data(), kN, 1, 9);
-      } else {
-        comm.recv(buf.data(), kN, 0, 9);
-        if (pattern_check(buf, 21) != kPatternOk) std::abort();
-        knem::DeviceStats st = comm.engine().knem_device().stats();
-        if (st.cma_stage_fallbacks != 1 || st.cma_stage_bytes != kN ||
-            st.cma_bytes != 0)
+        const std::uint64_t pulled = cma_ok ? kN : 0;
+        if (st.recv_cmds != (cma_ok ? 1u : 0u) || st.bytes_copied != pulled ||
+            st.sender_copied_bytes != 0)
           std::abort();
       }
     });
   });
   EXPECT_TRUE(res.all_ok);
+  if (!cma_ok)
+    std::fprintf(stderr, "note: CMA unavailable, exercised the ring only\n");
 }
 
 TEST(ProcessWorld, EnvSwitchForksRealProcesses) {
@@ -261,11 +235,61 @@ TEST(ProcessWorld, EnvSwitchRejectsTypos) {
   EXPECT_THROW(run(cfg, [](Comm&) {}), std::invalid_argument);
 }
 
+/// Rank 0 sends `msgs` byte-checked heap messages of `n` bytes to rank 1 in
+/// a 2-rank procs world pinned to NEMO_LMT=auto and `cma`. Each rank
+/// aborts unless the arena's free space is the same before and after the
+/// loop and rank 0's rendezvous all took `want`.
+bool heap_stream(const char* cma, lmt::LmtKind want, int msgs,
+                 std::size_t n) {
+  Config cfg = proc_config(2, lmt::LmtKind::kAuto);
+  cfg.env["NEMO_CMA"] = cma;
+  cfg.env["NEMO_LMT"] = "auto";
+  return run(cfg, [&](Comm& comm) {
+    std::vector<std::byte> buf(n);  // Private memory in both ranks.
+    comm.barrier();
+    const std::size_t before = comm.world().arena().remaining();
+    for (int i = 0; i < msgs; ++i) {
+      auto seed = static_cast<std::uint64_t>(i);
+      if (comm.rank() == 0) {
+        pattern_fill(buf, seed);
+        comm.send(buf.data(), n, 1, i);
+      } else {
+        comm.recv(buf.data(), n, 0, i);
+        if (pattern_check(buf, seed) != kPatternOk) std::abort();
+      }
+    }
+    comm.barrier();
+    if (comm.world().arena().remaining() != before) std::abort();
+    if (comm.rank() == 0) {
+      const auto& by_kind = comm.engine().stats().rndv_by_kind;
+      for (std::size_t k = 0; k < by_kind.size(); ++k)
+        if (by_kind[k] != (k == static_cast<std::size_t>(want)
+                               ? static_cast<std::uint64_t>(msgs)
+                               : 0u))
+          std::abort();
+    }
+  });
+}
+
+TEST(ProcessWorld, CmaKillSwitchSendsHeapPullsToTheRing) {
+  // NEMO_CMA=off: a KNEM receiver in another process could only reach the
+  // sender's heap over cross-memory attach, so every such message takes
+  // the copy ring, whose memory is bounded: 64 x 4 MiB leave the arena's
+  // free space unchanged.
+  EXPECT_TRUE(heap_stream("off", lmt::LmtKind::kDefaultShm, 64, 4 * MiB));
+}
+
+TEST(ProcessWorld, CmaOnHeapPullsTakeKnem) {
+  // The same loop with cross-memory attach allowed stays on KNEM.
+  if (!shm::cma_available()) GTEST_SKIP() << "no CMA on this host";
+  EXPECT_TRUE(heap_stream("on", lmt::LmtKind::kKnem, 64, 4 * MiB));
+}
+
 TEST(ProcessWorld, CmaKillSwitchFallsBackCleanly) {
-  // NEMO_CMA=off: auto/forced selection must never touch the CMA counters,
-  // and the transfer still completes through the shm ring.
+  // NEMO_CMA=off with KNEM forced: heap messages still take the ring, and
+  // the KNEM device sees no receive.
   constexpr std::size_t kN = 512 * KiB;
-  Config cfg = proc_config(2, lmt::LmtKind::kCma);
+  Config cfg = proc_config(2, lmt::LmtKind::kKnem);
   cfg.env["NEMO_CMA"] = "off";
   cfg.shm_name = test_shm_name();
   World world(cfg);
@@ -280,8 +304,7 @@ TEST(ProcessWorld, CmaKillSwitchFallsBackCleanly) {
         comm.recv(buf.data(), kN, 0, 2);
         if (pattern_check(buf, 5) != kPatternOk) std::abort();
         knem::DeviceStats st = comm.engine().knem_device().stats();
-        if (st.cma_read_cmds != 0 || st.cma_bytes != 0 ||
-            st.cma_stage_fallbacks != 0)
+        if (st.send_cmds != 0 || st.recv_cmds != 0 || st.bytes_copied != 0)
           std::abort();
       }
     });

@@ -61,6 +61,31 @@ TEST(RemoteMem, DirectWrite) {
 
 TEST(RemoteMem, CmaAvailableHere) { EXPECT_TRUE(cma_available()); }
 
+TEST(RemoteMem, CmaProbeAgreesWithAChildReadingItsParent) {
+  // The probe answers for forked ranks, which read each other's heaps: a
+  // read of our own pid would pass under Yama ptrace_scope=1, which refuses
+  // a child's read of its parent.
+  std::vector<std::byte> src(64 * KiB), dst(64 * KiB);
+  pattern_fill(src, 6);
+  const pid_t parent = ::getpid();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    RemoteMemPort port(RemoteMode::kCma, parent);
+    try {
+      port.read(rsegs(src.data(), src.size()),
+                SegmentList{{dst.data(), dst.size()}});
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(pattern_check(dst, 6) == kPatternOk ? 0 : 2);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  const bool child_read = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  EXPECT_EQ(cma_available(), child_read);
+}
+
 TEST(RemoteMem, CmaSelfRead) {
   if (!cma_available()) GTEST_SKIP();
   std::vector<std::byte> src(100 * KiB), dst(100 * KiB);

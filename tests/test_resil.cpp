@@ -16,7 +16,7 @@ namespace {
 
 TEST(Resil, SiteNamesRoundTripForCrashSites) {
   for (Site s : {Site::kCollDeposit, Site::kCollFold, Site::kBarrierArrive,
-                 Site::kCmaRendezvous, Site::kFastboxPut,
+                 Site::kRendezvous, Site::kFastboxPut,
                  Site::kKnemShare}) {
     auto back = crash_site_from_string(site_name(s));
     ASSERT_TRUE(back.has_value()) << site_name(s);
