@@ -1,6 +1,6 @@
 // Shared internals of the collective implementations (core/collectives.cpp
-// and coll/coll_hier.cpp): the tag/epoch namespacing contract, the one
-// progress-preserving wait, the fold kernel call, and two arena slot
+// and coll/coll_hier.cpp): the tag/epoch namespacing contract, the
+// epoch-stall-counting wait, the fold kernel call, and two arena slot
 // protocols — the slot stream (one writer, many readers; flat bcast and the
 // hierarchical legs) and the ordered fold (many writers, one folding node
 // leader; hierarchical reduce only — the flat reduce is a partitioned fold
@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "core/comm.hpp"
@@ -53,15 +52,11 @@ void binomial(int v, int n, Up&& up, Down&& down) {
     if ((v & mask) == 0 && (v | mask) < n) down(v | mask);
 }
 
-/// Spin until `ready()` while keeping pt2pt progress flowing. Bounded: the
-/// liveness guard turns a dead peer into PeerDeadError (running the local
-/// epoch fence first) instead of spinning forever. `watch` is the specific
-/// rank the wait depends on, -1 when any peer could unblock it. With
-/// `stall`, a first probe that misses counts one epoch stall ("readers
-/// arrive before writers publish"); waits off an arena op's data path (count
-/// probes, hierarchical legs) pass false so their misses stay out of the
-/// per-op stall rate (coll_epoch_stalls / coll_shm_ops). `ready` may do
-/// work, as long as the call that returns true has finished it.
+/// Engine::wait_until plus the epoch-stall count: with `stall`, a first
+/// probe that misses counts one epoch stall ("readers arrive before writers
+/// publish"); waits off an arena op's data path (count probes, hierarchical
+/// legs) pass false so their misses stay out of the per-op stall rate
+/// (coll_epoch_stalls / coll_shm_ops).
 template <typename Pred>
 void spin_until(Engine& eng, resil::Site site, int watch, bool stall,
                 Pred&& ready) {
@@ -72,20 +67,7 @@ void spin_until(Engine& eng, resil::Site site, int watch, bool stall,
       eng.tracer().emit(trace::kEpochStall, trace::kInstant,
                         static_cast<std::uint64_t>(watch));
   }
-  resil::WaitGuard guard = eng.make_guard(site, watch);
-  std::uint32_t spins = 0;
-  try {
-    while (!ready()) {
-      if ((++spins & 0x3F) == 0) {
-        eng.progress();
-        guard.check();
-        std::this_thread::yield();
-      }
-    }
-  } catch (const resil::PeerDeadError& e) {
-    eng.peer_death_fence(e);
-    throw;
-  }
+  eng.wait_until(site, watch, ready);
 }
 
 /// Slot stream: rank `writer` serves `bytes` to a set of readers through

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "core/knobs.hpp"
 #include "lmt/backends.hpp"
@@ -281,14 +280,12 @@ void World::hard_barrier(int self_rank) {
     aref(bb->generation).fetch_add(1, std::memory_order_acq_rel);
   } else {
     resil::Liveness live = liveness();
-    resil::WaitGuard guard(self_rank >= 0 ? &live : nullptr, self_rank, -1,
-                           resil::Site::kHardBarrier, cfg_.peer_timeout_ms,
-                           nullptr, nullptr);
-    std::uint32_t spins = 0;
-    while (aref(bb->generation).load(std::memory_order_acquire) == gen) {
-      if ((++spins & 0x3F) == 0) guard.check();
-      std::this_thread::yield();
-    }
+    resil::wait_until(
+        {self_rank >= 0 ? &live : nullptr, self_rank, -1,
+         resil::Site::kHardBarrier, cfg_.peer_timeout_ms, nullptr, nullptr},
+        [&] {
+          return aref(bb->generation).load(std::memory_order_acquire) != gen;
+        });
   }
 }
 
@@ -450,24 +447,15 @@ Cell* Engine::try_get_cell() {
 }
 
 Cell* Engine::get_cell_blocking() {
-  resil::WaitGuard guard = make_guard(resil::Site::kCellAlloc, -1);
-  std::uint32_t spins = 0;
-  for (;;) {
-    Cell* c = try_get_cell();
-    if (c != nullptr) return c;
-    // Our cells come back when receivers drain them; drain our own traffic
-    // meanwhile so the system cannot deadlock on cell exhaustion.
-    progress();
-    if ((++spins & 0x3F) == 0) {
-      try {
-        guard.check();
-      } catch (const resil::PeerDeadError& e) {
-        peer_death_fence(e);
-        throw;
-      }
-    }
-    std::this_thread::yield();
-  }
+  Cell* c = try_get_cell();
+  // Our cells come back when receivers drain them; drain our own traffic
+  // meanwhile so the system cannot deadlock on cell exhaustion.
+  if (c == nullptr)
+    wait_until(resil::Site::kCellAlloc, -1, [&] {
+      progress();
+      return (c = try_get_cell()) != nullptr;
+    });
+  return c;
 }
 
 void Engine::send_cell(int dst, Cell* cell) {
@@ -580,24 +568,11 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
     // Cell-path eager sends must not overtake control messages parked by
     // cell exhaustion: the receiver merges each source's streams by seq,
     // and a gap that is neither in the queue nor the fastbox is fatal.
-    {
-      resil::WaitGuard guard = make_guard(resil::Site::kPendingCtrl, -1);
-      std::uint32_t spins = 0;
-      while (!pending_ctrl_.empty()) {
+    if (!pending_ctrl_.empty())
+      wait_until(resil::Site::kPendingCtrl, -1, [&] {
         progress();
-        if (!pending_ctrl_.empty()) {
-          if ((++spins & 0x3F) == 0) {
-            try {
-              guard.check();
-            } catch (const resil::PeerDeadError& e) {
-              peer_death_fence(e);
-              throw;
-            }
-          }
-          std::this_thread::yield();
-        }
-      }
-    }
+        return pending_ctrl_.empty();
+      });
     std::size_t off = 0;
     std::size_t seg_idx = 0, seg_off = 0;
     bool first = true;
@@ -1073,7 +1048,7 @@ void Engine::progress() {
   counters_.progress_passes++;
   // Heartbeat: a rank that makes progress is alive. Every 64 passes keeps
   // the clock read off the hot path while staying far inside any sane
-  // NEMO_PEER_TIMEOUT_MS (spin loops run progress() every 64 spins).
+  // NEMO_PEER_TIMEOUT_MS (pt2pt waits run progress() on every probe).
   if (live_.valid() && (counters_.progress_passes & 0x3F) == 0)
     live_.beat(rank_);
   poll_fastboxes();
@@ -1116,22 +1091,10 @@ void Engine::progress() {
 void Engine::wait(const Request& req) {
   NEMO_ASSERT(req != nullptr);
   if (req->complete) return;
-  resil::WaitGuard guard = make_guard(resil::Site::kEngineWait, req->peer);
-  std::uint32_t spins = 0;
-  try {
-    while (!req->complete) {
-      progress();
-      if (!req->complete) {
-        if ((++spins & 0x3F) == 0) guard.check();
-        // Oversubscribed hosts (ranks > cores): let the peer run instead of
-        // burning the rest of the timeslice polling an empty queue.
-        std::this_thread::yield();
-      }
-    }
-  } catch (const resil::PeerDeadError& e) {
-    peer_death_fence(e);
-    throw;
-  }
+  wait_until(resil::Site::kEngineWait, req->peer, [&] {
+    progress();
+    return req->complete;
+  });
 }
 
 bool Engine::test(const Request& req) {
@@ -1275,16 +1238,7 @@ void Comm::fence_world() {
   std::uint64_t gen = live.fence_generation();
   live.set_fence_flag(self, gen + 1);
 
-  resil::WaitGuard guard = eng.make_guard(resil::Site::kFenceSync, -1);
-  std::uint32_t spins = 0;
-  auto bounded_wait = [&](auto&& pred) {
-    while (!pred()) {
-      eng.progress();
-      if ((++spins & 0x3F) == 0) guard.check();
-      std::this_thread::yield();
-    }
-  };
-  bounded_wait([&] {
+  eng.wait_until(resil::Site::kFenceSync, -1, [&] {
     for (int r = 0; r < n; ++r) {
       if (r == self || eng.rank_fenced(r)) continue;
       if (live.fence_flag(r) < gen + 1) return false;
@@ -1301,7 +1255,8 @@ void Comm::fence_world() {
   // leaves only once it lands, so no survivor can start post-fence
   // collectives while another is still proposing.
   if (self == eng.lowest_alive()) live.publish_fence_generation(gen, gen + 1);
-  bounded_wait([&] { return live.fence_generation() >= gen + 1; });
+  eng.wait_until(resil::Site::kFenceSync, -1,
+                 [&] { return live.fence_generation() >= gen + 1; });
 }
 
 void Comm::send(const void* buf, std::size_t bytes, int dst, int tag,

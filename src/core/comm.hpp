@@ -344,6 +344,21 @@ class Engine {
   void wait(const Request& req);
   bool test(const Request& req);
 
+  /// Every engine-side wait: resil::wait_until on `ready`, guarded at
+  /// `site` (`watch` = the rank it depends on, -1 = any peer), with
+  /// progress() as the idle hook. A death verdict runs the local epoch
+  /// fence before PeerDeadError propagates. Builds its guard up front, so
+  /// callers probe their own fast path first.
+  template <typename Ready>
+  void wait_until(resil::Site site, int watch, Ready&& ready) {
+    try {
+      resil::wait_until(make_guard(site, watch), ready, [this] { progress(); });
+    } catch (const resil::PeerDeadError& e) {
+      peer_death_fence(e);
+      throw;
+    }
+  }
+
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   /// Telemetry registry this rank's hot paths feed (backends bump it too).
   [[nodiscard]] tune::Counters& counters() { return counters_; }
@@ -394,9 +409,6 @@ class Engine {
   // --- liveness / recovery --------------------------------------------------
   /// This rank's view of the liveness table (valid whenever the world's is).
   [[nodiscard]] const resil::Liveness& liveness() const { return live_; }
-  /// Bounded-wait guard for one wait site. `watch` = the specific rank the
-  /// wait depends on, or -1 when any peer could unblock it.
-  [[nodiscard]] resil::WaitGuard make_guard(resil::Site site, int watch);
   /// Local epoch fence for a death verdict: quiesce in-flight ops involving
   /// the dead rank, tombstone its arena cells, re-pick the collective leader
   /// over the survivor set, bump counters, and emit the trace events.
@@ -428,6 +440,9 @@ class Engine {
 
  private:
   friend class Comm;
+
+  /// wait_until's guard for one wait site (`watch` as there).
+  [[nodiscard]] resil::WaitGuard make_guard(resil::Site site, int watch);
 
   using Key = std::pair<int, std::uint32_t>;  ///< (peer, seq).
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "resil/resil.hpp"
 
@@ -110,8 +109,8 @@ std::uint64_t Device::pop_block() {
   // Short critical section protected by a shared spinlock; extension blocks
   // are only needed for >kInlineSegs-segment buffers, so contention is rare.
   auto lock = aref(st_->block_lock);
-  while (lock.exchange(1, std::memory_order_acquire) != 0) {
-  }
+  resil::wait_until(
+      {}, [&] { return lock.exchange(1, std::memory_order_acquire) == 0; });
   std::uint64_t head = st_->block_free;
   if (head != kNil) st_->block_free = block_at(head)->next;
   lock.store(0, std::memory_order_release);
@@ -120,8 +119,8 @@ std::uint64_t Device::pop_block() {
 
 void Device::push_block(std::uint64_t off) {
   auto lock = aref(st_->block_lock);
-  while (lock.exchange(1, std::memory_order_acquire) != 0) {
-  }
+  resil::wait_until(
+      {}, [&] { return lock.exchange(1, std::memory_order_acquire) == 0; });
   block_at(off)->next = st_->block_free;
   st_->block_free = off;
   lock.store(0, std::memory_order_release);
@@ -298,25 +297,20 @@ KnemResult Device::recv_sync(std::uint64_t cookie_id,
     }
     return res;
   }
-  auto r = resolve(cookie_id);
-  if (!r) return KnemResult::kBadCookie;
-  std::size_t cap = 0;
-  for (const auto& seg : local) cap += seg.len;
-  if (cap < r->total) return KnemResult::kTruncated;
-
-  stat_add(st_->stats.recv_cmds, 1);
-  stat_add(st_->stats.dma_recv_cmds, 1);
   // Synchronous I/OAT mode: submit, then poll the status byte before
-  // returning to "user space".
-  volatile std::uint8_t status =
-      static_cast<std::uint8_t>(shm::DmaStatus::kPending);
-  SegmentList loc(local.begin(), local.end());
-  engine->submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid),
-                                  r->segs, std::move(loc), &status);
-  while (status == static_cast<std::uint8_t>(shm::DmaStatus::kPending))
-    std::this_thread::yield();
+  // returning to "user space". The engine always writes it, so the wait
+  // needs no liveness guard.
+  volatile std::uint8_t status = 0;
+  KnemResult res = recv_async(
+      cookie_id, SegmentList(local.begin(), local.end()), flags, *engine,
+      &status);
+  if (res != KnemResult::kOk) return res;
+  resil::wait_until({}, [&] {
+    return status != static_cast<std::uint8_t>(shm::DmaStatus::kPending);
+  });
   std::atomic_thread_fence(std::memory_order_acquire);
-  stat_add(st_->stats.bytes_copied, r->total);
+  if (status == static_cast<std::uint8_t>(shm::DmaStatus::kFailed))
+    throw SysError("KNEM DMA receive", ESRCH);
   return KnemResult::kOk;
 }
 
@@ -422,11 +416,13 @@ void ShareRecv::abandon() noexcept {
       aref(share_->claim).fetch_add(n_, std::memory_order_acq_rel), n_);
   if (wait_sender_) {
     // Every claimed chunk but this party's pending one is the sender's
-    // until `done` counts it.
+    // until `done` counts it. That sender is a thread of this process, so
+    // the wait needs no liveness guard (and this function cannot throw).
     std::uint64_t mine = pending_ != kNone ? 1 : 0;
-    while (aref(share_->done).load(std::memory_order_acquire) + mine <
-           claimed)
-      std::this_thread::yield();
+    resil::wait_until({}, [&] {
+      return aref(share_->done).load(std::memory_order_acquire) + mine >=
+             claimed;
+    });
   }
   share_ = nullptr;
 }
@@ -441,7 +437,7 @@ KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
   if (cap < r->total) return KnemResult::kTruncated;
 
   stat_add(st_->stats.recv_cmds, 1);
-  stat_add(st_->stats.async_recv_cmds, 1);
+  if ((flags & kFlagAsync) != 0) stat_add(st_->stats.async_recv_cmds, 1);
   if ((flags & kFlagDma) != 0) stat_add(st_->stats.dma_recv_cmds, 1);
   *status = static_cast<std::uint8_t>(shm::DmaStatus::kPending);
   engine.submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid), r->segs,

@@ -150,15 +150,17 @@ class Device {
   [[nodiscard]] std::optional<Resolved> resolve(std::uint64_t cookie_id) const;
 
   /// RECEIVE COMMAND, synchronous: returns when the data is in `local`.
-  /// With kFlagDma the copy runs on `engine` (completion is polled — the
-  /// paper's synchronous I/OAT mode); otherwise the calling thread copies
-  /// every chunk (nothing is published to the sender).
+  /// With kFlagDma this is recv_async on `engine` with its status polled
+  /// (the paper's synchronous I/OAT mode); otherwise the calling thread
+  /// copies every chunk (nothing is published to the sender). Either way a
+  /// sender process that has exited throws SysError(ESRCH).
   KnemResult recv_sync(std::uint64_t cookie_id,
                        std::span<const Segment> local, std::uint32_t flags,
                        shm::DmaEngine* engine);
 
   /// RECEIVE COMMAND, asynchronous: queues the copy and the trailing status
-  /// write on `engine`; poll `*status` for DmaStatus::kSuccess.
+  /// write on `engine`; poll `*status` for DmaStatus::kSuccess, or kFailed
+  /// when the sender's process has exited.
   KnemResult recv_async(std::uint64_t cookie_id, SegmentList local,
                         std::uint32_t flags, shm::DmaEngine& engine,
                         volatile std::uint8_t* status);

@@ -126,6 +126,9 @@ struct RecvCtx {
   knem::ShareRecv knem_share;  ///< KNEM synchronous CPU copy: resolved once.
 
   void* user = nullptr;
+
+  /// Waits for a queued KNEM DMA job first (lmt_knem.cpp).
+  ~RecvCtx();
 };
 
 /// Backend interface. One instance per (rank, kind); stateless across

@@ -5,6 +5,17 @@
 
 namespace nemo::lmt {
 
+RecvCtx::~RecvCtx() {
+  // A queued KNEM receive writes `segs` and `async_status` until its DMA
+  // job ends, also when a peer-death fence drops this receive. The engine
+  // always writes the status, so the wait needs no guard.
+  if (async_submitted)
+    resil::wait_until({}, [&] {
+      return async_status !=
+             static_cast<std::uint8_t>(shm::DmaStatus::kPending);
+    });
+}
+
 void KnemBackend::send_init(SendCtx& ctx) {
   // Declare the (possibly vectorial) send buffer; the cookie id travels in
   // the RTS through the normal rendezvous handshake (Figure 1, steps 1-3).
@@ -48,35 +59,42 @@ void KnemBackend::recv_init(RecvCtx& ctx) {
   }
 }
 
+namespace {
+
+/// A KNEM read of a sender whose pid is gone is a death verdict, not a
+/// syscall error. Flag the shared liveness cell so every rank converts it
+/// eagerly.
+[[noreturn]] void sender_gone(core::Engine& eng, int peer) {
+  resil::Liveness live = eng.world().liveness();
+  if (live.valid()) live.mark_dead(peer);
+  throw resil::PeerDeadError(peer, resil::Site::kRendezvous,
+                             /*from_timeout=*/false);
+}
+
+}  // namespace
+
 bool KnemBackend::recv_progress(RecvCtx& ctx) {
   knem::Device& dev = eng_.knem_device();
   std::uint32_t flags = ctx.rts.knem_flags;
   bool dma = (flags & knem::kFlagDma) != 0;
   bool async = (flags & knem::kFlagAsync) != 0;
 
-  if (!dma && !async) {
-    // Shared CPU copy: claim chunks alongside the sender. Returns false
-    // while a sender chunk is in flight, so Engine::wait's guard still
-    // bounds the wait on a sender that dies mid-chunk.
-    try {
-      return dev.recv_share_progress(ctx.knem_share, ctx.segs);
-    } catch (const SysError& e) {
-      // A cross-memory read of a sender whose pid is gone: a death verdict.
-      // Flag the shared liveness cell so every rank converts it eagerly.
-      if (e.sys_errno() != ESRCH) throw;
-      resil::Liveness live = eng_.world().liveness();
-      if (live.valid()) live.mark_dead(ctx.peer);
-      throw resil::PeerDeadError(ctx.peer, resil::Site::kRendezvous,
-                                 /*from_timeout=*/false);
-    }
-  }
   if (!async) {
-    // Synchronous I/OAT receive command: DMA-submitted and polled before
-    // the call returns with the data placed.
-    knem::KnemResult res = dev.recv_sync(ctx.rts.knem_cookie, ctx.segs,
-                                         flags, &eng_.dma_channel());
-    NEMO_ASSERT_MSG(res == knem::KnemResult::kOk, to_string(res));
-    return true;
+    try {
+      // Shared CPU copy: claim chunks alongside the sender. Returns false
+      // while a sender chunk is in flight, so Engine::wait's guard still
+      // bounds the wait on a sender that dies mid-chunk.
+      if (!dma) return dev.recv_share_progress(ctx.knem_share, ctx.segs);
+      // Synchronous I/OAT receive command: DMA-submitted and polled before
+      // the call returns with the data placed.
+      knem::KnemResult res = dev.recv_sync(ctx.rts.knem_cookie, ctx.segs,
+                                           flags, &eng_.dma_channel());
+      NEMO_ASSERT_MSG(res == knem::KnemResult::kOk, to_string(res));
+      return true;
+    } catch (const SysError& e) {
+      if (e.sys_errno() != ESRCH) throw;
+      sender_gone(eng_, ctx.peer);
+    }
   }
 
   if (!ctx.async_submitted) {
@@ -91,12 +109,11 @@ bool KnemBackend::recv_progress(RecvCtx& ctx) {
     return false;
   }
   // Poll the status byte the engine writes in order, behind the payload.
-  if (ctx.async_status ==
-      static_cast<std::uint8_t>(shm::DmaStatus::kSuccess)) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return true;
-  }
-  return false;
+  auto status = static_cast<shm::DmaStatus>(ctx.async_status);
+  if (status == shm::DmaStatus::kFailed) sender_gone(eng_, ctx.peer);
+  if (status != shm::DmaStatus::kSuccess) return false;
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return true;
 }
 
 std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng) {

@@ -10,10 +10,11 @@
 //    bumps a beat counter + CLOCK_MONOTONIC stamp from its progress loop,
 //    and anyone may set a sticky "dead" flag (the parent reaper in procs
 //    mode, a KNEM pull's ESRCH verdict, or a heartbeat timeout);
-//  - a bounded-wait primitive (`WaitGuard`) dropped into the slow path of
-//    every formerly-unbounded spin: it checks dead flags eagerly and, past
-//    `NEMO_PEER_TIMEOUT_MS`, converts a stale heartbeat into a death
-//    verdict, throwing `PeerDeadError{rank, site}` instead of hanging;
+//  - the one poll loop (`wait_until`) every wait in the runtime goes
+//    through, and its liveness guard (`WaitGuard`): the guard checks dead
+//    flags eagerly and, past `NEMO_PEER_TIMEOUT_MS`, converts a stale
+//    heartbeat into a death verdict, throwing `PeerDeadError{rank, site}`
+//    instead of hanging;
 //  - a deterministic fault injector (`NEMO_FAULT=rank:site:op`): named crash
 //    points in the hot paths behind a single relaxed load, so tests can kill
 //    a specific rank at a specific protocol step reproducibly;
@@ -29,6 +30,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "common/common.hpp"
 #include "shm/arena.hpp"
@@ -152,8 +154,9 @@ class Liveness {
   int n_ = 0;
 };
 
-/// Bounded-wait companion: construct before a spin loop, call check() on the
-/// slow path (every ~64 spins). Free when the timeout is off.
+/// Liveness guard of one wait: wait_until() calls check() every 64th
+/// probe. Free when the timeout is off; a default-constructed guard is
+/// disarmed.
 ///
 /// check() in order:
 ///  1. beats `self` (so two ranks waiting on each other stay live);
@@ -170,6 +173,7 @@ class Liveness {
 /// verdict — it may still be forking/attaching — but not from dead flags.
 class WaitGuard {
  public:
+  WaitGuard() = default;
   WaitGuard(const Liveness* live, int self, int watch, Site site,
             std::size_t timeout_ms, tune::Counters* counters,
             const unsigned char* fenced);
@@ -183,16 +187,37 @@ class WaitGuard {
     return r == self_ || (fenced_ != nullptr && fenced_[r] != 0);
   }
 
-  const Liveness* live_;
-  const unsigned char* fenced_;  ///< nullable; ranks to ignore (degrade mode)
-  tune::Counters* counters_;     ///< nullable
+  const Liveness* live_ = nullptr;
+  const unsigned char* fenced_ = nullptr;  ///< ranks to ignore (degrade mode)
+  tune::Counters* counters_ = nullptr;
   std::uint64_t timeout_ns_ = 0;
   std::uint64_t deadline_ns_ = 0;
-  int self_;
-  int watch_;  ///< specific rank awaited, or -1 = any peer
-  Site site_;
+  int self_ = -1;
+  int watch_ = -1;  ///< specific rank awaited, or -1 = any peer
+  Site site_ = Site::kSiteCount;
   bool armed_ = false;
 };
+
+/// The one poll loop: probe `ready()` until it returns true. Every 64th
+/// probe runs `idle()` (the caller's progress hook), `guard.check()` and
+/// one yield, so an oversubscribed core still lets the peer run without
+/// paying a yield on every miss. `ready` may do work, as long as the call
+/// that returns true has finished it. Throws whatever idle() or check()
+/// throws.
+template <typename Ready, typename Idle>
+void wait_until(WaitGuard guard, Ready&& ready, Idle&& idle) {
+  for (std::uint32_t probes = 0; !ready();) {
+    if ((++probes & 0x3F) != 0) continue;
+    idle();
+    guard.check();
+    std::this_thread::yield();
+  }
+}
+
+template <typename Ready>
+void wait_until(WaitGuard guard, Ready&& ready) {
+  wait_until(guard, ready, [] {});
+}
 
 // --- deterministic fault injection -----------------------------------------
 

@@ -29,40 +29,32 @@ DmaEngine::~DmaEngine() {
   if (worker_.joinable()) worker_.join();
 }
 
-void DmaEngine::submit_copy(RemoteMemPort port, RemoteSegmentList remote,
-                            SegmentList local) {
-  Job j;
-  j.is_status = false;
-  j.mode = port.mode();
-  j.peer_pid = port.peer_pid();
-  j.remote = std::move(remote);
-  j.local = std::move(local);
+void DmaEngine::push(Job job) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(j));
+    queue_.push_back(std::move(job));
   }
   cv_.notify_one();
+}
+
+void DmaEngine::submit_copy(RemoteMemPort port, RemoteSegmentList remote,
+                            SegmentList local) {
+  submit_copy_with_status(port, std::move(remote), std::move(local), nullptr);
 }
 
 void DmaEngine::submit_status_write(volatile std::uint8_t* status,
                                     DmaStatus value) {
   Job j;
-  j.is_status = true;
   j.status = status;
   j.status_value = value;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(j));
-  }
-  cv_.notify_one();
+  push(std::move(j));
 }
 
 void DmaEngine::submit_copy_with_status(RemoteMemPort port,
                                         RemoteSegmentList remote,
                                         SegmentList local,
                                         volatile std::uint8_t* status) {
-  submit_copy(port, std::move(remote), std::move(local));
-  submit_status_write(status, DmaStatus::kSuccess);
+  push({port, std::move(remote), std::move(local), status});
 }
 
 void DmaEngine::drain() {
@@ -94,24 +86,30 @@ void DmaEngine::worker_main() {
       std::lock_guard<std::mutex> lk(mu_);
       busy_ = false;
       stats_.jobs++;
-      if (job.is_status) {
-        stats_.status_writes++;
-      } else {
-        for (const auto& s : job.remote) stats_.bytes += s.len;
-      }
+      if (job.status != nullptr) stats_.status_writes++;
+      for (const auto& s : job.remote) stats_.bytes += s.len;
     }
     idle_cv_.notify_all();
   }
 }
 
 void DmaEngine::execute(const Job& job) {
-  if (job.is_status) {
-    // Release so payload stores from prior jobs are visible before Success.
-    std::atomic_thread_fence(std::memory_order_release);
-    *job.status = static_cast<std::uint8_t>(job.status_value);
-    return;
+  DmaStatus outcome = job.status_value;
+  try {
+    copy(job);
+  } catch (const SysError& e) {
+    // The source process has exited: report it in the transfer's status
+    // byte. Any other error, or a copy nobody polls, still fails loudly.
+    if (e.sys_errno() != ESRCH || job.status == nullptr) throw;
+    outcome = DmaStatus::kFailed;
   }
-  RemoteMemPort port(job.mode, job.peer_pid);
+  if (job.status == nullptr) return;
+  // Release so payload stores are visible before the status byte.
+  std::atomic_thread_fence(std::memory_order_release);
+  *job.status = static_cast<std::uint8_t>(outcome);
+}
+
+void DmaEngine::copy(const Job& job) {
   // Slice the descriptor so one multi-MiB copy cannot monopolise the channel
   // ahead of queued status writes from *other* transfers... in-order per the
   // hardware, so no reordering: we only bound the per-iteration chunk to keep
@@ -133,9 +131,9 @@ void DmaEngine::execute(const Job& job) {
       std::size_t n = want - done < avail ? want - done : avail;
       RemoteSegment rpiece{rs.addr + roff_in, n};
       Segment lpiece{dst.base + done, n};
-      port.read(std::span<const RemoteSegment>(&rpiece, 1),
-                std::span<const Segment>(&lpiece, 1),
-                cfg_.use_nt && port.mode() == RemoteMode::kDirect);
+      job.port.read(std::span<const RemoteSegment>(&rpiece, 1),
+                    std::span<const Segment>(&lpiece, 1),
+                    cfg_.use_nt && job.port.mode() == RemoteMode::kDirect);
       roff_in += n;
       done += n;
     }

@@ -65,7 +65,10 @@ class DmaEngine {
   /// already queued (the in-order completion-notification trick).
   void submit_status_write(volatile std::uint8_t* status, DmaStatus value);
 
-  /// Convenience: copy followed by trailing status write.
+  /// Copy followed by its trailing status write: kSuccess, or kFailed when
+  /// the source process has exited (an ESRCH read), so the poller can turn
+  /// a dead sender into a verdict. Any other read error still ends the
+  /// process.
   void submit_copy_with_status(RemoteMemPort port, RemoteSegmentList remote,
                                SegmentList local,
                                volatile std::uint8_t* status);
@@ -77,18 +80,20 @@ class DmaEngine {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// A copy (empty for a bare status write), then the status byte when
+  /// `status` is set.
   struct Job {
-    bool is_status = false;
-    RemoteMode mode = RemoteMode::kDirect;
-    pid_t peer_pid = 0;
+    RemoteMemPort port{RemoteMode::kDirect, 0};
     RemoteSegmentList remote;
     SegmentList local;
     volatile std::uint8_t* status = nullptr;
     DmaStatus status_value = DmaStatus::kSuccess;
   };
 
+  void push(Job job);
   void worker_main();
   void execute(const Job& job);
+  void copy(const Job& job);
 
   Config cfg_;
   mutable std::mutex mu_;

@@ -16,8 +16,8 @@ struct Counters {
   /// log2 size classes: bucket i covers [2^i, 2^(i+1)) bytes; bucket 0 also
   /// takes zero-byte messages. 40 classes cover up to 1 TiB.
   static constexpr int kSizeClasses = 40;
-  /// Backend histogram slots (mirrors lmt::LmtKind 0..4) plus eager=5,
-  /// fastbox=6.
+  /// Backend histogram slots: lmt::LmtKind 0..3, slot 4 unused (kept so
+  /// the indexes stay stable), eager=5, fastbox=6.
   static constexpr int kPaths = 7;
   static constexpr int kPathEager = 5;
   static constexpr int kPathFastbox = 6;

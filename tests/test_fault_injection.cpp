@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/comm.hpp"
@@ -51,11 +52,13 @@ struct Scenario {
 int run_scenario(int nranks, int victim, const Scenario& sc,
                  lmt::LmtKind kind,
                  const std::function<void(Comm&, int)>& op,
-                 const std::set<int>& must_throw) {
+                 const std::set<int>& must_throw,
+                 lmt::KnemMode knem_mode = lmt::KnemMode::kSyncCopy) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.mode = LaunchMode::kProcesses;
   cfg.lmt = kind;
+  cfg.knem_mode = knem_mode;
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;  // Backstop; eager verdicts land in ms.
   cfg.env["NEMO_FAULT"] =
@@ -162,23 +165,36 @@ TEST_P(FaultMatrix, KillAtRendezvous) {
   int receiver = 3;
   // The victim dies right after publishing its RTS for a heap buffer; only
   // the posted receiver depends on it. Everyone else returns untouched.
-  // With CMA the receiver's KNEM pull of the dead pid's pages fails with
-  // ESRCH, which must read as a death verdict, not a syscall error.
+  // The first run lets the policy pick the LMT; the rest force KNEM in
+  // each mode. A KNEM pull of the dead pid's pages fails with ESRCH on the
+  // receiver's CPU or on a DMA worker thread; either way it must read as a
+  // death verdict, not a syscall error.
   Scenario sc{"rendezvous",
               {Site::kRendezvous, Site::kEngineWait, Site::kCellAlloc,
                Site::kPendingCtrl}};
-  run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
-               [=](Comm& comm, int v) {
-                 static std::vector<std::byte> buf(4 * MiB);
-                 if (comm.rank() == v) {
-                   Request r = comm.isend(buf.data(), buf.size(), receiver, 9);
-                   (void)r;  // The fault point fires inside start_send.
-                 } else if (comm.rank() == receiver) {
-                   ::usleep(300 * 1000);  // Let the victim die first.
-                   comm.recv(buf.data(), buf.size(), v, 9);
-                 }
-               },
-               {receiver});
+  using lmt::KnemMode;
+  using lmt::LmtKind;
+  for (auto [kind, mode] : {std::pair{LmtKind::kAuto, KnemMode::kSyncCopy},
+                            std::pair{LmtKind::kKnem, KnemMode::kSyncCopy},
+                            std::pair{LmtKind::kKnem, KnemMode::kAsyncCopy},
+                            std::pair{LmtKind::kKnem, KnemMode::kSyncDma},
+                            std::pair{LmtKind::kKnem, KnemMode::kAsyncDma}}) {
+    SCOPED_TRACE(std::string(lmt::to_string(kind)) + "/" +
+                 lmt::to_string(mode));
+    run_scenario(n, victim, sc, kind,
+                 [=](Comm& comm, int v) {
+                   static std::vector<std::byte> buf(4 * MiB);
+                   if (comm.rank() == v) {
+                     Request r =
+                         comm.isend(buf.data(), buf.size(), receiver, 9);
+                     (void)r;  // The fault point fires inside start_send.
+                   } else if (comm.rank() == receiver) {
+                     ::usleep(300 * 1000);  // Let the victim die first.
+                     comm.recv(buf.data(), buf.size(), v, 9);
+                   }
+                 },
+                 {receiver}, mode);
+  }
 }
 
 TEST_P(FaultMatrix, KillAtFastboxPut) {

@@ -180,6 +180,71 @@ TEST(Resil, WaitGuardDisarmedWhenTimeoutOff) {
   g2.check();
 }
 
+TEST(Resil, WaitUntilIdlesEvery64thProbe) {
+  int probes = 0, idles = 0;
+  wait_until({}, [&] { return ++probes == 200; }, [&] { idles++; });
+  EXPECT_EQ(probes, 200);
+  EXPECT_EQ(idles, 3);  // After misses 64, 128 and 192.
+}
+
+TEST(Resil, WaitUntilChecksItsGuard) {
+  shm::Arena arena = shm::Arena::create_anonymous(1 * MiB);
+  Liveness live(arena, Liveness::create(arena, 2), 2);
+  live.mark_dead(1);
+  int probes = 0;
+  EXPECT_THROW(wait_until({&live, 0, 1, Site::kEngineWait, 30000, nullptr,
+                           nullptr},
+                          [&] { return ++probes > 1000; }),
+               PeerDeadError);
+  EXPECT_EQ(probes, 64);
+}
+
+/// A 3-rank threads world with armed guards (whatever the environment
+/// says) that degrades on a death. Only rank 0's Comm exists, so nothing
+/// but the test touches the liveness table.
+core::Config degrade_world() {
+  core::Config cfg;
+  cfg.nranks = 3;
+  cfg.env["NEMO_WORLD_MODE"] = "threads";
+  cfg.env["NEMO_ON_PEER_DEATH"] = "degrade";
+  cfg.env["NEMO_PEER_TIMEOUT_MS"] = "30000";
+  return cfg;
+}
+
+TEST(Resil, EngineWaitUntilFencesTheDeadPeer) {
+  // One contract for every engine-side wait, pt2pt, collective and fence
+  // sync alike: the verdict names the peer and the site, and the local
+  // epoch fence has run before it propagates.
+  for (Site site : {Site::kEngineWait, Site::kCellAlloc, Site::kCollDoorbell,
+                    Site::kBarrierRelease, Site::kFenceSync}) {
+    core::World world(degrade_world());
+    core::Comm comm(world, 0);
+    world.liveness().mark_dead(2);
+    try {
+      comm.engine().wait_until(site, 2, [] { return false; });
+      FAIL() << "expected PeerDeadError at " << site_name(site);
+    } catch (const PeerDeadError& e) {
+      EXPECT_EQ(e.rank, 2);
+      EXPECT_EQ(e.site, site);
+      EXPECT_FALSE(e.from_timeout);
+    }
+    EXPECT_TRUE(comm.engine().rank_fenced(2)) << site_name(site);
+    EXPECT_FALSE(comm.engine().rank_fenced(1)) << site_name(site);
+  }
+}
+
+TEST(Resil, HardBarrierThrowsOnADeadPeer) {
+  core::World world(degrade_world());
+  world.liveness().mark_dead(1);
+  try {
+    world.hard_barrier(0);
+    FAIL() << "expected PeerDeadError";
+  } catch (const PeerDeadError& e) {
+    EXPECT_EQ(e.rank, 1);
+    EXPECT_EQ(e.site, Site::kHardBarrier);
+  }
+}
+
 TEST(Resil, KnobTyposFailLoudly) {
   for (auto [knob, bad] : {std::pair{"NEMO_ON_PEER_DEATH", "banana"},
                            std::pair{"NEMO_PEER_TIMEOUT_MS", "0"},
