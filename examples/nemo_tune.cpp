@@ -12,6 +12,7 @@
 #include "common/options.hpp"
 #include "core/comm.hpp"
 #include "core/knobs.hpp"
+#include "shm/fastbox.hpp"
 #include "shm/numa.hpp"
 #include "tune/tuning.hpp"
 
@@ -35,9 +36,12 @@ void print_table(const tune::TuningTable& t, coll::Mode coll_mode) {
               format_size(t.lmt_activation).c_str(),
               format_size(t.collective_activation).c_str(),
               t.dma_min == 0 ? "formula" : format_size(t.dma_min).c_str());
-  std::printf("  fastbox: %u slots x %s (cutoff %s)   drain_budget=%u\n",
+  std::printf("  fastbox: %u slots x %s (cutoff %s = slot payload, from "
+              "lmt_activation)   drain_budget=%u\n",
               t.fastbox_slots, format_size(t.fastbox_slot_bytes).c_str(),
-              format_size(t.fastbox_max).c_str(), t.drain_budget);
+              format_size(t.fastbox_slot_bytes - shm::FastboxSlot::kHeaderBytes)
+                  .c_str(),
+              t.drain_budget);
   std::printf("  coll: activation=%-8s slot=%s   (NEMO_COLL=%s)\n",
               format_size(t.coll_activation).c_str(),
               format_size(t.coll_slot_bytes).c_str(),

@@ -45,6 +45,12 @@ std::uint32_t effective_coll_slot_bytes(const Config& cfg,
   return static_cast<std::uint32_t>(std::min(v, tune::kCollSlotMax));
 }
 
+/// One pair's fastbox footprint at the World's resolved geometry.
+std::size_t fastbox_bytes(const tune::TuningTable& tuning) {
+  return shm::Fastbox::footprint(tuning.fastbox_slots,
+                                 tuning.fastbox_slot_bytes);
+}
+
 std::size_t auto_arena_bytes(const Config& cfg,
                              const tune::TuningTable& tuning) {
   std::size_t n = static_cast<std::size_t>(cfg.nranks);
@@ -57,11 +63,8 @@ std::size_t auto_arena_bytes(const Config& cfg,
       std::size_t{cfg.ring_bufs} *
           (sizeof(shm::CopyRingSlot) + cfg.ring_buf_bytes) +
       4 * KiB + 2 * shm::Arena::kPageBytes;
-  std::size_t per_fastbox =
-      sizeof(shm::FastboxState) +
-      static_cast<std::size_t>(tuning.fastbox_slots) *
-          tuning.fastbox_slot_bytes +
-      kCacheLine + 2 * shm::Arena::kPageBytes;
+  std::size_t per_fastbox = fastbox_bytes(tuning) + kCacheLine +
+                            2 * shm::Arena::kPageBytes;
   std::size_t knem = sizeof(knem::DeviceState) +
                      256 * sizeof(knem::CookieSlot) +
                      256 * sizeof(knem::SegBlock) + 64 * KiB;
@@ -154,14 +157,11 @@ World::World(Config cfg)
             arena_, tuning().fastbox_slots, tuning().fastbox_slot_bytes,
             place);
         fastbox_offs_[idx] = fb_off;
-        std::size_t fb_bytes =
-            sizeof(shm::FastboxState) +
-            static_cast<std::size_t>(tuning().fastbox_slots) *
-                tuning().fastbox_slot_bytes;
         if (want.node >= 0)
-          shm::bind_to_node(arena_.at(fb_off), fb_bytes, want.node);
+          shm::bind_to_node(arena_.at(fb_off), fastbox_bytes(tuning()),
+                            want.node);
         else if (want.interleave)
-          shm::interleave(arena_.at(fb_off), fb_bytes);
+          shm::interleave(arena_.at(fb_off), fastbox_bytes(tuning()));
       }
     }
 
@@ -223,9 +223,7 @@ void World::reattach_in_child() {
   // policies are per-address-space, so the parent's mbind calls do not
   // travel with the shm segment. Pages the owning rank has not yet
   // first-touched are placed by this process, per the recorded decision.
-  std::size_t fb_bytes = sizeof(shm::FastboxState) +
-                         static_cast<std::size_t>(tuning().fastbox_slots) *
-                             tuning().fastbox_slot_bytes;
+  std::size_t fb_bytes = fastbox_bytes(tuning());
   for (int s = 0; s < cfg_.nranks; ++s)
     for (int d = 0; d < cfg_.nranks; ++d) {
       if (s == d) continue;
@@ -327,10 +325,6 @@ Engine::Engine(World& world, int rank)
     coll_ = coll::WorldColl(world.arena(), world.coll_off(),
                             world.config().mode == LaunchMode::kThreads);
   const tune::TuningTable& tuning = world.tuning();
-  fastbox_max_ =
-      std::min<std::size_t>(tuning.fastbox_max,
-                            tuning.fastbox_slot_bytes -
-                                shm::FastboxSlot::kHeaderBytes);
   drain_budget_ = std::max<std::uint32_t>(1, tuning.drain_budget);
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
   // overrode the table row (core/knobs.cpp), so resolving the table choice
@@ -525,21 +519,11 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   }
 
   if (eager) {
-    // Small messages bypass the recv queue entirely through the pair's
-    // fastbox ring (falling back to cells when every slot is occupied).
-    if (dst != rank_ && world_.use_fastbox() && total <= fastbox_max_) {
-      std::byte packed[shm::Fastbox::kMaxSlotBytes];
-      const std::byte* data = nullptr;
-      if (segs.size() == 1) {
-        data = segs[0].base;
-      } else {
-        std::size_t filled = 0;
-        for (const ConstSegment& s : segs) {
-          std::memcpy(packed + filled, s.base, s.len);
-          filled += s.len;
-        }
-        data = packed;
-      }
+    // Eager messages that fit a slot (every auto-routed one: the slot is
+    // sized from the activation) bypass the recv queue through the pair's
+    // fastbox ring, falling back to cells when every slot is occupied.
+    if (dst != rank_ && world_.use_fastbox() &&
+        total <= fb_out_[static_cast<std::size_t>(dst)].payload_capacity()) {
       resil::fault_point(resil::Site::kFastboxPut, rank_);
       bool put;
       {
@@ -547,7 +531,7 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
                        static_cast<std::uint64_t>(dst), total);
         put = fb_out_[static_cast<std::size_t>(dst)].try_put(
             static_cast<std::uint32_t>(rank_), tag, seq,
-            static_cast<std::uint32_t>(context), data, total);
+            static_cast<std::uint32_t>(context), segs);
       }
       if (put) {
         stats_.fastbox_sent++;

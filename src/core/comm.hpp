@@ -74,8 +74,8 @@ struct Config {
   std::uint32_t ring_bufs = 4;
   std::uint32_t ring_buf_bytes = shm::CopyRing::kDefaultBufBytes;
 
-  /// Per-ordered-pair single-slot fastboxes for small eager messages
-  /// (bypasses the MPSC recv-queue enqueue). NEMO_FASTBOX=0 disables.
+  /// Per-ordered-pair fastbox rings for every eager message that fits a
+  /// slot (bypasses the MPSC recv-queue enqueue). NEMO_FASTBOX=0 disables.
   bool use_fastbox = true;
 
   /// Minimum rendezvous size that switches the shm-copy ring to streaming
@@ -569,9 +569,6 @@ class Engine {
   std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
   simd::Kernel simd_kernel_ = simd::Kernel::kScalar;  ///< Resolved fold ISA.
   std::size_t pack_nt_min_ = SIZE_MAX;  ///< Tuned pack->NT-store cutoff.
-  /// Largest eager message routed through the pair fastboxes (tuned cutoff
-  /// clamped to the slot payload).
-  std::size_t fastbox_max_ = 0;
   /// Recv-queue cells drained per progress() pass (tuned / env override).
   std::uint32_t drain_budget_ = 256;
   bool in_progress_ = false;

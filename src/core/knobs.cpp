@@ -107,27 +107,15 @@ const Knob kKnobs[] = {
            parse_int("NEMO_DRAIN_BUDGET", v, 1, 65536));
      }},
     {"NEMO_FASTBOX", "1", "0|1",
-     "per-pair fastbox rings for small eager messages",
+     "per-pair fastbox rings for eager messages",
      [](const std::string& v, Config& c, TuningTable&) {
        c.use_fastbox = parse_flag("NEMO_FASTBOX", v);
      }},
-    {"NEMO_FASTBOX_MAX", "(formula)", "<size>",
-     "largest eager message routed through the fastbox",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.fastbox_max = size("NEMO_FASTBOX_MAX", v);
-     }},
     {"NEMO_FASTBOX_SLOTS", "(formula)", "<slots 1..64>",
-     "slots per fastbox ring",
+     "slots per fastbox ring (the slot size follows NEMO_LMT_ACTIVATION)",
      [](const std::string& v, Config&, TuningTable& t) {
        t.fastbox_slots = static_cast<std::uint32_t>(
            parse_int("NEMO_FASTBOX_SLOTS", v, 1, tune::kFastboxSlotsMax));
-     }},
-    {"NEMO_FASTBOX_SLOT_BYTES", "(formula)", "<size 128B..16KiB>",
-     "fastbox slot stride including its 64 B header",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.fastbox_slot_bytes =
-           line_size("NEMO_FASTBOX_SLOT_BYTES", v, tune::kFastboxSlotBytesMin,
-                     tune::kFastboxSlotBytesMax);
      }},
     {"NEMO_FAULT", "(unset)", "<rank>:<site>:kill",
      "fault injection: SIGKILL that rank at the named crash site",
@@ -149,7 +137,7 @@ const Knob kKnobs[] = {
                               {"knem", LmtKind::kKnem}});
      }},
     {"NEMO_LMT_ACTIVATION", "(formula)", "<size>",
-     "eager/rendezvous switch",
+     "eager/rendezvous switch; also sizes the fastbox slot",
      [](const std::string& v, Config&, TuningTable& t) {
        t.lmt_activation = size("NEMO_LMT_ACTIVATION", v);
      }},
@@ -299,6 +287,9 @@ Config resolve_config(Config cfg) {
                                        : getenv_nonempty(k.name);
     if (v && !v->empty()) k.apply(*v, cfg, *cfg.tuning);
   }
+  // The fastbox slot follows the eager activation, knob included.
+  cfg.tuning->fastbox_slot_bytes =
+      tune::fastbox_slot_for(cfg.tuning->lmt_activation);
   return cfg;
 }
 

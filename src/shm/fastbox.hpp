@@ -1,23 +1,29 @@
 // Per-ordered-pair SPSC fastbox, after MPICH Nemesis' fboxes — grown from a
-// single inline slot into a small N-slot ring: the sender publishes small
-// eager messages without ever touching the MPSC recv queue's
-// atomic-exchange enqueue, and with N slots a burst no longer falls back to
-// the queue after the first message. When every slot is occupied the sender
-// falls back to the queue; the engine merges the two streams back into
-// sender order using the per-pair message sequence carried in both.
+// single inline slot into a small N-slot ring: the sender publishes eager
+// messages without ever touching the MPSC recv queue's atomic-exchange
+// enqueue, and with N slots a burst no longer falls back to the queue after
+// the first message. When every slot is occupied the sender falls back to
+// the queue; the engine merges the two streams back into sender order using
+// the per-pair message sequence carried in both.
 //
-// Geometry (slot count and slot size, hence the eager-routing cutoff) is
-// tunable: the tune subsystem picks it per machine, NEMO_FASTBOX_SLOTS /
-// NEMO_FASTBOX_SLOT_BYTES override. Per message only two cache lines move
-// in steady state (the slot's flag/header line and its payload); wpos/rpos
-// are single-owner words on separate lines, never shared.
+// Geometry: the World sizes each slot from the eager activation
+// (tune::fastbox_slot_for: lmt_activation rounded up to a cache line plus
+// the header line, 8,256 B at the formula's 8 KiB), so every auto-routed
+// eager message fits one slot; NEMO_FASTBOX_SLOTS sets the slot count. Per
+// message only the slot's flag/header line and the payload lines it carries
+// move in steady state; wpos/rpos are single-owner words on separate lines,
+// never shared. Only the state block and the header lines are zeroed at
+// creation: no payload byte is read before a put writes it, so payload
+// pages stay unfaulted until a pair sends messages that reach them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "common/common.hpp"
+#include "common/iovec.hpp"
 #include "shm/arena.hpp"
 
 namespace nemo::shm {
@@ -61,10 +67,12 @@ class Fastbox {
   static constexpr std::uint32_t kDefaultSlotBytes = 2 * KiB;
   /// Upper bound on slot size: eager cells stop paying off past 16 KiB.
   static constexpr std::uint32_t kMaxSlotBytes = 16 * KiB;
-  /// Payload capacity of the default geometry (compat constant for sizing
-  /// stack buffers; per-instance capacity is payload_capacity()).
-  static constexpr std::size_t kPayload =
-      kDefaultSlotBytes - FastboxSlot::kHeaderBytes;
+
+  /// Bytes one box occupies: the state block plus its slots.
+  static constexpr std::size_t footprint(std::uint32_t nslots,
+                                         std::uint32_t slot_bytes) {
+    return sizeof(FastboxState) + std::size_t{nslots} * slot_bytes;
+  }
 
   /// With `page_align`, the whole box is carved as whole pages so the
   /// caller can mbind it (NUMA placement) without touching neighbours.
@@ -76,15 +84,16 @@ class Fastbox {
     NEMO_ASSERT(slot_bytes > FastboxSlot::kHeaderBytes &&
                 slot_bytes <= kMaxSlotBytes &&
                 slot_bytes % kCacheLine == 0);
-    std::size_t total = sizeof(FastboxState) +
-                        static_cast<std::size_t>(nslots) * slot_bytes;
+    std::size_t total = footprint(nslots, slot_bytes);
     std::uint64_t off = page_align ? arena.alloc_pages(total)
                                    : arena.alloc(total, kCacheLine);
     auto* st = arena.at_as<FastboxState>(off);
-    std::memset(st, 0, sizeof(FastboxState) +
-                           static_cast<std::size_t>(nslots) * slot_bytes);
+    std::memset(st, 0, sizeof(FastboxState));
     st->nslots = nslots;
     st->slot_bytes = slot_bytes;
+    Fastbox fb(arena, off);
+    for (std::uint32_t i = 0; i < nslots; ++i)
+      std::memset(fb.slot(i), 0, FastboxSlot::kHeaderBytes);
     return off;
   }
 
@@ -98,22 +107,34 @@ class Fastbox {
     return st_->slot_bytes - FastboxSlot::kHeaderBytes;
   }
 
-  /// Sender: publish a complete message into the next free slot, if any.
+  /// Sender: publish a complete message, gathered from `segs` straight
+  /// into the next free slot, if any. The segments must fit the payload.
   bool try_put(std::uint32_t src, std::int32_t tag, std::uint32_t msg_seq,
-               std::uint32_t context, const std::byte* data,
-               std::size_t len) {
-    NEMO_ASSERT(len <= payload_capacity());
+               std::uint32_t context, std::span<const ConstSegment> segs) {
     FastboxSlot* s = slot(st_->wpos);
     if (aref(s->flag).load(std::memory_order_acquire) != 0) return false;
     s->src = src;
     s->tag = tag;
     s->msg_seq = msg_seq;
     s->context = context;
+    std::size_t len = 0;
+    for (const ConstSegment& seg : segs) {
+      NEMO_ASSERT(seg.len <= payload_capacity() - len);
+      if (seg.len != 0) std::memcpy(s->payload() + len, seg.base, seg.len);
+      len += seg.len;
+    }
     s->payload_len = static_cast<std::uint32_t>(len);
-    if (len != 0) std::memcpy(s->payload(), data, len);
     aref(s->flag).store(1, std::memory_order_release);
     st_->wpos = (st_->wpos + 1) % st_->nslots;  // Sender-private word.
     return true;
+  }
+
+  /// One contiguous message: the one-segment case of the gather above.
+  bool try_put(std::uint32_t src, std::int32_t tag, std::uint32_t msg_seq,
+               std::uint32_t context, const std::byte* data,
+               std::size_t len) {
+    const ConstSegment seg{data, len};
+    return try_put(src, tag, msg_seq, context, std::span(&seg, 1));
   }
 
   /// Receiver: the oldest resident message, or nullptr when the ring is

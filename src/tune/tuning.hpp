@@ -10,6 +10,7 @@
 // else writes it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -65,10 +66,13 @@ struct TuningTable {
   /// pipelining granularity). NEMO_COLL_SLOT_BYTES overrides.
   std::uint32_t coll_slot_bytes = 256 * KiB;
 
-  /// Eager messages at or below this ride the per-pair fastbox ring.
-  std::size_t fastbox_max = 2 * KiB - 64;
+  /// Per-pair fastbox ring: slots per ring, and the slot stride (64 B
+  /// header + payload). The stride is no knob: core::resolve_config derives
+  /// it from lmt_activation after the knobs apply (fastbox_slot_for), so
+  /// every auto-routed eager message fits a slot. NEMO_FASTBOX_SLOTS
+  /// overrides the count.
   std::uint32_t fastbox_slots = 4;
-  std::uint32_t fastbox_slot_bytes = 2 * KiB;
+  std::uint32_t fastbox_slot_bytes = 8 * KiB + kCacheLine;
 
   /// Recv-queue cells drained per progress() pass before yielding to the
   /// send/recv state machines.
@@ -101,8 +105,9 @@ struct TuningTable {
   bool operator==(const TuningTable&) const = default;
 };
 
-/// Legal geometry ranges the knob table enforces. Slot and buffer sizes
-/// must also be cache-line multiples.
+/// Legal geometry ranges the knob table enforces (the fastbox slot bytes:
+/// the range fastbox_slot_for clamps to). Slot and buffer sizes must also
+/// be cache-line multiples.
 inline constexpr std::size_t kCollSlotMin = kCacheLine;
 inline constexpr std::size_t kCollSlotMax = 16 * MiB;
 inline constexpr std::uint32_t kFastboxSlotsMax = 64;
@@ -110,6 +115,20 @@ inline constexpr std::size_t kFastboxSlotBytesMin = 128;
 inline constexpr std::size_t kFastboxSlotBytesMax = 16 * KiB;
 inline constexpr std::uint32_t kRingBufsMax = 1024;
 inline constexpr std::size_t kRingBufBytesMax = 1 * GiB;
+
+/// Fastbox slot stride for an eager activation: the activation rounded up
+/// to a cache line plus the one-line (64 B) slot header, clamped to
+/// [kFastboxSlotBytesMin, kFastboxSlotBytesMax]. The slot payload is then
+/// the largest message the engine routes through the fastbox.
+constexpr std::uint32_t fastbox_slot_for(std::size_t lmt_activation) {
+  std::size_t payload = round_up(
+      std::min(lmt_activation, kFastboxSlotBytesMax), kCacheLine);
+  return static_cast<std::uint32_t>(
+      std::clamp(payload + kCacheLine, kFastboxSlotBytesMin,
+                 kFastboxSlotBytesMax));
+}
+static_assert(TuningTable{}.fastbox_slot_bytes ==
+              fastbox_slot_for(TuningTable{}.lmt_activation));
 
 /// The paper's formulas evaluated for `topo`: the base table every World
 /// starts from before its knobs apply.

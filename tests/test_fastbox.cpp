@@ -1,9 +1,11 @@
 // Per-pair fastbox: SPSC ordering, fallback to the recv queue when the box
-// is occupied, stream merge with queue-routed messages, and the environment
-// knobs that tune the copy pipeline.
+// is occupied, stream merge with queue-routed messages, the slot sized from
+// the eager activation, and the environment knobs that tune the copy
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -78,6 +80,27 @@ TEST(Fastbox, TunableSlotBytesRaisesPayloadCapacity) {
   fb.release();
 }
 
+TEST(Fastbox, CreateZeroesOnlyTheHeaders) {
+  // Dirty every free arena byte first: the box must start empty from its
+  // zeroed state block and header lines alone, and leave payloads as found.
+  Arena arena = Arena::create_anonymous(1 * MiB);
+  std::uint64_t free_from = arena.alloc(8);
+  std::memset(arena.at(free_from), 0xab, arena.size() - free_from);
+  Fastbox fb(arena, Fastbox::create(arena, 4, 8 * KiB + 64));
+  EXPECT_EQ(fb.peek(), nullptr);
+  std::vector<std::byte> msg(100);
+  pattern_fill(msg, 5);
+  for (std::uint32_t i = 1; i <= 4; ++i)
+    ASSERT_TRUE(fb.try_put(0, 1, i, 0, msg.data(), msg.size()));
+  EXPECT_FALSE(fb.try_put(0, 1, 5, 0, msg.data(), msg.size()));
+  const FastboxSlot* st = fb.peek();
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->msg_seq, 1u);
+  EXPECT_EQ(pattern_check({st->payload(), st->payload_len}, 5), kPatternOk);
+  EXPECT_EQ(st->payload()[msg.size()], std::byte{0xab});
+  fb.release();
+}
+
 TEST(Fastbox, ZeroLengthMessage) {
   Arena arena = Arena::create_anonymous(1 * MiB);
   Fastbox fb(arena, Fastbox::create(arena));
@@ -147,38 +170,119 @@ TEST(FastboxEngine, SmallMessagesTakeTheFastboxPath) {
   EXPECT_TRUE(ok);
 }
 
-TEST(FastboxEngine, OccupiedBoxFallsBackToQueueInOrder) {
+/// Message size of an occupied-box burst: a small message and one that
+/// fills the formula slot.
+class OccupiedBox : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(OccupiedBox, FallsBackToQueueInOrder) {
   Config cfg;
   cfg.nranks = 2;
+  const std::size_t size = GetParam();
   bool ok = run(cfg, [&](Comm& comm) {
-    constexpr std::size_t kSmall = 256;
     constexpr int kBurst = 8;
     if (comm.rank() == 0) {
-      // Post a burst before the receiver makes any progress: the first send
-      // parks in the fastbox, the rest must fall back to the queue.
-      std::vector<std::vector<std::byte>> bufs(
-          kBurst, std::vector<std::byte>(kSmall));
+      // Post a burst before the receiver makes any progress: the first
+      // sends fill the ring's slots, the rest must fall back to the queue.
+      std::vector<std::vector<std::byte>> bufs(kBurst,
+                                               std::vector<std::byte>(size));
       std::vector<Request> reqs;
       for (int i = 0; i < kBurst; ++i) {
         pattern_fill(bufs[static_cast<std::size_t>(i)],
                      static_cast<std::uint64_t>(200 + i));
         reqs.push_back(comm.isend(bufs[static_cast<std::size_t>(i)].data(),
-                                  kSmall, 1, 6));
+                                  size, 1, 6));
       }
       comm.hard_barrier();
       comm.waitall(reqs);
-      const EngineStats& st = comm.engine().stats();
-      EXPECT_GT(st.fastbox_sent, 0u);
-      EXPECT_LT(st.fastbox_sent, static_cast<std::uint64_t>(kBurst));
+      const std::uint32_t slots = comm.world().tuning().fastbox_slots;
+      EXPECT_EQ(comm.engine().stats().fastbox_sent, slots);
+      EXPECT_EQ(comm.engine().counters().fastbox_fallbacks, kBurst - slots);
+      EXPECT_EQ(comm.engine().stats().rndv_sent, 0u);
     } else {
       comm.hard_barrier();  // All sends initiated; now drain in order.
-      std::vector<std::byte> buf(kSmall);
+      std::vector<std::byte> buf(size);
       for (int i = 0; i < kBurst; ++i) {
-        comm.recv(buf.data(), kSmall, 0, 6);
+        comm.recv(buf.data(), size, 0, 6);
         EXPECT_EQ(pattern_check(buf, static_cast<std::uint64_t>(200 + i)),
                   kPatternOk)
             << "msg " << i;
       }
+    }
+  });
+  EXPECT_TRUE(ok);
+}
+
+INSTANTIATE_TEST_SUITE_P(FastboxEngine, OccupiedBox,
+                         ::testing::Values(std::size_t{256}, 8 * KiB));
+
+/// Sends each size from rank 0 to rank 1 in turn and checks the path rank
+/// 0's engine took: the fastbox, or else the rendezvous.
+void expect_routes(Config cfg,
+                   const std::vector<std::pair<std::size_t, bool>>& routes) {
+  cfg.nranks = 2;
+  bool ok = run(cfg, [&](Comm& comm) {
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      const auto [size, via_fastbox] = routes[i];
+      std::vector<std::byte> buf(size);
+      if (comm.rank() == 0) {
+        const EngineStats before = comm.engine().stats();
+        pattern_fill(buf, 50 + i);
+        comm.send(buf.data(), size, 1, 8);
+        const EngineStats& after = comm.engine().stats();
+        EXPECT_EQ(after.fastbox_sent - before.fastbox_sent, via_fastbox ? 1u : 0u)
+            << size << " B";
+        EXPECT_EQ(after.rndv_sent - before.rndv_sent, via_fastbox ? 0u : 1u)
+            << size << " B";
+      } else {
+        comm.recv(buf.data(), size, 0, 8);
+        EXPECT_EQ(pattern_check(buf, 50 + i), kPatternOk) << size << " B";
+      }
+    }
+  });
+  EXPECT_TRUE(ok);
+}
+
+TEST(FastboxEngine, EveryEagerSizeRidesTheFastbox) {
+  // The formula slot carries the whole 8 KiB activation; one byte more is a
+  // rendezvous.
+  expect_routes(Config{}, {{1985, true},
+                           {4 * KiB, true},
+                           {8 * KiB, true},
+                           {8 * KiB + 1, false}});
+}
+
+TEST(FastboxEngine, SlotFollowsThePinnedActivation) {
+  Config cfg;
+  cfg.nranks = 2;
+  cfg.env = {{"NEMO_LMT_ACTIVATION", "4KiB"}};
+  EXPECT_EQ(World(cfg).tuning().fastbox_slot_bytes, 4 * KiB + 64);
+  expect_routes(cfg, {{4 * KiB, true}, {4 * KiB + 1, false}});
+}
+
+TEST(FastboxEngine, MultiSegmentSendGathersIntoTheSlot) {
+  // An 8 KiB message in three separate pieces: gathered straight into the
+  // slot, delivered byte-exact.
+  Config cfg;
+  cfg.nranks = 2;
+  bool ok = run(cfg, [&](Comm& comm) {
+    std::vector<std::byte> whole(8 * KiB);
+    pattern_fill(whole, 77);
+    if (comm.rank() == 0) {
+      const std::size_t cuts[] = {0, 1000, 6000, whole.size()};
+      std::vector<std::vector<std::byte>> pieces;
+      ConstSegmentList segs;
+      for (int i = 0; i < 3; ++i)
+        pieces.emplace_back(whole.begin() + static_cast<std::ptrdiff_t>(cuts[i]),
+                            whole.begin() + static_cast<std::ptrdiff_t>(cuts[i + 1]));
+      for (const auto& p : pieces) segs.push_back({p.data(), p.size()});
+      Request r = comm.isendv(std::move(segs), 1, 12);
+      comm.wait(r);
+      EXPECT_EQ(comm.engine().stats().fastbox_sent, 1u);
+      EXPECT_EQ(comm.engine().stats().cells_sent, 0u);
+    } else {
+      std::vector<std::byte> buf(whole.size());
+      comm.recv(buf.data(), buf.size(), 0, 12);
+      EXPECT_EQ(buf, whole);
     }
   });
   EXPECT_TRUE(ok);

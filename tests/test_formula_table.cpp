@@ -42,9 +42,8 @@ void expect_formula(const TuningTable& t, std::size_t shared_llc,
   EXPECT_EQ(t.collective_activation, 4 * KiB);
   EXPECT_EQ(t.coll_activation, 16 * KiB);
   EXPECT_EQ(t.coll_slot_bytes, 256 * KiB);
-  EXPECT_EQ(t.fastbox_max, 2 * KiB - 64);
   EXPECT_EQ(t.fastbox_slots, 4u);
-  EXPECT_EQ(t.fastbox_slot_bytes, 2 * KiB);
+  EXPECT_EQ(t.fastbox_slot_bytes, 8 * KiB + 64);  // The activation + header.
   EXPECT_EQ(t.drain_budget, 256u);
   EXPECT_EQ(t.simd_kernel, simd::Choice::kAuto);
   EXPECT_EQ(t.pack_nt_min, host);

@@ -149,19 +149,21 @@ TEST(EngineCounters, DrainBudgetExhaustionIsRecorded) {
 }
 
 TEST(EngineCounters, TunedFastboxCutoffRoutesBiggerMessages) {
-  // 4 KiB slots with a raised cutoff: a 3000-byte message (too big for the
-  // old 2 KiB slot) now rides the fastbox.
+  // The fastbox slot follows the eager activation: raised to 12 KiB, the
+  // slot grows to 12 KiB + 64 B, and a 10,000-byte message (eager now, too
+  // big for the formula's 8 KiB slot) rides the fastbox.
   Config cfg;
-  cfg.env = {{"NEMO_FASTBOX_SLOT_BYTES", "4KiB"}, {"NEMO_FASTBOX_MAX", "4KiB"}};
+  cfg.env = {{"NEMO_LMT_ACTIVATION", "12KiB"}};
   cfg.nranks = 2;
   bool ok = run(cfg, [&](Comm& comm) {
-    EXPECT_EQ(comm.world().tuning().fastbox_slot_bytes, 4 * KiB);
-    std::vector<std::byte> buf(3000);
+    EXPECT_EQ(comm.world().tuning().fastbox_slot_bytes, 12 * KiB + 64);
+    std::vector<std::byte> buf(10000);
     if (comm.rank() == 0) {
       pattern_fill(buf, 7);
       comm.send(buf.data(), buf.size(), 1, 9);
       comm.hard_barrier();
       EXPECT_EQ(comm.engine().stats().fastbox_sent, 1u);
+      EXPECT_EQ(comm.engine().stats().rndv_sent, 0u);
     } else {
       comm.recv(buf.data(), buf.size(), 0, 9);
       EXPECT_EQ(pattern_check(buf, 7), kPatternOk);
