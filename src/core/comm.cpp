@@ -66,6 +66,7 @@ std::size_t auto_arena_bytes(const Config& cfg,
   std::size_t per_fastbox = fastbox_bytes(tuning) + kCacheLine +
                             2 * shm::Arena::kPageBytes;
   std::size_t knem = sizeof(knem::DeviceState) +
+                     n * sizeof(knem::DeviceStats) +
                      256 * sizeof(knem::CookieSlot) +
                      256 * sizeof(knem::SegBlock) + 64 * KiB;
   std::size_t coll =
@@ -178,7 +179,7 @@ World::World(Config cfg)
   }
 
   std::uint64_t shared_state_begin = arena_.alloc(8, kCacheLine);
-  knem_off_ = knem::Device::create(arena_);
+  knem_off_ = knem::Device::create(arena_, cfg_.nranks);
 
   pid_table_off_ = arena_.alloc(sizeof(std::uint64_t) *
                                     static_cast<std::size_t>(cfg_.nranks),
@@ -911,9 +912,6 @@ void Engine::handle_cell(Cell* cell) {
       break;
     case CellType::kFin:
       handle_fin(cell);
-      break;
-    case CellType::kBarrier:
-      NEMO_ASSERT_MSG(false, "barrier cells are not routed through engines");
       break;
   }
 }

@@ -40,13 +40,6 @@ void stat_add(std::uint64_t& field, std::uint64_t v) {
 /// page-sized chunks, which the receiver copies alone.
 constexpr std::uint64_t kShareMin = 16 * KiB;
 
-/// Chunk size of a shared copy: about an eighth of the payload, between a
-/// page and 256 KiB, in whole cache lines.
-std::uint64_t share_chunk(std::uint64_t total) {
-  std::uint64_t c = std::clamp<std::uint64_t>(total / 8, 4 * KiB, 256 * KiB);
-  return c / kCacheLine * kCacheLine;
-}
-
 /// Copy message bytes [off, off + len) of `segs` to `dst`.
 void gather(std::span<const ConstSegment> segs, std::uint64_t off,
             std::byte* dst, std::uint64_t len) {
@@ -65,15 +58,17 @@ void gather(std::span<const ConstSegment> segs, std::uint64_t off,
 
 }  // namespace
 
-std::uint64_t Device::create(shm::Arena& arena, std::uint32_t nslots,
-                             std::uint32_t nblocks) {
-  NEMO_ASSERT(nslots >= 1);
+std::uint64_t Device::create(shm::Arena& arena, int nranks,
+                             std::uint32_t nslots, std::uint32_t nblocks) {
+  NEMO_ASSERT(nslots >= 1 && nranks >= 1);
   std::uint64_t off = arena.alloc(sizeof(DeviceState), kCacheLine);
   auto* st = arena.at_as<DeviceState>(off);
   std::memset(st, 0, sizeof(*st));
   st->nslots = nslots;
   st->nblocks = nblocks;
-  st->gen = 1;
+  st->nranks = static_cast<std::uint32_t>(nranks);
+  st->stats_off = arena.alloc(sizeof(DeviceStats) * st->nranks, kCacheLine);
+  std::memset(arena.at(st->stats_off), 0, sizeof(DeviceStats) * st->nranks);
   st->slots_off = arena.alloc(sizeof(CookieSlot) * nslots, kCacheLine);
   std::memset(arena.at(st->slots_off), 0, sizeof(CookieSlot) * nslots);
   st->block_free = kNil;
@@ -94,8 +89,14 @@ Device::Device(shm::Arena& arena, std::uint64_t state_off, int my_rank,
                pid_t my_pid)
     : arena_(&arena),
       st_(arena.at_as<DeviceState>(state_off)),
+      mine_(arena.at_as<DeviceStats>(st_->stats_off) + my_rank),
+      first_slot_(static_cast<std::uint32_t>(std::uint64_t{st_->nslots} *
+                                              my_rank / st_->nranks)),
       rank_(my_rank),
-      pid_(my_pid) {}
+      pid_(my_pid) {
+  NEMO_ASSERT(my_rank >= 0 &&
+              static_cast<std::uint32_t>(my_rank) < st_->nranks);
+}
 
 CookieSlot* Device::slot_at(std::uint32_t i) const {
   return arena_->at_as<CookieSlot>(st_->slots_off + i * sizeof(CookieSlot));
@@ -127,10 +128,11 @@ void Device::push_block(std::uint64_t off) {
 }
 
 std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
-  // Claim a free slot.
+  // Claim a free slot, scanning from this rank's first slot.
   CookieSlot* slot = nullptr;
   std::uint32_t idx = 0;
-  for (std::uint32_t i = 0; i < st_->nslots; ++i) {
+  for (std::uint32_t k = 0; k < st_->nslots; ++k) {
+    std::uint32_t i = (first_slot_ + k) % st_->nslots;
     CookieSlot* s = slot_at(i);
     std::uint64_t expected = 0;
     if (aref(s->state).compare_exchange_strong(expected, 1,
@@ -143,8 +145,7 @@ std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
   NEMO_ASSERT_MSG(slot != nullptr,
                   "KNEM cookie table full: raise nslots or release cookies");
 
-  std::uint64_t gen = aref(st_->gen).fetch_add(1, std::memory_order_relaxed);
-  slot->id = (gen << 20) | (idx + 1);
+  slot->id = ((slot->id >> 20) + 1) << 20 | (idx + 1);
   slot->owner_pid = static_cast<std::int32_t>(pid_);
   slot->owner_rank = static_cast<std::uint32_t>(rank_);
   slot->flags = 0;
@@ -187,8 +188,8 @@ std::uint64_t Device::submit_send(std::span<const ConstSegment> segs) {
   slot->total_bytes = total;
   slot->pinned_pages = pinned;
 
-  stat_add(st_->stats.send_cmds, 1);
-  stat_add(st_->stats.pages_pinned, pinned);
+  stat_add(mine_->send_cmds, 1);
+  stat_add(mine_->pages_pinned, pinned);
 
   // Publish: the id becomes visible to other ranks only after the segment
   // data is written.
@@ -221,12 +222,11 @@ void Device::free_chain(CookieSlot* s) {
 void Device::release(std::uint64_t cookie_id) {
   const CookieSlot* cs = find(cookie_id);
   if (cs == nullptr) {
-    stat_add(st_->stats.cookie_leaks, 1);
+    stat_add(mine_->cookie_leaks, 1);
     return;
   }
   auto* s = const_cast<CookieSlot*>(cs);
   free_chain(s);
-  s->id = 0;
   aref(s->state).store(0, std::memory_order_release);
 }
 
@@ -325,7 +325,7 @@ KnemResult Device::recv_share_start(std::uint64_t cookie_id,
   for (const auto& seg : local) cap += seg.len;
   if (cap < total) return KnemResult::kTruncated;
 
-  stat_add(st_->stats.recv_cmds, 1);
+  stat_add(mine_->recv_cmds, 1);
   ShareBlock* sh = &const_cast<CookieSlot*>(s)->share;
   rx.src_ = resolve_slot(s);
   rx.chunk_ = share_chunk(total);
@@ -378,7 +378,7 @@ bool Device::recv_share_progress(ShareRecv& rx,
     rx.pending_ = ShareRecv::kNone;
   }
   if (aref(sh->done).load(std::memory_order_acquire) < rx.n_) return false;
-  stat_add(st_->stats.bytes_copied, total);
+  stat_add(mine_->bytes_copied, total);
   rx.share_ = nullptr;
   return true;
 }
@@ -406,7 +406,7 @@ bool Device::send_share_progress(std::uint64_t cookie_id,
     moved += len;
     aref(sh->done).fetch_add(1, std::memory_order_release);
   }
-  if (moved != 0) stat_add(st_->stats.sender_copied_bytes, moved);
+  if (moved != 0) stat_add(mine_->sender_copied_bytes, moved);
   return true;
 }
 
@@ -436,32 +436,27 @@ KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
   for (const auto& seg : local) cap += seg.len;
   if (cap < r->total) return KnemResult::kTruncated;
 
-  stat_add(st_->stats.recv_cmds, 1);
-  if ((flags & kFlagAsync) != 0) stat_add(st_->stats.async_recv_cmds, 1);
-  if ((flags & kFlagDma) != 0) stat_add(st_->stats.dma_recv_cmds, 1);
+  stat_add(mine_->recv_cmds, 1);
+  if ((flags & kFlagAsync) != 0) stat_add(mine_->async_recv_cmds, 1);
+  if ((flags & kFlagDma) != 0) stat_add(mine_->dma_recv_cmds, 1);
   *status = static_cast<std::uint8_t>(shm::DmaStatus::kPending);
   engine.submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid), r->segs,
                                  std::move(local), status);
-  stat_add(st_->stats.bytes_copied, r->total);
+  stat_add(mine_->bytes_copied, r->total);
   return KnemResult::kOk;
 }
 
 DeviceStats Device::stats() const {
-  DeviceStats out;
-  out.send_cmds = aref(st_->stats.send_cmds).load(std::memory_order_relaxed);
-  out.recv_cmds = aref(st_->stats.recv_cmds).load(std::memory_order_relaxed);
-  out.dma_recv_cmds =
-      aref(st_->stats.dma_recv_cmds).load(std::memory_order_relaxed);
-  out.async_recv_cmds =
-      aref(st_->stats.async_recv_cmds).load(std::memory_order_relaxed);
-  out.bytes_copied =
-      aref(st_->stats.bytes_copied).load(std::memory_order_relaxed);
-  out.sender_copied_bytes =
-      aref(st_->stats.sender_copied_bytes).load(std::memory_order_relaxed);
-  out.pages_pinned =
-      aref(st_->stats.pages_pinned).load(std::memory_order_relaxed);
-  out.cookie_leaks =
-      aref(st_->stats.cookie_leaks).load(std::memory_order_relaxed);
+  static constexpr std::uint64_t DeviceStats::*kFields[] = {
+      &DeviceStats::send_cmds,       &DeviceStats::recv_cmds,
+      &DeviceStats::dma_recv_cmds,   &DeviceStats::async_recv_cmds,
+      &DeviceStats::bytes_copied,    &DeviceStats::sender_copied_bytes,
+      &DeviceStats::pages_pinned,    &DeviceStats::cookie_leaks};
+  DeviceStats out{};
+  auto* lines = arena_->at_as<DeviceStats>(st_->stats_off);
+  for (std::uint32_t r = 0; r < st_->nranks; ++r)
+    for (auto f : kFields)
+      out.*f += aref(lines[r].*f).load(std::memory_order_relaxed);
   return out;
 }
 

@@ -25,6 +25,7 @@
 // sends such a buffer through the copy ring instead (Engine::resolve_kind).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -51,10 +52,10 @@ struct SegBlock {
 
 /// Share block of a cookie: one synchronous CPU receive split between the
 /// receiver and the waiting sender. The receiver publishes where the
-/// payload goes and how it is cut (`n` last, with release); then both
-/// parties claim chunk indexes with fetch_add on `claim` and bump `done`
-/// (release) after each copied chunk. `claim` and `done` each sit on their
-/// own line, away from the published fields.
+/// payload goes and how it is cut (share_chunk; `n` last, with release);
+/// then both parties claim chunk indexes with fetch_add on `claim` and bump
+/// `done` (release) after each copied chunk. `claim` and `done` each sit on
+/// their own line, away from the published fields.
 struct ShareBlock {
   alignas(kCacheLine) std::uint64_t dst;  ///< Receive buffer (see dst_is_off).
   std::uint64_t chunk;       ///< Bytes per chunk; the last may be short.
@@ -66,9 +67,23 @@ struct ShareBlock {
   alignas(kCacheLine) std::uint64_t done;   ///< Chunks copied so far.
 };
 
+/// Chunk size of a shared copy: a quarter of the payload rounded up to a
+/// cache line, between a page and 256 KiB. Payloads of 16 KiB to 1 MiB are
+/// cut in four (four contended claims; eight or more cost more than they
+/// balance); from 1 MiB up the chunks stay 256 KiB.
+inline std::uint64_t share_chunk(std::uint64_t total) {
+  constexpr std::uint64_t kQuarterLine = 4 * kCacheLine;
+  return std::clamp<std::uint64_t>(
+      (total + kQuarterLine - 1) / kQuarterLine * kCacheLine, 4 * KiB,
+      256 * KiB);
+}
+
 struct CookieSlot {
-  std::uint64_t state;    ///< 0 free, 1 claimed (atomic).
-  std::uint64_t id;       ///< Generation-stamped id (0 = invalid).
+  std::uint64_t state;    ///< 0 free, 1 claimed, 2 published (atomic).
+  /// generation << 20 | (slot index + 1). The claiming rank bumps the
+  /// generation on each claim and release leaves it, so an id from an
+  /// earlier claim of the slot never matches again.
+  std::uint64_t id;
   std::int32_t owner_pid;
   std::uint32_t owner_rank;
   std::uint32_t nsegs;    ///< Total segments.
@@ -84,7 +99,10 @@ struct CookieSlot {
   ShareBlock share;       ///< Reset by submit_send.
 };
 
-struct DeviceStats {
+/// Command counters. The arena holds one line per rank, written only by
+/// that rank (Device::stats() sums them into world totals), so the
+/// rendezvous bumps no counter another core also writes.
+struct alignas(kCacheLine) DeviceStats {
   std::uint64_t send_cmds;
   std::uint64_t recv_cmds;
   std::uint64_t dma_recv_cmds;
@@ -95,16 +113,17 @@ struct DeviceStats {
   std::uint64_t cookie_leaks;   ///< Releases of stale ids (diagnostic).
 };
 
+/// Arena-resident device header. Cookie generations live in the slots
+/// (CookieSlot::id), so claiming a cookie writes no shared header word.
 struct DeviceState {
   std::uint32_t nslots;
   std::uint32_t nblocks;
-  std::uint64_t gen;        ///< Atomic generation counter.
+  std::uint32_t nranks;
+  std::uint32_t block_lock; ///< Spinlock word.
   std::uint64_t slots_off;
   std::uint64_t blocks_off;
+  std::uint64_t stats_off;  ///< nranks DeviceStats lines, rank r's at r.
   std::uint64_t block_free; ///< Spinlock-protected freelist head (offset).
-  std::uint32_t block_lock; ///< Spinlock word.
-  std::uint32_t pad;
-  DeviceStats stats;        ///< Updated with atomics.
 };
 
 /// Error results from recv-side command validation.
@@ -120,17 +139,20 @@ class ShareRecv;
 
 class Device {
  public:
-  /// Allocate + initialise device state in the arena. `nslots` bounds the
-  /// number of in-flight send declarations; `nblocks` bounds total extension
-  /// blocks for highly-fragmented (vectorial) buffers.
-  static std::uint64_t create(shm::Arena& arena, std::uint32_t nslots = 256,
+  /// Allocate + initialise device state in the arena: one stats line per
+  /// rank of the `nranks` world. `nslots` bounds the number of in-flight
+  /// send declarations; `nblocks` bounds total extension blocks for
+  /// highly-fragmented (vectorial) buffers.
+  static std::uint64_t create(shm::Arena& arena, int nranks,
+                              std::uint32_t nslots = 256,
                               std::uint32_t nblocks = 256);
 
   Device(shm::Arena& arena, std::uint64_t state_off, int my_rank,
          pid_t my_pid);
 
   /// SEND COMMAND — declare the buffer, get a cookie id (nonzero).
-  /// Accounts pinning of every page the segments touch.
+  /// Accounts pinning of every page the segments touch. The free-slot scan
+  /// starts at a rank-specific slot, so ranks do not race for one line.
   std::uint64_t submit_send(std::span<const ConstSegment> segs);
 
   /// Release a cookie (after the receiver's FIN). Safe on stale ids
@@ -189,6 +211,7 @@ class Device {
   bool send_share_progress(std::uint64_t cookie_id,
                            std::span<const ConstSegment> segs);
 
+  /// World totals: the sum of every rank's line.
   [[nodiscard]] DeviceStats stats() const;
   [[nodiscard]] std::uint32_t slots_in_use() const;
 
@@ -203,6 +226,8 @@ class Device {
 
   shm::Arena* arena_;
   DeviceState* st_;
+  DeviceStats* mine_;        ///< This rank's stats line.
+  std::uint32_t first_slot_; ///< Where this rank's slot scan starts.
   int rank_;
   pid_t pid_;
 };

@@ -26,7 +26,6 @@ enum class CellType : std::uint16_t {
   kRts = 3,         ///< Rendezvous request-to-send, payload = LMT wire cookie.
   kCts = 4,         ///< Clear-to-send, payload = receiver LMT wire cookie.
   kFin = 5,         ///< Transfer finished (releases sender-side resources).
-  kBarrier = 6,     ///< Used by the bootstrap barrier.
 };
 
 /// Fixed-size message cell. Header + inline payload.

@@ -1,5 +1,6 @@
 // KNEM pseudo-device: cookie lifecycle, vectorial buffers with extension
-// blocks, sync/async/DMA receive commands, error results, pinning stats.
+// blocks, sync/async/DMA receive commands, error results, pinning stats,
+// per-slot cookie generations and per-rank stats lines.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,7 +16,7 @@ namespace {
 struct KnemFixture : ::testing::Test {
   KnemFixture()
       : arena(shm::Arena::create_anonymous(16 * MiB)),
-        dev_off(Device::create(arena, 32, 16)),
+        dev_off(Device::create(arena, /*nranks=*/2, 32, 16)),
         dev(arena, dev_off, /*rank=*/0, ::getpid()) {}
   shm::Arena arena;
   std::uint64_t dev_off;
@@ -195,6 +196,69 @@ TEST_F(KnemFixture, ReleaseStaleCountsLeak) {
   auto before = dev.stats().cookie_leaks;
   dev.release(0x12345);
   EXPECT_EQ(dev.stats().cookie_leaks, before + 1);
+}
+
+TEST_F(KnemFixture, ReclaimedSlotRejectsTheOldId) {
+  // The slot's own generation, bumped on each claim, is all that tells the
+  // two ids apart.
+  std::vector<std::byte> src(256), dst(256);
+  pattern_fill(src, 7);
+  ConstSegmentList segs{{src.data(), src.size()}};
+  std::uint64_t stale = dev.submit_send(segs);
+  dev.release(stale);
+  std::uint64_t fresh = dev.submit_send(segs);
+  ASSERT_EQ(fresh & 0xfffff, stale & 0xfffff);  // Same slot, re-claimed.
+  ASSERT_NE(fresh, stale);
+
+  auto leaks = dev.stats().cookie_leaks;
+  dev.release(stale);
+  EXPECT_EQ(dev.stats().cookie_leaks, leaks + 1);
+  EXPECT_EQ(dev.slots_in_use(), 1u);
+  SegmentList local{{dst.data(), dst.size()}};
+  EXPECT_EQ(dev.recv_sync(stale, local, 0, nullptr), KnemResult::kBadCookie);
+  EXPECT_EQ(dev.recv_sync(fresh, local, 0, nullptr), KnemResult::kOk);
+  EXPECT_EQ(pattern_check(dst, 7), kPatternOk);
+  dev.release(fresh);
+  EXPECT_EQ(dev.slots_in_use(), 0u);
+}
+
+TEST_F(KnemFixture, TwoRankViewsWriteOwnLinesAndSumOnRead) {
+  // Rank 0 (the fixture's view) and rank 1 each send one buffer and
+  // receive the other's.
+  Device dev1(arena, dev_off, /*rank=*/1, ::getpid());
+  std::vector<std::byte> src0(3000), src1(5000), dst0(5000), dst1(3000);
+  pattern_fill(src0, 8);
+  pattern_fill(src1, 9);
+  std::uint64_t c0 = dev.submit_send(ConstSegmentList{{src0.data(), 3000}});
+  std::uint64_t c1 = dev1.submit_send(ConstSegmentList{{src1.data(), 5000}});
+  EXPECT_NE(c0 & 0xfffff, c1 & 0xfffff);  // The scans start apart.
+  ASSERT_EQ(dev1.recv_sync(c0, SegmentList{{dst1.data(), 3000}}, 0, nullptr),
+            KnemResult::kOk);
+  ASSERT_EQ(dev.recv_sync(c1, SegmentList{{dst0.data(), 5000}}, 0, nullptr),
+            KnemResult::kOk);
+  EXPECT_EQ(pattern_check(dst1, 8), kPatternOk);
+  EXPECT_EQ(pattern_check(dst0, 9), kPatternOk);
+  dev.release(c0);
+  dev1.release(c1);
+
+  const auto* st = arena.at_as<DeviceState>(dev_off);
+  const auto* lines = arena.at_as<DeviceStats>(st->stats_off);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(lines[r].send_cmds, 1u) << "rank " << r;
+    EXPECT_EQ(lines[r].recv_cmds, 1u) << "rank " << r;
+  }
+  EXPECT_EQ(lines[0].bytes_copied, 5000u);
+  EXPECT_EQ(lines[1].bytes_copied, 3000u);
+  for (const Device* view : {&dev, &dev1}) {
+    DeviceStats sum = view->stats();
+    EXPECT_EQ(sum.send_cmds, 2u);
+    EXPECT_EQ(sum.recv_cmds, 2u);
+    EXPECT_EQ(sum.bytes_copied, 8000u);
+    EXPECT_EQ(sum.pages_pinned,
+              lines[0].pages_pinned + lines[1].pages_pinned);
+    EXPECT_EQ(sum.cookie_leaks, 0u);
+  }
+  EXPECT_EQ(dev.slots_in_use(), 0u);
 }
 
 }  // namespace

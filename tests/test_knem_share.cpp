@@ -210,10 +210,28 @@ TEST(KnemShareProcs, ArenaAndHeapReceivesLandByteForByte) {
 
 // --- Device level -----------------------------------------------------------
 
+TEST(KnemShareChunk, QuartersUpTo1MiBThen256KiB) {
+  // Golden cuts: a change to the chunk rule shows up here.
+  struct Cut {
+    std::uint64_t total, chunk, n;
+  };
+  const Cut cuts[] = {{16 * KiB, 4 * KiB, 4},
+                      {64 * KiB, 16 * KiB, 4},
+                      {100000, 25024, 4},  // Rounded up to a cache line.
+                      {1 * MiB + 13, 256 * KiB, 5},
+                      {4 * MiB, 256 * KiB, 16}};
+  for (const Cut& c : cuts) {
+    std::uint64_t chunk = knem::share_chunk(c.total);
+    EXPECT_EQ(chunk, c.chunk) << c.total << " B";
+    EXPECT_EQ((c.total + chunk - 1) / chunk, c.n) << c.total << " B";
+  }
+}
+
 struct ShareFixture : ::testing::Test {
   ShareFixture()
       : arena(shm::Arena::create_anonymous(16 * MiB)),
-        dev(arena, knem::Device::create(arena, 8, 4), /*rank=*/0, ::getpid()) {}
+        dev(arena, knem::Device::create(arena, /*nranks=*/1, 8, 4), /*rank=*/0,
+            ::getpid()) {}
   shm::Arena arena;
   knem::Device dev;
 };
