@@ -37,8 +37,10 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
   cfg.nranks = nranks;
   bool alltoall = std::strcmp(op, "alltoall") == 0;
   bool allreduce = std::strcmp(op, "allreduce") == 0;
+  bool allgather = std::strcmp(op, "allgather") == 0;
   std::size_t matrix =
-      alltoall ? bytes * static_cast<std::size_t>(nranks) : bytes;
+      alltoall || allgather ? bytes * static_cast<std::size_t>(nranks)
+                            : bytes;
   // Every rank shared_allocs its buffers out of the one pool.
   cfg.shared_pool_bytes =
       2 * matrix * static_cast<std::size_t>(nranks) + 16 * MiB;
@@ -47,8 +49,9 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
     std::vector<std::byte> heap_bufs(heap ? 2 * matrix : 0);
     std::byte* send = heap ? heap_bufs.data() : comm.shared_alloc(matrix);
     std::byte* recv = heap ? heap_bufs.data() + matrix
-                      : (alltoall || allreduce) ? comm.shared_alloc(matrix)
-                                                : nullptr;
+                      : (alltoall || allreduce || allgather)
+                          ? comm.shared_alloc(matrix)
+                          : nullptr;
     pattern_fill({send, matrix}, static_cast<std::uint64_t>(comm.rank()));
     std::size_t elems = bytes / sizeof(double);
     std::vector<double> us;
@@ -62,6 +65,8 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
           comm.allreduce_f64(reinterpret_cast<const double*>(send),
                              reinterpret_cast<double*>(recv), elems,
                              core::Comm::ReduceOp::kSum);
+        else if (allgather)
+          comm.allgather(send, bytes, recv);
         else
           comm.bcast(send, bytes, 0);
       }
@@ -296,6 +301,34 @@ int main(int argc, char** argv) {
                   "\"wall_us\": %.2f}",
                   bytes, wall_us);
     rows.emplace_back(row);
+  }
+
+  // Cell-sized collectives: allreduce and allgather of 8 B and 56 B (the
+  // whole cell payload) per rank, heap operands. Auto mode takes the
+  // one-line cell exchange; forced p2p is the oracle family it replaces.
+  // No committed baseline, so the gate does not compare these rows.
+  std::printf("# Cell exchange — 8 B and 56 B, auto (cells) vs p2p\n");
+  int cell_iters = smoke ? 200 : 1000;
+  for (const char* op : {"allreduce", "allgather"}) {
+    for (int nranks : {2, 4, 8}) {
+      for (std::size_t bytes : {std::size_t{8}, std::size_t{56}}) {
+        for (coll::Mode mode : {coll::Mode::kAuto, coll::Mode::kP2p}) {
+          double wall_us = real ? real_coll_us(mode, op, nranks, bytes,
+                                               cell_iters, samples, {}, true)
+                                : 0.0;
+          const char* path = coll::to_string(mode);
+          std::printf("%-9s %5d %9zu %5s %12.2f %12s %14s %12s\n", op,
+                      nranks, bytes, path, wall_us, "heap", "-", "-");
+          char row[512];
+          std::snprintf(row, sizeof row,
+                        "{\"op\": \"%s\", \"ranks\": %d, \"bytes\": %zu, "
+                        "\"mode\": \"%s\", \"buffers\": \"heap\", "
+                        "\"wall_us\": %.3f}",
+                        op, nranks, bytes, path, wall_us);
+          rows.emplace_back(row);
+        }
+      }
+    }
   }
 
   // Strided alltoall: derived-datatype payload through pack-into-slot (shm)

@@ -9,7 +9,7 @@
 //   CollState                      geometry + the barrier release word
 //   BarrierCell[nranks]            per-rank arrival flags (padded)
 //   AckCell[nranks]                per-rank consumption counters (padded)
-//   ProbeCell[2 * nranks]          per-rank seq-tagged count-probe cells
+//   ExchangeCell[2 * nranks]       per-rank seq-tagged one-line cells
 //                                  (parity double-buffered, see below)
 //   nranks x slot:
 //     SlotHeader                   epoch / doorbell / direct-read location
@@ -17,10 +17,11 @@
 //                                  a reduction's result location
 //     payload[slot_bytes]          staged operand (or result share) bytes
 //
-// Synchronisation protocol. The cells below are the primitives; the slot
+// Synchronisation protocol. The cells below are the primitives; the
 // protocols built from them live in core/coll_internal.hpp (slot stream:
 // one writer, many readers; ordered fold: many writers, one folding node
-// leader) and core/collectives.cpp (exchange rounds: everyone writes and
+// leader; cell exchange: every rank publishes one line and reads every
+// rank's) and core/collectives.cpp (exchange rounds: everyone writes and
 // reads, rounds closed by the barrier — the flat reductions among them).
 // A writer whose buffer peers can read in place publishes its location
 // (locate()/resolve() below) instead of staging it in its slot.
@@ -30,7 +31,7 @@
 //    A writer prepares its slot meta (doorbell reset, src_off, bytes) and
 //    publishes with a RELEASE store of `epoch`; readers ACQUIRE-poll until
 //    the slot's epoch matches the instance they are executing. Because all
-//    ranks run collectives in the same order and each shm collective ends
+//    ranks run collectives in the same order and each slot collective ends
 //    with a completion handshake (barrier or ack wait), an epoch value can
 //    never be observed stale — the previous instance fully drained.
 //
@@ -53,16 +54,17 @@
 //    lines per rank per barrier instead of the O(log n) cell-queue messages
 //    of the pt2pt dissemination barrier.
 //
-//  - Count probes. Auto-mode alltoallv needs a rank-consistent size proxy
-//    before it can choose a family, but its counts are asymmetric — so the
-//    ranks exchange one u64 (their total row bytes) through seq-tagged
-//    ProbeCells next to the alltoallv count tables. Cells are
-//    double-buffered by sequence parity: every rank reads every rank's
-//    value each instance, so a writer can run at most one instance ahead
+//  - Cells. The all-read-all primitive: each rank owns one seq-tagged
+//    cache line per sequence parity, `seq` plus a kCellPayload (56 B)
+//    payload. A cell exchange (core/coll_internal.hpp) publishes every
+//    rank's payload and has every rank read every live rank's cell, so it
+//    needs no closing barrier: a writer can run at most one instance ahead
 //    of the slowest reader, and the parity buffer it then overwrites is
 //    one every reader has already consumed. (A single cell would race: a
-//    rank whose next alltoallv exchanges zero bytes with a straggler can
-//    overwrite its cell before that straggler read it.)
+//    rank whose next exchange finishes early could overwrite its cell
+//    before a straggler read it.) Reductions and allgathers of at most
+//    56 B per rank finish in one exchange, and auto-mode alltoallv trades
+//    its total row bytes through one as its rank-consistent size proxy.
 #pragma once
 
 #include <cstdint>
@@ -95,14 +97,18 @@ struct AckCell {
 };
 static_assert(sizeof(AckCell) == kCacheLine);
 
-/// One parity buffer of a rank's count-probe cell: `value` is published
-/// first, then `seq` with RELEASE; readers ACQUIRE-poll seq for an exact
-/// match (monotonic per parity, so the spin always terminates).
-struct ProbeCell {
+/// Payload bytes of one exchange cell: the rest of its line after `seq`.
+inline constexpr std::size_t kCellPayload =
+    kCacheLine - sizeof(std::uint64_t);
+
+/// One parity buffer of a rank's exchange cell: `payload` is written first,
+/// then `seq` with RELEASE; readers ACQUIRE-poll seq for an exact match
+/// (monotonic per parity, so the spin always terminates).
+struct ExchangeCell {
   alignas(kCacheLine) std::uint64_t seq;
-  std::uint64_t value;
+  std::byte payload[kCellPayload];
 };
-static_assert(sizeof(ProbeCell) == kCacheLine);
+static_assert(sizeof(ExchangeCell) == kCacheLine);
 
 /// Shared header of the whole region.
 struct CollState {
@@ -135,7 +141,7 @@ class WorldColl {
   static std::size_t region_bytes(int nranks, std::uint32_t slot_bytes) {
     std::uint64_t n = static_cast<std::uint64_t>(nranks);
     return round_up(sizeof(CollState) + n * sizeof(BarrierCell) +
-                        n * sizeof(AckCell) + 2 * n * sizeof(ProbeCell) +
+                        n * sizeof(AckCell) + 2 * n * sizeof(ExchangeCell) +
                         n * slot_stride(nranks, slot_bytes),
                     shm::Arena::kPageBytes);
   }
@@ -153,7 +159,7 @@ class WorldColl {
     NEMO_ASSERT(slot_bytes >= kCacheLine && slot_bytes % kCacheLine == 0);
     std::uint64_t n = static_cast<std::uint64_t>(nranks);
     std::size_t total = sizeof(CollState) + n * sizeof(BarrierCell) +
-                        n * sizeof(AckCell) + 2 * n * sizeof(ProbeCell) +
+                        n * sizeof(AckCell) + 2 * n * sizeof(ExchangeCell) +
                         n * slot_stride(nranks, slot_bytes);
     std::uint64_t off = arena.alloc_pages(total);
     std::memset(arena.at(off), 0, total);
@@ -174,8 +180,8 @@ class WorldColl {
     std::byte* base = reinterpret_cast<std::byte*>(st_);
     barrier_ = reinterpret_cast<BarrierCell*>(base + sizeof(CollState));
     acks_ = reinterpret_cast<AckCell*>(barrier_ + st_->nranks);
-    probes_ = reinterpret_cast<ProbeCell*>(acks_ + st_->nranks);
-    slots_ = reinterpret_cast<std::byte*>(probes_ + 2 * st_->nranks);
+    cells_ = reinterpret_cast<ExchangeCell*>(acks_ + st_->nranks);
+    slots_ = reinterpret_cast<std::byte*>(cells_ + 2 * st_->nranks);
   }
 
   [[nodiscard]] bool valid() const { return st_ != nullptr; }
@@ -264,26 +270,28 @@ class WorldColl {
            ack_value(e, consumed);
   }
 
-  // --- Count probes (auto-mode alltoallv's symmetric size proxy) -----------
+  // --- Exchange cells (all-read-all, parity double-buffered) ---------------
 
-  /// Publish rank r's probe value for instance `seq` (parity-selected
-  /// buffer; value first, seq RELEASE-last).
-  void probe_publish(int r, std::uint64_t seq, std::uint64_t value) const {
-    ProbeCell& c = probe_cell(r, seq);
-    shm::aref(c.value).store(value, std::memory_order_relaxed);
+  /// Publish rank r's `bytes` (<= kCellPayload) for instance `seq` into the
+  /// parity-selected buffer: payload first, seq RELEASE-last.
+  void cell_publish(int r, std::uint64_t seq, const void* src,
+                    std::size_t bytes) const {
+    NEMO_ASSERT(bytes <= kCellPayload);
+    ExchangeCell& c = cell(r, seq);
+    if (bytes > 0) std::memcpy(c.payload, src, bytes);
     shm::aref(c.seq).store(seq, std::memory_order_release);
   }
   /// Has rank r published instance `seq`? Exact match: the same-parity
   /// buffer only ever holds seq-2 (stale, keep spinning) or seq — a writer
   /// cannot reach seq+2 before every rank consumed seq (all-read-all).
-  [[nodiscard]] bool probe_ready(int r, std::uint64_t seq) const {
-    return shm::aref(probe_cell(r, seq).seq)
-               .load(std::memory_order_acquire) == seq;
+  [[nodiscard]] bool cell_ready(int r, std::uint64_t seq) const {
+    return shm::aref(cell(r, seq).seq).load(std::memory_order_acquire) ==
+           seq;
   }
-  /// The value behind a successful probe_ready (ordered by its acquire).
-  [[nodiscard]] std::uint64_t probe_value(int r, std::uint64_t seq) const {
-    return shm::aref(probe_cell(r, seq).value)
-        .load(std::memory_order_relaxed);
+  /// The payload behind a successful cell_ready (ordered by its acquire;
+  /// stable until the calling rank publishes instance seq+1).
+  [[nodiscard]] const std::byte* cell_payload(int r, std::uint64_t seq) const {
+    return cell(r, seq).payload;
   }
 
   // --- Barrier primitives (the spin loops live with the engine so they
@@ -310,7 +318,10 @@ class WorldColl {
   /// maximum makes the dead rank permanently "arrived"/"acked"; its slot
   /// epoch is pinned to ~0, which no live epoch ever equals, so ready()
   /// reads of the dead slot stay false and survivors skip it instead of
-  /// consuming stale bytes. Idempotent. Returns the cell count reclaimed.
+  /// consuming stale bytes. Its exchange cells are left alone: they are
+  /// exact-match, so no tombstone value can read as ready, and survivors
+  /// skip fenced ranks instead. Idempotent. Returns the cell count
+  /// reclaimed.
   int reclaim_rank(int r) const {
     shm::aref(barrier_[r].seq).store(UINT64_MAX, std::memory_order_release);
     shm::aref(acks_[r].tagged).store(UINT64_MAX, std::memory_order_release);
@@ -325,9 +336,9 @@ class WorldColl {
     NEMO_ASSERT(r >= 0 && r < nranks());
     return slots_ + static_cast<std::uint64_t>(r) * st_->slot_stride;
   }
-  [[nodiscard]] ProbeCell& probe_cell(int r, std::uint64_t seq) const {
+  [[nodiscard]] ExchangeCell& cell(int r, std::uint64_t seq) const {
     NEMO_ASSERT(r >= 0 && r < nranks());
-    return probes_[2 * static_cast<std::uint64_t>(r) + (seq & 1)];
+    return cells_[2 * static_cast<std::uint64_t>(r) + (seq & 1)];
   }
 
   /// Marks a locate() result as an address rather than an arena offset
@@ -339,7 +350,7 @@ class WorldColl {
   bool shared_space_ = false;
   BarrierCell* barrier_ = nullptr;
   AckCell* acks_ = nullptr;
-  ProbeCell* probes_ = nullptr;
+  ExchangeCell* cells_ = nullptr;
   std::byte* slots_ = nullptr;
 };
 

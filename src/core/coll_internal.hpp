@@ -1,14 +1,16 @@
 // Shared internals of the collective implementations (core/collectives.cpp
 // and coll/coll_hier.cpp): the tag/epoch namespacing contract, the
-// epoch-stall-counting wait, the fold kernel call, and two arena slot
-// protocols — the slot stream (one writer, many readers; flat bcast and the
-// hierarchical legs) and the ordered fold (many writers, one folding node
-// leader; hierarchical reduce only — the flat reduce is a partitioned fold
-// over exchange rounds, in core/collectives.cpp). The tag and epoch
-// formulas are load-bearing across translation units: both families derive
-// them from the SAME per-Comm collective sequence number, so two files
-// disagreeing on them would cross-match messages from different collective
-// instances.
+// epoch-stall-counting wait, the fold kernel call, the cell exchange
+// (every rank publishes one cache line and reads every rank's; reductions
+// and allgathers of at most 56 B per rank, and auto-mode alltoallv's size
+// probe), and two arena slot protocols — the slot stream (one writer, many
+// readers; flat bcast and the hierarchical legs) and the ordered fold (many
+// writers, one folding node leader; hierarchical reduce only — the flat
+// reduce is a partitioned fold over exchange rounds, in
+// core/collectives.cpp). The tag and epoch formulas are load-bearing
+// across translation units: both families derive them from the SAME
+// per-Comm collective sequence number, so two files disagreeing on them
+// would cross-match messages from different collective instances.
 #pragma once
 
 #include <algorithm>
@@ -54,7 +56,7 @@ void binomial(int v, int n, Up&& up, Down&& down) {
 
 /// Engine::wait_until plus the epoch-stall count: with `stall`, a first
 /// probe that misses counts one epoch stall ("readers arrive before writers
-/// publish"); waits off an arena op's data path (count probes, hierarchical
+/// publish"); waits off an arena op's data path (size probes, hierarchical
 /// legs) pass false so their misses stay out of the per-op stall rate
 /// (coll_epoch_stalls / coll_shm_ops).
 template <typename Pred>
@@ -68,6 +70,32 @@ void spin_until(Engine& eng, resil::Site site, int watch, bool stall,
                         static_cast<std::uint64_t>(watch));
   }
   eng.wait_until(site, watch, ready);
+}
+
+/// Cell exchange: publish this rank's `bytes` (<= coll::kCellPayload) into
+/// its exchange cell for the next cell instance, wait for every live peer's
+/// cell of the same instance, then hand `take(w, payload)` every live
+/// rank's payload — rank `first`'s, then the others in ascending rank
+/// order (this rank's own included). Every rank reads every live cell each
+/// instance, so no writer gets two instances ahead of a reader and no
+/// closing barrier is needed (coll_arena.hpp, "Cells"); the payloads stay
+/// valid until this rank's next exchange. Fenced ranks are skipped: their
+/// cells are never tombstoned. With `stall`, waits count epoch stalls.
+template <typename Take>
+void cell_exchange(Engine& eng, const void* mine, std::size_t bytes,
+                   bool stall, int first, Take&& take) {
+  coll::WorldColl& cw = eng.coll_view();
+  int n = eng.nranks(), r = eng.rank();
+  std::uint64_t seq = eng.next_coll_cell_seq();
+  resil::fault_point(resil::Site::kCollDeposit, r);
+  cw.cell_publish(r, seq, mine, bytes);
+  for (int w = 0; w < n; ++w)
+    if (w != r && !eng.rank_fenced(w))
+      spin_until(eng, resil::Site::kCollProbe, w, stall,
+                 [&] { return cw.cell_ready(w, seq); });
+  take(first, cw.cell_payload(first, seq));
+  for (int w = 0; w < n; ++w)
+    if (w != first && !eng.rank_fenced(w)) take(w, cw.cell_payload(w, seq));
 }
 
 /// Slot stream: rank `writer` serves `bytes` to a set of readers through

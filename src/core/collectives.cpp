@@ -15,7 +15,11 @@
 //    copies instead of the binomial tree's 2·log n full-payload ring
 //    copies; alltoall halves its copy volume whenever the source matrix is
 //    peer-readable. Each op is a short call into a slot protocol plus the
-//    arena barrier:
+//    arena barrier, or one cell exchange:
+//      cell exchange    every rank publishes one cache line and reads every
+//                       rank's, no barrier (reduce, allreduce and allgather
+//                       of at most 56 B per rank; auto alltoallv's size
+//                       probe) — coll_internal.hpp
 //      slot stream      one writer, many readers (bcast) —
 //                       coll_internal.hpp
 //      exchange rounds  every rank writes and reads blocks, rounds closed
@@ -52,6 +56,7 @@ namespace nemo::core {
 
 namespace {
 
+using coll_detail::cell_exchange;
 using coll_detail::coll_tag;
 using coll_detail::div_ceil;
 using coll_detail::epoch_base;
@@ -87,6 +92,18 @@ bool ack_budget_ok(Engine& eng, std::size_t bytes) {
   return cw.valid() &&
          div_ceil(bytes, SlotStream::chunk_bytes(cw.slot_bytes())) <
              (1ull << 24);
+}
+
+/// Does an op of `bytes` per rank finish in one cell exchange? Any mode but
+/// forced p2p, given an arena: the exchange needs no barrier and no pt2pt
+/// message, so it beats both families at every size a cell carries.
+/// World-symmetric; counts the op as an arena op.
+bool use_cells(Engine& eng, std::size_t bytes) {
+  if (bytes > coll::kCellPayload || !eng.coll_view().valid() ||
+      eng.world().coll_mode() == coll::Mode::kP2p)
+    return false;
+  eng.counters().coll_shm_ops++;
+  return true;
 }
 
 /// Scoped collective observation: one kCollOp span in the rank's ring plus
@@ -514,16 +531,26 @@ void Comm::allgather(const void* sendbuf, std::size_t per_rank,
   }
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpAllgather, per_rank);
+  int n = size(), r = rank();
+  auto* out = static_cast<std::byte*>(recvbuf);
+  if (use_cells(eng, per_rank)) {
+    eng.counters().coll_shm_bytes +=
+        per_rank * static_cast<std::size_t>(n - 1);
+    cell_exchange(eng, sendbuf, per_rank, true, r,
+                  [&](int w, const std::byte* block) {
+                    std::memcpy(out + static_cast<std::size_t>(w) * per_rank,
+                                block, per_rank);
+                  });
+    return;
+  }
   if (!use_shm_coll(per_rank, kCacheLine)) {
     allgather_p2p(sendbuf, per_rank, recvbuf);
     return;
   }
   // One chunk shared by every destination: the whole slot per round.
   coll::WorldColl& cw = eng.coll_view();
-  int n = size(), r = rank();
   eng.counters().coll_shm_bytes += per_rank * static_cast<std::size_t>(n - 1);
   const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
   std::size_t slot = cw.slot_bytes();
   std::size_t nt = nt_min(eng);
   std::uint64_t src = cw.locate(in, per_rank);
@@ -576,24 +603,18 @@ void Comm::alltoall(const void* sendbuf, std::size_t per_rank,
 
 std::size_t Comm::alltoallv_min_row_bytes(const std::size_t* scounts) {
   Engine& eng = engine_;
-  coll::WorldColl& cw = eng.coll_view();
   int n = size(), r = rank();
   std::uint64_t my = 0;
   for (int d = 0; d < n; ++d)
     if (d != r) my += scounts[d];
-  // One u64 per rank through the parity-double-buffered probe cells (see
-  // coll_arena.hpp for why the exchange needs no completion handshake).
-  std::uint64_t seq = eng.next_coll_probe_seq();
-  cw.probe_publish(r, seq, my);
+  // One u64 per rank through one cell exchange, off the op's data path.
   std::uint64_t mn = my;
-  for (int w = 0; w < n; ++w) {
-    // Probe cells are exact-match parity buffers, so a dead rank's cell can
-    // never be tombstoned to "always ready" — survivors must skip it.
-    if (w == r || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollProbe, w, false,
-               [&] { return cw.probe_ready(w, seq); });
-    mn = std::min(mn, cw.probe_value(w, seq));
-  }
+  cell_exchange(eng, &my, sizeof my, false, r,
+                [&](int, const std::byte* cell) {
+                  std::uint64_t v = 0;
+                  std::memcpy(&v, cell, sizeof v);
+                  mn = std::min(mn, v);
+                });
   return mn;
 }
 
@@ -612,10 +633,10 @@ void Comm::alltoallv(const void* sendbuf, const std::size_t* scounts,
     if (d != rank()) my_row += scounts[d];
   CollScope obs(eng, trace::kOpAlltoallv, my_row);
   // Per-rank counts are asymmetric, so no local size test is
-  // rank-consistent. Auto mode exchanges each rank's total row bytes
-  // through the arena's count-probe cells and gates on the MINIMUM across
-  // ranks: a tiny-row participant pays the arena's full per-op
-  // synchronisation for almost no payload, so it anchors the crossover
+  // rank-consistent. Auto mode exchanges each rank's total row bytes in
+  // one cell exchange and gates on the MINIMUM across ranks: a tiny-row
+  // participant pays the arena's full per-op synchronisation for almost
+  // no payload, so it anchors the crossover
   // (worth ~0.6 us/op at 2 ranks, the gating PR 4 gave up). Forced modes
   // and arenaless worlds skip the probe — the conditions below are all
   // world-symmetric, so every rank agrees on whether it runs.
@@ -799,6 +820,34 @@ struct Shares {
   int count;
 };
 
+/// Reduction of at most coll::kCellPayload bytes: one cell exchange. Every
+/// rank whose `out` is significant folds all n operands straight out of
+/// the cells, seeded with the root's (the lowest survivor's when the root
+/// is fenced) and then in ascending rank order — the p2p oracle's order,
+/// so the result matches it bit for bit. A reduce's other ranks read every
+/// cell too, which is what spares the exchange a closing barrier.
+template <typename T>
+void reduce_cells(Engine& eng, const T* in, T* out, std::size_t n,
+                  Comm::ReduceOp op, int root, bool all) {
+  int r = eng.rank();
+  bool want = all || r == root;
+  int seed = eng.rank_fenced(root) ? eng.lowest_alive() : root;
+  std::size_t bytes = n * sizeof(T);
+  eng.counters().coll_shm_bytes += bytes;
+  cell_exchange(eng, in, bytes, true, seed,
+                [&](int w, const std::byte* cell) {
+                  if (!want) return;
+                  if (w == seed) {
+                    resil::fault_point(resil::Site::kCollFold, r);
+                    std::memcpy(out, cell, bytes);
+                    return;
+                  }
+                  T v[coll::kCellPayload / sizeof(T)];
+                  std::memcpy(v, cell, bytes);
+                  fold_chunk(eng, op, out, v, n);
+                });
+}
+
 }  // namespace
 
 /// Partitioned shm reduction over two-phase exchange rounds. Every round
@@ -932,6 +981,10 @@ void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
   if (ack_budget_ok(eng, n * sizeof(T)) && (all || root == 0) &&
       use_hier_coll(n * sizeof(T))) {
     reduce_hier<T>(in, out, n, op, root, all, cs);
+    return;
+  }
+  if (use_cells(eng, n * sizeof(T))) {
+    reduce_cells<T>(eng, in, out, n, op, root, all);
     return;
   }
   if (use_shm_coll(n * sizeof(T), kCacheLine)) {

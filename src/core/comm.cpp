@@ -1215,7 +1215,7 @@ void Comm::fence_world() {
   // floor read after the last arrival covers all of them. The slack leaves
   // room for phase bits (epoch_base shifts by 3).
   std::uint64_t proposal =
-      std::max({eng.coll_seq_, eng.coll_bar_seq_, eng.coll_probe_seq_}) + 8;
+      std::max({eng.coll_seq_, eng.coll_bar_seq_, eng.coll_cell_seq_}) + 8;
   live.propose_resync(proposal);
   std::uint64_t gen = live.fence_generation();
   live.set_fence_flag(self, gen + 1);

@@ -380,9 +380,9 @@ class Engine {
   /// every rank runs the same collective schedule, and each shm collective
   /// issues the same number of arena barriers on every rank.
   std::uint64_t next_coll_barrier_seq() { return ++coll_bar_seq_; }
-  /// Next count-probe sequence (auto-mode alltoallv's size proxy); lock-step
+  /// Next exchange-cell instance (coll_detail::cell_exchange); lock-step
   /// across ranks for the same reason.
-  std::uint64_t next_coll_probe_seq() { return ++coll_probe_seq_; }
+  std::uint64_t next_coll_cell_seq() { return ++coll_cell_seq_; }
   /// Reduction kernel every fold on this rank runs (NEMO_SIMD > tuning
   /// table > CPUID best; resolved once at construction).
   [[nodiscard]] simd::Kernel simd_kernel() const { return simd_kernel_; }
@@ -563,7 +563,7 @@ class Engine {
   trace::Histogram* progress_hist_ = nullptr;
   coll::WorldColl coll_;  ///< View of the world's collective arena.
   std::uint64_t coll_bar_seq_ = 0;    ///< Arena-barrier sequence issued.
-  std::uint64_t coll_probe_seq_ = 0;  ///< Count-probe sequence issued.
+  std::uint64_t coll_cell_seq_ = 0;   ///< Exchange-cell instances issued.
   transport::Transport* xport_ = nullptr;  ///< World-owned transport.
   bool xport_hooks_ = false;  ///< Cached has_hooks() (hot-path gate).
   std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
@@ -589,7 +589,7 @@ class Engine {
   void resync_coll_seqs(std::uint64_t floor) {
     coll_seq_ = floor;
     coll_bar_seq_ = floor;
-    coll_probe_seq_ = floor;
+    coll_cell_seq_ = floor;
   }
 };
 
@@ -706,7 +706,7 @@ class Comm {
   bool use_shm_coll(std::size_t op_bytes, std::size_t slot_need);
 
   /// Auto-mode alltoallv's rank-consistent size proxy: exchange each
-  /// rank's total row bytes through the arena's count-probe cells and
+  /// rank's total row bytes in one cell exchange (8 B a rank) and
   /// return the minimum — every rank computes the same value, so the
   /// family decision cannot diverge even though counts are asymmetric.
   std::size_t alltoallv_min_row_bytes(const std::size_t* scounts);

@@ -46,7 +46,7 @@ namespace nemo::resil {
 /// NEMO_FAULT.
 enum class Site : std::uint8_t {
   // Crash sites (injectable via NEMO_FAULT).
-  kCollDeposit = 0,   ///< reduction rank about to deposit its operand
+  kCollDeposit = 0,   ///< rank about to deposit its operand (slot or cell)
   kCollFold,          ///< reduction rank about to fold its share
   kBarrierArrive,     ///< rank about to store its barrier arrival
   kRendezvous,        ///< sender just published the RTS of a rendezvous
@@ -55,7 +55,7 @@ enum class Site : std::uint8_t {
   // Wait sites (where a bounded wait can observe the death).
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack
-  kCollProbe,         ///< waiting for an alltoallv probe cell
+  kCollProbe,         ///< waiting for a peer's exchange cell
   kBarrierRelease,    ///< waiting for the barrier release word
   kCollGather,        ///< folder waiting for a peer's operand deposit
   kEngineWait,        ///< Engine::wait on an incomplete request

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "coll/coll.hpp"
@@ -116,32 +117,55 @@ TEST_F(CollArena, AckTagsAreMonotonicAcrossEpochs) {
   EXPECT_TRUE(cw.acked(0, 8, 5));  // Monotonic: older waits stay satisfied.
 }
 
-TEST_F(CollArena, CountProbeCellsAreParityDoubleBuffered) {
+TEST_F(CollArena, ExchangeCellsAreParityDoubleBuffered) {
   std::uint64_t off = WorldColl::create(arena_, 3, 4 * KiB);
   WorldColl cw(arena_, off);
+  static_assert(kCellPayload == 56);
+  // A full 56-byte payload per instance, distinct in every byte.
+  auto payload = [](std::uint64_t seq) {
+    std::vector<std::byte> p(kCellPayload);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      p[i] = static_cast<std::byte>(seq * 61 + i);
+    return p;
+  };
+  auto holds = [&](int r, std::uint64_t seq) {
+    std::vector<std::byte> want = payload(seq);
+    return std::memcmp(cw.cell_payload(r, seq), want.data(), want.size()) ==
+           0;
+  };
   // Unpublished cells never match a real sequence.
-  EXPECT_FALSE(cw.probe_ready(1, 1));
+  EXPECT_FALSE(cw.cell_ready(1, 1));
 
-  cw.probe_publish(1, 1, 4096);
-  EXPECT_TRUE(cw.probe_ready(1, 1));
-  EXPECT_EQ(cw.probe_value(1, 1), 4096u);
-  EXPECT_FALSE(cw.probe_ready(1, 2));
+  cw.cell_publish(1, 1, payload(1).data(), kCellPayload);
+  EXPECT_TRUE(cw.cell_ready(1, 1));
+  EXPECT_TRUE(holds(1, 1));
+  EXPECT_FALSE(cw.cell_ready(1, 2));
 
   // The next instance lands in the other parity buffer: instance 1 stays
   // readable (a straggler may still be consuming it).
-  cw.probe_publish(1, 2, 77);
-  EXPECT_TRUE(cw.probe_ready(1, 1));
-  EXPECT_EQ(cw.probe_value(1, 1), 4096u);
-  EXPECT_TRUE(cw.probe_ready(1, 2));
-  EXPECT_EQ(cw.probe_value(1, 2), 77u);
+  cw.cell_publish(1, 2, payload(2).data(), kCellPayload);
+  EXPECT_TRUE(cw.cell_ready(1, 1));
+  EXPECT_TRUE(holds(1, 1));
+  EXPECT_TRUE(cw.cell_ready(1, 2));
+  EXPECT_TRUE(holds(1, 2));
 
   // Instance 3 overwrites instance 1's buffer (same parity) — exact-match
   // ready() correctly rejects the stale sequence.
-  cw.probe_publish(1, 3, 9);
-  EXPECT_FALSE(cw.probe_ready(1, 1));
-  EXPECT_TRUE(cw.probe_ready(1, 3));
-  // Cells are per rank: rank 2 is untouched.
-  EXPECT_FALSE(cw.probe_ready(2, 1));
+  cw.cell_publish(1, 3, payload(3).data(), kCellPayload);
+  EXPECT_FALSE(cw.cell_ready(1, 1));
+  EXPECT_TRUE(cw.cell_ready(1, 3));
+  EXPECT_TRUE(holds(1, 3));
+  EXPECT_TRUE(holds(1, 2));
+  // Cells are per rank: rank 2 is untouched. A rank's two parity buffers
+  // are adjacent lines, so a full payload ends where the next seq begins.
+  EXPECT_FALSE(cw.cell_ready(2, 1));
+  EXPECT_EQ(cw.cell_payload(1, 1) - cw.cell_payload(1, 2),
+            static_cast<std::ptrdiff_t>(kCacheLine));
+  // A shorter payload rewrites only its own bytes.
+  std::uint64_t word = 0x0123456789abcdefull;
+  cw.cell_publish(1, 5, &word, sizeof word);
+  EXPECT_TRUE(cw.cell_ready(1, 5));
+  EXPECT_EQ(std::memcmp(cw.cell_payload(1, 5), &word, sizeof word), 0);
 }
 
 TEST_F(CollArena, FlatBarrierWords) {

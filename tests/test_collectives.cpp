@@ -9,6 +9,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -351,12 +352,13 @@ T apply(Comm::ReduceOp op, T a, T b) {
 /// The p2p oracle's fold: seed with the root's operand, then every other
 /// rank in ascending order.
 template <typename T>
-std::vector<T> oracle(int n, int root, std::size_t count, Comm::ReduceOp op) {
+std::vector<T> oracle(int n, int root, std::size_t count, Comm::ReduceOp op,
+                      T (*value)(int, std::size_t) = operand<T>) {
   std::vector<T> acc(count);
   for (std::size_t i = 0; i < count; ++i) {
-    acc[i] = operand<T>(root, i);
+    acc[i] = value(root, i);
     for (int w = 0; w < n; ++w)
-      if (w != root) acc[i] = apply(op, acc[i], operand<T>(w, i));
+      if (w != root) acc[i] = apply(op, acc[i], value(w, i));
   }
   return acc;
 }
@@ -798,10 +800,9 @@ TEST(CollProcs, ReductionsStageHeapOperands) {
 
 // Auto-mode alltoallv gates on a rank-consistent symmetric proxy: the
 // minimum over ranks of total row bytes, exchanged through the arena's
-// count-probe cells. Tiny rows go pt2pt (PR 4 always took the arena),
-// big rows take the arena, and ONE small-row participant drags the whole
-// operation to pt2pt — all observable in the coll telemetry, and every
-// variant must stay correct.
+// exchange cells. Tiny rows go pt2pt, big rows take the arena, and ONE
+// small-row participant drags the whole operation to pt2pt — all
+// observable in the coll telemetry, and every variant must stay correct.
 TEST(CollAuto, AlltoallvTinyRowsGateToP2p) {
   Config cfg;
   cfg.env["NEMO_COLL"] = "auto";
@@ -901,6 +902,200 @@ TEST(CollAuto, AlltoallvOneTinyParticipantDragsAllToP2p) {
                         static_cast<std::uint64_t>(me)),
                 kPatternOk);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Cell exchange: reductions and allgathers of at most coll::kCellPayload
+// (56 B) per rank finish in one all-read-all exchange through the arena's
+// parity cells, in auto and shm mode alike: one arena op, no pt2pt message,
+// and results bit-identical to the p2p oracle's fold. One element more
+// takes the family auto mode picks by size (p2p below coll_activation).
+// ---------------------------------------------------------------------------
+
+/// Operand element i of rank r for the cell tests: the float operands of
+/// the oracle tests, and integers in [-3, 3] so a product over 8 ranks
+/// stays in range (every op runs, products included).
+template <typename T>
+T cell_operand(int r, std::size_t i) {
+  if constexpr (std::is_floating_point_v<T>)
+    return operand<T>(r, i);
+  else
+    return static_cast<T>(
+        static_cast<int>((i * 7 + static_cast<std::size_t>(r) * 3) % 7) - 3);
+}
+
+/// Counters one cell op may move: arena ops, p2p ops, and every pt2pt send.
+struct OpTally {
+  std::uint64_t shm, p2p, eager, fastbox, cells, rndv;
+  static OpTally of(Comm& comm) {
+    const tune::Counters& c = comm.engine().counters();
+    EngineStats st = comm.engine().stats();
+    return {c.coll_shm_ops,   c.coll_p2p_ops, st.eager_msgs_sent,
+            st.fastbox_sent,  st.cells_sent,  st.rndv_sent};
+  }
+};
+
+/// Run `op` and check the path it took: one cell exchange (one arena op,
+/// no pt2pt send) when `cells`, else one p2p op.
+template <typename Op>
+void expect_path(Comm& comm, bool cells, const std::string& at, Op&& op) {
+  OpTally a = OpTally::of(comm);
+  op();
+  OpTally b = OpTally::of(comm);
+  if (cells) {
+    if (b.shm != a.shm + 1 || b.p2p != a.p2p)
+      fail(comm, at + ": not one arena op");
+    if (b.eager != a.eager || b.fastbox != a.fastbox || b.cells != a.cells ||
+        b.rndv != a.rndv)
+      fail(comm, at + ": sent a pt2pt message");
+  } else if (b.p2p != a.p2p + 1 || b.shm != a.shm) {
+    fail(comm, at + ": not one p2p op");
+  }
+}
+
+/// Every count from one element to the cell payload, and one element past
+/// it: every op, reduce at every root, allreduce, and an allgather of the
+/// same bytes per rank — bit-exact, on the path the size selects.
+template <typename T, typename Reduce, typename Allreduce>
+void cell_reductions(Comm& comm, const char* type, Reduce&& reduce,
+                     Allreduce&& allreduce) {
+  int n = comm.size(), me = comm.rank();
+  std::size_t max = coll::kCellPayload / sizeof(T);
+  for (std::size_t count = 1; count <= max + 1; ++count) {
+    bool cells = count <= max;
+    std::vector<T> in(count);
+    for (std::size_t i = 0; i < count; ++i) in[i] = cell_operand<T>(me, i);
+    for (auto op : {Comm::ReduceOp::kSum, Comm::ReduceOp::kProd,
+                    Comm::ReduceOp::kMin, Comm::ReduceOp::kMax}) {
+      std::string at = std::string(type) + " count " + std::to_string(count) +
+                       " op " + std::to_string(static_cast<int>(op));
+      for (int root = 0; root < n; ++root) {
+        std::vector<T> out(count, T{});
+        std::string where = "reduce " + at + " root " + std::to_string(root);
+        expect_path(comm, cells, where, [&] {
+          reduce(in.data(), out.data(), count, op, root);
+        });
+        if (me == root &&
+            !same_bits(out, oracle<T>(n, root, count, op, cell_operand<T>)))
+          fail(comm, where);
+      }
+      std::vector<T> all(count, T{});
+      expect_path(comm, cells, "allreduce " + at,
+                  [&] { allreduce(in.data(), all.data(), count, op); });
+      if (!same_bits(all, oracle<T>(n, 0, count, op, cell_operand<T>)))
+        fail(comm, "allreduce " + at);
+    }
+    std::size_t per = count * sizeof(T);
+    std::vector<std::byte> block(per),
+        gathered(per * static_cast<std::size_t>(n));
+    pattern_fill(block, static_cast<std::uint64_t>(me) * 131 + per);
+    std::string at = std::string("allgather ") + type + " bytes " +
+                     std::to_string(per);
+    expect_path(comm, cells, at,
+                [&] { comm.allgather(block.data(), per, gathered.data()); });
+    for (int w = 0; w < n; ++w)
+      if (pattern_check(std::span<const std::byte>(
+                            gathered.data() + static_cast<std::size_t>(w) * per,
+                            per),
+                        static_cast<std::uint64_t>(w) * 131 + per) !=
+          kPatternOk)
+        fail(comm, at + " block " + std::to_string(w));
+  }
+}
+
+void all_cell_reductions(Comm& comm) {
+  using Op = Comm::ReduceOp;
+  cell_reductions<double>(
+      comm, "f64",
+      [&](const double* i, double* o, std::size_t c, Op op, int root) {
+        comm.reduce_f64(i, o, c, op, root);
+      },
+      [&](const double* i, double* o, std::size_t c, Op op) {
+        comm.allreduce_f64(i, o, c, op);
+      });
+  cell_reductions<float>(
+      comm, "f32",
+      [&](const float* i, float* o, std::size_t c, Op op, int root) {
+        comm.reduce_f32(i, o, c, op, root);
+      },
+      [&](const float* i, float* o, std::size_t c, Op op) {
+        comm.allreduce_f32(i, o, c, op);
+      });
+  cell_reductions<std::int32_t>(
+      comm, "i32",
+      [&](const std::int32_t* i, std::int32_t* o, std::size_t c, Op op,
+          int root) { comm.reduce_i32(i, o, c, op, root); },
+      [&](const std::int32_t* i, std::int32_t* o, std::size_t c, Op op) {
+        comm.allreduce_i32(i, o, c, op);
+      });
+  cell_reductions<std::int64_t>(
+      comm, "i64",
+      [&](const std::int64_t* i, std::int64_t* o, std::size_t c, Op op,
+          int root) { comm.reduce_i64(i, o, c, op, root); },
+      [&](const std::int64_t* i, std::int64_t* o, std::size_t c, Op op) {
+        comm.allreduce_i64(i, o, c, op);
+      });
+}
+
+void cell_reductions_in(const char* world_mode) {
+  for (int nranks : {2, 3, 4, 8}) {
+    Config cfg;
+    cfg.env["NEMO_COLL"] = "auto";
+    cfg.env["NEMO_WORLD_MODE"] = world_mode;  // Whatever the env says.
+    cfg.nranks = nranks;
+    bool ok = run(cfg, [&](Comm& comm) { all_cell_reductions(comm); });
+    EXPECT_TRUE(ok) << world_mode << " " << nranks << " ranks";
+  }
+}
+
+TEST(CollAuto, SmallReductionsRideTheCells) { cell_reductions_in("threads"); }
+
+// The same in forked worlds (a separate suite: sanitizer jobs that cannot
+// follow a fork filter out CollProcs.*).
+TEST(CollProcs, SmallReductionsRideTheCells) { cell_reductions_in("procs"); }
+
+// Back-to-back cell exchanges with rotating roots, interleaved with auto
+// alltoallv size probes (cell exchanges too), while one rank yields at
+// random: a rank that finishes early starts the next exchange while a
+// straggler still reads the last one. Parity double-buffering must keep
+// every instance intact without a closing barrier.
+TEST(CollAuto, CellParityStress) {
+  Config cfg;
+  cfg.env["NEMO_COLL"] = "auto";
+  cfg.nranks = 4;
+  bool ok = run(cfg, [&](Comm& comm) {
+    int n = comm.size(), me = comm.rank();
+    auto nsz = static_cast<std::size_t>(n);
+    std::vector<std::size_t> counts(nsz, 16), displs(nsz);
+    for (std::size_t d = 0; d < nsz; ++d) displs[d] = d * 16;
+    std::vector<std::byte> send(16 * nsz), recv(16 * nsz);
+    std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
+    for (int it = 0; it < 10000; ++it) {
+      if (me == 1) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        if ((lcg >> 60) < 3) std::this_thread::yield();
+      }
+      int root = it % n;
+      std::int64_t v[2] = {it + me, static_cast<std::int64_t>(me) << 32};
+      std::int64_t out[2] = {-1, -1};
+      comm.reduce_i64(v, out, 2, Comm::ReduceOp::kSum, root);
+      if (me == root &&
+          (out[0] != static_cast<std::int64_t>(it) * n + n * (n - 1) / 2 ||
+           out[1] != (static_cast<std::int64_t>(n) * (n - 1) / 2) << 32))
+        return fail(comm, "reduce it=" + std::to_string(it));
+      if (it % 10 != 0) continue;
+      for (int d = 0; d < n; ++d)
+        std::memset(send.data() + static_cast<std::size_t>(d) * 16,
+                    (it + me * 7 + d) & 0xff, 16);
+      comm.alltoallv(send.data(), counts.data(), displs.data(), recv.data(),
+                     counts.data(), displs.data());
+      for (int s = 0; s < n; ++s)
+        if (recv[static_cast<std::size_t>(s) * 16 + 15] !=
+            static_cast<std::byte>((it + s * 7 + me) & 0xff))
+          return fail(comm, "alltoallv it=" + std::to_string(it));
+    }
+  });
+  EXPECT_TRUE(ok);
 }
 
 // A forced-shm world whose geometry cannot host the op (slot too small for

@@ -164,8 +164,12 @@ TEST(FastboxEngine, SmallMessagesTakeTheFastboxPath) {
       }
     }
     comm.hard_barrier();
-    if (comm.rank() == 0) EXPECT_GT(comm.engine().stats().fastbox_sent, 0u);
-    if (comm.rank() == 1) EXPECT_GT(comm.engine().stats().fastbox_recv, 0u);
+    if (comm.rank() == 0) {
+      EXPECT_GT(comm.engine().stats().fastbox_sent, 0u);
+    }
+    if (comm.rank() == 1) {
+      EXPECT_GT(comm.engine().stats().fastbox_recv, 0u);
+    }
   });
   EXPECT_TRUE(ok);
 }

@@ -150,6 +150,34 @@ TEST_P(FaultMatrix, KillAtCollFold) {
                all_but(n, victim));
 }
 
+TEST_P(FaultMatrix, KillAtCellDeposit) {
+  int n = GetParam();
+  // An 8 B allreduce is one cell exchange: the victim dies before it
+  // publishes its cell, which every survivor waits on.
+  int victim = 2;
+  Scenario sc{"coll_deposit", {Site::kCollProbe}};
+  run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
+               [](Comm& comm, int) {
+                 double in = 1.0, out = 0;
+                 comm.allreduce_f64(&in, &out, 1, Comm::ReduceOp::kSum);
+               },
+               all_but(n, victim));
+}
+
+TEST_P(FaultMatrix, KillAtCellFold) {
+  int n = GetParam();
+  // The victim dies after publishing its cell, about to fold: every
+  // survivor already has what it needs and finishes the op normally.
+  int victim = 2;
+  Scenario sc{"coll_fold", {Site::kCollProbe}};
+  run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
+               [](Comm& comm, int) {
+                 double in = 1.0, out = 0;
+                 comm.allreduce_f64(&in, &out, 1, Comm::ReduceOp::kSum);
+               },
+               {});
+}
+
 TEST_P(FaultMatrix, KillAtBarrierArrive) {
   int n = GetParam();
   int victim = 2;
@@ -247,8 +275,9 @@ INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));
 TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
   // NEMO_ON_PEER_DEATH=degrade: after the victim dies mid-barrier, every
   // survivor fences the world (resynchronising collective sequence
-  // counters) and the shrunk world keeps doing real work: a barrier and an
-  // allreduce whose result is exactly the survivor-set sum.
+  // counters) and the shrunk world keeps doing real work: a barrier, then
+  // a 32 KiB and an 8 B allreduce whose results are exactly the
+  // survivor-set sums.
   constexpr int kRanks = 4;
   constexpr int kVictim = 2;
   Config cfg;
@@ -285,6 +314,11 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
                              Comm::ReduceOp::kSum);
           for (double v : out)
             if (v != static_cast<double>(kRanks - 1)) return 25;
+          // An 8 B allreduce rides the exchange cells, which survivors
+          // skip for the fenced rank (its cells are never tombstoned).
+          double mine = rank + 1, sum = -1;
+          comm.allreduce_f64(&mine, &sum, 1, Comm::ReduceOp::kSum);
+          if (sum != kRanks * (kRanks + 1) / 2 - (kVictim + 1)) return 26;
           comm.barrier();
           return 0;
         },

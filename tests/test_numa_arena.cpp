@@ -117,9 +117,13 @@ TEST(NumaBind, DegradesGracefullyWhereUnavailable) {
   // real multi-node hosts true).
   bool avail = shm::numa_bind_available();
   bool bound = shm::bind_to_node(arena.at(off), 64 * KiB, 0);
-  if (!avail) EXPECT_FALSE(bound);
+  if (!avail) {
+    EXPECT_FALSE(bound);
+  }
   bool il = shm::interleave(arena.at(off), 64 * KiB);
-  if (!avail) EXPECT_FALSE(il);
+  if (!avail) {
+    EXPECT_FALSE(il);
+  }
 
   // Out-of-range node: refused, not applied.
   EXPECT_FALSE(shm::bind_to_node(arena.at(off), 64 * KiB, 4096));
@@ -170,7 +174,9 @@ TEST(WorldNuma, RecordsReceiverSideDecisionForCrossSocketPairs) {
 
   // `bound` reports what mbind did; it may only be true when the host can
   // actually bind.
-  if (!shm::numa_bind_available()) EXPECT_FALSE(cross.bound);
+  if (!shm::numa_bind_available()) {
+    EXPECT_FALSE(cross.bound);
+  }
 }
 
 TEST(WorldNuma, FirstTouchAndUnboundRanksFallBackCleanly) {
