@@ -50,12 +50,11 @@ int main(int argc, char** argv) {
     std::printf("\n[real:this-host]\n");
     print_header(sizes);
 
-    // The seed pipeline: 2×32KiB ring, cached memcpy only, no fastbox.
+    // The seed pipeline: 2×32KiB ring, cached memcpy only.
     core::Config seed_cfg = cfg_for(lmt::LmtKind::kDefaultShm);
     seed_cfg.ring_bufs = 2;
     seed_cfg.ring_buf_bytes = 32 * KiB;
     seed_cfg.nt_min = static_cast<std::size_t>(-1);
-    seed_cfg.use_fastbox = false;
 
     struct RealRow {
       const char* name;

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       std::vector<double> vals;
       for (auto s : sizes) {
         // World's standard bring-up (core::run inside real_pingpong_mibs)
-        // owns the tuned drain budget / fastbox geometry; the row only
+        // owns the tuned fastbox geometry; the row only
         // picks the LMT mechanism under comparison.
         core::Config cfg = cfg_for(lmt::LmtKind::kKnem, row.mode);
         // The kernel-thread competition effect needs rank/worker core

@@ -36,12 +36,12 @@ void print_table(const tune::TuningTable& t, coll::Mode coll_mode) {
               format_size(t.lmt_activation).c_str(),
               format_size(t.collective_activation).c_str(),
               t.dma_min == 0 ? "formula" : format_size(t.dma_min).c_str());
-  std::printf("  fastbox: %u slots x %s (cutoff %s = slot payload, from "
-              "lmt_activation)   drain_budget=%u\n",
+  std::printf("  fastbox: ring of %u records x %s (record payload %s, from "
+              "lmt_activation)\n",
               t.fastbox_slots, format_size(t.fastbox_slot_bytes).c_str(),
-              format_size(t.fastbox_slot_bytes - shm::FastboxSlot::kHeaderBytes)
-                  .c_str(),
-              t.drain_budget);
+              format_size(t.fastbox_slot_bytes -
+                          shm::FastboxRecord::kHeaderBytes)
+                  .c_str());
   std::printf("  coll: activation=%-8s slot=%s   (NEMO_COLL=%s)\n",
               format_size(t.coll_activation).c_str(),
               format_size(t.coll_slot_bytes).c_str(),

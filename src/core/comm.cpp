@@ -12,10 +12,8 @@
 namespace nemo::core {
 
 using shm::aref;
-using shm::Cell;
-using shm::CellType;
 using shm::kNil;
-using shm::QueueView;
+using shm::RecordType;
 
 // ---------------------------------------------------------------------------
 // World
@@ -54,8 +52,6 @@ std::size_t fastbox_bytes(const tune::TuningTable& tuning) {
 std::size_t auto_arena_bytes(const Config& cfg,
                              const tune::TuningTable& tuning) {
   std::size_t n = static_cast<std::size_t>(cfg.nranks);
-  std::size_t per_rank = 2 * sizeof(shm::QueueState) +
-                         cfg.cells_per_rank * sizeof(Cell) + 4 * KiB;
   std::size_t pairs = n * (n - 1);
   // Page slack for the NUMA-bindable page-aligned carving.
   std::size_t per_ring =
@@ -74,7 +70,7 @@ std::size_t auto_arena_bytes(const Config& cfg,
           ? coll::WorldColl::footprint(cfg.nranks,
                                        effective_coll_slot_bytes(cfg, tuning))
           : 0;
-  return 1 * MiB + n * per_rank + pairs * (per_ring + per_fastbox) + knem +
+  return 1 * MiB + n * 4 * KiB + pairs * (per_ring + per_fastbox) + knem +
          coll + cfg.shared_pool_bytes;
 }
 
@@ -111,11 +107,6 @@ World::World(Config cfg)
                   "core_binding must name one core per rank");
   cfg_.topo.validate();
 
-  rank_queues_.reserve(static_cast<std::size_t>(cfg_.nranks));
-  for (int r = 0; r < cfg_.nranks; ++r)
-    rank_queues_.push_back(shm::make_rank_queues(
-        arena_, static_cast<std::uint32_t>(r), cfg_.cells_per_rank));
-
   // Per-pair rings and fastboxes, with NUMA-aware placement: the decision
   // (which node, if any) is recorded for every pair even when binding is
   // unavailable, so placement stays observable on single-node hosts.
@@ -123,7 +114,7 @@ World::World(Config cfg)
                    static_cast<std::size_t>(cfg_.nranks);
   ring_offs_.assign(n2, kNil);
   ring_place_.assign(n2, RingPlacement{});
-  if (cfg_.use_fastbox) fastbox_offs_.assign(n2, kNil);
+  fastbox_offs_.assign(n2, kNil);
   for (int s = 0; s < cfg_.nranks; ++s)
     for (int d = 0; d < cfg_.nranks; ++d) {
       if (s == d) continue;
@@ -153,17 +144,14 @@ World::World(Config cfg)
         rp.bound = shm::interleave(data, ring.data_bytes());
       ring_place_[idx] = rp;
 
-      if (cfg_.use_fastbox) {
-        std::uint64_t fb_off = shm::Fastbox::create(
-            arena_, tuning().fastbox_slots, tuning().fastbox_slot_bytes,
-            place);
-        fastbox_offs_[idx] = fb_off;
-        if (want.node >= 0)
-          shm::bind_to_node(arena_.at(fb_off), fastbox_bytes(tuning()),
-                            want.node);
-        else if (want.interleave)
-          shm::interleave(arena_.at(fb_off), fastbox_bytes(tuning()));
-      }
+      std::uint64_t fb_off = shm::Fastbox::create(
+          arena_, tuning().fastbox_slots, tuning().fastbox_slot_bytes, place);
+      fastbox_offs_[idx] = fb_off;
+      if (want.node >= 0)
+        shm::bind_to_node(arena_.at(fb_off), fastbox_bytes(tuning()),
+                          want.node);
+      else if (want.interleave)
+        shm::interleave(arena_.at(fb_off), fastbox_bytes(tuning()));
     }
 
   // The collective arena: every rank reads every slot, so under the
@@ -239,13 +227,11 @@ void World::reattach_in_child() {
         shm::bind_to_node(data, ring.data_bytes(), rp.node);
       else
         shm::interleave(data, ring.data_bytes());
-      if (cfg_.use_fastbox) {
-        std::byte* fb = arena_.at(fastbox_offs_[idx]);
-        if (rp.node >= 0)
-          shm::bind_to_node(fb, fb_bytes, rp.node);
-        else
-          shm::interleave(fb, fb_bytes);
-      }
+      std::byte* fb = arena_.at(fastbox_offs_[idx]);
+      if (rp.node >= 0)
+        shm::bind_to_node(fb, fb_bytes, rp.node);
+      else
+        shm::interleave(fb, fb_bytes);
     }
   if (coll_off_ != shm::kNil &&
       (numa_mode() == shm::NumaPlacement::kAuto ||
@@ -269,7 +255,7 @@ pid_t World::pid_of(int rank) const {
   return static_cast<pid_t>(v);
 }
 
-void World::hard_barrier(int self_rank) {
+void World::hard_barrier(int self_rank, const std::function<void()>& idle) {
   auto* bb = arena_.at_as<BarrierBlock>(barrier_off_);
   std::uint64_t gen = aref(bb->generation).load(std::memory_order_acquire);
   std::uint64_t arrived =
@@ -284,6 +270,9 @@ void World::hard_barrier(int self_rank) {
          resil::Site::kHardBarrier, cfg_.peer_timeout_ms, nullptr, nullptr},
         [&] {
           return aref(bb->generation).load(std::memory_order_acquire) != gen;
+        },
+        [&] {
+          if (idle) idle();
         });
   }
 }
@@ -313,10 +302,7 @@ Engine::Engine(World& world, int rank)
       policy_(world.topology(), effective_policy(world, world.config()),
               world.tuning()),  // World outlives every engine's policy.
       knem_dev_(world.arena(), world.knem_off(), rank, ::getpid()),
-      recv_q_(world.arena(), world.recv_q_off(rank)),
-      free_q_(world.arena(), world.free_q_off(rank)),
       next_seq_(static_cast<std::size_t>(world.nranks()), 1),
-      expected_seq_(static_cast<std::size_t>(world.nranks()), 1),
       tracer_(rank, world.config().trace_ring_slots) {
   world.register_pid(rank, ::getpid());
   if (trace::on(trace::Mode::kFull))
@@ -326,7 +312,6 @@ Engine::Engine(World& world, int rank)
     coll_ = coll::WorldColl(world.arena(), world.coll_off(),
                             world.config().mode == LaunchMode::kThreads);
   const tune::TuningTable& tuning = world.tuning();
-  drain_budget_ = std::max<std::uint32_t>(1, tuning.drain_budget);
   // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
   // overrode the table row (core/knobs.cpp), so resolving the table choice
   // against CPUID is the full precedence chain. pack_nt_min 0 means
@@ -345,21 +330,17 @@ Engine::Engine(World& world, int rank)
   if (live_.valid()) live_.beat(rank_);  // Stamp 0 means "never started".
   backends_.resize(4);
   int n = world.nranks();
-  peer_recv_q_.reserve(static_cast<std::size_t>(n));
-  peer_free_q_.reserve(static_cast<std::size_t>(n));
   fb_out_.resize(static_cast<std::size_t>(n));
   fb_in_.resize(static_cast<std::size_t>(n));
+  deferred_.resize(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    peer_recv_q_.emplace_back(world.arena(), world.recv_q_off(r));
-    peer_free_q_.emplace_back(world.arena(), world.free_q_off(r));
-    if (r != rank) poll_order_.push_back(r);
-    if (world.use_fastbox() && r != rank) {
-      fb_out_[static_cast<std::size_t>(r)] =
-          shm::Fastbox(world.arena(), world.fastbox_off(rank, r));
-      fb_in_[static_cast<std::size_t>(r)] =
-          shm::Fastbox(world.arena(), world.fastbox_off(r, rank));
-    }
-    if (xport_hooks_ && r != rank) xport_->connect(rank, r);
+    if (r == rank) continue;
+    poll_order_.push_back(r);
+    fb_out_[static_cast<std::size_t>(r)] =
+        shm::Fastbox(world.arena(), world.fastbox_off(rank, r));
+    fb_in_[static_cast<std::size_t>(r)] =
+        shm::Fastbox(world.arena(), world.fastbox_off(r, rank));
+    if (xport_hooks_) xport_->connect(rank, r);
   }
 }
 
@@ -433,70 +414,108 @@ lmt::LmtKind Engine::resolve_kind(int dst,
   return k;
 }
 
-// --- Cell plumbing ----------------------------------------------------------
+// --- Ring plumbing -----------------------------------------------------------
 
-Cell* Engine::try_get_cell() {
-  std::uint64_t off = free_q_.dequeue();
-  if (off == kNil) return nullptr;
-  return world_.arena().at_as<Cell>(off);
-}
+namespace {
 
-Cell* Engine::get_cell_blocking() {
-  Cell* c = try_get_cell();
-  // Our cells come back when receivers drain them; drain our own traffic
-  // meanwhile so the system cannot deadlock on cell exhaustion.
-  if (c == nullptr)
-    wait_until(resil::Site::kCellAlloc, -1, [&] {
-      progress();
-      return (c = try_get_cell()) != nullptr;
-    });
-  return c;
-}
-
-void Engine::send_cell(int dst, Cell* cell) {
-  peer_recv_q_[static_cast<std::size_t>(dst)].enqueue(
-      world_.arena().offset_of(cell));
-  stats_.cells_sent++;
-}
-
-void Engine::return_cell(Cell* cell) {
-  peer_free_q_[static_cast<std::size_t>(cell->owner)].enqueue(
-      world_.arena().offset_of(cell));
-}
-
-bool Engine::try_send_ctrl(const PendingCtrl& pc) {
-  Cell* c = try_get_cell();
-  if (c == nullptr) return false;
-  c->src = static_cast<std::uint32_t>(rank_);
-  c->type = static_cast<std::uint16_t>(pc.type);
-  c->flags = static_cast<std::uint16_t>(pc.context);
-  c->tag = pc.tag;
-  c->msg_seq = pc.seq;
-  c->total_size = 0;
-  c->chunk_off = 0;
-  c->payload_len = 0;
-  if (pc.has_wire) {
-    std::memcpy(c->data(), &pc.wire, sizeof(pc.wire));
-    c->payload_len = sizeof(pc.wire);
-    c->total_size = pc.wire.total;
+/// Gather `len` bytes of the message in `segs`, from message offset
+/// `msg_off`, into `dst` (the mirror of scatter_at below).
+void gather_at(std::span<const ConstSegment> segs, std::size_t msg_off,
+               std::byte* dst, std::size_t len) {
+  std::size_t skip = msg_off;
+  std::size_t i = 0;
+  while (i < segs.size() && skip >= segs[i].len) {
+    skip -= segs[i].len;
+    ++i;
   }
-  send_cell(pc.dst, c);
+  while (len > 0) {
+    NEMO_ASSERT(i < segs.size());
+    std::size_t n = std::min(len, segs[i].len - skip);
+    std::memcpy(dst, segs[i].base + skip, n);
+    dst += n;
+    len -= n;
+    skip = 0;
+    ++i;
+  }
+}
+
+/// Pooled payload buffers kept for deferred messages.
+constexpr std::size_t kSpareBufs = 64;
+
+}  // namespace
+
+bool Engine::put_records(int dst, OutMsg& m,
+                         std::span<const ConstSegment> payload) {
+  shm::Fastbox& fb = fb_out_[static_cast<std::size_t>(dst)];
+  do {
+    std::size_t chunk = std::min(m.total - m.sent, fb.payload_capacity());
+    shm::FastboxRecord* r = fb.try_claim(chunk);
+    if (r == nullptr) return false;
+    r->src = static_cast<std::uint32_t>(rank_);
+    r->tag = m.tag;
+    r->msg_seq = m.seq;
+    r->type = static_cast<std::uint16_t>(m.sent == 0 ? m.type
+                                                     : RecordType::kEagerBody);
+    r->context = static_cast<std::uint16_t>(m.context);
+    r->len = static_cast<std::uint32_t>(m.total - m.sent);
+    gather_at(payload, m.sent, r->payload(), chunk);
+    fb.publish(*r);
+    m.sent += chunk;
+  } while (m.sent < m.total);
   return true;
 }
 
-void Engine::send_ctrl(int dst, CellType type, std::uint32_t seq,
+bool Engine::flush(int dst) {
+  std::deque<OutMsg>& q = deferred_[static_cast<std::size_t>(dst)];
+  while (!q.empty()) {
+    OutMsg& m = q.front();
+    const ConstSegment seg{m.copy.data(), m.total};
+    if (!put_records(dst, m, std::span(&seg, 1))) return false;
+    if (m.copy.capacity() != 0 && spare_bufs_.size() < kSpareBufs)
+      spare_bufs_.push_back(std::move(m.copy));
+    q.pop_front();
+    --deferred_msgs_;
+  }
+  return true;
+}
+
+void Engine::flush_deferred() {
+  if (deferred_msgs_ == 0) return;
+  for (int dst : poll_order_) flush(dst);
+}
+
+bool Engine::send_msg(int dst, OutMsg m,
+                      std::span<const ConstSegment> payload) {
+  if (flush(dst) && put_records(dst, m, payload)) return true;
+  // The ring is full: keep the payload in a pooled buffer so the send
+  // completes now; progress() moves it into the ring in order.
+  if (m.total != 0) {
+    if (!spare_bufs_.empty()) {
+      m.copy = std::move(spare_bufs_.back());
+      spare_bufs_.pop_back();
+    }
+    m.copy.resize(m.total);
+    gather_at(payload, 0, m.copy.data(), m.total);
+  }
+  deferred_[static_cast<std::size_t>(dst)].push_back(std::move(m));
+  ++deferred_msgs_;
+  return false;
+}
+
+void Engine::send_ctrl(int dst, RecordType type, std::uint32_t seq,
                        const lmt::RtsWire* wire, int tag, int context) {
-  PendingCtrl pc;
-  pc.dst = dst;
-  pc.type = type;
-  pc.seq = seq;
-  pc.tag = tag;
-  pc.context = context;
-  pc.has_wire = wire != nullptr;
-  if (wire != nullptr) pc.wire = *wire;
   if (xport_hooks_) note_net(dst, 0, xport_->on_doorbell(rank_, dst), true);
-  if (!pending_ctrl_.empty() || !try_send_ctrl(pc))
-    pending_ctrl_.push_back(pc);
+  OutMsg m;
+  m.type = type;
+  m.tag = tag;
+  m.context = context;
+  m.seq = seq;
+  ConstSegment seg{};
+  if (wire != nullptr) {
+    seg = {reinterpret_cast<const std::byte*>(wire), sizeof(*wire)};
+    m.total = sizeof(*wire);
+  }
+  send_msg(dst, std::move(m), std::span(&seg, 1));
 }
 
 // --- Send path ---------------------------------------------------------------
@@ -512,7 +531,7 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
 
   bool eager;
   if (dst == rank_) {
-    eager = true;  // Self sends always go through the (local) eager path.
+    eager = true;  // Self sends are always delivered locally.
   } else if (world_.config().lmt == lmt::LmtKind::kAuto) {
     eager = !policy_.use_lmt(total, collective);
   } else {
@@ -520,84 +539,41 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   }
 
   if (eager) {
-    // Eager messages that fit a slot (every auto-routed one: the slot is
-    // sized from the activation) bypass the recv queue through the pair's
-    // fastbox ring, falling back to cells when every slot is occupied.
-    if (dst != rank_ && world_.use_fastbox() &&
-        total <= fb_out_[static_cast<std::size_t>(dst)].payload_capacity()) {
-      resil::fault_point(resil::Site::kFastboxPut, rank_);
-      bool put;
-      {
-        trace::Span sp(tracer_, trace::kFastboxPut, trace::Mode::kFull,
-                       static_cast<std::uint64_t>(dst), total);
-        put = fb_out_[static_cast<std::size_t>(dst)].try_put(
-            static_cast<std::uint32_t>(rank_), tag, seq,
-            static_cast<std::uint32_t>(context), segs);
-      }
-      if (put) {
-        stats_.fastbox_sent++;
-        stats_.eager_msgs_sent++;
-        stats_.bytes_sent += total;
-        counters_.fastbox_hits++;
-        counters_.record_send(total, tune::Counters::kPathFastbox);
-        if (xport_hooks_)
-          note_net(dst, total, xport_->on_eager(rank_, dst, total), false);
-        req->complete = true;
-        return req;
-      }
+    stats_.eager_msgs_sent++;
+    stats_.bytes_sent += total;
+    req->complete = true;  // The payload is in the ring, a FIFO or delivered.
+    if (dst == rank_) {
+      std::vector<std::byte> flat(total);
+      gather_at(segs, 0, flat.data(), total);
+      deliver_eager_first(rank_, tag, context, seq, total, flat.data(), total);
+      counters_.record_send(total, tune::Counters::kPathEager);
+      return req;
+    }
+    resil::fault_point(resil::Site::kFastboxPut, rank_);
+    OutMsg m;
+    m.tag = tag;
+    m.context = context;
+    m.seq = seq;
+    m.total = total;
+    bool put;
+    {
+      trace::Span sp(tracer_, trace::kFastboxPut, trace::Mode::kFull,
+                     static_cast<std::uint64_t>(dst), total);
+      put = send_msg(dst, std::move(m), segs);
+    }
+    if (put) {
+      stats_.fastbox_sent++;
+      counters_.fastbox_hits++;
+      counters_.record_send(total, tune::Counters::kPathFastbox);
+    } else {
       counters_.fastbox_fallbacks++;
+      counters_.record_send(total, tune::Counters::kPathEager);
       if (trace::on())
         tracer_.emit(trace::kFastboxFallback, trace::kInstant,
                      static_cast<std::uint64_t>(dst));
     }
-    // Cell-path eager sends must not overtake control messages parked by
-    // cell exhaustion: the receiver merges each source's streams by seq,
-    // and a gap that is neither in the queue nor the fastbox is fatal.
-    if (!pending_ctrl_.empty())
-      wait_until(resil::Site::kPendingCtrl, -1, [&] {
-        progress();
-        return pending_ctrl_.empty();
-      });
-    std::size_t off = 0;
-    std::size_t seg_idx = 0, seg_off = 0;
-    bool first = true;
-    while (off < total || first) {
-      Cell* c = get_cell_blocking();
-      c->src = static_cast<std::uint32_t>(rank_);
-      c->type = static_cast<std::uint16_t>(first ? CellType::kEagerFirst
-                                                 : CellType::kEagerBody);
-      c->flags = static_cast<std::uint16_t>(context);
-      c->tag = tag;
-      c->msg_seq = seq;
-      c->total_size = total;
-      c->chunk_off = off;
-      // Gather into the cell payload.
-      std::size_t filled = 0;
-      while (filled < Cell::kPayload && off < total) {
-        const ConstSegment& s = segs[seg_idx];
-        std::size_t avail = s.len - seg_off;
-        if (avail == 0) {
-          ++seg_idx;
-          seg_off = 0;
-          continue;
-        }
-        std::size_t n = Cell::kPayload - filled;
-        if (avail < n) n = avail;
-        std::memcpy(c->data() + filled, s.base + seg_off, n);
-        filled += n;
-        seg_off += n;
-        off += n;
-      }
-      c->payload_len = static_cast<std::uint32_t>(filled);
-      send_cell(dst, c);
-      first = false;
-    }
-    stats_.eager_msgs_sent++;
-    stats_.bytes_sent += total;
-    counters_.record_send(total, tune::Counters::kPathEager);
-    if (xport_hooks_ && dst != rank_)
+    if (xport_hooks_)
       note_net(dst, total, xport_->on_eager(rank_, dst, total), false);
-    req->complete = true;  // Payload is buffered in cells.
     return req;
   }
 
@@ -617,8 +593,8 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   lmt::Backend& b = backend_for(kind);
   b.send_init(*ctx);
 
-  send_ctrl(dst, CellType::kRts, seq, &ctx->rts, tag, context);
-  // Crash site: the RTS is published (it lives in shared cells, so it
+  send_ctrl(dst, RecordType::kRts, seq, &ctx->rts, tag, context);
+  // Crash site: the RTS is published (it lives in the shared ring, so it
   // survives this rank's death) but the rendezvous will never be fulfilled.
   resil::fault_point(resil::Site::kRendezvous, rank_);
   Key key{dst, seq};
@@ -723,7 +699,7 @@ void Engine::start_lmt_recv(int src, int tag, std::uint32_t seq,
   lmt::Backend& b = backend_for(kind);
   b.recv_init(*ctx);
   if (b.needs_cts()) {
-    send_ctrl(src, CellType::kCts, seq, nullptr, tag);
+    send_ctrl(src, RecordType::kCts, seq, nullptr, tag);
     ctx->cts_sent = true;
   }
 
@@ -786,59 +762,14 @@ void Engine::deliver_eager_first(int src, int tag, int context,
   matcher_.add_unexpected(std::move(um));
 }
 
-bool Engine::poll_fastbox(int src) {
-  shm::Fastbox& fb = fb_in_[static_cast<std::size_t>(src)];
-  if (!fb.valid()) return false;
-  const shm::FastboxSlot* st = fb.peek();
-  if (st == nullptr ||
-      st->msg_seq != expected_seq_[static_cast<std::size_t>(src)])
-    return false;
-  expected_seq_[static_cast<std::size_t>(src)]++;
-  stats_.fastbox_recv++;
-  // Fastbox messages are always complete (len == total): deliver straight
-  // from the slot, then return it to the sender.
-  trace::Span sp(tracer_, trace::kFastboxPop, trace::Mode::kFull,
-                 static_cast<std::uint64_t>(src), st->payload_len);
-  deliver_eager_first(src, st->tag, static_cast<int>(st->context),
-                      st->msg_seq, st->payload_len, st->payload(),
-                      st->payload_len);
-  fb.release();
-  return true;
-}
-
-void Engine::poll_fastboxes() {
-  if (!world_.use_fastbox()) return;
-  for (int src : poll_order_) poll_fastbox(src);
-}
-
-void Engine::sync_stream(int src, std::uint32_t seq) {
-  // Cells from one source dequeue in send order, so the only message that
-  // can be missing ahead of `seq` is the (single) one parked in the pair's
-  // fastbox — its publish happens-before the later cell's enqueue.
-  while (expected_seq_[static_cast<std::size_t>(src)] < seq) {
-    bool got = poll_fastbox(src);
-    NEMO_ASSERT_MSG(got, "message stream gap not resident in fastbox");
-  }
-  NEMO_ASSERT(expected_seq_[static_cast<std::size_t>(src)] == seq);
-}
-
-void Engine::handle_eager(Cell* cell) {
-  int src = static_cast<int>(cell->src);
-  auto type = static_cast<CellType>(cell->type);
-  if (type == CellType::kEagerFirst) {
-    deliver_eager_first(src, cell->tag, static_cast<int>(cell->flags),
-                        cell->msg_seq, cell->total_size, cell->data(),
-                        cell->payload_len);
-    return;
-  }
-
-  // Continuation chunk: either bound to a user buffer already or still in
-  // the unexpected queue.
-  auto it = bound_eager_.find({src, cell->msg_seq});
+void Engine::deliver_eager_body(int src, std::uint32_t seq,
+                                const std::byte* data, std::size_t len) {
+  // Either bound to a user buffer already or still in the unexpected queue.
+  auto it = bound_eager_.find({src, seq});
   if (it != bound_eager_.end()) {
     BoundEager& be = it->second;
-    scatter_at(be.segs, cell->chunk_off, cell->data(), cell->payload_len);
-    be.arrived += cell->payload_len;
+    scatter_at(be.segs, be.arrived, data, len);
+    be.arrived += len;
     if (be.arrived == be.total) {
       be.req->complete = true;
       be.req->info = RecvInfo{src, be.tag, be.total};
@@ -848,72 +779,68 @@ void Engine::handle_eager(Cell* cell) {
     }
     return;
   }
-  UnexpectedMsg* um = matcher_.find_partial(src, cell->msg_seq);
+  UnexpectedMsg* um = matcher_.find_partial(src, seq);
   NEMO_ASSERT_MSG(um != nullptr, "eager continuation without a first chunk");
-  std::memcpy(um->data.data() + cell->chunk_off, cell->data(),
-              cell->payload_len);
-  um->bytes_arrived += cell->payload_len;
+  std::memcpy(um->data.data() + um->bytes_arrived, data, len);
+  um->bytes_arrived += len;
 }
 
-void Engine::handle_rts(Cell* cell) {
-  int src = static_cast<int>(cell->src);
+void Engine::handle_rts(int src, const shm::FastboxRecord& r) {
   lmt::RtsWire rts;
-  NEMO_ASSERT(cell->payload_len == sizeof(rts));
-  std::memcpy(&rts, cell->data(), sizeof(rts));
+  NEMO_ASSERT(r.len == sizeof(rts));
+  std::memcpy(&rts, r.payload(), sizeof(rts));
 
-  std::unique_ptr<PostedRecv> pr = matcher_.match_incoming(
-      src, cell->tag, static_cast<int>(cell->flags));
+  std::unique_ptr<PostedRecv> pr =
+      matcher_.match_incoming(src, r.tag, r.context);
   if (pr != nullptr) {
-    start_lmt_recv(src, cell->tag, cell->msg_seq, rts, *pr);
+    start_lmt_recv(src, r.tag, r.msg_seq, rts, *pr);
     return;
   }
   std::unique_ptr<UnexpectedMsg> um = matcher_.acquire_unexpected(0);
   um->src = src;
-  um->tag = cell->tag;
-  um->context = static_cast<int>(cell->flags);
-  um->seq = cell->msg_seq;
+  um->tag = r.tag;
+  um->context = r.context;
+  um->seq = r.msg_seq;
   um->is_rndv = true;
   um->rts = rts;
   um->total = rts.total;
   matcher_.add_unexpected(std::move(um));
 }
 
-void Engine::handle_cts(Cell* cell) {
-  auto it = sends_.find({static_cast<int>(cell->src), cell->msg_seq});
-  NEMO_ASSERT_MSG(it != sends_.end(), "CTS for unknown rendezvous");
-  it->second.ctx->cts_seen = true;
-}
-
-void Engine::handle_fin(Cell* cell) {
-  auto it = sends_.find({static_cast<int>(cell->src), cell->msg_seq});
-  NEMO_ASSERT_MSG(it != sends_.end(), "FIN for unknown rendezvous");
-  it->second.ctx->fin_seen = true;
-}
-
-void Engine::handle_cell(Cell* cell) {
-  auto type = static_cast<CellType>(cell->type);
-  // New-message cells participate in the per-source sequence stream that
-  // fastbox messages share; merge back into sender order before delivery.
-  if (type == CellType::kEagerFirst || type == CellType::kRts) {
-    int src = static_cast<int>(cell->src);
-    sync_stream(src, cell->msg_seq);
-    expected_seq_[static_cast<std::size_t>(src)]++;
+void Engine::poll_ring(int src) {
+  shm::Fastbox& fb = fb_in_[static_cast<std::size_t>(src)];
+  const shm::FastboxRecord* r = fb.peek();
+  if (r == nullptr) return;
+  switch (static_cast<RecordType>(r->type)) {
+    case RecordType::kEager: {
+      stats_.fastbox_recv++;
+      std::size_t len = fb.payload_len(*r);
+      trace::Span sp(tracer_, trace::kFastboxPop, trace::Mode::kFull,
+                     static_cast<std::uint64_t>(src), len);
+      deliver_eager_first(src, r->tag, r->context, r->msg_seq, r->len,
+                          r->payload(), len);
+      break;
+    }
+    case RecordType::kEagerBody:
+      deliver_eager_body(src, r->msg_seq, r->payload(), fb.payload_len(*r));
+      break;
+    case RecordType::kRts:
+      handle_rts(src, *r);
+      break;
+    case RecordType::kCts:
+    case RecordType::kFin: {
+      auto it = sends_.find({src, r->msg_seq});
+      NEMO_ASSERT_MSG(it != sends_.end(), "CTS/FIN for unknown rendezvous");
+      if (r->type == static_cast<std::uint16_t>(RecordType::kCts))
+        it->second.ctx->cts_seen = true;
+      else
+        it->second.ctx->fin_seen = true;
+      break;
+    }
+    case RecordType::kSkip:
+      NEMO_ASSERT_MSG(false, "skip record escaped the ring");
   }
-  switch (type) {
-    case CellType::kEagerFirst:
-    case CellType::kEagerBody:
-      handle_eager(cell);
-      break;
-    case CellType::kRts:
-      handle_rts(cell);
-      break;
-    case CellType::kCts:
-      handle_cts(cell);
-      break;
-    case CellType::kFin:
-      handle_fin(cell);
-      break;
-  }
+  fb.release();
 }
 
 void Engine::complete_send(const Key& key) {
@@ -933,7 +860,7 @@ void Engine::complete_recv(const Key& key) {
   NEMO_ASSERT(it != recvs_.end());
   RecvEntry& e = it->second;
   if (e.backend->needs_fin())
-    send_ctrl(e.ctx->peer, CellType::kFin, e.ctx->seq, nullptr, e.ctx->tag);
+    send_ctrl(e.ctx->peer, RecordType::kFin, e.ctx->seq, nullptr, e.ctx->tag);
   e.req->complete = true;
   e.req->info = RecvInfo{e.ctx->peer, e.ctx->tag, e.ctx->total};
   stats_.bytes_recv += e.ctx->total;
@@ -1006,34 +933,19 @@ void Engine::progress() {
   if (rings_on) t0 = trace::tsc_now();
   if (traced) tracer_.emit(trace::kProgress, trace::kBegin);
 
-  while (!pending_ctrl_.empty()) {
-    if (!try_send_ctrl(pending_ctrl_.front())) break;
-    pending_ctrl_.pop_front();
-  }
-
-  // One pass drains every ready fastbox, a batch of queue cells, then the
-  // fastboxes again (a box whose message was sequenced after queued cells
-  // only becomes consumable once those cells are handled).
-  poll_fastboxes();
-  std::uint32_t drained = 0;
-  while (drained < drain_budget_) {
-    std::uint64_t off = recv_q_.dequeue();
-    if (off == kNil) break;
-    ++drained;
-    Cell* cell = world_.arena().at_as<Cell>(off);
-    handle_cell(cell);
-    return_cell(cell);
-  }
-  // Budget fully consumed = cells were likely left enqueued; the tuner
-  // reads this as "drain budget too small for this workload".
-  if (drained == drain_budget_) counters_.drain_exhausted++;
+  // Deferred records first: they are older than anything sent from here
+  // on, and a peer may be waiting on them.
+  flush_deferred();
+  // One record per source per pass: polling a ring again right after
+  // consuming a record reads the line its sender has just cleared, a
+  // cross-core miss on the path of a pingpong's reply.
+  for (int src : poll_order_) poll_ring(src);
   counters_.progress_passes++;
   // Heartbeat: a rank that makes progress is alive. Every 64 passes keeps
   // the clock read off the hot path while staying far inside any sane
   // NEMO_PEER_TIMEOUT_MS (pt2pt waits run progress() on every probe).
   if (live_.valid() && (counters_.progress_passes & 0x3F) == 0)
     live_.beat(rank_);
-  poll_fastboxes();
 
   progress_sends();
   progress_recvs();
@@ -1167,15 +1079,12 @@ void Engine::peer_death_fence(int dead_rank, resil::Site site,
                                      return k.first == dead_rank;
                                    }),
                     knem_recvs_.end());
-  pending_ctrl_.erase(
-      std::remove_if(pending_ctrl_.begin(), pending_ctrl_.end(),
-                     [&](const PendingCtrl& pc) {
-                       return pc.dst == dead_rank;
-                     }),
-      pending_ctrl_.end());
+  deferred_msgs_ -= deferred_[d].size();
+  deferred_[d].clear();
 
-  // Reclaim the dead rank's fastboxes: stop polling them (a half-written
-  // put is invisible by protocol; a fully published one is abandoned).
+  // Reclaim the dead rank's rings: stop polling and flushing them (a
+  // half-written record is invisible by protocol; a published one is
+  // abandoned).
   poll_order_.erase(
       std::remove(poll_order_.begin(), poll_order_.end(), dead_rank),
       poll_order_.end());

@@ -30,7 +30,6 @@
 #include "shm/copy_ring.hpp"
 #include "shm/dma_engine.hpp"
 #include "shm/fastbox.hpp"
-#include "shm/nemesis_queue.hpp"
 #include "shm/numa.hpp"
 #include "shm/pipes.hpp"
 #include "simd/simd.hpp"
@@ -66,17 +65,11 @@ struct Config {
   /// Nemesis 64 KiB default otherwise.)
   std::size_t eager_threshold = 64 * KiB;
 
-  std::uint32_t cells_per_rank = 64;
-
   /// Copy-ring geometry. Four buffers by default so copy #1 and copy #2
   /// pipeline deeply (the seed's 2×32KiB ring stalls the sender every other
   /// chunk). Overridable per run via NEMO_RING_BUFS / NEMO_RING_BUF_BYTES.
   std::uint32_t ring_bufs = 4;
   std::uint32_t ring_buf_bytes = shm::CopyRing::kDefaultBufBytes;
-
-  /// Per-ordered-pair fastbox rings for every eager message that fits a
-  /// slot (bypasses the MPSC recv-queue enqueue). NEMO_FASTBOX=0 disables.
-  bool use_fastbox = true;
 
   /// Minimum rendezvous size that switches the shm-copy ring to streaming
   /// (non-temporal) stores. 0 = auto: the per-placement formula row (half
@@ -196,21 +189,14 @@ class World {
   [[nodiscard]] shm::Arena& arena() { return arena_; }
   [[nodiscard]] shm::PipeMatrix& pipes() { return pipes_; }
 
-  [[nodiscard]] std::uint64_t recv_q_off(int rank) const {
-    return rank_queues_[static_cast<std::size_t>(rank)].recv_q;
-  }
-  [[nodiscard]] std::uint64_t free_q_off(int rank) const {
-    return rank_queues_[static_cast<std::size_t>(rank)].free_q;
-  }
   [[nodiscard]] std::uint64_t ring_off(int src, int dst) const {
     NEMO_ASSERT(src != dst);
     return ring_offs_[static_cast<std::size_t>(src) *
                           static_cast<std::size_t>(cfg_.nranks) +
                       static_cast<std::size_t>(dst)];
   }
-  [[nodiscard]] bool use_fastbox() const { return cfg_.use_fastbox; }
   [[nodiscard]] std::uint64_t fastbox_off(int src, int dst) const {
-    NEMO_ASSERT(cfg_.use_fastbox && src != dst);
+    NEMO_ASSERT(src != dst);
     return fastbox_offs_[static_cast<std::size_t>(src) *
                              static_cast<std::size_t>(cfg_.nranks) +
                          static_cast<std::size_t>(dst)];
@@ -252,8 +238,10 @@ class World {
   /// distinct from Comm::barrier() which exercises the pt2pt path). Passing
   /// the calling rank arms the liveness guard (the rank keeps heartbeating
   /// and a dead peer raises PeerDeadError); the default -1 waits unbounded,
-  /// preserving the historical contract for anonymous callers.
-  void hard_barrier(int self_rank = -1);
+  /// preserving the historical contract for anonymous callers. `idle` runs
+  /// between probes while the barrier waits.
+  void hard_barrier(int self_rank = -1,
+                    const std::function<void()>& idle = {});
 
   /// View of the per-rank liveness region (heartbeats, death flags, fence
   /// words). Offset-addressed: take a fresh view after reattach_in_child().
@@ -289,7 +277,6 @@ class World {
   std::unique_ptr<transport::Transport> xport_;
   shm::Arena arena_;
   shm::PipeMatrix pipes_;
-  std::vector<shm::RankQueues> rank_queues_;
   std::vector<std::uint64_t> ring_offs_;
   std::vector<std::uint64_t> fastbox_offs_;
   std::vector<RingPlacement> ring_place_;
@@ -306,11 +293,10 @@ class World {
 struct EngineStats {
   std::uint64_t eager_msgs_sent = 0;
   std::uint64_t eager_msgs_recv = 0;
-  std::uint64_t fastbox_sent = 0;  ///< Eager messages that took the fastbox.
-  std::uint64_t fastbox_recv = 0;
+  std::uint64_t fastbox_sent = 0;  ///< Eager messages put straight in a ring.
+  std::uint64_t fastbox_recv = 0;  ///< Eager messages read from a ring.
   std::uint64_t rndv_sent = 0;
   std::uint64_t rndv_recv = 0;
-  std::uint64_t cells_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_recv = 0;
   std::array<std::uint64_t, 4> rndv_by_kind{};  ///< Indexed by LmtKind 0..3.
@@ -446,14 +432,17 @@ class Engine {
 
   using Key = std::pair<int, std::uint32_t>;  ///< (peer, seq).
 
-  struct PendingCtrl {
-    int dst;
-    shm::CellType type;
-    std::uint32_t seq;
-    lmt::RtsWire wire;
-    int tag;
-    int context;
-    bool has_wire;
+  /// One message on its way into a pair's ring: an eager payload or a
+  /// control wire, put as one record or, when larger than a record, as
+  /// consecutive ones.
+  struct OutMsg {
+    shm::RecordType type = shm::RecordType::kEager;
+    int tag = 0;
+    int context = 0;
+    std::uint32_t seq = 0;
+    std::size_t total = 0;  ///< Payload bytes.
+    std::size_t sent = 0;   ///< Bytes already in the ring.
+    std::vector<std::byte> copy;  ///< Deferred: the payload, pooled.
   };
 
   /// Reassembly target for an eager message already matched to a user
@@ -466,32 +455,30 @@ class Engine {
     int tag = -1;
   };
 
-  shm::Cell* try_get_cell();
-  shm::Cell* get_cell_blocking();
-  void send_cell(int dst, shm::Cell* cell);
-  void return_cell(shm::Cell* cell);
-  bool try_send_ctrl(const PendingCtrl& pc);
-  void send_ctrl(int dst, shm::CellType type, std::uint32_t seq,
+  /// Send `m` to `dst` in ring order: straight into the ring when nothing
+  /// waits ahead of it, else it waits, copied, in dst's FIFO. True when it
+  /// went straight in.
+  bool send_msg(int dst, OutMsg m, std::span<const ConstSegment> payload);
+  /// Put `m`'s records from m.sent on; false once the ring is full.
+  bool put_records(int dst, OutMsg& m, std::span<const ConstSegment> payload);
+  /// Move dst's deferred messages into its ring; true when none is left.
+  bool flush(int dst);
+  /// flush() every destination with deferred messages.
+  void flush_deferred();
+  void send_ctrl(int dst, shm::RecordType type, std::uint32_t seq,
                  const lmt::RtsWire* wire, int tag, int context = 0);
 
-  void handle_cell(shm::Cell* cell);
-  void handle_eager(shm::Cell* cell);
-  void handle_rts(shm::Cell* cell);
-  void handle_cts(shm::Cell* cell);
-  void handle_fin(shm::Cell* cell);
+  /// Consume one record from `src`'s ring, if one is there.
+  void poll_ring(int src);
+  void handle_rts(int src, const shm::FastboxRecord& r);
 
-  /// Deliver the first (or only) chunk of an eager message — shared by the
-  /// cell path and the fastbox path.
+  /// Deliver the first (or only) chunk of an eager message.
   void deliver_eager_first(int src, int tag, int context, std::uint32_t seq,
                            std::size_t total, const std::byte* data,
                            std::size_t len);
-  /// Consume src's inbound fastbox if it holds the next in-order message.
-  bool poll_fastbox(int src);
-  /// Drain every inbound fastbox that is ready and in order, in poll_order_.
-  void poll_fastboxes();
-  /// A queue cell from `src` carries `seq`; any earlier message still parked
-  /// in the pair's fastbox must be delivered first to preserve sender order.
-  void sync_stream(int src, std::uint32_t seq);
+  /// Deliver a continuation chunk of message (src, seq).
+  void deliver_eager_body(int src, std::uint32_t seq, const std::byte* data,
+                          std::size_t len);
 
   void start_lmt_recv(int src, int tag, std::uint32_t seq,
                       const lmt::RtsWire& rts, PostedRecv& pr);
@@ -512,18 +499,18 @@ class Engine {
   int rank_;
   lmt::Policy policy_;
   knem::Device knem_dev_;
-  shm::QueueView recv_q_;
-  shm::QueueView free_q_;
 
-  // Per-peer cached views (rebuilt-per-call views were a measurable cost on
-  // the hot path): receiver queues for send_cell, free queues for
-  // return_cell, and this rank's inbound/outbound fastboxes.
-  std::vector<shm::QueueView> peer_recv_q_;
-  std::vector<shm::QueueView> peer_free_q_;
+  // Per-peer cached views of this rank's inbound and outbound rings
+  // (rebuilt-per-call views were a measurable cost on the hot path).
   std::vector<shm::Fastbox> fb_out_;  ///< Indexed by destination rank.
   std::vector<shm::Fastbox> fb_in_;   ///< Indexed by source rank.
-  /// Fastbox poll order: every live peer, in rank order.
+  /// Ring poll order: every live peer, in rank order.
   std::vector<int> poll_order_;
+  /// Per destination: messages waiting for room in the ring, in send order.
+  std::vector<std::deque<OutMsg>> deferred_;
+  std::size_t deferred_msgs_ = 0;  ///< Across every destination.
+  /// Payload buffers of flushed deferred messages, for reuse.
+  std::vector<std::vector<std::byte>> spare_bufs_;
 
   std::unique_ptr<shm::DmaEngine> dma_channel_;
   std::unique_ptr<shm::DmaEngine> kthread_channel_;
@@ -532,9 +519,6 @@ class Engine {
 
   MatchEngine matcher_;
   std::vector<std::uint32_t> next_seq_;  ///< Per destination.
-  /// Next message sequence expected from each source: merges the fastbox
-  /// and recv-queue streams back into sender order.
-  std::vector<std::uint32_t> expected_seq_;
   std::map<std::pair<int, std::uint32_t>, BoundEager> bound_eager_;
 
   // Rendezvous registries.
@@ -554,7 +538,6 @@ class Engine {
   std::map<int, std::deque<Key>> serial_recvs_;  ///< Per src, seq-sorted.
   std::vector<Key> knem_recvs_;
 
-  std::deque<PendingCtrl> pending_ctrl_;
   EngineStats stats_;
   tune::Counters counters_;
   trace::Tracer tracer_;  ///< Event ring (allocated only when tracing is on).
@@ -569,8 +552,6 @@ class Engine {
   std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
   simd::Kernel simd_kernel_ = simd::Kernel::kScalar;  ///< Resolved fold ISA.
   std::size_t pack_nt_min_ = SIZE_MAX;  ///< Tuned pack->NT-store cutoff.
-  /// Recv-queue cells drained per progress() pass (tuned / env override).
-  std::uint32_t drain_budget_ = 256;
   bool in_progress_ = false;
   std::uint64_t coll_seq_ = 0;
 
@@ -686,7 +667,13 @@ class Comm {
   std::byte* shared_alloc(std::size_t bytes, std::size_t align = kCacheLine) {
     return engine_.world().shared_alloc(bytes, align);
   }
-  void hard_barrier() { engine_.world().hard_barrier(engine_.rank()); }
+  /// World::hard_barrier that keeps this rank's deferred records flowing
+  /// (a peer may wait on them before it arrives); it runs no other
+  /// progress.
+  void hard_barrier() {
+    engine_.world().hard_barrier(engine_.rank(),
+                                 [this] { engine_.flush_deferred(); });
+  }
 
   /// Epoch fence after a peer death (NEMO_ON_PEER_DEATH=degrade): every
   /// surviving rank calls this once it has observed the PeerDeadError, and

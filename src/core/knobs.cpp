@@ -100,19 +100,9 @@ const Knob kKnobs[] = {
      [](const std::string& v, Config&, TuningTable& t) {
        t.dma_min = size("NEMO_DMA_MIN", v);
      }},
-    {"NEMO_DRAIN_BUDGET", "(formula)", "<cells 1..65536>",
-     "recv-queue cells drained per progress() pass",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.drain_budget = static_cast<std::uint32_t>(
-           parse_int("NEMO_DRAIN_BUDGET", v, 1, 65536));
-     }},
-    {"NEMO_FASTBOX", "1", "0|1",
-     "per-pair fastbox rings for eager messages",
-     [](const std::string& v, Config& c, TuningTable&) {
-       c.use_fastbox = parse_flag("NEMO_FASTBOX", v);
-     }},
     {"NEMO_FASTBOX_SLOTS", "(formula)", "<slots 1..64>",
-     "slots per fastbox ring (the slot size follows NEMO_LMT_ACTIVATION)",
+     "fastbox ring capacity in activation-sized records (the record size "
+     "follows NEMO_LMT_ACTIVATION)",
      [](const std::string& v, Config&, TuningTable& t) {
        t.fastbox_slots = static_cast<std::uint32_t>(
            parse_int("NEMO_FASTBOX_SLOTS", v, 1, tune::kFastboxSlotsMax));

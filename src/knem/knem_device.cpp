@@ -300,16 +300,17 @@ KnemResult Device::recv_sync(std::uint64_t cookie_id,
   // Synchronous I/OAT mode: submit, then poll the status byte before
   // returning to "user space". The engine always writes it, so the wait
   // needs no liveness guard.
-  volatile std::uint8_t status = 0;
+  std::uint8_t status = 0;
   KnemResult res = recv_async(
       cookie_id, SegmentList(local.begin(), local.end()), flags, *engine,
       &status);
   if (res != KnemResult::kOk) return res;
+  std::uint8_t seen = 0;
   resil::wait_until({}, [&] {
-    return status != static_cast<std::uint8_t>(shm::DmaStatus::kPending);
+    seen = shm::aref(status).load(std::memory_order_acquire);
+    return seen != static_cast<std::uint8_t>(shm::DmaStatus::kPending);
   });
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (status == static_cast<std::uint8_t>(shm::DmaStatus::kFailed))
+  if (seen == static_cast<std::uint8_t>(shm::DmaStatus::kFailed))
     throw SysError("KNEM DMA receive", ESRCH);
   return KnemResult::kOk;
 }
@@ -429,7 +430,7 @@ void ShareRecv::abandon() noexcept {
 
 KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
                               std::uint32_t flags, shm::DmaEngine& engine,
-                              volatile std::uint8_t* status) {
+                              std::uint8_t* status) {
   auto r = resolve(cookie_id);
   if (!r) return KnemResult::kBadCookie;
   std::size_t cap = 0;
@@ -439,7 +440,8 @@ KnemResult Device::recv_async(std::uint64_t cookie_id, SegmentList local,
   stat_add(mine_->recv_cmds, 1);
   if ((flags & kFlagAsync) != 0) stat_add(mine_->async_recv_cmds, 1);
   if ((flags & kFlagDma) != 0) stat_add(mine_->dma_recv_cmds, 1);
-  *status = static_cast<std::uint8_t>(shm::DmaStatus::kPending);
+  shm::aref(*status).store(static_cast<std::uint8_t>(shm::DmaStatus::kPending),
+                           std::memory_order_relaxed);
   engine.submit_copy_with_status(shm::RemoteMemPort(r->mode, r->pid), r->segs,
                                  std::move(local), status);
   stat_add(mine_->bytes_copied, r->total);

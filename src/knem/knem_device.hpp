@@ -185,7 +185,7 @@ class Device {
   /// when the sender's process has exited.
   KnemResult recv_async(std::uint64_t cookie_id, SegmentList local,
                         std::uint32_t flags, shm::DmaEngine& engine,
-                        volatile std::uint8_t* status);
+                        std::uint8_t* status);
 
   // -- Shared CPU copy. A synchronous CPU receive is one chunk loop: the
   //    receiver and, when the receive buffer is addressable by the sender,

@@ -11,7 +11,7 @@ RecvCtx::~RecvCtx() {
   // always writes the status, so the wait needs no guard.
   if (async_submitted)
     resil::wait_until({}, [&] {
-      return async_status !=
+      return shm::aref(async_status).load(std::memory_order_acquire) !=
              static_cast<std::uint8_t>(shm::DmaStatus::kPending);
     });
 }
@@ -108,12 +108,12 @@ bool KnemBackend::recv_progress(RecvCtx& ctx) {
     ctx.async_submitted = true;
     return false;
   }
-  // Poll the status byte the engine writes in order, behind the payload.
-  auto status = static_cast<shm::DmaStatus>(ctx.async_status);
+  // Poll the status byte the engine writes in order, behind the payload;
+  // the acquire load makes the payload visible.
+  auto status = static_cast<shm::DmaStatus>(
+      shm::aref(ctx.async_status).load(std::memory_order_acquire));
   if (status == shm::DmaStatus::kFailed) sender_gone(eng_, ctx.peer);
-  if (status != shm::DmaStatus::kSuccess) return false;
-  std::atomic_thread_fence(std::memory_order_acquire);
-  return true;
+  return status == shm::DmaStatus::kSuccess;
 }
 
 std::unique_ptr<Backend> make_backend(LmtKind kind, core::Engine& eng) {

@@ -25,8 +25,6 @@ const char* site_name(Site s) {
     case Site::kBarrierRelease: return "barrier_release";
     case Site::kCollGather: return "coll_gather";
     case Site::kEngineWait: return "engine_wait";
-    case Site::kCellAlloc: return "cell_alloc";
-    case Site::kPendingCtrl: return "pending_ctrl";
     case Site::kHardBarrier: return "hard_barrier";
     case Site::kFenceSync: return "fence_sync";
     case Site::kSiteCount: break;

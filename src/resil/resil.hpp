@@ -59,8 +59,6 @@ enum class Site : std::uint8_t {
   kBarrierRelease,    ///< waiting for the barrier release word
   kCollGather,        ///< folder waiting for a peer's operand deposit
   kEngineWait,        ///< Engine::wait on an incomplete request
-  kCellAlloc,         ///< waiting for a free ctrl cell
-  kPendingCtrl,       ///< draining the deferred ctrl queue
   kHardBarrier,       ///< World::hard_barrier generation wait
   kFenceSync,         ///< waiting for survivors inside fence_world()
   kSiteCount

@@ -1,5 +1,5 @@
 // A shared-memory arena: one fixed-size mapping holding every cross-rank data
-// structure (queues, cells, copy rings, fastboxes, KNEM cookie table,
+// structure (copy rings, fastboxes, collective cells, KNEM cookie table,
 // bootstrap state).
 //
 // All structures inside the arena are addressed by BYTE OFFSET, never by

@@ -4,6 +4,7 @@
 #include <pthread.h>
 
 #include "common/common.hpp"
+#include "shm/arena.hpp"
 #include "shm/nt_copy.hpp"
 
 namespace nemo::shm {
@@ -42,7 +43,7 @@ void DmaEngine::submit_copy(RemoteMemPort port, RemoteSegmentList remote,
   submit_copy_with_status(port, std::move(remote), std::move(local), nullptr);
 }
 
-void DmaEngine::submit_status_write(volatile std::uint8_t* status,
+void DmaEngine::submit_status_write(std::uint8_t* status,
                                     DmaStatus value) {
   Job j;
   j.status = status;
@@ -53,7 +54,7 @@ void DmaEngine::submit_status_write(volatile std::uint8_t* status,
 void DmaEngine::submit_copy_with_status(RemoteMemPort port,
                                         RemoteSegmentList remote,
                                         SegmentList local,
-                                        volatile std::uint8_t* status) {
+                                        std::uint8_t* status) {
   push({port, std::move(remote), std::move(local), status});
 }
 
@@ -104,9 +105,9 @@ void DmaEngine::execute(const Job& job) {
     outcome = DmaStatus::kFailed;
   }
   if (job.status == nullptr) return;
-  // Release so payload stores are visible before the status byte.
-  std::atomic_thread_fence(std::memory_order_release);
-  *job.status = static_cast<std::uint8_t>(outcome);
+  // Release: the payload stores are visible before the status byte.
+  aref(*job.status).store(static_cast<std::uint8_t>(outcome),
+                          std::memory_order_release);
 }
 
 void DmaEngine::copy(const Job& job) {

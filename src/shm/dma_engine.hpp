@@ -63,7 +63,7 @@ class DmaEngine {
 
   /// Queue a single-byte status write, executed strictly after everything
   /// already queued (the in-order completion-notification trick).
-  void submit_status_write(volatile std::uint8_t* status, DmaStatus value);
+  void submit_status_write(std::uint8_t* status, DmaStatus value);
 
   /// Copy followed by its trailing status write: kSuccess, or kFailed when
   /// the source process has exited (an ESRCH read), so the poller can turn
@@ -71,7 +71,7 @@ class DmaEngine {
   /// process.
   void submit_copy_with_status(RemoteMemPort port, RemoteSegmentList remote,
                                SegmentList local,
-                               volatile std::uint8_t* status);
+                               std::uint8_t* status);
 
   /// Block until the queue is empty and the worker is idle.
   void drain();
@@ -86,7 +86,7 @@ class DmaEngine {
     RemoteMemPort port{RemoteMode::kDirect, 0};
     RemoteSegmentList remote;
     SegmentList local;
-    volatile std::uint8_t* status = nullptr;
+    std::uint8_t* status = nullptr;
     DmaStatus status_value = DmaStatus::kSuccess;
   };
 

@@ -9,6 +9,10 @@
 // is repaired by the producer while the consumer waits it out.
 //
 // Everything is offset-based so the layout works across address spaces.
+//
+// The runtime no longer uses these queues (every pt2pt message rides the
+// pair's fastbox record ring, shm/fastbox.hpp); they stay for the layer
+// probes that time them and for tests/test_queue.cpp.
 #pragma once
 
 #include <atomic>

@@ -183,7 +183,7 @@ const char* path_name(int i) {
     case 1: return "rndv-vmsplice";
     case 2: return "rndv-vmsplice-writev";
     case 3: return "rndv-knem";
-    case tune::Counters::kPathEager: return "eager-queue";
+    case tune::Counters::kPathEager: return "eager-deferred";
     case tune::Counters::kPathFastbox: return "eager-fastbox";
   }
   return "?";
@@ -220,7 +220,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   j.set("fastbox_hit_rate",
         attempts > 0 ? static_cast<double>(c.fastbox_hits) / attempts : 0.0);
   j.set("ring_stalls", c.ring_stalls);
-  j.set("drain_exhausted", c.drain_exhausted);
   j.set("progress_passes", c.progress_passes);
 
   Json coll = Json::object();

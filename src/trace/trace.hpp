@@ -94,8 +94,8 @@ enum Event : std::uint16_t {
   kNone = 0,
   // Scoped spans (begin/end pairs, properly nested per rank).
   kProgress,      // one Engine::progress() pass            (full)
-  kFastboxPut,    // fastbox try_put, a0=peer a1=bytes      (full)
-  kFastboxPop,    // fastbox poll hit, a0=peer a1=bytes     (full)
+  kFastboxPut,    // eager send to a ring, a0=peer a1=bytes (full)
+  kFastboxPop,    // eager record read, a0=peer a1=bytes    (full)
   kRingPush,      // CopyRing chunk copy-in, a0=peer a1=b   (full)
   kRingPop,       // CopyRing chunk copy-out, a0=peer a1=b  (full)
   kCollOp,        // one collective, a0=Op a1=bytes         (rings)
@@ -107,7 +107,7 @@ enum Event : std::uint16_t {
   // Instants.
   kLmtActivate,      // rendezvous chosen, a0=peer a1=bytes (rings)
   kLmtComplete,      // rendezvous done, a0=peer a1=bytes   (rings)
-  kFastboxFallback,  // box full -> cell path, a0=peer      (rings)
+  kFastboxFallback,  // ring full -> record deferred, a0=peer (rings)
   kRingStall,        // CopyRing full, a0=peer              (rings)
   kEpochStall,       // arena spin missed, a0=waited rank   (rings)
   kPeerDeath,        // death verdict, a0=rank a1=site      (rings)

@@ -16,7 +16,6 @@ Counters& Counters::operator+=(const Counters& o) {
   fastbox_hits += o.fastbox_hits;
   fastbox_fallbacks += o.fastbox_fallbacks;
   ring_stalls += o.ring_stalls;
-  drain_exhausted += o.drain_exhausted;
   progress_passes += o.progress_passes;
   coll_shm_ops += o.coll_shm_ops;
   coll_p2p_ops += o.coll_p2p_ops;

@@ -17,7 +17,9 @@ struct Counters {
   /// takes zero-byte messages. 40 classes cover up to 1 TiB.
   static constexpr int kSizeClasses = 40;
   /// Backend histogram slots: lmt::LmtKind 0..3, slot 4 unused (kept so
-  /// the indexes stay stable), eager=5, fastbox=6.
+  /// the indexes stay stable), eager=5 (deferred on the sender because the
+  /// pair's ring was full, or a self-send), fastbox=6 (straight into the
+  /// ring).
   static constexpr int kPaths = 7;
   static constexpr int kPathEager = 5;
   static constexpr int kPathFastbox = 6;
@@ -25,10 +27,10 @@ struct Counters {
   std::array<std::uint64_t, kSizeClasses> sent_by_class{};
   std::array<std::uint64_t, kPaths> path_hist{};  ///< Messages per path.
 
-  std::uint64_t fastbox_hits = 0;       ///< Eager sends that took the box.
-  std::uint64_t fastbox_fallbacks = 0;  ///< Box occupied -> queue path.
-  std::uint64_t ring_stalls = 0;        ///< Copy-ring push found it full.
-  std::uint64_t drain_exhausted = 0;    ///< progress() hit the drain budget.
+  std::uint64_t fastbox_hits = 0;  ///< Eager sends put straight in a ring.
+  /// Eager sends deferred on the sender: the pair's ring was full.
+  std::uint64_t fastbox_fallbacks = 0;
+  std::uint64_t ring_stalls = 0;  ///< Copy-ring push found it full.
   std::uint64_t progress_passes = 0;
 
   // Collective path telemetry (the shm arena fast path vs the pt2pt

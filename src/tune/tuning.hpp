@@ -74,10 +74,6 @@ struct TuningTable {
   std::uint32_t fastbox_slots = 4;
   std::uint32_t fastbox_slot_bytes = 8 * KiB + kCacheLine;
 
-  /// Recv-queue cells drained per progress() pass before yielding to the
-  /// send/recv state machines.
-  std::uint32_t drain_budget = 256;
-
   /// Reduction kernel the collective folds run with. kAuto defers to CPUID
   /// (best supported, AVX-512 -> AVX2 -> scalar) when the World resolves
   /// it. NEMO_SIMD overrides.

@@ -28,10 +28,8 @@ namespace {
 /// beats the programmatic config), so tests pin it per World.
 Config slim_config(int nranks) {
   Config cfg;
-  cfg.env = {{"NEMO_COLL", "shm"}};
+  cfg.env = {{"NEMO_COLL", "shm"}, {"NEMO_FASTBOX_SLOTS", "1"}};
   cfg.nranks = nranks;
-  cfg.use_fastbox = false;
-  cfg.cells_per_rank = 16;
   cfg.ring_bufs = 2;
   cfg.ring_buf_bytes = 4 * KiB;
   cfg.coll_slot_bytes = 16 * KiB;

@@ -926,12 +926,12 @@ T cell_operand(int r, std::size_t i) {
 
 /// Counters one cell op may move: arena ops, p2p ops, and every pt2pt send.
 struct OpTally {
-  std::uint64_t shm, p2p, eager, fastbox, cells, rndv;
+  std::uint64_t shm, p2p, eager, fastbox, rndv;
   static OpTally of(Comm& comm) {
     const tune::Counters& c = comm.engine().counters();
     EngineStats st = comm.engine().stats();
     return {c.coll_shm_ops,   c.coll_p2p_ops, st.eager_msgs_sent,
-            st.fastbox_sent,  st.cells_sent,  st.rndv_sent};
+            st.fastbox_sent,  st.rndv_sent};
   }
 };
 
@@ -945,8 +945,7 @@ void expect_path(Comm& comm, bool cells, const std::string& at, Op&& op) {
   if (cells) {
     if (b.shm != a.shm + 1 || b.p2p != a.p2p)
       fail(comm, at + ": not one arena op");
-    if (b.eager != a.eager || b.fastbox != a.fastbox || b.cells != a.cells ||
-        b.rndv != a.rndv)
+    if (b.eager != a.eager || b.fastbox != a.fastbox || b.rndv != a.rndv)
       fail(comm, at + ": sent a pt2pt message");
   } else if (b.p2p != a.p2p + 1 || b.shm != a.shm) {
     fail(comm, at + ": not one p2p op");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "shm/arena.hpp"
 #include "shm/dma_engine.hpp"
 
 namespace nemo::shm {
@@ -23,14 +24,14 @@ TEST(DmaEngine, CopyWithTrailingStatus) {
   DmaEngine eng;
   std::vector<std::byte> src(256 * KiB), dst(256 * KiB);
   pattern_fill(src, 1);
-  volatile std::uint8_t status =
-      static_cast<std::uint8_t>(DmaStatus::kPending);
+  std::uint8_t status = static_cast<std::uint8_t>(DmaStatus::kPending);
   eng.submit_copy_with_status(self_port(), rseg(src.data(), src.size()),
                               {{dst.data(), dst.size()}}, &status);
-  while (status == static_cast<std::uint8_t>(DmaStatus::kPending)) {
+  std::uint8_t seen;
+  while ((seen = aref(status).load(std::memory_order_acquire)) ==
+         static_cast<std::uint8_t>(DmaStatus::kPending)) {
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  EXPECT_EQ(status, static_cast<std::uint8_t>(DmaStatus::kSuccess));
+  EXPECT_EQ(seen, static_cast<std::uint8_t>(DmaStatus::kSuccess));
   EXPECT_EQ(pattern_check(dst, 1), kPatternOk);
 }
 
@@ -115,10 +116,10 @@ TEST(DmaEngine, PinnedWorkerStillFunctions) {
   DmaEngine eng(cfg);
   std::vector<std::byte> src(128 * KiB), dst(128 * KiB);
   pattern_fill(src, 5);
-  volatile std::uint8_t status = 0;
+  std::uint8_t status = 0;
   eng.submit_copy_with_status(self_port(), rseg(src.data(), src.size()),
                               {{dst.data(), dst.size()}}, &status);
-  while (status == 0) {
+  while (aref(status).load(std::memory_order_acquire) == 0) {
   }
   EXPECT_EQ(pattern_check(dst, 5), kPatternOk);
   EXPECT_EQ(eng.stats().status_writes, 1u);

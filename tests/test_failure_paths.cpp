@@ -137,11 +137,11 @@ TEST(FailurePaths, ChildKilledMidRendezvousIsReportedAndLeaksNothing) {
 }
 
 TEST(FailurePaths, CellPoolPressureManySmallMessages) {
-  // More in-flight eager messages than cells: senders must recycle via
-  // progress without deadlock.
+  // Far more eager messages than a one-record ring holds: senders must
+  // defer and flush through progress without deadlock.
   Config cfg;
   cfg.nranks = 2;
-  cfg.cells_per_rank = 8;  // Tiny pool.
+  cfg.env = {{"NEMO_FASTBOX_SLOTS", "1"}};  // Tiny ring.
   run(cfg, [&](Comm& comm) {
     constexpr int kMsgs = 500;
     std::vector<std::byte> buf(4 * KiB);
@@ -161,11 +161,11 @@ TEST(FailurePaths, CellPoolPressureManySmallMessages) {
 }
 
 TEST(FailurePaths, BidirectionalFloodTinyCellPool) {
-  // Both sides flood simultaneously with a pool far smaller than the
-  // traffic: the recycle-through-progress path must avoid deadlock.
+  // Both sides flood simultaneously through rings far smaller than the
+  // traffic: the defer-and-flush path must avoid deadlock.
   Config cfg;
   cfg.nranks = 2;
-  cfg.cells_per_rank = 4;
+  cfg.env = {{"NEMO_FASTBOX_SLOTS", "1"}};
   run(cfg, [&](Comm& comm) {
     std::vector<std::byte> out(60 * KiB), in(60 * KiB);
     pattern_fill(out, static_cast<std::uint64_t>(comm.rank()));

@@ -198,8 +198,7 @@ TEST_P(FaultMatrix, KillAtRendezvous) {
   // receiver's CPU or on a DMA worker thread; either way it must read as a
   // death verdict, not a syscall error.
   Scenario sc{"rendezvous",
-              {Site::kRendezvous, Site::kEngineWait, Site::kCellAlloc,
-               Site::kPendingCtrl}};
+              {Site::kRendezvous, Site::kEngineWait}};
   using lmt::KnemMode;
   using lmt::LmtKind;
   for (auto [kind, mode] : {std::pair{LmtKind::kAuto, KnemMode::kSyncCopy},
@@ -230,7 +229,7 @@ TEST_P(FaultMatrix, KillAtFastboxPut) {
   int victim = 2;
   int receiver = 1;
   Scenario sc{"fastbox_put",
-              {Site::kEngineWait, Site::kCellAlloc, Site::kPendingCtrl}};
+              {Site::kEngineWait}};
   run_scenario(n, victim, sc, lmt::LmtKind::kAuto,
                [=](Comm& comm, int v) {
                  std::byte small[64] = {};
@@ -254,7 +253,7 @@ TEST_P(FaultMatrix, KillAtKnemShare) {
   // forever for that chunk. It may run the whole loop alone first, so the
   // victim keeps sending until it claims one.
   Scenario sc{"knem_share",
-              {Site::kEngineWait, Site::kCellAlloc, Site::kPendingCtrl}};
+              {Site::kEngineWait}};
   run_scenario(n, victim, sc, lmt::LmtKind::kKnem,
                [=](Comm& comm, int v) {
                  constexpr std::size_t kN = 4 * MiB;

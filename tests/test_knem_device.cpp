@@ -116,13 +116,13 @@ TEST_F(KnemFixture, RecvAsyncStatusByte) {
   pattern_fill(src, 4);
   std::uint64_t cookie =
       dev.submit_send(ConstSegmentList{{src.data(), src.size()}});
-  volatile std::uint8_t status = 0;
+  std::uint8_t status = 0;
   EXPECT_EQ(dev.recv_async(cookie, {{dst.data(), dst.size()}},
                            kFlagDma | kFlagAsync, engine, &status),
             KnemResult::kOk);
-  while (status != static_cast<std::uint8_t>(shm::DmaStatus::kSuccess)) {
+  while (shm::aref(status).load(std::memory_order_acquire) !=
+         static_cast<std::uint8_t>(shm::DmaStatus::kSuccess)) {
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   EXPECT_EQ(pattern_check(dst, 4), kPatternOk);
   dev.release(cookie);
   EXPECT_GE(dev.stats().async_recv_cmds, 1u);

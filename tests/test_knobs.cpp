@@ -50,7 +50,7 @@ TEST(KnobTable, SortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 28u);
+  EXPECT_EQ(knobs().size(), 26u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
@@ -130,7 +130,6 @@ INSTANTIATE_TEST_SUITE_P(
     Knobs, KnobRejects,
     ::testing::Values(BadValue{"NEMO_FASTBOX_SLOTS", "0"},
                       BadValue{"NEMO_FASTBOX_SLOTS", "65"},
-                      BadValue{"NEMO_DRAIN_BUDGET", "0"},
                       BadValue{"NEMO_RING_BUFS", "0"},
                       BadValue{"NEMO_RING_BUFS", "2000"},
                       BadValue{"NEMO_TRACE", "bogus"},
@@ -143,7 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BadValue{"NEMO_LMT", "tcp"},
                       BadValue{"NEMO_LMT", "cma"},
                       BadValue{"NEMO_SIMD", "sse9"},
-                      BadValue{"NEMO_FASTBOX", "maybe"},
                       BadValue{"NEMO_NT_MIN", "lots"},
                       BadValue{"NEMO_NET_BW_MBS", "0"},
                       BadValue{"NEMO_TRANSPORT", "tcp"},

@@ -215,7 +215,7 @@ TEST(Resil, EngineWaitUntilFencesTheDeadPeer) {
   // One contract for every engine-side wait, pt2pt, collective and fence
   // sync alike: the verdict names the peer and the site, and the local
   // epoch fence has run before it propagates.
-  for (Site site : {Site::kEngineWait, Site::kCellAlloc, Site::kCollDoorbell,
+  for (Site site : {Site::kEngineWait, Site::kCollDoorbell,
                     Site::kBarrierRelease, Site::kFenceSync}) {
     core::World world(degrade_world());
     core::Comm comm(world, 0);

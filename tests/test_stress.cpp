@@ -83,7 +83,7 @@ TEST_P(TrafficSoak, RandomizedBidirectionalMix) {
   cfg.nranks = 2;
   cfg.lmt = GetParam();
   cfg.knem_mode = lmt::KnemMode::kAuto;
-  cfg.cells_per_rank = 16;  // Keep cell pressure on.
+  cfg.env = {{"NEMO_FASTBOX_SLOTS", "1"}};  // Keep ring pressure on.
   run(cfg, [&](Comm& comm) {
     // Same deterministic size stream on both ranks.
     SplitMix64 sizes(2026);

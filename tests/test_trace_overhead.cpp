@@ -1,8 +1,8 @@
 // The tracing overhead budget, enforced: on the reference 8-rank 256 KiB
 // shm allreduce row, NEMO_TRACE=off must cost <1% over a baseline without
 // the gate even compiled... which we cannot measure — so the budget is
-// phrased the way the ISSUE means it: off-vs-off run-to-run noise bounds
-// the gate's cost, and rings-vs-off must stay under 5%. Thresholds widen
+// phrased as off-vs-off run-to-run noise bounding the gate's cost, and
+// rings-vs-off staying under 5%. Thresholds widen
 // (loudly) by the measured noise floor and on hosts that cannot run the 8
 // ranks in parallel, where time-slicing jitter dwarfs any tracer cost.
 #include <gtest/gtest.h>
@@ -59,17 +59,34 @@ double allreduce_us(const char* trace_mode) {
   return result;
 }
 
-TEST(TraceOverhead, RingsModeWithinBudgetOnReferenceAllreduce) {
-  // Interleave off/rings/off: the second off run measures the noise floor
-  // the budgets must absorb.
-  double off1 = allreduce_us("off");
-  double rings = allreduce_us("rings");
-  double off2 = allreduce_us("off");
-  ASSERT_GT(off1, 0.0);
-  ASSERT_GT(off2, 0.0);
-  ASSERT_GT(rings, 0.0);
+/// Median of a small sample.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
-  double off = std::min(off1, off2);
+TEST(TraceOverhead, RingsModeWithinBudgetOnReferenceAllreduce) {
+  // Interleave off and rings runs (off, rings, off, rings, ...) so a slow
+  // stretch of the host lands on both sides, and compare medians. The two
+  // halves of the off runs (even and odd pairs) measure the noise floor
+  // the budgets must absorb.
+  constexpr int kPairs = 8;
+  std::vector<double> offs, rings_runs, off_even, off_odd;
+  for (int i = 0; i < kPairs; ++i) {
+    double o = allreduce_us("off");
+    double r = allreduce_us("rings");
+    ASSERT_GT(o, 0.0);
+    ASSERT_GT(r, 0.0);
+    offs.push_back(o);
+    rings_runs.push_back(r);
+    (i % 2 == 0 ? off_even : off_odd).push_back(o);
+  }
+  double off1 = median(off_even);
+  double off2 = median(off_odd);
+  double rings = median(rings_runs);
+
+  double off = median(offs);
   double noise = std::abs(off1 - off2) / off;
   // The ISSUE's budgets: disabled <1% (here: the off/off spread itself),
   // rings <5%. Widen by 3x the measured noise so a time-sliced CI runner
@@ -90,8 +107,10 @@ TEST(TraceOverhead, RingsModeWithinBudgetOnReferenceAllreduce) {
 
   double off_overhead = std::abs(off1 - off2) / off;
   double rings_overhead = (rings - off) / off;
-  std::printf("trace overhead: off %.1fus/%.1fus rings %.1fus "
-              "(off spread %+.2f%%, rings %+.2f%%)\n",
+  std::printf("trace overhead (medians of %d interleaved runs each): off "
+              "%.1fus/%.1fus (even/odd) rings %.1fus (off spread %+.2f%%, "
+              "rings %+.2f%%)\n",
+              kPairs,
               off1, off2, rings, 100.0 * off_overhead,
               100.0 * rings_overhead);
   EXPECT_LE(off_overhead, off_budget)

@@ -119,36 +119,6 @@ TEST(EngineCounters, MatchKnownTraffic) {
   EXPECT_TRUE(ok);
 }
 
-TEST(EngineCounters, DrainBudgetExhaustionIsRecorded) {
-  Config cfg;
-  // `= "1"` trips a GCC 12 -Wrestrict bug.
-  cfg.env["NEMO_DRAIN_BUDGET"].assign(1, '1');
-  cfg.nranks = 2;
-  cfg.use_fastbox = false;  // Force every message through the queue.
-  bool ok = run(cfg, [&](Comm& comm) {
-    EXPECT_EQ(comm.world().tuning().drain_budget, 1u);
-    constexpr int kMsgs = 16;
-    std::vector<std::byte> buf(128);
-    if (comm.rank() == 0) {
-      std::vector<Request> reqs;
-      std::vector<std::vector<std::byte>> bufs(
-          kMsgs, std::vector<std::byte>(128));
-      for (int i = 0; i < kMsgs; ++i)
-        reqs.push_back(comm.isend(bufs[static_cast<std::size_t>(i)].data(),
-                                  128, 1, 5));
-      comm.hard_barrier();  // Receiver starts draining only now.
-      comm.waitall(reqs);
-    } else {
-      comm.hard_barrier();
-      for (int i = 0; i < kMsgs; ++i) comm.recv(buf.data(), 128, 0, 5);
-      // With a 1-cell budget and 16 queued messages, progress passes must
-      // have hit the budget repeatedly.
-      EXPECT_GT(comm.engine().counters().drain_exhausted, 0u);
-    }
-  });
-  EXPECT_TRUE(ok);
-}
-
 TEST(EngineCounters, TunedFastboxCutoffRoutesBiggerMessages) {
   // The fastbox slot follows the eager activation: raised to 12 KiB, the
   // slot grows to 12 KiB + 64 B, and a 10,000-byte message (eager now, too
