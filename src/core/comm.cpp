@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/pool.hpp"
 #include "core/knobs.hpp"
 #include "lmt/backends.hpp"
 #include "shm/nt_copy.hpp"
@@ -442,6 +443,11 @@ void gather_at(std::span<const ConstSegment> segs, std::size_t msg_off,
 /// Pooled payload buffers kept for deferred messages.
 constexpr std::size_t kSpareBufs = 64;
 
+/// A fresh request, from this thread's recycled blocks once warm.
+Request new_request() {
+  return std::allocate_shared<RequestState>(PoolAllocator<RequestState>{});
+}
+
 }  // namespace
 
 bool Engine::put_records(int dst, OutMsg& m,
@@ -523,7 +529,7 @@ void Engine::send_ctrl(int dst, RecordType type, std::uint32_t seq,
 Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
                            bool collective, int context) {
   NEMO_ASSERT(dst >= 0 && dst < nranks());
-  auto req = std::make_shared<RequestState>();
+  Request req = new_request();
   req->is_send = true;
   req->peer = dst;
   std::size_t total = total_bytes(segs);
@@ -543,9 +549,16 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
     stats_.bytes_sent += total;
     req->complete = true;  // The payload is in the ring, a FIFO or delivered.
     if (dst == rank_) {
-      std::vector<std::byte> flat(total);
-      gather_at(segs, 0, flat.data(), total);
-      deliver_eager_first(rank_, tag, context, seq, total, flat.data(), total);
+      // One segment is delivered straight from the user buffer; only a
+      // scattered one is gathered first.
+      std::vector<std::byte> flat;
+      const std::byte* data = segs.empty() ? nullptr : segs[0].base;
+      if (segs.size() > 1) {
+        flat.resize(total);
+        gather_at(segs, 0, flat.data(), total);
+        data = flat.data();
+      }
+      deliver_eager_first(rank_, tag, context, seq, total, data, total);
       counters_.record_send(total, tune::Counters::kPathEager);
       return req;
     }
@@ -638,7 +651,7 @@ void scatter_at(std::span<const Segment> segs, std::size_t msg_off,
 
 Request Engine::start_recv(SegmentList segs, int src, int tag, int context) {
   NEMO_ASSERT(src == kAnySource || (src >= 0 && src < nranks()));
-  auto req = std::make_shared<RequestState>();
+  Request req = new_request();
   PostedRecv pr;
   pr.src = src;
   pr.tag = tag;
@@ -739,13 +752,14 @@ void Engine::deliver_eager_first(int src, int tag, int context,
       stats_.bytes_recv += total;
     } else {
       BoundEager be;
-      be.segs = pr->segs;
+      be.segs = std::move(pr->segs);
       be.total = total;
       be.arrived = len;
-      be.req = pr->req;
+      be.req = std::move(pr->req);
       be.tag = tag;
       bound_eager_[{src, seq}] = std::move(be);
     }
+    matcher_.recycle(std::move(pr));
     return;
   }
   // Unexpected: buffer it (pooled — no per-message heap allocation in
@@ -794,6 +808,7 @@ void Engine::handle_rts(int src, const shm::FastboxRecord& r) {
       matcher_.match_incoming(src, r.tag, r.context);
   if (pr != nullptr) {
     start_lmt_recv(src, r.tag, r.msg_seq, rts, *pr);
+    matcher_.recycle(std::move(pr));
     return;
   }
   std::unique_ptr<UnexpectedMsg> um = matcher_.acquire_unexpected(0);

@@ -54,10 +54,10 @@ Datatype Datatype::indexed(const std::vector<std::size_t>& blocklens,
 namespace {
 
 template <typename Seg, typename Byte>
-std::vector<Seg> map_impl(Byte* base, std::size_t count,
-                          const std::vector<Datatype::Block>& blocks,
-                          std::size_t extent) {
-  std::vector<Seg> out;
+SegVec<Seg> map_impl(Byte* base, std::size_t count,
+                     const std::vector<Datatype::Block>& blocks,
+                     std::size_t extent) {
+  SegVec<Seg> out;
   out.reserve(blocks.size() == 1 ? 1 : count * blocks.size());
   for (std::size_t e = 0; e < count; ++e) {
     Byte* eb = base + e * extent;

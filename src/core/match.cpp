@@ -2,29 +2,57 @@
 
 namespace nemo::core {
 
+namespace {
+
+/// Park a node in a pool (poisoned under ASan) unless the pool is full, in
+/// which case it frees.
+template <typename Node>
+void park(std::vector<std::unique_ptr<Node>>& pool, std::unique_ptr<Node> n) {
+  if (pool.size() >= MatchEngine::kPoolCap) return;
+  poison_parked(n.get(), sizeof(Node));
+  pool.push_back(std::move(n));
+}
+
+/// A parked node (usable again), or null when the pool is empty.
+template <typename Node>
+std::unique_ptr<Node> unpark(std::vector<std::unique_ptr<Node>>& pool) {
+  if (pool.empty()) return nullptr;
+  std::unique_ptr<Node> n = std::move(pool.back());
+  pool.pop_back();
+  unpoison_parked(n.get(), sizeof(Node));
+  return n;
+}
+
+}  // namespace
+
+MatchEngine::MatchEngine() {
+  pool_.reserve(kPoolCap);
+  posted_pool_.reserve(kPoolCap);
+}
+
+MatchEngine::~MatchEngine() {
+  for (auto& n : pool_) unpoison_parked(n.get(), sizeof(UnexpectedMsg));
+  for (auto& n : posted_pool_) unpoison_parked(n.get(), sizeof(PostedRecv));
+}
+
 std::unique_ptr<UnexpectedMsg> MatchEngine::post_recv(PostedRecv& pr) {
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (matches(pr.src, pr.tag, pr.context, (*it)->src, (*it)->tag,
-                (*it)->context)) {
-      std::unique_ptr<UnexpectedMsg> um = std::move(*it);
-      unexpected_.erase(it);
-      return um;
-    }
-  }
-  posted_.push_back(std::make_unique<PostedRecv>(std::move(pr)));
+  std::unique_ptr<UnexpectedMsg> um =
+      unexpected_.take([&](const UnexpectedMsg& u) {
+        return matches(pr.src, pr.tag, pr.context, u.src, u.tag, u.context);
+      });
+  if (um != nullptr) return um;
+  std::unique_ptr<PostedRecv> node = unpark(posted_pool_);
+  if (node == nullptr) node = std::make_unique<PostedRecv>();
+  *node = std::move(pr);
+  posted_.push_back(std::move(node));
   return nullptr;
 }
 
 std::unique_ptr<PostedRecv> MatchEngine::match_incoming(int src, int tag,
                                                         int context) {
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (matches((*it)->src, (*it)->tag, (*it)->context, src, tag, context)) {
-      std::unique_ptr<PostedRecv> pr = std::move(*it);
-      posted_.erase(it);
-      return pr;
-    }
-  }
-  return nullptr;
+  return posted_.take([&](const PostedRecv& p) {
+    return matches(p.src, p.tag, p.context, src, tag, context);
+  });
 }
 
 void MatchEngine::add_unexpected(std::unique_ptr<UnexpectedMsg> um) {
@@ -33,10 +61,8 @@ void MatchEngine::add_unexpected(std::unique_ptr<UnexpectedMsg> um) {
 
 std::unique_ptr<UnexpectedMsg> MatchEngine::acquire_unexpected(
     std::size_t payload_bytes) {
-  std::unique_ptr<UnexpectedMsg> um;
-  if (!pool_.empty()) {
-    um = std::move(pool_.back());
-    pool_.pop_back();
+  std::unique_ptr<UnexpectedMsg> um = unpark(pool_);
+  if (um != nullptr) {
     bool fits = um->data.capacity() >= payload_bytes;
     if (counters_ != nullptr)
       (fits ? counters_->um_pool_hits : counters_->um_pool_misses)++;
@@ -58,18 +84,23 @@ std::unique_ptr<UnexpectedMsg> MatchEngine::acquire_unexpected(
 }
 
 void MatchEngine::recycle(std::unique_ptr<UnexpectedMsg> um) {
-  if (um == nullptr || pool_.size() >= kPoolCap) return;
+  if (um == nullptr) return;
   um->data.clear();  // Keeps capacity: the next acquire reuses it.
-  pool_.push_back(std::move(um));
+  park(pool_, std::move(um));
+}
+
+void MatchEngine::recycle(std::unique_ptr<PostedRecv> pr) {
+  if (pr == nullptr) return;
+  pr->req.reset();
+  pr->segs = SegmentList();
+  park(posted_pool_, std::move(pr));
 }
 
 UnexpectedMsg* MatchEngine::find_partial(int src, std::uint32_t seq) {
-  for (auto& um : unexpected_) {
-    if (!um->is_rndv && um->src == src && um->seq == seq &&
-        !um->eager_complete())
-      return um.get();
-  }
-  return nullptr;
+  return unexpected_.find([&](const UnexpectedMsg& um) {
+    return !um.is_rndv && um.src == src && um.seq == seq &&
+           !um.eager_complete();
+  });
 }
 
 }  // namespace nemo::core

@@ -200,14 +200,20 @@ class WaitGuard {
 /// probe runs `idle()` (the caller's progress hook), `guard.check()` and
 /// one yield, so an oversubscribed core still lets the peer run without
 /// paying a yield on every miss. `ready` may do work, as long as the call
-/// that returns true has finished it. Throws whatever idle() or check()
-/// throws.
+/// that returns true has finished it. Throws whatever idle() throws, and a
+/// death verdict from check() only if `ready()` is still false after it:
+/// idle() may have finished the wait just before the peer died.
 template <typename Ready, typename Idle>
 void wait_until(WaitGuard guard, Ready&& ready, Idle&& idle) {
   for (std::uint32_t probes = 0; !ready();) {
     if ((++probes & 0x3F) != 0) continue;
     idle();
-    guard.check();
+    try {
+      guard.check();
+    } catch (const PeerDeadError&) {
+      if (ready()) return;
+      throw;
+    }
     std::this_thread::yield();
   }
 }

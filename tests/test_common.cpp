@@ -112,6 +112,37 @@ TEST(Iovec, TotalBytesAndAsConst) {
   EXPECT_EQ(c[1].base, b.data() + 50);
 }
 
+TEST(Iovec, SegmentListKeepsOneSegmentInlineAndSpillsPastIt) {
+  std::vector<std::byte> b(100);
+  SegmentList one{{b.data(), 64}};
+  // The lone segment lives inside the list object: no heap buffer.
+  auto* self = reinterpret_cast<const std::byte*>(&one);
+  EXPECT_GE(reinterpret_cast<const std::byte*>(one.data()), self);
+  EXPECT_LT(reinterpret_cast<const std::byte*>(one.data()),
+            self + sizeof one);
+  SegmentList moved = std::move(one);
+  EXPECT_TRUE(one.empty());
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].base, b.data());
+  EXPECT_EQ(moved[0].len, 64u);
+
+  SegmentList many;
+  for (std::size_t i = 0; i < 10; ++i) many.push_back({b.data() + i, i});
+  SegmentList copy = many;
+  SegmentList stolen = std::move(many);
+  EXPECT_TRUE(many.empty());
+  ASSERT_EQ(copy.size(), 10u);
+  ASSERT_EQ(stolen.size(), 10u);
+  EXPECT_NE(copy.data(), stolen.data());
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(copy[i].base, b.data() + i);
+    EXPECT_EQ(stolen[i].len, i);
+  }
+  copy = moved;  // A spilled list can take an inline one's contents.
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_EQ(copy[0].len, 64u);
+}
+
 TEST(Iovec, SegmentCursorWalksAcrossBoundaries) {
   std::vector<std::byte> b(100);
   SegmentList v{{b.data(), 10}, {b.data() + 20, 0}, {b.data() + 30, 15}};

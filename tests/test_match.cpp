@@ -188,5 +188,111 @@ TEST(MatchPool, PoolIsBounded) {
   EXPECT_EQ(m.pooled_count(), MatchEngine::kPoolCap);
 }
 
+TEST(MatchPool, PostedOrderHoldsAcrossRecycledNodes) {
+  // Every matched node goes back to the pool and the next post reuses it,
+  // so each round below runs on recycled nodes; FIFO within a class and
+  // oldest-first across wildcards must not notice.
+  MatchEngine m;
+  for (int round = 0; round < 8; ++round) {
+    PostedRecv a = make_pr(1, 5);
+    PostedRecv wild = make_pr(kAnySource, kAnyTag);
+    PostedRecv c = make_pr(1, 5);
+    a.capacity = 1;
+    c.capacity = 3;
+    m.post_recv(a);
+    m.post_recv(wild);
+    m.post_recv(c);
+    // The oldest matching receive wins: a (specific), then the wildcard for
+    // another source, then c.
+    auto got = m.match_incoming(1, 5, 0);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->capacity, 1u);
+    m.recycle(std::move(got));
+    PostedRecv d = make_pr(1, 5);
+    d.capacity = 4;
+    m.post_recv(d);  // Lands on a's recycled node, behind c.
+    got = m.match_incoming(2, 99, 0);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->src, kAnySource);
+    m.recycle(std::move(got));
+    got = m.match_incoming(1, 5, 0);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->capacity, 3u);
+    m.recycle(std::move(got));
+    got = m.match_incoming(1, 5, 0);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->capacity, 4u);
+    m.recycle(std::move(got));
+    EXPECT_EQ(m.posted_count(), 0u);
+  }
+  EXPECT_LE(m.posted_pooled_count(), 3u);
+}
+
+TEST(MatchPool, PostedPoolIsBounded) {
+  MatchEngine m;
+  constexpr std::size_t kN = 2 * MatchEngine::kPoolCap;
+  for (std::size_t i = 0; i < kN; ++i) {
+    PostedRecv pr = make_pr(kAnySource, kAnyTag);
+    m.post_recv(pr);
+  }
+  for (std::size_t i = 0; i < kN; ++i) {
+    m.recycle(m.match_incoming(1, 1, 0));
+    EXPECT_LE(m.posted_pooled_count(), MatchEngine::kPoolCap);
+  }
+  EXPECT_EQ(m.posted_pooled_count(), MatchEngine::kPoolCap);
+  // Posting takes from the pool first.
+  PostedRecv pr = make_pr(1, 1);
+  m.post_recv(pr);
+  EXPECT_EQ(m.posted_pooled_count(), MatchEngine::kPoolCap - 1);
+}
+
+TEST(MatchPool, RecycledNodeHoldsNoRequest) {
+  MatchEngine m;
+  std::byte buf[16];
+  Request req = std::make_shared<RequestState>();
+  PostedRecv pr = make_pr(3, 4);
+  pr.req = req;
+  pr.segs = {{buf, sizeof buf}};
+  m.post_recv(pr);
+  EXPECT_EQ(pr.req, nullptr);  // Moved into the queued node.
+  EXPECT_EQ(req.use_count(), 2);
+  auto got = m.match_incoming(3, 4, 0);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->req, req);
+  m.recycle(std::move(got));
+  EXPECT_EQ(req.use_count(), 1);
+  EXPECT_EQ(m.posted_pooled_count(), 1u);
+}
+
+TEST(MatchPool, EngineLeavesTheCallerTheOnlyRequestReference) {
+  // Through the engine: a posted and an unexpected eager receive, and a
+  // send, each end with the caller holding the request's only reference.
+  Config cfg;
+  cfg.nranks = 2;
+  cfg.env["NEMO_WORLD_MODE"] = "threads";
+  bool ok = run(cfg, [](Comm& c) {
+    std::uint64_t v = 0;
+    if (c.rank() == 0) {
+      Request posted = c.irecv(&v, sizeof v, 1, 1);
+      c.hard_barrier();  // Posted before rank 1 sends.
+      c.wait(posted);
+      EXPECT_EQ(posted.use_count(), 1);
+      c.hard_barrier();  // Rank 1's second message is in the ring.
+      c.engine().progress();
+      Request late = c.irecv(&v, sizeof v, 1, 2);
+      EXPECT_TRUE(late->complete);  // It matched the unexpected message.
+      EXPECT_EQ(late.use_count(), 1);
+    } else {
+      c.hard_barrier();
+      Request s = c.isend(&v, sizeof v, 0, 1);
+      c.wait(s);
+      EXPECT_EQ(s.use_count(), 1);
+      c.send(&v, sizeof v, 0, 2);
+      c.hard_barrier();
+    }
+  });
+  EXPECT_TRUE(ok);
+}
+
 }  // namespace
 }  // namespace nemo::core

@@ -196,7 +196,26 @@ TEST(Resil, WaitUntilChecksItsGuard) {
                            nullptr},
                           [&] { return ++probes > 1000; }),
                PeerDeadError);
-  EXPECT_EQ(probes, 64);
+  EXPECT_EQ(probes, 65);  // 64 misses, then one re-probe after the verdict.
+}
+
+TEST(Resil, WaitUntilReprobesBeforeAVerdict) {
+  // The watched peer is already flagged dead, but the idle hook finishes
+  // the wait: the verdict must not turn a satisfied wait into a failure.
+  shm::Arena arena = shm::Arena::create_anonymous(1 * MiB);
+  Liveness live(arena, Liveness::create(arena, 2), 2);
+  live.mark_dead(1);
+  bool done = false;
+  int idles = 0;
+  EXPECT_NO_THROW(wait_until({&live, 0, 1, Site::kEngineWait, 30000, nullptr,
+                              nullptr},
+                             [&] { return done; },
+                             [&] {
+                               idles++;
+                               done = true;
+                             }));
+  EXPECT_EQ(idles, 1);
+  EXPECT_TRUE(done);
 }
 
 /// A 3-rank threads world with armed guards (whatever the environment
