@@ -8,7 +8,6 @@
 // corroboration, since the host is not a 2009 Clovertown.
 #pragma once
 
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -205,50 +204,6 @@ inline void run_sim_pingpong_block(const sim::SimMachine& machine,
     }
     print_row(row.name, vals);
   }
-}
-
-/// Measured modeled-interconnect wire time (net_modeled_ns) per collective
-/// op over an NxM synthetic topology, summed across ranks. `hier` runs the
-/// auto-mode two-level schedule; the flat baseline is the pt2pt family —
-/// the arena's cross-node loads are invisible to the wire, so only the
-/// pt2pt algorithms charge every off-node hop the way a real interconnect
-/// would. Deterministic (latency/bandwidth model), so rows are stable
-/// across hosts and CI runners.
-inline double modeled_net_ns_per_op(const char* op, bool hier, int nodes,
-                                    int per_node, std::size_t bytes,
-                                    int iters) {
-  char spec[32];
-  std::snprintf(spec, sizeof spec, "%dx%d", nodes, per_node);
-  core::Config cfg = pinned_config({{"NEMO_TRANSPORT", "modeled"},
-                                     {"NEMO_NODES", spec},
-                                     {"NEMO_COLL_HIER", hier ? "on" : "off"},
-                                     {"NEMO_COLL", hier ? "auto" : "p2p"}});
-  cfg.nranks = nodes * per_node;
-  bool alltoall = std::string(op) == "alltoall";
-  std::size_t matrix =
-      alltoall ? bytes * static_cast<std::size_t>(cfg.nranks) : bytes;
-  cfg.shared_pool_bytes =
-      2 * matrix * static_cast<std::size_t>(cfg.nranks) + 16 * MiB;
-  std::atomic<std::uint64_t> total{0};
-  core::run(cfg, [&](core::Comm& comm) {
-    std::byte* send = comm.shared_alloc(matrix);
-    std::byte* recv = comm.shared_alloc(matrix);
-    pattern_fill({send, matrix}, static_cast<std::uint64_t>(comm.rank()));
-    comm.hard_barrier();
-    std::uint64_t before = comm.engine().counters().net_modeled_ns;
-    for (int i = 0; i < iters; ++i) {
-      if (alltoall)
-        comm.alltoall(send, bytes, recv);
-      else
-        comm.allreduce_f64(reinterpret_cast<const double*>(send),
-                           reinterpret_cast<double*>(recv),
-                           bytes / sizeof(double),
-                           core::Comm::ReduceOp::kSum);
-    }
-    comm.hard_barrier();
-    total += comm.engine().counters().net_modeled_ns - before;
-  });
-  return static_cast<double>(total.load()) / iters;
 }
 
 /// Minimal JSON results file: one {"bench": ..., "rows": [...]} object.

@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   opt.declare("samples", "timed bursts per point, median kept (default 3)");
   opt.declare("smoke", "few points / fewer iters (bench_smoke)");
   opt.declare("skip-real", "only the simulator columns");
-  opt.declare("trace", "write a nemo-trace/1 ring dump to this file");
+  opt.declare("trace", "write a nemo-trace/2 ring dump to this file");
   opt.finalize();
   bool smoke = opt.get_flag("smoke");
   int iters = static_cast<int>(opt.get_int("iters", smoke ? 4 : 8));
@@ -372,55 +372,6 @@ int main(int argc, char** argv) {
                   "\"mode\": \"flat\", \"wall_us\": %.3f, \"sim_ns\": %.1f}",
                   nranks, wall_us, sim_ns);
     rows.emplace_back(row);
-  }
-
-  // Hierarchical two-level collectives over the modeled interconnect: the
-  // leader-based schedule (auto + NEMO_COLL_HIER) vs the flat pt2pt family
-  // per NxM topology, compared on modeled wire nanoseconds per op (summed
-  // over ranks — deterministic, host-independent) next to the analytic
-  // sim::allreduce_net_ns hop model. The flat baseline is pt2pt because
-  // the arena's cross-node loads never touch the transport; see
-  // bench_common::modeled_net_ns_per_op. The committed baseline must show
-  // hier < flat from 8 nodes up (it already wins at 2).
-  std::printf("# Hierarchical allreduce — modeled NxM topologies, 256 KiB\n");
-  std::printf("%-9s %6s %6s %14s %14s\n", "op", "topo", "path", "net_ns_op",
-              "model_ns");
-  struct Topo {
-    int nodes, per;
-  };
-  std::vector<Topo> topos = smoke
-                                ? std::vector<Topo>{{2, 4}, {8, 2}}
-                                : std::vector<Topo>{{2, 4},
-                                                    {4, 2},
-                                                    {4, 4},
-                                                    {8, 2},
-                                                    {8, 4},
-                                                    {16, 2}};
-  int hier_iters = smoke ? 2 : 4;
-  std::size_t hier_bytes = 256 * KiB;
-  sim::NetLink link;
-  for (const Topo& t : topos) {
-    for (bool hier : {false, true}) {
-      double net_ns =
-          real ? modeled_net_ns_per_op("allreduce", hier, t.nodes, t.per,
-                                       hier_bytes, hier_iters)
-               : 0.0;
-      double model_ns =
-          sim::allreduce_net_ns(link, t.nodes, t.per, hier_bytes, hier);
-      char topo[16];
-      std::snprintf(topo, sizeof topo, "%dx%d", t.nodes, t.per);
-      const char* path = hier ? "hier" : "flat";
-      std::printf("%-9s %6s %6s %14.0f %14.0f\n", "allreduce", topo, path,
-                  net_ns, model_ns);
-      char row[512];
-      std::snprintf(row, sizeof row,
-                    "{\"op\": \"allreduce\", \"topo\": \"%s\", "
-                    "\"nodes\": %d, \"per_node\": %d, \"bytes\": %zu, "
-                    "\"mode\": \"%s\", \"net_ns_op\": %.1f, "
-                    "\"model_net_ns\": %.1f}",
-                    topo, t.nodes, t.per, hier_bytes, path, net_ns, model_ns);
-      rows.emplace_back(row);
-    }
   }
 
   // Trace-overhead budget rows: the 8-rank 256 KiB shm allreduce with

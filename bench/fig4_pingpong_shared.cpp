@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   opt.declare("skip-real", "only print the simulator block");
   opt.declare("json", "write [real] rows to this JSON file");
   opt.declare("telemetry", "write per-rank engine counters to this JSON file");
-  opt.declare("trace", "write a nemo-trace/1 ring dump to this file");
+  opt.declare("trace", "write a nemo-trace/2 ring dump to this file");
   opt.finalize();
   int iters = static_cast<int>(opt.get_int("iters", 30));
   std::string trace_path = opt.get("trace", "");

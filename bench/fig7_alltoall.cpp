@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   opt.declare("iters", "real-mode rounds per size (default 8)");
   opt.declare("skip-real", "only print the simulator block");
   opt.declare("json", "write all rows to this JSON file");
-  opt.declare("trace", "write a nemo-trace/1 ring dump to this file");
+  opt.declare("trace", "write a nemo-trace/2 ring dump to this file");
   opt.finalize();
   int nranks = static_cast<int>(opt.get_int("ranks", 8));
   int iters = static_cast<int>(opt.get_int("iters", 8));
@@ -135,47 +135,6 @@ int main(int argc, char** argv) {
         json_row(rows, "real", row.name, s, vals.back());
       }
       print_row(row.name, vals);
-    }
-  }
-
-  // Hierarchical alltoall over the modeled interconnect: leaders exchange
-  // one combined MxM block per remote node instead of every rank pushing
-  // its rows individually, so the per-message latency amortizes across the
-  // node. Modeled wire ns per op (deterministic) vs the analytic hop model;
-  // flat baseline is the pt2pt pairwise exchange (the arena never touches
-  // the wire). The committed rows must show hier < flat from 8 nodes up.
-  // Deliberately NOT behind --skip-real: modeled wire time is deterministic,
-  // so the bench gate can compare these rows across hosts and CI runners.
-  {
-    std::printf("\n[modeled] hierarchical vs flat alltoall, 16 KiB/pair\n");
-    std::printf("%-9s %6s %6s %14s %14s\n", "op", "topo", "path",
-                "net_ns_op", "model_ns");
-    struct Topo {
-      int nodes, per;
-    };
-    std::size_t per_rank = 16 * KiB;
-    sim::NetLink link;
-    for (const Topo& t :
-         {Topo{2, 4}, Topo{4, 4}, Topo{8, 2}, Topo{8, 4}, Topo{16, 2}}) {
-      for (bool hier : {false, true}) {
-        double net_ns = modeled_net_ns_per_op("alltoall", hier, t.nodes,
-                                              t.per, per_rank, 2);
-        double model_ns =
-            sim::alltoall_net_ns(link, t.nodes, t.per, per_rank, hier);
-        char topo[16];
-        std::snprintf(topo, sizeof topo, "%dx%d", t.nodes, t.per);
-        const char* path = hier ? "hier" : "flat";
-        std::printf("%-9s %6s %6s %14.0f %14.0f\n", "alltoall", topo, path,
-                    net_ns, model_ns);
-        char row[512];
-        std::snprintf(row, sizeof row,
-                      "{\"block\": \"modeled\", \"row\": \"%s\", "
-                      "\"topo\": \"%s\", \"nodes\": %d, \"per_node\": %d, "
-                      "\"bytes\": %zu, \"net_ns_op\": %.1f, "
-                      "\"model_net_ns\": %.1f}",
-                      path, topo, t.nodes, t.per, per_rank, net_ns, model_ns);
-        rows.emplace_back(row);
-      }
     }
   }
 

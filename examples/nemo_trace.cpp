@@ -7,7 +7,7 @@
 //     --out file at ui.perfetto.dev or chrome://tracing).
 //
 //   nemo-trace export --in=raw.json --out=trace.json
-//     Converts an existing nemo-trace/1 ring dump.
+//     Converts an existing nemo-trace/2 ring dump.
 //
 //   nemo-trace stat --in=raw.json
 //     Prints the latency-histogram table, per-rank event counts and drops.

@@ -31,16 +31,12 @@ import sys
 METRICS = (
     ("mibs", "higher"),
     ("wall_us", "lower"),
-    # Modeled-interconnect wire time per op (fig7/coll_sweep hierarchical
-    # rows): deterministic latency/bandwidth accounting, lower is better.
-    ("net_ns_op", "lower"),
 )
 IDENTITY_EXCLUDE = {name for name, _ in METRICS} | {
     "sim_mibs",
     "sim_copy_bytes",
     "sim_l2_misses",
     "sim_ns",
-    "model_net_ns",
     "l2_misses",
     "skipped",
 }

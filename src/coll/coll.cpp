@@ -1,7 +1,5 @@
 #include "coll/coll.hpp"
 
-#include <map>
-
 namespace nemo::coll {
 
 const char* to_string(Mode m) {
@@ -37,24 +35,6 @@ bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
     case Mode::kAuto: return op_bytes >= coll_activation;
   }
   return false;
-}
-
-int choose_leader(const std::vector<int>& node_of_rank) {
-  // Count ranks per known node; plurality wins, ties to the lower node id.
-  std::map<int, int> per_node;
-  for (int node : node_of_rank)
-    if (node >= 0) per_node[node]++;
-  if (per_node.empty()) return 0;
-  int best_node = -1, best_count = 0;
-  for (const auto& [node, count] : per_node)
-    if (count > best_count) {  // First-wins on ties: map iterates ascending.
-      best_node = node;
-      best_count = count;
-    }
-  if (per_node.size() == 1) return 0;  // Single node: rank 0, as pre-v2.
-  for (std::size_t r = 0; r < node_of_rank.size(); ++r)
-    if (node_of_rank[r] == best_node) return static_cast<int>(r);
-  return 0;
 }
 
 }  // namespace nemo::coll

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/common.hpp"
 
@@ -44,13 +43,5 @@ std::size_t alltoall_chunk_capacity(std::size_t slot_bytes, int nranks);
 /// geometry cannot host the op and even a forced kShm falls back).
 bool use_shm(Mode mode, std::size_t op_bytes, std::size_t coll_activation,
              int nranks, std::size_t chunk_capacity);
-
-/// NUMA-aware leader choice for a hierarchical node: the rank whose NUMA
-/// node backs the plurality of ranks (operand buffers and poll traffic are
-/// node-local to their writers, so the node fold should run where most
-/// operands live). Ties go to the lower node id; the leader is the lowest
-/// rank on the winning node. `node_of_rank[r]` is rank r's backing node,
-/// -1 = unknown. Single-node and all-unknown maps fall back to rank 0.
-int choose_leader(const std::vector<int>& node_of_rank);
 
 }  // namespace nemo::coll

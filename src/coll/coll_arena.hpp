@@ -19,10 +19,10 @@
 //
 // Synchronisation protocol. The cells below are the primitives; the
 // protocols built from them live in core/coll_internal.hpp (slot stream:
-// one writer, many readers; ordered fold: many writers, one folding node
-// leader; cell exchange: every rank publishes one line and reads every
-// rank's) and core/collectives.cpp (exchange rounds: everyone writes and
-// reads, rounds closed by the barrier — the flat reductions among them).
+// one writer, many readers; cell exchange: every rank publishes one line
+// and reads every rank's) and core/collectives.cpp (exchange rounds:
+// everyone writes and reads, rounds closed by the barrier — the
+// reductions among them).
 // A writer whose buffer peers can read in place publishes its location
 // (locate()/resolve() below) instead of staging it in its slot.
 //

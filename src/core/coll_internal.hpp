@@ -1,21 +1,14 @@
-// Shared internals of the collective implementations (core/collectives.cpp
-// and coll/coll_hier.cpp): the tag/epoch namespacing contract, the
-// epoch-stall-counting wait, the fold kernel call, the cell exchange
-// (every rank publishes one cache line and reads every rank's; reductions
-// and allgathers of at most 56 B per rank, and auto-mode alltoallv's size
-// probe), and two arena slot protocols — the slot stream (one writer, many
-// readers; flat bcast and the hierarchical legs) and the ordered fold (many
-// writers, one folding node leader; hierarchical reduce only — the flat
-// reduce is a partitioned fold over exchange rounds, in
-// core/collectives.cpp). The tag and epoch formulas are load-bearing
-// across translation units: both families derive them from the SAME
-// per-Comm collective sequence number, so two files disagreeing on them
-// would cross-match messages from different collective instances.
+// Internals of the collective implementations (core/collectives.cpp): the
+// tag/epoch namespacing contract, the epoch-stall-counting wait, the fold
+// kernel call, the cell exchange (every rank publishes one cache line and
+// reads every rank's; reductions and allgathers of at most 56 B per rank,
+// and auto-mode alltoallv's size probe), and the slot stream (one writer,
+// many readers; bcast). Both families derive tags and epochs from the SAME
+// per-Comm collective sequence number, so back-to-back collectives cannot
+// cross-match.
 #pragma once
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
 
 #include "core/comm.hpp"
 #include "shm/nt_copy.hpp"
@@ -56,9 +49,9 @@ void binomial(int v, int n, Up&& up, Down&& down) {
 
 /// Engine::wait_until plus the epoch-stall count: with `stall`, a first
 /// probe that misses counts one epoch stall ("readers arrive before writers
-/// publish"); waits off an arena op's data path (size probes, hierarchical
-/// legs) pass false so their misses stay out of the per-op stall rate
-/// (coll_epoch_stalls / coll_shm_ops).
+/// publish"); waits off an arena op's data path (size probes) pass false
+/// so their misses stay out of the per-op stall rate (coll_epoch_stalls /
+/// coll_shm_ops).
 template <typename Pred>
 void spin_until(Engine& eng, resil::Site site, int watch, bool stall,
                 Pred&& ready) {
@@ -98,7 +91,7 @@ void cell_exchange(Engine& eng, const void* mine, std::size_t bytes,
     if (w != first && !eng.rank_fenced(w)) take(w, cw.cell_payload(w, seq));
 }
 
-/// Slot stream: rank `writer` serves `bytes` to a set of readers through
+/// Slot stream: rank `writer` serves `bytes` to every other rank through
 /// its arena slot. A writer whose source is peer-readable
 /// (WorldColl::locate) publishes its location and every reader copies
 /// straight from it; any other source
@@ -106,18 +99,17 @@ void cell_exchange(Engine& eng, const void* mine, std::size_t bytes,
 /// behind the doorbell, so readers pipeline behind the writer and a payload
 /// larger than the slot streams through it ring-style. Readers ack every
 /// chunk they consumed (epoch-tagged, so the cells never need resetting);
-/// the acks gate sub-buffer reuse and the writer's return. A `reads(k)`
-/// predicate names the readers; the writer and fenced ranks never count.
+/// the acks gate sub-buffer reuse and the writer's return. Every rank but
+/// the writer reads; fenced ranks never count. Every wait counts epoch
+/// stalls.
 class SlotStream {
  public:
-  SlotStream(Engine& eng, int writer, std::uint64_t epoch, std::size_t bytes,
-             bool stalls)
+  SlotStream(Engine& eng, int writer, std::uint64_t epoch, std::size_t bytes)
       : eng_(eng),
         cw_(eng.coll_view()),
         writer_(writer),
         epoch_(epoch),
-        bytes_(bytes),
-        stalls_(stalls) {
+        bytes_(bytes) {
     sub_ = chunk_bytes(cw_.slot_bytes());
     nsub_ = std::min<std::uint64_t>(
         std::max<std::uint64_t>(1, cw_.slot_bytes() / sub_),
@@ -133,13 +125,6 @@ class SlotStream {
     return sub - sub % kCacheLine;
   }
 
-  [[nodiscard]] int writer() const { return writer_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  [[nodiscard]] std::size_t bytes() const { return bytes_; }
-  [[nodiscard]] bool stalls() const { return stalls_; }
-  /// Chunks in the stream: at least one, so an empty payload still
-  /// completes one doorbell/ack handshake.
-  [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
   [[nodiscard]] std::size_t offset(std::uint64_t i) const {
     return static_cast<std::size_t>(i) * sub_;
   }
@@ -147,64 +132,47 @@ class SlotStream {
     std::size_t off = offset(i);
     return off < bytes_ ? std::min(sub_, bytes_ - off) : 0;
   }
-  /// The sub-buffer chunk `i` occupies in `owner`'s slot (the ordered fold
-  /// stages writer operands on the same geometry).
-  [[nodiscard]] std::byte* buffer(int owner, std::uint64_t i) const {
-    return cw_.payload(owner) + (i % nsub_) * sub_;
+  /// The sub-buffer chunk `i` occupies in the writer's slot.
+  [[nodiscard]] std::byte* buffer(std::uint64_t i) const {
+    return cw_.payload(writer_) + (i % nsub_) * sub_;
   }
 
   // --- Writer --------------------------------------------------------------
 
-  /// Open the epoch on the writer's slot (kNil = staged).
-  void open(std::uint64_t src_off = shm::kNil) const {
-    cw_.begin_epoch(writer_, epoch_, src_off, bytes_);
-  }
-  void publish(std::uint64_t i) const { cw_.publish_chunks(writer_, i + 1); }
   /// Wait until every reader acked `k` chunks.
-  template <typename Readers>
-  void wait_acks(Readers&& reads, std::uint64_t k) const {
+  void wait_acks(std::uint64_t k) const {
     for (int q = 0; q < eng_.nranks(); ++q)
-      if (q != writer_ && reads(q) && !eng_.rank_fenced(q))
-        spin_until(eng_, resil::Site::kCollAck, q, stalls_,
+      if (q != writer_ && !eng_.rank_fenced(q))
+        spin_until(eng_, resil::Site::kCollAck, q, true,
                    [&] { return cw_.acked(q, epoch_, k); });
   }
   /// The whole writer side; `nt` selects streaming stores for staging.
-  template <typename Readers>
-  void write(const void* src, bool nt, Readers&& reads) const {
+  void write(const void* src, bool nt) const {
     if (std::uint64_t loc = cw_.locate(src, bytes_); loc != shm::kNil) {
-      open(loc);
-      wait_acks(reads, 1);
+      cw_.begin_epoch(writer_, epoch_, loc, bytes_);
+      wait_acks(1);
       return;
     }
-    open();
+    cw_.begin_epoch(writer_, epoch_, shm::kNil, bytes_);
     const auto* in = static_cast<const std::byte*>(src);
     for (std::uint64_t i = 0; i < chunks_; ++i) {
       // Chunk i's sub-buffer is free once every reader consumed its
       // previous tenant, chunk i - kBcastSubBufs.
-      if (i >= nsub_) wait_acks(reads, i - nsub_ + 1);
+      if (i >= nsub_) wait_acks(i - nsub_ + 1);
       if (std::size_t len = length(i))
-        shm::copy_for(nt, buffer(writer_, i), in + offset(i), len);
-      publish(i);
+        shm::copy_for(nt, buffer(i), in + offset(i), len);
+      cw_.publish_chunks(writer_, i + 1);
     }
-    wait_acks(reads, chunks_);
+    wait_acks(chunks_);
   }
 
   // --- Reader (rank `self`) ------------------------------------------------
 
-  /// Has the writer published chunk `i`?
-  [[nodiscard]] bool ready(std::uint64_t i) const {
-    return cw_.ready(writer_, epoch_, i + 1);
-  }
-  /// Has the writer published the previous tenant of chunk `i`'s
-  /// sub-buffer (so a writer staging on the same geometry may reuse it)?
-  [[nodiscard]] bool passed(std::uint64_t i) const {
-    return i < nsub_ || ready(i - nsub_);
-  }
   /// The whole reader side: one direct copy, or every chunk in order, each
   /// acked once copied.
   void read(int self, void* dst, bool nt) const {
     auto* out = static_cast<std::byte*>(dst);
-    spin_until(eng_, resil::Site::kCollDoorbell, writer_, stalls_,
+    spin_until(eng_, resil::Site::kCollDoorbell, writer_, true,
                [&] { return cw_.ready(writer_, epoch_, 0); });
     std::uint64_t src_off = cw_.header(writer_)->src_off;
     if (src_off != shm::kNil) {
@@ -213,10 +181,10 @@ class SlotStream {
       return;
     }
     for (std::uint64_t i = 0; i < chunks_; ++i) {
-      spin_until(eng_, resil::Site::kCollDoorbell, writer_, stalls_,
-                 [&] { return ready(i); });
+      spin_until(eng_, resil::Site::kCollDoorbell, writer_, true,
+                 [&] { return cw_.ready(writer_, epoch_, i + 1); });
       if (std::size_t len = length(i))
-        shm::copy_for(nt, out + offset(i), buffer(writer_, i), len);
+        shm::copy_for(nt, out + offset(i), buffer(i), len);
       cw_.set_ack(self, epoch_, i + 1);
     }
   }
@@ -227,64 +195,10 @@ class SlotStream {
   int writer_;
   std::uint64_t epoch_;
   std::size_t bytes_;
-  bool stalls_;
   std::size_t sub_;       ///< Chunk bytes (cacheline multiple).
   std::uint64_t nsub_;    ///< Sub-buffers resident at once.
-  std::uint64_t chunks_;  ///< >= 1.
-};
-
-/// Ordered fold, writer side: this rank hands its operand to the leader
-/// owning stream `lead`. A peer-readable operand publishes its location and
-/// the leader folds straight from it; any other is staged chunk by chunk on
-/// the lead stream's geometry in the writer's own slot. The leader's
-/// doorbell for chunk k proves it folded chunk k out of every writer's
-/// slot, which frees that sub-buffer.
-class FoldWriter {
- public:
-  FoldWriter(Engine& eng, const SlotStream& lead, const void* in)
-      : eng_(eng), lead_(lead), in_(static_cast<const std::byte*>(in)) {
-    coll::WorldColl& cw = eng.coll_view();
-    std::size_t bytes = lead.bytes();
-    std::uint64_t loc = cw.locate(in, bytes);
-    chunks_ = loc != shm::kNil || bytes == 0 ? 0 : lead.chunks();
-    cw.begin_epoch(eng.rank(), lead.epoch(), loc, chunks_);
-  }
-
-  /// Deposit everything, then wait for the fold's last doorbell (a direct
-  /// operand is read chunk by chunk, so it stays live until then) and ack
-  /// it so the leader can return and reuse its slot.
-  void finish() {
-    int leader = lead_.writer();
-    spin_until(eng_, resil::Site::kCollDoorbell, leader, lead_.stalls(), [&] {
-      while (step()) {
-      }
-      return dep_ == chunks_;
-    });
-    std::uint64_t last = lead_.chunks() - 1;
-    spin_until(eng_, resil::Site::kCollDoorbell, leader, lead_.stalls(),
-               [&] { return lead_.ready(last); });
-    eng_.coll_view().set_ack(eng_.rank(), lead_.epoch(), last + 1);
-  }
-
- private:
-  /// Deposit the next chunk if its sub-buffer is free; never blocks.
-  bool step() {
-    if (dep_ == chunks_ || !lead_.passed(dep_)) return false;
-    int self = eng_.rank();
-    std::size_t len = lead_.length(dep_);
-    trace::Span sp(eng_.tracer(), trace::kCollDeposit, trace::Mode::kRings,
-                   dep_, len);
-    resil::fault_point(resil::Site::kCollDeposit, self);
-    std::memcpy(lead_.buffer(self, dep_), in_ + lead_.offset(dep_), len);
-    eng_.coll_view().publish_chunks(self, ++dep_);
-    return true;
-  }
-
-  Engine& eng_;
-  const SlotStream& lead_;
-  const std::byte* in_;
-  std::uint64_t chunks_ = 0;  ///< Staged chunks (0 = direct or empty).
-  std::uint64_t dep_ = 0;     ///< Chunks deposited.
+  /// >= 1, so an empty payload still completes one doorbell/ack handshake.
+  std::uint64_t chunks_;
 };
 
 inline simd::Op to_simd(Comm::ReduceOp op) {
@@ -309,59 +223,6 @@ void fold_chunk(Engine& eng, Comm::ReduceOp op, T* dst, const T* src,
   auto ki = static_cast<std::size_t>(k);
   eng.counters().simd_fold_ops[ki]++;
   eng.counters().simd_fold_bytes[ki] += n * sizeof(T);
-}
-
-/// Ordered fold, leader side: fold the operands of ranks [lo, hi) (the
-/// leader's own is `in`) chunk by chunk into `acc`, each chunk seeded with
-/// rank `seed`'s slice — or, seed < 0, with what `acc` already holds — and
-/// then folded in ascending rank order. That is exactly the element-wise
-/// order of the p2p oracle, independent of who leads, of deposit modes and
-/// of chunk size, so results match it bit for bit. Fenced ranks contribute
-/// nothing. Chunk t's doorbell on `lead` is published once it is folded;
-/// the fold returns once every writer acked the last chunk, when their
-/// operands and slots are dead for this epoch.
-template <typename T>
-void fold_lead(Engine& eng, const SlotStream& lead, Comm::ReduceOp op,
-               const T* in, int lo, int hi, int seed, T* acc) {
-  coll::WorldColl& cw = eng.coll_view();
-  int me = lead.writer();
-  // Snapshot every writer's direct-read offset first: a direct writer
-  // deposits nothing and may reopen its header for the NEXT collective as
-  // soon as it saw the last doorbell — never re-read it mid-fold.
-  std::vector<std::uint64_t> src_offs(static_cast<std::size_t>(hi - lo),
-                                      shm::kNil);
-  for (int w = lo; w < hi; ++w) {
-    if (w == me || eng.rank_fenced(w)) continue;
-    spin_until(eng, resil::Site::kCollGather, w, lead.stalls(),
-               [&] { return cw.ready(w, lead.epoch(), 0); });
-    src_offs[static_cast<std::size_t>(w - lo)] = cw.header(w)->src_off;
-  }
-  lead.open();
-  for (std::uint64_t t = 0; t < lead.chunks(); ++t) {
-    std::size_t first = lead.offset(t) / sizeof(T);
-    std::size_t cnt = lead.length(t) / sizeof(T);
-    if (cnt > 0) {
-      trace::Span sp(eng.tracer(), trace::kCollFold, trace::Mode::kRings, t,
-                     cnt * sizeof(T));
-      T* dst = acc + first;
-      auto slice_of = [&](int w) -> const T* {
-        if (w == me) return in + first;
-        std::uint64_t off = src_offs[static_cast<std::size_t>(w - lo)];
-        if (off != shm::kNil)
-          return reinterpret_cast<const T*>(cw.resolve(off)) + first;
-        spin_until(eng, resil::Site::kCollDoorbell, w, lead.stalls(),
-                   [&] { return cw.ready(w, lead.epoch(), t + 1); });
-        return reinterpret_cast<const T*>(lead.buffer(w, t));
-      };
-      resil::fault_point(resil::Site::kCollFold, me);
-      if (seed >= 0) std::memcpy(dst, slice_of(seed), cnt * sizeof(T));
-      for (int w = lo; w < hi; ++w)
-        if (w != seed && !eng.rank_fenced(w))
-          fold_chunk(eng, op, dst, slice_of(w), cnt);
-    }
-    lead.publish(t);
-  }
-  lead.wait_acks([&](int w) { return w >= lo && w < hi; }, lead.chunks());
 }
 
 }  // namespace nemo::core::coll_detail

@@ -27,8 +27,6 @@
 //                       their strided forms; reduce and allreduce as a
 //                       partitioned fold, two doorbells a round) —
 //                       Exchange below
-//    The hierarchical family (coll/coll_hier.cpp) adds the ordered fold,
-//    one folding leader per node, from coll_internal.hpp.
 //
 // Selection mirrors lmt::Policy: NEMO_COLL=shm|p2p forces a family, auto
 // compares the op's symmetric size measure against the tuned
@@ -426,19 +424,15 @@ void Comm::bcast(void* buf, std::size_t bytes, int root) {
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpBcast, bytes);
   bool fits = ack_budget_ok(eng, bytes);
-  if (fits && use_hier_coll(bytes)) {
-    bcast_hier(buf, bytes, root, next_coll_seq(eng));
-    return;
-  }
   // Over budget: fail the slot check -> p2p.
   if (use_shm_coll(bytes, fits ? kCacheLine : SIZE_MAX)) {
     eng.counters().coll_shm_bytes += bytes;
     // The root NT-streams once into its slot (or publishes an
     // arena-resident buffer); readers copy out, past the cache when large.
     bool nt = bytes >= nt_min(eng);
-    SlotStream s(eng, root, epoch_base(next_coll_seq(eng)), bytes, true);
+    SlotStream s(eng, root, epoch_base(next_coll_seq(eng)), bytes);
     if (rank() == root)
-      s.write(buf, nt, [](int) { return true; });
+      s.write(buf, nt);
     else
       s.read(rank(), buf, nt);
     return;
@@ -588,12 +582,6 @@ void Comm::alltoall(const void* sendbuf, std::size_t per_rank,
   }
   Engine& eng = engine_;
   CollScope obs(eng, trace::kOpAlltoall, per_rank);
-  // The hierarchical path may decline (leader staging over budget); every
-  // rank computes the same verdict, so the shared fall-through below stays
-  // world-symmetric (the hier check consumed one seq on every rank).
-  if (use_hier_coll(per_rank) &&
-      alltoall_hier(sendbuf, per_rank, recvbuf, next_coll_seq(eng)))
-    return;
   bool shm = use_shm_coll(
       per_rank, coll::alltoall_chunk_capacity(slot_bytes(eng), size()));
   Blocks uniform{nullptr, nullptr, per_rank};
@@ -972,17 +960,6 @@ void Comm::reduce_dispatch(const T* in, T* out, std::size_t n, ReduceOp op,
   CollScope obs(eng, all ? trace::kOpAllreduce : trace::kOpReduce,
                 n * sizeof(T));
   std::uint64_t cs = next_coll_seq(eng);
-  // Hierarchical two-level schedule: auto mode, enough synthetic nodes, and
-  // (for reduce) root 0 — the chain fold reproduces the flat ascending
-  // order only when the fold seeds at rank 0. `root` is a symmetric
-  // argument, so the gate stays world-symmetric. Its node fold and result
-  // ride slot streams, so the stream's ack chunk budget gates it as it
-  // does bcast; the flat partitioned fold has no such budget.
-  if (ack_budget_ok(eng, n * sizeof(T)) && (all || root == 0) &&
-      use_hier_coll(n * sizeof(T))) {
-    reduce_hier<T>(in, out, n, op, root, all, cs);
-    return;
-  }
   if (use_cells(eng, n * sizeof(T))) {
     reduce_cells<T>(eng, in, out, n, op, root, all);
     return;

@@ -95,13 +95,6 @@ World::World(Config cfg)
   trace::set_mode(cfg_.trace);
   resil::arm_fault(cfg_.fault);
   NEMO_ASSERT(cfg_.nranks >= 1);
-  // The transport: substrate topology + link accounting. Constructed before
-  // any Engine so the cached has_hooks() gate and the synthetic-node map
-  // are fixed for the life of the world (children inherit the heap object
-  // across fork; it holds no arena state).
-  xport_ = transport::make_transport(cfg_.transport, cfg_.nodes_spec,
-                                     cfg_.nranks, cfg_.net_lat_ns,
-                                     cfg_.net_bw_mbs);
   NEMO_ASSERT_MSG(cfg_.core_binding.empty() ||
                       cfg_.core_binding.size() ==
                           static_cast<std::size_t>(cfg_.nranks),
@@ -320,9 +313,6 @@ Engine::Engine(World& world, int rank)
   simd_kernel_ = simd::resolve(tuning.simd_kernel);
   pack_nt_min_ = tuning.pack_nt_min != 0 ? tuning.pack_nt_min
                                          : shm::nt_default_threshold();
-  xport_ = &world.xport();
-  xport_hooks_ = xport_->has_hooks();
-  coll_hier_nodes_ = std::max<std::uint32_t>(2, tuning.coll_hier_nodes);
   live_ = world.liveness();
   peer_timeout_ms_ = world.peer_timeout_ms();
   on_death_ = world.on_peer_death();
@@ -341,26 +331,7 @@ Engine::Engine(World& world, int rank)
         shm::Fastbox(world.arena(), world.fastbox_off(rank, r));
     fb_in_[static_cast<std::size_t>(r)] =
         shm::Fastbox(world.arena(), world.fastbox_off(r, rank));
-    if (xport_hooks_) xport_->connect(rank, r);
   }
-}
-
-void Engine::note_net(int peer, std::size_t bytes,
-                      const transport::XferCost& c, bool ctrl) {
-  if (!c.internode) return;
-  if (ctrl) {
-    counters_.net_ctrl_msgs++;
-    if (trace::on(trace::Mode::kFull))
-      tracer_.emit(trace::kNetCtrl, trace::kInstant,
-                   static_cast<std::uint64_t>(peer));
-  } else {
-    counters_.net_msgs++;
-    counters_.net_bytes += bytes;
-    if (trace::on(trace::Mode::kRings))
-      tracer_.emit(trace::kNetLink, trace::kInstant,
-                   static_cast<std::uint64_t>(peer), bytes);
-  }
-  counters_.net_modeled_ns += c.ns;
 }
 
 Engine::~Engine() {
@@ -510,7 +481,6 @@ bool Engine::send_msg(int dst, OutMsg m,
 
 void Engine::send_ctrl(int dst, RecordType type, std::uint32_t seq,
                        const lmt::RtsWire* wire, int tag, int context) {
-  if (xport_hooks_) note_net(dst, 0, xport_->on_doorbell(rank_, dst), true);
   OutMsg m;
   m.type = type;
   m.tag = tag;
@@ -585,8 +555,6 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
         tracer_.emit(trace::kFastboxFallback, trace::kInstant,
                      static_cast<std::uint64_t>(dst));
     }
-    if (xport_hooks_)
-      note_net(dst, total, xport_->on_eager(rank_, dst, total), false);
     return req;
   }
 
@@ -595,8 +563,6 @@ Request Engine::start_send(ConstSegmentList segs, int dst, int tag,
   if (trace::on())
     tracer_.emit(trace::kLmtActivate, trace::kInstant,
                  static_cast<std::uint64_t>(dst), total);
-  if (xport_hooks_)
-    note_net(dst, total, xport_->on_lmt(rank_, dst, total), false);
   auto ctx = std::make_unique<lmt::SendCtx>();
   ctx->peer = dst;
   ctx->tag = tag;
@@ -964,7 +930,6 @@ void Engine::progress() {
 
   progress_sends();
   progress_recvs();
-  if (xport_hooks_) xport_->progress(rank_);
   if (traced) tracer_.emit(trace::kProgress, trace::kEnd);
   if (rings_on) {
     if (progress_hist_ != nullptr) {
@@ -984,14 +949,6 @@ void Engine::progress() {
                    trace::kGaugeProgressPasses, counters_.progress_passes);
       tracer_.emit(trace::kSnapshot, trace::kCounter,
                    trace::kGaugeCollShmOps, counters_.coll_shm_ops);
-      if (xport_hooks_) {
-        tracer_.emit(trace::kSnapshot, trace::kCounter, trace::kGaugeNetMsgs,
-                     counters_.net_msgs);
-        tracer_.emit(trace::kSnapshot, trace::kCounter, trace::kGaugeNetBytes,
-                     counters_.net_bytes);
-        tracer_.emit(trace::kSnapshot, trace::kCounter,
-                     trace::kGaugeNetModeledNs, counters_.net_modeled_ns);
-      }
     }
   }
   in_progress_ = false;

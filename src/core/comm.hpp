@@ -35,7 +35,6 @@
 #include "simd/simd.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
-#include "transport/transport.hpp"
 #include "tune/counters.hpp"
 #include "tune/tuning.hpp"
 
@@ -116,14 +115,6 @@ struct Config {
 
   std::string shm_name;  ///< Nonempty: shm_open-backed arena (else anon).
 
-  /// Transport selection: "shm", "modeled", or "auto" (modeled iff the
-  /// topology spec names more than one synthetic node). NEMO_TRANSPORT
-  /// overrides.
-  std::string transport = "auto";
-  /// Synthetic-node topology spec "NxM" (N nodes of M ranks each; N*M must
-  /// equal nranks). Empty = one node. NEMO_NODES overrides.
-  std::string nodes_spec;
-
   /// Peer liveness timeout for every formerly-unbounded wait (doorbells,
   /// acks, barriers, rendezvous). resil::kTimeoutOff (NEMO_PEER_TIMEOUT_MS
   /// =off) restores the pre-resilience unbounded behaviour.
@@ -134,10 +125,6 @@ struct Config {
   resil::OnPeerDeath on_peer_death = resil::OnPeerDeath::kAbort;
   /// Fault-injection spec `rank:site:kill` (NEMO_FAULT); empty disarms.
   std::string fault;
-
-  /// Modeled-interconnect link (NEMO_NET_LAT_NS / NEMO_NET_BW_MBS).
-  std::uint64_t net_lat_ns = 1500;
-  std::uint64_t net_bw_mbs = 12000;
 
   /// Process-wide trace mode the World installs (NEMO_TRACE) and each
   /// rank's event-ring capacity (NEMO_TRACE_RING_SLOTS).
@@ -256,11 +243,6 @@ class World {
     return cfg_.on_peer_death;
   }
 
-  /// The world's transport (implementation #1 shm or #2 modeled; see
-  /// src/transport/). Owns topology (synthetic nodes) and per-link cost
-  /// accounting; delivery always rides the shm substrate.
-  [[nodiscard]] transport::Transport& xport() const { return *xport_; }
-
   /// Arena-backed allocation visible to every rank (MPI_Alloc_mem-like).
   std::byte* shared_alloc(std::size_t bytes, std::size_t align = kCacheLine);
 
@@ -274,7 +256,6 @@ class World {
 
  private:
   Config cfg_;
-  std::unique_ptr<transport::Transport> xport_;
   shm::Arena arena_;
   shm::PipeMatrix pipes_;
   std::vector<std::uint64_t> ring_offs_;
@@ -381,17 +362,6 @@ class Engine {
   [[nodiscard]] lmt::LmtKind resolve_kind(
       int dst, std::span<const ConstSegment> segs) const;
 
-  /// The world's transport (topology + link accounting).
-  [[nodiscard]] transport::Transport& transport() const { return *xport_; }
-  /// Cached Transport::has_hooks(): false keeps every hook call off the
-  /// shm hot path (the zero-regression guard).
-  [[nodiscard]] bool transport_hooks() const { return xport_hooks_; }
-  /// Min synthetic nodes before collectives go hierarchical (tuned
-  /// coll_hier_nodes / NEMO_COLL_HIER; UINT32_MAX = never).
-  [[nodiscard]] std::uint32_t coll_hier_nodes() const {
-    return coll_hier_nodes_;
-  }
-
   // --- liveness / recovery --------------------------------------------------
   /// This rank's view of the liveness table (valid whenever the world's is).
   [[nodiscard]] const resil::Liveness& liveness() const { return live_; }
@@ -489,12 +459,6 @@ class Engine {
 
   lmt::Backend& backend_for(lmt::LmtKind kind);
 
-  /// Account one transport hook result: counters, and the kNetLink /
-  /// kNetCtrl trace events for internode traffic. Only called behind
-  /// transport_hooks().
-  void note_net(int peer, std::size_t bytes, const transport::XferCost& c,
-                bool ctrl);
-
   World& world_;
   int rank_;
   lmt::Policy policy_;
@@ -547,9 +511,6 @@ class Engine {
   coll::WorldColl coll_;  ///< View of the world's collective arena.
   std::uint64_t coll_bar_seq_ = 0;    ///< Arena-barrier sequence issued.
   std::uint64_t coll_cell_seq_ = 0;   ///< Exchange-cell instances issued.
-  transport::Transport* xport_ = nullptr;  ///< World-owned transport.
-  bool xport_hooks_ = false;  ///< Cached has_hooks() (hot-path gate).
-  std::uint32_t coll_hier_nodes_ = UINT32_MAX;  ///< Tuned hier threshold.
   simd::Kernel simd_kernel_ = simd::Kernel::kScalar;  ///< Resolved fold ISA.
   std::size_t pack_nt_min_ = SIZE_MAX;  ///< Tuned pack->NT-store cutoff.
   bool in_progress_ = false;
@@ -711,22 +672,6 @@ class Comm {
   template <typename T>
   void reduce_shm(const T* in, T* out, std::size_t n, ReduceOp op, int root,
                   bool all, std::uint64_t epoch);
-
-  // Hierarchical two-level collectives (src/coll/coll_hier.cpp): intranode
-  // leg through the collective arena under one NUMA-chosen leader per
-  // synthetic node, internode leg over the (modeled) transport between
-  // leaders. Engaged in auto mode when the transport partitions the world
-  // into >= coll_hier_nodes nodes; fold order is the flat ascending-rank
-  // order, so results are bit-identical to the p2p/shm algorithms.
-  /// World-symmetric gate (same answer on every rank). `op_bytes` is the
-  /// op's symmetric size measure (0 = degenerate op, stays flat).
-  bool use_hier_coll(std::size_t op_bytes);
-  void bcast_hier(void* buf, std::size_t bytes, int root, std::uint64_t cs);
-  bool alltoall_hier(const void* sendbuf, std::size_t per_rank, void* recvbuf,
-                     std::uint64_t cs);
-  template <typename T>
-  void reduce_hier(const T* in, T* out, std::size_t n, ReduceOp op, int root,
-                   bool all, std::uint64_t cs);
 
   template <typename T>
   void reduce_impl(const T* in, T* out, std::size_t n, ReduceOp op, int root,

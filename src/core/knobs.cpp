@@ -50,13 +50,6 @@ std::uint32_t line_size(const char* knob, const std::string& v,
   return static_cast<std::uint32_t>(n);
 }
 
-/// `off` = never (UINT32_MAX), `on` = always (2), else a threshold >= 2.
-std::uint32_t threshold(const char* knob, const std::string& v) {
-  if (v == "off" || v == "0" || v == "never") return UINT32_MAX;
-  if (v == "on" || v == "1" || v == "always") return 2;
-  return static_cast<std::uint32_t>(parse_int(knob, v, 2, UINT32_MAX));
-}
-
 // One row per knob, alphabetical. Defaults in parentheses depend on the
 // host or the formulas; every other default is a value the row accepts.
 const Knob kKnobs[] = {
@@ -82,12 +75,6 @@ const Knob kKnobs[] = {
      "operation size from which auto collectives take the arena",
      [](const std::string& v, Config&, TuningTable& t) {
        t.coll_activation = size("NEMO_COLL_ACTIVATION", v);
-     }},
-    {"NEMO_COLL_HIER", "(formula)", "off|on|<nodes >= 2>",
-     "two-level collectives: never, always, or the node count from which "
-     "they run",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.coll_hier_nodes = threshold("NEMO_COLL_HIER", v);
      }},
     {"NEMO_COLL_SLOT_BYTES", "(formula)", "<size 64B..16MiB>",
      "per-rank collective-arena slot capacity",
@@ -130,23 +117,6 @@ const Knob kKnobs[] = {
      "eager/rendezvous switch; also sizes the fastbox slot",
      [](const std::string& v, Config&, TuningTable& t) {
        t.lmt_activation = size("NEMO_LMT_ACTIVATION", v);
-     }},
-    {"NEMO_NET_BW_MBS", "12000", "<MiB/s >= 1>",
-     "modeled internode link bandwidth",
-     [](const std::string& v, Config& c, TuningTable&) {
-       c.net_bw_mbs = static_cast<std::uint64_t>(
-           parse_int("NEMO_NET_BW_MBS", v, 1, LONG_MAX));
-     }},
-    {"NEMO_NET_LAT_NS", "1500", "<ns >= 0>",
-     "modeled internode per-message latency",
-     [](const std::string& v, Config& c, TuningTable&) {
-       c.net_lat_ns = static_cast<std::uint64_t>(
-           parse_int("NEMO_NET_LAT_NS", v, 0, LONG_MAX));
-     }},
-    {"NEMO_NODES", "(one node)", "<N>x<M>",
-     "synthetic topology: N nodes of M ranks, N*M = world size",
-     [](const std::string& v, Config& c, TuningTable&) {
-       c.nodes_spec = v;
      }},
     {"NEMO_NT_MIN", "(formula)", "<size>|off",
      "rendezvous size from which ring copies use non-temporal stores",
@@ -207,19 +177,12 @@ const Knob kKnobs[] = {
        c.trace = trace::mode_from_string(v);
      }},
     {"NEMO_TRACE_OUT", "(unset)", "<path>",
-     "write a nemo-trace/1 dump to this path at process exit", nullptr},
+     "write a nemo-trace/2 dump to this path at process exit", nullptr},
     {"NEMO_TRACE_RING_SLOTS", "8192", "<events 2..16777216>",
      "per-rank trace ring capacity, rounded up to a power of two",
      [](const std::string& v, Config& c, TuningTable&) {
        c.trace_ring_slots = static_cast<std::size_t>(
            parse_int("NEMO_TRACE_RING_SLOTS", v, 2, 1L << 24));
-     }},
-    {"NEMO_TRANSPORT", "auto", "auto|shm|modeled",
-     "transport; auto is modeled iff NEMO_NODES names more than one node",
-     [](const std::string& v, Config& c, TuningTable&) {
-       c.transport = pick<std::string_view>(
-           "NEMO_TRANSPORT", v,
-           {{"auto", "auto"}, {"shm", "shm"}, {"modeled", "modeled"}});
      }},
     {"NEMO_WORLD_MODE", "threads", "threads|procs",
      "rank launch: threads, or one forked process per rank",

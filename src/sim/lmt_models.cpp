@@ -767,44 +767,4 @@ LmtModels::IsOutcome LmtModels::is_run(Strategy s,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Modeled-interconnect wire time (the analytic side of the measured
-// net_modeled_ns counters; fig7/coll_sweep print both next to each other).
-// ---------------------------------------------------------------------------
-
-double allreduce_net_ns(const NetLink& link, int nodes, int per_node,
-                        std::size_t bytes, bool hier) {
-  int p = nodes * per_node;
-  if (nodes < 2) return 0.0;
-  double x = link.xfer_ns(bytes);
-  if (hier) {
-    // Leader chain (N-1 sequential hops — the fold is order-dependent) +
-    // binomial bcast of the result over the leaders.
-    int rounds = 0;
-    while ((1 << rounds) < nodes) ++rounds;
-    return (nodes - 1 + rounds) * x;
-  }
-  // Flat gather-fold: all p - per_node off-node operands serialize into
-  // node 0's link. The binomial result bcast crosses a link on every one of
-  // its ceil(log2 p) critical-path rounds once ranks span nodes.
-  int rounds = 0;
-  while ((1 << rounds) < p) ++rounds;
-  return (p - per_node) * x + rounds * x;
-}
-
-double alltoall_net_ns(const NetLink& link, int nodes, int per_node,
-                       std::size_t per_rank, bool hier) {
-  if (nodes < 2) return 0.0;
-  auto m = static_cast<std::size_t>(per_node);
-  if (hier) {
-    // Each leader ships N-1 combined M x M blocks; links run the pairwise
-    // steps concurrently, so one leader's send sequence is the wire time.
-    return (nodes - 1) * link.xfer_ns(m * m * per_rank);
-  }
-  // Flat pairwise exchange: each node's link carries its M ranks' individual
-  // rows to every off-node peer, M * (p - M) messages of per_rank bytes.
-  return static_cast<double>(m) * static_cast<double>((nodes - 1) * per_node) *
-         link.xfer_ns(per_rank);
-}
-
 }  // namespace nemo::sim

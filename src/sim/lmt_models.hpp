@@ -152,33 +152,4 @@ class LmtModels {
   std::map<std::pair<int, int>, PairBufs> pair_bufs_;
 };
 
-/// The modeled interconnect link (src/transport/modeled.cpp): every
-/// internode message costs lat_ns + bytes/bw, intranode traffic is free.
-/// Defaults mirror core::Config's NEMO_NET_LAT_NS / NEMO_NET_BW_MBS.
-struct NetLink {
-  double lat_ns = 1500.0;
-  double bw_mibs = 12000.0;
-  [[nodiscard]] double xfer_ns(std::size_t bytes) const {
-    return lat_ns +
-           static_cast<double>(bytes) / (bw_mibs * 1024.0 * 1024.0 / 1e9);
-  }
-};
-
-/// Internode wire time of one allreduce over `nodes` x `per_node` ranks.
-/// Flat = the world-wide gather-fold at rank 0 (every off-node operand
-/// crosses into node 0 serialized on its link) plus the binomial result
-/// bcast; hier = the leader chain + the binomial leader bcast, so the hop
-/// count drops from O(p) to O(nodes + log nodes). Intranode legs cost 0 on
-/// the wire by construction.
-double allreduce_net_ns(const NetLink& link, int nodes, int per_node,
-                        std::size_t bytes, bool hier);
-
-/// Internode wire time of one alltoall (`per_rank` bytes per pair). Flat =
-/// pairwise exchange, every rank pushes its off-node rows individually
-/// through its node's link; hier = leaders exchange one combined
-/// per_node x per_node block per remote node, amortizing the per-message
-/// latency across the node's ranks.
-double alltoall_net_ns(const NetLink& link, int nodes, int per_node,
-                       std::size_t per_rank, bool hier);
-
 }  // namespace nemo::sim

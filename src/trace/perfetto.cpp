@@ -85,8 +85,8 @@ std::optional<tune::Json> load_dump(const std::string& path,
   ss << in.rdbuf();
   auto doc = tune::Json::parse(ss.str(), err);
   if (!doc) return std::nullopt;
-  if ((*doc)["schema"].as_string() != "nemo-trace/1") {
-    if (err) *err = path + ": not a nemo-trace/1 dump";
+  if ((*doc)["schema"].as_string() != "nemo-trace/2") {
+    if (err) *err = path + ": not a nemo-trace/2 dump";
     return std::nullopt;
   }
   return doc;

@@ -1,6 +1,6 @@
 // Chrome/Perfetto `trace_event` JSON exporter for nemo-trace dumps.
 //
-// Converts a "nemo-trace/1" dump (per-rank event lists with ns timestamps,
+// Converts a "nemo-trace/2" dump (per-rank event lists with ns timestamps,
 // see trace.hpp) into the Trace Event Format chrome://tracing and
 // ui.perfetto.dev load natively: one pid for the world, one tid per rank,
 // begin/end records matched into complete ("X") spans, instants ("i"), and

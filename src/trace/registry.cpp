@@ -228,7 +228,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   coll.set("shm_bytes", c.coll_shm_bytes);
   coll.set("fallbacks", c.coll_fallbacks);
   coll.set("epoch_stalls", c.coll_epoch_stalls);
-  coll.set("hier_ops", c.coll_hier_ops);
   j.set("coll", std::move(coll));
 
   Json resil = Json::object();
@@ -237,13 +236,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   resil.set("reclaimed_slots", c.reclaimed_slots);
   resil.set("timeout_aborts", c.timeout_aborts);
   j.set("resil", std::move(resil));
-
-  Json net = Json::object();
-  net.set("msgs", c.net_msgs);
-  net.set("bytes", c.net_bytes);
-  net.set("modeled_ns", c.net_modeled_ns);
-  net.set("ctrl_msgs", c.net_ctrl_msgs);
-  j.set("net", std::move(net));
 
   j.set("um_pool_hits", c.um_pool_hits);
   j.set("um_pool_misses", c.um_pool_misses);

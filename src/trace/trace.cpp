@@ -146,8 +146,6 @@ const char* event_name(std::uint16_t id) {
     case kRingStall: return "ring.stall";
     case kEpochStall: return "coll.epoch_stall";
     case kPeerDeath: return "resil.peer_death";
-    case kNetLink: return "net.link";
-    case kNetCtrl: return "net.ctrl";
     case kSnapshot: return "snapshot";
     default: return "unknown";
   }
@@ -159,9 +157,6 @@ const char* gauge_name(std::uint64_t id) {
     case kGaugeRingStalls: return "ring_stalls";
     case kGaugeProgressPasses: return "progress_passes";
     case kGaugeCollShmOps: return "coll_shm_ops";
-    case kGaugeNetMsgs: return "net_msgs";
-    case kGaugeNetBytes: return "net_bytes";
-    case kGaugeNetModeledNs: return "net_modeled_ns";
     default: return "gauge";
   }
 }
@@ -245,7 +240,7 @@ void clear_dumps() {
 bool write_dump(const std::string& path, std::string* err) {
   const TscCalibration& cal = calibration();
   tune::Json doc = tune::Json::object();
-  doc.set("schema", std::string("nemo-trace/1"));
+  doc.set("schema", std::string("nemo-trace/2"));
   doc.set("mode", std::string(to_string(mode())));
   tune::Json tsc = tune::Json::object();
   tsc.set("tsc0", cal.tsc0);

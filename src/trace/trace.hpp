@@ -100,7 +100,7 @@ enum Event : std::uint16_t {
   kRingPop,       // CopyRing chunk copy-out, a0=peer a1=b  (full)
   kCollOp,        // one collective, a0=Op a1=bytes         (rings)
   kCollDeposit,   // reduce operand staging, a0=round a1=b  (rings)
-  kCollFold,      // share / hier chunk fold, a0=round a1=b (rings)
+  kCollFold,      // share chunk fold, a0=round a1=b        (rings)
   kCollRelease,   // folded-share read-back, a0=round a1=b  (rings)
   kCollBarrier,   // arena barrier                          (rings)
   kFence,         // post-death epoch fence, a0=dead rank   (rings)
@@ -111,9 +111,6 @@ enum Event : std::uint16_t {
   kRingStall,        // CopyRing full, a0=peer              (rings)
   kEpochStall,       // arena spin missed, a0=waited rank   (rings)
   kPeerDeath,        // death verdict, a0=rank a1=site      (rings)
-  // Transport layer (modeled interconnect; see src/transport/).
-  kNetLink,  // internode transfer, a0=peer a1=bytes        (rings)
-  kNetCtrl,  // internode control doorbell, a0=peer         (full)
   // Counter track samples.
   kSnapshot,  // a0=Gauge a1=value                          (full)
   kEventCount
@@ -129,9 +126,6 @@ enum Gauge : std::uint64_t {
   kGaugeRingStalls,
   kGaugeProgressPasses,
   kGaugeCollShmOps,
-  kGaugeNetMsgs,
-  kGaugeNetBytes,
-  kGaugeNetModeledNs,
   kGaugeCount
 };
 const char* gauge_name(std::uint64_t id);
@@ -263,7 +257,7 @@ class Span {
 
 // ---------------------------------------------------------------------------
 // Collector: rings flushed by finished Tracers, aggregated per process and
-// written as a "nemo-trace/1" JSON dump (NEMO_TRACE_OUT or write_dump()).
+// written as a "nemo-trace/2" JSON dump (NEMO_TRACE_OUT or write_dump()).
 // ---------------------------------------------------------------------------
 
 struct RankDump {
@@ -281,7 +275,7 @@ void append_synthetic_rank(RankDump dump);
 std::vector<RankDump> snapshot_dumps();
 void clear_dumps();
 
-/// Serialize the collector + registry as a nemo-trace/1 dump file.
+/// Serialize the collector + registry as a nemo-trace/2 dump file.
 bool write_dump(const std::string& path, std::string* err = nullptr);
 /// Honour NEMO_TRACE_OUT if set (registered atexit once tracing enables).
 void maybe_write_env_dump();

@@ -22,15 +22,10 @@ Counters& Counters::operator+=(const Counters& o) {
   coll_shm_bytes += o.coll_shm_bytes;
   coll_fallbacks += o.coll_fallbacks;
   coll_epoch_stalls += o.coll_epoch_stalls;
-  coll_hier_ops += o.coll_hier_ops;
   peer_deaths += o.peer_deaths;
   fence_epochs += o.fence_epochs;
   reclaimed_slots += o.reclaimed_slots;
   timeout_aborts += o.timeout_aborts;
-  net_msgs += o.net_msgs;
-  net_bytes += o.net_bytes;
-  net_modeled_ns += o.net_modeled_ns;
-  net_ctrl_msgs += o.net_ctrl_msgs;
   um_pool_hits += o.um_pool_hits;
   um_pool_misses += o.um_pool_misses;
   for (int i = 0; i < kSimdKernels; ++i) {

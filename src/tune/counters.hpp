@@ -41,8 +41,6 @@ struct Counters {
   std::uint64_t coll_fallbacks = 0; ///< shm wanted but geometry forbade it.
   std::uint64_t coll_epoch_stalls = 0;  ///< Waits on a not-yet-published
                                         ///< epoch/doorbell/ack/barrier word.
-  std::uint64_t coll_hier_ops = 0;  ///< Collectives that ran the two-level
-                                    ///< (leader/transport) schedule.
 
   // Resilience telemetry (src/resil/): death verdicts and the recovery
   // fence's work, observed from this rank.
@@ -51,13 +49,6 @@ struct Counters {
   std::uint64_t reclaimed_slots = 0;  ///< Arena cells tombstoned by fences.
   std::uint64_t timeout_aborts = 0;   ///< Verdicts from heartbeat timeout
                                       ///< (vs eager reaper/ESRCH flags).
-
-  // Transport layer (src/transport/): internode traffic accounting kept by
-  // the modeled interconnect. All zero under the plain shm transport.
-  std::uint64_t net_msgs = 0;        ///< Messages that crossed a node link.
-  std::uint64_t net_bytes = 0;       ///< Payload bytes across node links.
-  std::uint64_t net_modeled_ns = 0;  ///< Modeled wire time those cost.
-  std::uint64_t net_ctrl_msgs = 0;   ///< Internode control doorbells.
 
   // Unexpected-receive buffer pool (match.hpp freelist).
   std::uint64_t um_pool_hits = 0;    ///< Reused a pooled buffer, no alloc.

@@ -84,13 +84,6 @@ struct TuningTable {
   /// bound as nt_min. SIZE_MAX (NEMO_PACK_NT_MIN=off) = never.
   std::size_t pack_nt_min = 0;
 
-  /// Hierarchical two-level collectives: minimum synthetic-node count
-  /// (transport topology) at/above which auto-mode collectives run the
-  /// leader-based two-level schedule instead of the flat world-wide
-  /// algorithm. UINT32_MAX = never; 2 = whenever the transport partitions
-  /// the world at all. NEMO_COLL_HIER overrides (`off` | `on` | threshold).
-  std::uint32_t coll_hier_nodes = 2;
-
   [[nodiscard]] const PlacementTuning& for_placement(PairPlacement p) const {
     return place[static_cast<std::size_t>(p)];
   }

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "coll/coll.hpp"
 #include "core/comm.hpp"
 #include "shm/arena.hpp"
 
@@ -88,25 +87,6 @@ TEST(BarrierSchedule, SixteenRankStorm) {
   // Back-to-back barriers: a missed arrival or a stale release sequence
   // shows up as a hang (ctest timeout) or a phase violation.
   barrier_phase_check(16, 150);
-}
-
-// ---------------------------------------------------------------------------
-// NUMA-aware leader choice.
-// ---------------------------------------------------------------------------
-
-TEST(CollLeader, PluralityNodeWinsTiesToLowerNode) {
-  // All one node (the single-node fallback): rank 0, as pre-v2.
-  EXPECT_EQ(coll::choose_leader({0, 0, 0, 0}), 0);
-  // Unknown map: rank 0.
-  EXPECT_EQ(coll::choose_leader({-1, -1, -1}), 0);
-  EXPECT_EQ(coll::choose_leader({}), 0);
-  // Node 1 backs 3 of 4 ranks: the lowest rank on node 1 leads.
-  EXPECT_EQ(coll::choose_leader({0, 1, 1, 1}), 1);
-  EXPECT_EQ(coll::choose_leader({1, 0, 1, 1}), 0);
-  // Tie 2-2: lower node id wins, its lowest rank leads.
-  EXPECT_EQ(coll::choose_leader({1, 1, 0, 0}), 2);
-  // Unknown ranks don't vote.
-  EXPECT_EQ(coll::choose_leader({-1, 2, 2, 0}), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ Config world(int nranks) {
   cfg.env["NEMO_WORLD_MODE"] = "threads";
   cfg.env["NEMO_TRACE"] = "off";
   cfg.env["NEMO_LMT"] = "auto";
-  cfg.env["NEMO_TRANSPORT"] = "shm";
   return cfg;
 }
 

@@ -46,7 +46,6 @@ void expect_formula(const TuningTable& t, std::size_t shared_llc,
   EXPECT_EQ(t.fastbox_slot_bytes, 8 * KiB + 64);  // The activation + header.
   EXPECT_EQ(t.simd_kernel, simd::Choice::kAuto);
   EXPECT_EQ(t.pack_nt_min, host);
-  EXPECT_EQ(t.coll_hier_nodes, 2u);
 }
 
 TEST(FormulaTable, GoldenOnPaperPresets) {

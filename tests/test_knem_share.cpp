@@ -6,6 +6,7 @@
 // does not progress leaves every chunk to the receiver; an abandoned
 // receive closes the claim word.
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -39,6 +40,18 @@ Config knem_config(LaunchMode mode = LaunchMode::kThreads) {
 }
 
 DeviceStats stats(Comm& comm) { return comm.engine().knem_device().stats(); }
+
+/// The first two CPUs of this process's affinity mask (fewer if it holds
+/// fewer).
+std::vector<int> two_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c)
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  return cpus;
+}
 
 constexpr std::size_t kTail = 64;  // Sentinel bytes past the payload.
 
@@ -148,10 +161,16 @@ TEST(KnemShare, IdleSenderLeavesEveryChunkToReceiver) {
 
 TEST(KnemShare, BlockingPingpongSenderHelps) {
   // Both ranks wait in blocking calls, so the sender of each leg claims
-  // chunks while the receiver copies.
+  // chunks while the receiver copies. That needs both running at once:
+  // ranks sharing one CPU may take turns and leave the sender nothing.
   constexpr std::size_t kN = 4 * MiB;
   constexpr int kLegs = 64;
-  run(knem_config(), [&](Comm& comm) {
+  Config cfg = knem_config();
+  cfg.core_binding = two_cpus();
+  if (cfg.core_binding.size() < 2)
+    GTEST_SKIP() << "the affinity mask holds fewer than two CPUs, so the "
+                    "ranks cannot run side by side";
+  run(cfg, [&](Comm& comm) {
     std::vector<std::byte> buf(kN);
     for (int i = 0; i < kLegs; ++i) {
       auto seed = static_cast<std::uint64_t>(100 + i);

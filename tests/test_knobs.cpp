@@ -50,7 +50,7 @@ TEST(KnobTable, SortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 26u);
+  EXPECT_EQ(knobs().size(), 21u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
@@ -143,8 +143,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BadValue{"NEMO_LMT", "cma"},
                       BadValue{"NEMO_SIMD", "sse9"},
                       BadValue{"NEMO_NT_MIN", "lots"},
-                      BadValue{"NEMO_NET_BW_MBS", "0"},
-                      BadValue{"NEMO_TRANSPORT", "tcp"},
                       BadValue{"NEMO_WORLD_MODE", "prcoesses"}),
     [](const ::testing::TestParamInfo<BadValue>& info) {
       std::string name = std::string(info.param.knob).substr(5) + "_" +

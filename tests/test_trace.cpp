@@ -295,7 +295,7 @@ TEST(TracePerfetto, SyntheticDumpExports) {
 
   auto doc = load_dump(dump_path, &err);
   ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_EQ((*doc)["schema"].as_string(), "nemo-trace/1");
+  EXPECT_EQ((*doc)["schema"].as_string(), "nemo-trace/2");
 
   tune::Json trace = perfetto_from_dump(*doc);
   bool saw_span = false, saw_counter = false;
