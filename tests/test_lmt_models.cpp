@@ -2,6 +2,7 @@
 // as properties of the simulator (who wins where, crossovers, monotonicity).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/lmt_models.hpp"
@@ -208,6 +209,53 @@ TEST(Models, DeterministicAcrossRuns) {
   LmtModels a(e5345_machine()), b(e5345_machine());
   EXPECT_DOUBLE_EQ(a.alltoall_mibs(Strategy::kKnem, cores, 64 * KiB),
                    b.alltoall_mibs(Strategy::kKnem, cores, 64 * KiB));
+}
+
+// Exact outputs of the models at 64 KiB for every strategy, printed with
+// %.17g. Any change to the cache walk or to a strategy's access sequence
+// that moves one miss or one rounding step shows here.
+TEST(Models, GoldenNumbers) {
+  struct Golden {
+    Strategy s;
+    std::uint64_t pp_miss_01, pp_miss_07, a2a_miss;
+    double pp_mibs_01, pp_mibs_07, a2a_mibs;
+  };
+  const Golden golden[] = {
+      {Strategy::kDefault, 0, 4096, 116736, 2981.870229007633,
+       1645.0831754053484, 2593.3466346667187},
+      {Strategy::kDefaultNt, 0, 4096, 116736, 2981.870229007633,
+       1645.0831754053484, 2593.3466346667187},
+      {Strategy::kVmsplice, 0, 4096, 0, 2532.414910858995,
+       1807.4031231925967, 18063.583815028902},
+      {Strategy::kVmspliceWritev, 0, 4096, 116736, 1966.6456891126493,
+       1499.5201535508636, 2484.2075377954434},
+      {Strategy::kKnem, 0, 4096, 0, 3464.5232815964523, 2557.283142389525,
+       27716.186252771615},
+      {Strategy::kKnemDma, 0, 0, 0, 2416.8600154679038, 2416.8600154679038,
+       4694.8356807511736},
+      {Strategy::kKnemAsyncCopy, 0, 4096, 0, 2293.0730848253593,
+       1585.6504972599957, 18344.584678602874},
+      {Strategy::kKnemAsyncDma, 0, 0, 0, 2565.6814449917897,
+       2565.6814449917897, 4761.9047619047615},
+      {Strategy::kVmspliceIoat, 0, 0, 0, 2389.1437308868503,
+       2389.1437308868503, 4681.6479400749058},
+  };
+  std::vector<int> cores{0, 1, 2, 3, 4, 5, 6, 7};
+  for (const Golden& g : golden) {
+    LmtModels m(e5345_machine());
+    EXPECT_EQ(m.pingpong_l2_misses(g.s, 0, 1, 64 * KiB), g.pp_miss_01)
+        << to_string(g.s);
+    EXPECT_EQ(m.pingpong_l2_misses(g.s, 0, 7, 64 * KiB), g.pp_miss_07)
+        << to_string(g.s);
+    EXPECT_EQ(m.alltoall_l2_misses(g.s, cores, 64 * KiB), g.a2a_miss)
+        << to_string(g.s);
+    EXPECT_EQ(m.pingpong_mibs(g.s, 0, 1, 64 * KiB), g.pp_mibs_01)
+        << to_string(g.s);
+    EXPECT_EQ(m.pingpong_mibs(g.s, 0, 7, 64 * KiB), g.pp_mibs_07)
+        << to_string(g.s);
+    EXPECT_EQ(m.alltoall_mibs(g.s, cores, 64 * KiB), g.a2a_mibs)
+        << to_string(g.s);
+  }
 }
 
 }  // namespace
