@@ -1,11 +1,10 @@
 // Collective sweep: the shm collective arena vs the pt2pt algorithms, per
-// (op, rank count, size) — wall-clock from this host's real runtime plus
-// deterministic copy-volume / L2-miss accounting from the simulator's
-// E5345 replay. This is the bench behind bench/results/BENCH_coll.json:
-// the shm path must show both lower wall time and lower simulated copy
-// volume at the ISSUE's acceptance points (8-rank 256 KiB bcast, 4-rank
-// 64 KiB-per-pair alltoall, 8-rank 256 KiB allreduce), and the barrier
-// section times the arena barrier per rank count.
+// (op, rank count, size), as wall-clock time on this host's runtime. This
+// is the bench behind bench/results/BENCH_coll.json. Further sections time
+// the fold kernels, allreduce with a forced kernel or heap operands, the
+// cell exchange, the strided alltoall, the arena barrier per rank count,
+// and the trace and liveness overheads. The simulator does not replay the
+// arena collectives; every number here is measured.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +12,6 @@
 #include "bench_common.hpp"
 #include "common/options.hpp"
 #include "core/datatype.hpp"
-#include "sim/lmt_models.hpp"
 #include "simd/simd.hpp"
 
 using namespace nemo;
@@ -172,13 +170,11 @@ int main(int argc, char** argv) {
   opt.declare("iters", "ops per timed burst (default 8)");
   opt.declare("samples", "timed bursts per point, median kept (default 3)");
   opt.declare("smoke", "few points / fewer iters (bench_smoke)");
-  opt.declare("skip-real", "only the simulator columns");
   opt.declare("trace", "write a nemo-trace/2 ring dump to this file");
   opt.finalize();
   bool smoke = opt.get_flag("smoke");
   int iters = static_cast<int>(opt.get_int("iters", smoke ? 4 : 8));
   int samples = static_cast<int>(opt.get_int("samples", 3));
-  bool real = !opt.get_flag("skip-real");
   std::string trace_path = opt.get("trace", "");
   if (!trace_path.empty()) trace_into_rings();
 
@@ -191,46 +187,29 @@ int main(int argc, char** argv) {
                                        4 * MiB};
   const char* ops[] = {"bcast", "alltoall", "allreduce"};
 
-  if (real) warn_if_oversubscribed(rank_counts.back());
+  warn_if_oversubscribed(rank_counts.back());
   std::printf("# Collective sweep — p2p vs shm arena\n");
-  std::printf("%-9s %5s %9s %5s %12s %12s %14s %12s\n", "op", "ranks",
-              "bytes", "path", "wall_us", "sim_MiB/s", "sim_copy_B",
-              "sim_L2miss");
+  std::printf("%-9s %5s %9s %5s %12s %12s\n", "op", "ranks", "bytes", "path",
+              "wall_us", "note");
 
   std::vector<std::string> rows;
   for (const char* op : ops) {
-    bool alltoall = std::strcmp(op, "alltoall") == 0;
-    bool allreduce = std::strcmp(op, "allreduce") == 0;
     for (int nranks : rank_counts) {
-      std::vector<int> cores;
-      for (int i = 0; i < nranks; ++i) cores.push_back(i);
       for (std::size_t bytes : sizes) {
         // The per-size payload is the op's symmetric measure: bcast total
         // bytes, alltoall per-pair block, allreduce operand bytes.
         for (bool shm : {false, true}) {
-          sim::LmtModels m(sim::e5345_machine());
-          sim::LmtModels::CollOutcome sim_out =
-              alltoall    ? m.alltoall_coll(shm, cores, bytes, 2)
-              : allreduce ? m.allreduce_coll(shm, cores, bytes, 2)
-                          : m.bcast_coll(shm, cores, bytes, 2);
           double wall_us =
-              real ? real_coll_us(shm ? coll::Mode::kShm : coll::Mode::kP2p,
-                                  op, nranks, bytes, iters, samples)
-                   : 0.0;
+              real_coll_us(shm ? coll::Mode::kShm : coll::Mode::kP2p, op,
+                           nranks, bytes, iters, samples);
           const char* path = shm ? "shm" : "p2p";
-          std::printf("%-9s %5d %9zu %5s %12.1f %12.0f %14llu %12llu\n", op,
-                      nranks, bytes, path, wall_us, sim_out.mibs,
-                      static_cast<unsigned long long>(sim_out.copy_bytes),
-                      static_cast<unsigned long long>(sim_out.l2_misses));
+          std::printf("%-9s %5d %9zu %5s %12.1f\n", op, nranks, bytes, path,
+                      wall_us);
           char row[512];
-          std::snprintf(
-              row, sizeof row,
-              "{\"op\": \"%s\", \"ranks\": %d, \"bytes\": %zu, "
-              "\"mode\": \"%s\", \"wall_us\": %.2f, \"sim_mibs\": %.1f, "
-              "\"sim_copy_bytes\": %llu, \"sim_l2_misses\": %llu}",
-              op, nranks, bytes, path, wall_us, sim_out.mibs,
-              static_cast<unsigned long long>(sim_out.copy_bytes),
-              static_cast<unsigned long long>(sim_out.l2_misses));
+          std::snprintf(row, sizeof row,
+                        "{\"op\": \"%s\", \"ranks\": %d, \"bytes\": %zu, "
+                        "\"mode\": \"%s\", \"wall_us\": %.2f}",
+                        op, nranks, bytes, path, wall_us);
           rows.emplace_back(row);
         }
       }
@@ -241,16 +220,17 @@ int main(int argc, char** argv) {
   // `mibs` higher-is-better. The committed baseline must show the
   // vectorized rows clearing the scalar row by the ISSUE's 1.5x margin at
   // 256 KiB; the gate then keeps every kernel from regressing.
-  std::printf("# Fold kernels — scalar vs vectorized vertical reduce\n");
+  std::printf("# Fold kernels — scalar vs vectorized vertical reduce "
+              "(note = MiB/s)\n");
   int fold_iters = smoke ? 64 : 256;
   for (std::size_t bytes : {64 * KiB, 256 * KiB}) {
     for (simd::Kernel k : {simd::Kernel::kScalar, simd::Kernel::kAvx2,
                            simd::Kernel::kAvx512}) {
       if (!simd::kernel_supported(k)) continue;
-      double mibs = real ? fold_mibs(k, bytes, fold_iters, samples) : 0.0;
+      double mibs = fold_mibs(k, bytes, fold_iters, samples);
       const char* kn = simd::kernel_name(k);
-      std::printf("%-9s %5d %9zu %6s %12s %12.0f %14d %12d\n", "fold", 1,
-                  bytes, kn, "-", mibs, 0, 0);
+      std::printf("%-9s %5d %9zu %6s %12s %12.0f\n", "fold", 1, bytes, kn, "-",
+                  mibs);
       char row[512];
       std::snprintf(row, sizeof row,
                     "{\"op\": \"fold\", \"ranks\": 1, \"bytes\": %zu, "
@@ -270,12 +250,11 @@ int main(int argc, char** argv) {
   for (const char* kn : forced_kernels) {
     for (bool shm : {false, true}) {
       coll::Mode mode = shm ? coll::Mode::kShm : coll::Mode::kP2p;
-      double wall_us = real ? real_coll_us(mode, "allreduce", 8, 256 * KiB,
-                                           iters, samples, {{"NEMO_SIMD", kn}})
-                            : 0.0;
+      double wall_us = real_coll_us(mode, "allreduce", 8, 256 * KiB, iters,
+                                    samples, {{"NEMO_SIMD", kn}});
       const char* path = shm ? "shm" : "p2p";
-      std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce",
-                  8, 256 * KiB, path, wall_us, kn, "-", "-");
+      std::printf("%-9s %5d %9zu %5s %12.1f %12s\n", "allreduce", 8,
+                  256 * KiB, path, wall_us, kn);
       char row[512];
       std::snprintf(row, sizeof row,
                     "{\"op\": \"allreduce\", \"ranks\": 8, \"bytes\": %zu, "
@@ -289,11 +268,10 @@ int main(int argc, char** argv) {
   // callers pass (every row above reduces arena-resident buffers).
   std::printf("# Allreduce — heap operands, shm arena\n");
   for (std::size_t bytes : {64 * KiB, 1 * MiB}) {
-    double wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 4,
-                                         bytes, iters, samples, {}, true)
-                          : 0.0;
-    std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce", 4,
-                bytes, "shm", wall_us, "heap", "-", "-");
+    double wall_us = real_coll_us(coll::Mode::kShm, "allreduce", 4, bytes,
+                                  iters, samples, {}, true);
+    std::printf("%-9s %5d %9zu %5s %12.1f %12s\n", "allreduce", 4, bytes,
+                "shm", wall_us, "heap");
     char row[512];
     std::snprintf(row, sizeof row,
                   "{\"op\": \"allreduce\", \"ranks\": 4, \"bytes\": %zu, "
@@ -313,12 +291,11 @@ int main(int argc, char** argv) {
     for (int nranks : {2, 4, 8}) {
       for (std::size_t bytes : {std::size_t{8}, std::size_t{56}}) {
         for (coll::Mode mode : {coll::Mode::kAuto, coll::Mode::kP2p}) {
-          double wall_us = real ? real_coll_us(mode, op, nranks, bytes,
-                                               cell_iters, samples, {}, true)
-                                : 0.0;
+          double wall_us = real_coll_us(mode, op, nranks, bytes, cell_iters,
+                                        samples, {}, true);
           const char* path = coll::to_string(mode);
-          std::printf("%-9s %5d %9zu %5s %12.2f %12s %14s %12s\n", op,
-                      nranks, bytes, path, wall_us, "heap", "-", "-");
+          std::printf("%-9s %5d %9zu %5s %12.2f %12s\n", op, nranks, bytes,
+                      path, wall_us, "heap");
           char row[512];
           std::snprintf(row, sizeof row,
                         "{\"op\": \"%s\", \"ranks\": %d, \"bytes\": %zu, "
@@ -339,11 +316,10 @@ int main(int argc, char** argv) {
     for (std::size_t bytes : {16 * KiB, 32 * KiB}) {
       for (bool shm : {false, true}) {
         coll::Mode mode = shm ? coll::Mode::kShm : coll::Mode::kP2p;
-        double wall_us =
-            real ? real_strided_us(mode, nranks, bytes, iters, samples) : 0.0;
+        double wall_us = real_strided_us(mode, nranks, bytes, iters, samples);
         const char* path = shm ? "shm" : "p2p";
-        std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n",
-                    "a2a_strd", nranks, bytes, path, wall_us, "-", "-", "-");
+        std::printf("%-9s %5d %9zu %5s %12.1f\n", "a2a_strd", nranks, bytes,
+                    path, wall_us);
         char row[512];
         std::snprintf(
             row, sizeof row,
@@ -356,21 +332,18 @@ int main(int argc, char** argv) {
   }
 
   // Barrier microbench: the arena barrier per rank count. `bytes` is 0 (a
-  // barrier moves no payload); the sim column is the modelled
-  // critical-path nanoseconds per round.
+  // barrier moves no payload).
   std::printf("# Barrier — arena arrival/release\n");
   int bar_iters = smoke ? 50 : 200;
   for (int nranks : rank_counts) {
-    sim::LmtModels m(sim::e5345_machine());
-    double sim_ns = m.barrier_coll_ns(nranks);
-    double wall_us = real ? real_barrier_us(nranks, bar_iters, samples) : 0.0;
-    std::printf("%-9s %5d %9d %5s %12.2f %12.0f %14d %12d\n", "barrier",
-                nranks, 0, "flat", wall_us, sim_ns, 0, 0);
+    double wall_us = real_barrier_us(nranks, bar_iters, samples);
+    std::printf("%-9s %5d %9d %5s %12.2f\n", "barrier", nranks, 0, "flat",
+                wall_us);
     char row[512];
     std::snprintf(row, sizeof row,
                   "{\"op\": \"barrier\", \"ranks\": %d, \"bytes\": 0, "
-                  "\"mode\": \"flat\", \"wall_us\": %.3f, \"sim_ns\": %.1f}",
-                  nranks, wall_us, sim_ns);
+                  "\"mode\": \"flat\", \"wall_us\": %.3f}",
+                  nranks, wall_us);
     rows.emplace_back(row);
   }
 
@@ -380,15 +353,12 @@ int main(int argc, char** argv) {
   // <1% (off) / <5% (rings) budget; test_trace_overhead enforces it.
   std::printf("# Trace overhead — allreduce 8x256KiB shm, off vs rings\n");
   for (const char* tmode : {"off", "rings"}) {
-    double wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 8,
-                                         256 * KiB, iters, samples,
-                                         {{"NEMO_TRACE", tmode}})
-                          : 0.0;
+    double wall_us = real_coll_us(coll::Mode::kShm, "allreduce", 8, 256 * KiB,
+                                  iters, samples, {{"NEMO_TRACE", tmode}});
     // Back to the ambient / --trace mode.
     trace::set_mode(core::resolve_config(pinned_config()).trace);
-    std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce", 8,
-                static_cast<std::size_t>(256 * KiB), tmode, wall_us, "-",
-                "-", "-");
+    std::printf("%-9s %5d %9zu %5s %12.1f\n", "allreduce", 8,
+                static_cast<std::size_t>(256 * KiB), tmode, wall_us);
     char row[512];
     std::snprintf(row, sizeof row,
                   "{\"op\": \"allreduce\", \"ranks\": 8, \"bytes\": %zu, "
@@ -405,13 +375,11 @@ int main(int argc, char** argv) {
   std::printf("# Liveness overhead — allreduce 8x256KiB shm, on vs off\n");
   for (const char* lmode : {"on", "off"}) {
     const char* timeout = std::strcmp(lmode, "on") == 0 ? "30000" : "off";
-    double wall_us = real ? real_coll_us(coll::Mode::kShm, "allreduce", 8,
-                                         256 * KiB, iters, samples,
-                                         {{"NEMO_PEER_TIMEOUT_MS", timeout}})
-                          : 0.0;
-    std::printf("%-9s %5d %9zu %5s %12.1f %12s %14s %12s\n", "allreduce", 8,
-                static_cast<std::size_t>(256 * KiB), lmode, wall_us, "-",
-                "-", "-");
+    double wall_us =
+        real_coll_us(coll::Mode::kShm, "allreduce", 8, 256 * KiB, iters,
+                     samples, {{"NEMO_PEER_TIMEOUT_MS", timeout}});
+    std::printf("%-9s %5d %9zu %5s %12.1f\n", "allreduce", 8,
+                static_cast<std::size_t>(256 * KiB), lmode, wall_us);
     char row[512];
     std::snprintf(
         row, sizeof row,

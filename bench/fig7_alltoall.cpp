@@ -1,7 +1,9 @@
 // Figure 7: IMB Alltoall aggregated throughput between 8 local processes:
-// default vs vmsplice vs KNEM vs KNEM+I/OAT — plus this repo's shm
-// collective arena ("shm-coll"), which halves the copy volume by letting
-// every reader pull blocks straight from the writers' arena-resident rows.
+// default vs vmsplice vs KNEM vs KNEM+I/OAT. The simulator block replays
+// only these paper strategies; the real block adds this repo's shm
+// collective arena ("shm-coll"), measured on the runtime, which halves the
+// copy volume by letting every reader pull blocks straight from the
+// writers' arena-resident rows.
 //
 // Paper's shape: KNEM up to ~5x default near 32 KiB; I/OAT ~2x at very large
 // sizes (and already attractive from ~200 KiB because 8 concurrent flows
@@ -66,39 +68,6 @@ int main(int argc, char** argv) {
       json_row(rows, "sim", row.name, s, vals.back());
     }
     print_row(row.name, vals);
-  }
-  {
-    std::vector<double> vals;
-    for (auto s : sizes) {
-      sim::LmtModels m(sim::e5345_machine());
-      vals.push_back(m.alltoall_coll(true, cores, s, 2).mibs);
-      json_row(rows, "sim", "shm-coll", s, vals.back());
-    }
-    print_row("shm-coll", vals);
-    // Modeled timeline through the same exporter the real rings use: one
-    // kCollOp span per size on a synthetic rank, duration straight from the
-    // simulator's aggregate throughput.
-    if (!trace_path.empty()) {
-      trace::RankDump sd;
-      sd.rank = -2;  // first synthetic ("sim rank 0") tid
-      sd.ns_timestamps = true;
-      std::uint64_t clock_ns = 0;
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        double mibs = vals[i];
-        if (mibs <= 0) continue;
-        double round_bytes = static_cast<double>(cores.size()) *
-                             static_cast<double>(cores.size() - 1) *
-                             static_cast<double>(sizes[i]);
-        auto dur = static_cast<std::uint64_t>(round_bytes /
-                                              (mibs * MiB) * 1e9);
-        sd.events.push_back({clock_ns, trace::kCollOp, trace::kBegin, 0,
-                             trace::kOpAlltoall, sizes[i]});
-        clock_ns += dur;
-        sd.events.push_back({clock_ns, trace::kCollOp, trace::kEnd, 0, 0, 0});
-        clock_ns += dur / 8 + 1;  // Gap so consecutive spans stay distinct.
-      }
-      trace::append_synthetic_rank(std::move(sd));
-    }
   }
 
   if (!opt.get_flag("skip-real")) {

@@ -94,22 +94,6 @@ int main(int argc, char** argv) {
     record("4MiB alltoall", st.name, v);
     std::printf(" %12llu", static_cast<unsigned long long>(v));
   }
-  // The shm collective arena's alltoall (direct-read, one copy per block):
-  // the coll-path counterpart of the rows above. Printed as its own lines
-  // since it is a collective algorithm, not an LMT backend.
-  for (std::size_t per_pair : {64 * KiB, 4 * MiB}) {
-    sim::LmtModels m = make_models(sim::Strategy::kDefault);
-    std::uint64_t v =
-        m.alltoall_coll(true, cores, per_pair, per_pair > 1 * MiB ? 1 : 4)
-            .l2_misses;
-    const char* wl =
-        per_pair == 64 * KiB ? "64KiB alltoall" : "4MiB alltoall";
-    record(wl, "shm-coll", v);
-    std::printf("\n%-22s %12s = %llu",
-                per_pair == 64 * KiB ? "64KiB alltoall shm" :
-                                       "4MiB alltoall shm",
-                "shm-coll", static_cast<unsigned long long>(v));
-  }
 
   std::printf("\n%-22s", "is-like (8 ranks)");
   std::vector<double> is_times;

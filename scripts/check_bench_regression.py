@@ -9,13 +9,16 @@ compared on one metric each:
     value drops below baseline / tolerance.
   - ``wall_us`` (coll_sweep rows): lower is better; fail when the fresh
     value exceeds baseline * tolerance.
+  - ``l2_misses`` (table2_cachemiss rows): the deterministic simulator's
+    miss counts must match the baseline exactly, zero included; the
+    tolerance does not apply.
 
 The tolerance is deliberately generous (default 2.5x): CI runners are noisy,
 time-sliced machines, and the gate exists to catch order-of-magnitude
 regressions (a serialized fold, an accidental O(n^2) barrier), not 10%%
-jitter. Rows whose baseline or fresh value is missing or non-positive are
-reported as skipped, never failed — a new bench row must be able to land
-before its baseline does.
+jitter. Rows whose baseline or fresh value is missing, or whose timed
+value is non-positive, are reported as skipped, never failed — a new bench
+row must be able to land before its baseline does.
 
 Usage:
   check_bench_regression.py --baseline bench/results/BENCH_coll.json \
@@ -31,15 +34,9 @@ import sys
 METRICS = (
     ("mibs", "higher"),
     ("wall_us", "lower"),
+    ("l2_misses", "exact"),
 )
-IDENTITY_EXCLUDE = {name for name, _ in METRICS} | {
-    "sim_mibs",
-    "sim_copy_bytes",
-    "sim_l2_misses",
-    "sim_ns",
-    "l2_misses",
-    "skipped",
-}
+IDENTITY_EXCLUDE = {name for name, _ in METRICS} | {"skipped"}
 
 
 def row_key(row):
@@ -96,10 +93,15 @@ def compare(baseline_rows, fresh_rows, tolerance):
             skipped.append({"key": key, "reason": "metric mismatch"})
             continue
         fresh_val = fresh_m[2]
-        if base_val <= 0 or fresh_val <= 0:
+        if orientation == "exact":
+            # Simulated counts are deterministic: any drift fails, a row
+            # that moves off 0 misses included.
+            bound = base_val
+            bad = fresh_val != base_val
+        elif base_val <= 0 or fresh_val <= 0:
             skipped.append({"key": key, "reason": "non-positive value"})
             continue
-        if orientation == "higher":
+        elif orientation == "higher":
             bound = base_val / tolerance
             bad = fresh_val < bound
         else:
@@ -111,7 +113,8 @@ def compare(baseline_rows, fresh_rows, tolerance):
             "baseline": base_val,
             "fresh": fresh_val,
             "bound": bound,
-            "ratio": (fresh_val / base_val),
+            "ratio": (fresh_val / base_val if base_val
+                      else 1.0 if fresh_val == base_val else float("inf")),
         }
         checked.append(record)
         if bad:

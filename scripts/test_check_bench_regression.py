@@ -15,12 +15,16 @@ import check_bench_regression as cbr
 
 def coll_row(op, ranks, size, mode, wall_us):
     return {"op": op, "ranks": ranks, "bytes": size, "mode": mode,
-            "wall_us": wall_us, "sim_mibs": 1.0, "sim_copy_bytes": 1,
-            "sim_l2_misses": 0}
+            "wall_us": wall_us}
 
 
 def pp_row(strategy, size, mibs):
     return {"strategy": strategy, "bytes": size, "mibs": mibs}
+
+
+def miss_row(workload, strategy, l2_misses):
+    return {"workload": workload, "strategy": strategy,
+            "l2_misses": l2_misses}
 
 
 class CompareTest(unittest.TestCase):
@@ -72,7 +76,8 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(len(skipped), 1)
 
     def test_nonpositive_values_are_skipped(self):
-        # --skip-real runs write wall_us 0; those rows must not trip the gate.
+        # A timed row that measured nothing reads 0; it must not trip the
+        # gate.
         base = [coll_row("bcast", 8, 262144, "shm", 0.0)]
         fresh = [coll_row("bcast", 8, 262144, "shm", 50.0)]
         violations, checked, skipped = cbr.compare(base, fresh, 2.5)
@@ -80,13 +85,35 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(checked, [])
         self.assertEqual(len(skipped), 1)
 
-    def test_key_ignores_sim_columns(self):
-        base = [coll_row("bcast", 8, 262144, "shm", 70.0)]
-        fresh = [dict(coll_row("bcast", 8, 262144, "shm", 71.0),
-                      sim_mibs=999.0, sim_copy_bytes=12345)]
-        violations, checked, _ = cbr.compare(base, fresh, 2.5)
+    def test_equal_misses_pass_zero_included(self):
+        base = [miss_row("64KiB pingpong", "default", 4096),
+                miss_row("64KiB pingpong", "knem+ioat", 0)]
+        violations, checked, skipped = cbr.compare(base, base, 2.5)
         self.assertEqual(violations, [])
-        self.assertEqual(len(checked), 1)
+        self.assertEqual(len(checked), 2)
+        self.assertEqual(skipped, [])
+
+    def test_any_miss_drift_fails_within_tolerance(self):
+        base = [miss_row("4MiB alltoall", "knem", 7340032),
+                miss_row("is-like", "default", 15370240)]
+        fresh = [miss_row("4MiB alltoall", "knem", 7340033),
+                 miss_row("is-like", "default", 15370239)]
+        violations, checked, _ = cbr.compare(base, fresh, 2.5)
+        self.assertEqual(len(checked), 2)
+        self.assertEqual(len(violations), 2)
+        self.assertEqual(violations[0]["metric"], "l2_misses")
+
+    def test_row_drifting_off_zero_misses_fails(self):
+        base = [miss_row("64KiB alltoall", "vmsplice", 0)]
+        fresh = [miss_row("64KiB alltoall", "vmsplice", 4096)]
+        violations, checked, skipped = cbr.compare(base, fresh, 2.5)
+        self.assertEqual(skipped, [])
+        self.assertEqual(len(violations), 1)
+        self.assertEqual(violations[0]["ratio"], float("inf"))
+        fresh = [miss_row("64KiB alltoall", "vmsplice", 0)]
+        base = [miss_row("64KiB alltoall", "vmsplice", 4096)]
+        violations, _, _ = cbr.compare(base, fresh, 2.5)
+        self.assertEqual(len(violations), 1)
 
     def test_bad_tolerance_rejected(self):
         with self.assertRaises(ValueError):

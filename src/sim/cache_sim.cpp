@@ -38,7 +38,7 @@ bool CacheLevel::access(std::uint64_t line_addr, bool allocate) {
   return false;
 }
 
-void CacheLevel::invalidate(std::uint64_t line_addr) {
+bool CacheLevel::invalidate(std::uint64_t line_addr) {
   std::uint64_t idx = line_addr >> line_shift_;
   std::size_t set = static_cast<std::size_t>(idx) & (sets_ - 1);
   std::uint64_t* w = &ways_[set * assoc_];
@@ -47,9 +47,10 @@ void CacheLevel::invalidate(std::uint64_t line_addr) {
       // Compact: shift the rest up, empty the LRU slot.
       for (unsigned j = i; j + 1 < assoc_; ++j) w[j] = w[j + 1];
       w[assoc_ - 1] = kEmpty;
-      return;
+      return true;
     }
   }
+  return false;
 }
 
 bool CacheLevel::contains(std::uint64_t line_addr) const {
@@ -81,35 +82,32 @@ CacheSystem::CacheSystem(const Topology& topo) : topo_(topo) {
     std::sort(h.begin(), h.end(), [&](std::size_t a, std::size_t b) {
       return domain_level_[a] < domain_level_[b];
     });
+    auto& others = cores_[static_cast<std::size_t>(c)].others;
+    for (std::size_t i = 0; i < topo_.caches.size(); ++i)
+      if (!topo_.caches[i].contains(c)) others.push_back(i);
   }
+}
+
+bool CacheSystem::invalidate_others(int core, std::uint64_t addr) {
+  bool held = false;
+  for (std::size_t i : cores_[static_cast<std::size_t>(core)].others)
+    held |= levels_[i].invalidate(addr);
+  return held;
 }
 
 HitLevel CacheSystem::access(int core, std::uint64_t addr, bool write,
                              bool nt) {
   const auto& h = cores_[static_cast<std::size_t>(core)].levels;
 
-  // Is the line held by a cache outside this core's hierarchy? A miss that
-  // can be served by cache-to-cache transfer over the fabric is cheaper than
-  // DRAM — this is what keeps cross-die copies fast while working sets still
-  // fit somebody's cache.
-  auto in_remote = [&] {
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      bool mine = false;
-      for (std::size_t m : h) mine |= (m == i);
-      if (!mine && levels_[i].contains(addr)) return true;
-    }
-    return false;
-  };
-  bool remote = in_remote();
-
+  // A line held by a cache outside this core's hierarchy is served by
+  // cache-to-cache transfer over the fabric, which is cheaper than DRAM —
+  // this is what keeps cross-die copies fast while working sets still fit
+  // somebody's cache.
+  bool remote = false;
   if (write) {
     // Write-invalidate coherence: caches outside this hierarchy lose the
     // line.
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      bool mine = false;
-      for (std::size_t m : h) mine |= (m == i);
-      if (!mine) levels_[i].invalidate(addr);
-    }
+    remote = invalidate_others(core, addr);
     if (nt) {
       // Streaming store: bypasses this core's caches too (and drops any
       // stale copy they hold).
@@ -119,25 +117,16 @@ HitLevel CacheSystem::access(int core, std::uint64_t addr, bool write,
   }
 
   // Walk inside-out; allocate in every level missed (inclusive fill).
-  HitLevel served = remote ? HitLevel::kRemoteCache : HitLevel::kMem;
-  for (std::size_t depth = 0; depth < h.size(); ++depth) {
-    if (levels_[h[depth]].access(addr, /*allocate=*/true)) {
-      served = domain_level_[h[depth]] == 1 ? HitLevel::kL1 : HitLevel::kL2;
-      break;
-    }
+  for (std::size_t m : h) {
+    if (levels_[m].access(addr, /*allocate=*/true))
+      return domain_level_[m] == 1 ? HitLevel::kL1 : HitLevel::kL2;
   }
-  if (!write && served == HitLevel::kRemoteCache) {
-    // Migratory approximation of MESI: a read served cache-to-cache takes
-    // ownership of the line, so the producer's next write pays coherence
-    // again. This is the ping-pong that makes the double-buffer's copy
-    // buffer expensive across dies while staying free inside a shared L2.
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      bool mine = false;
-      for (std::size_t m : h) mine |= (m == i);
-      if (!mine) levels_[i].invalidate(addr);
-    }
-  }
-  return served;
+  // Migratory approximation of MESI: a read served cache-to-cache takes
+  // ownership of the line, so the producer's next write pays coherence
+  // again. This is the ping-pong that makes the double-buffer's copy buffer
+  // expensive across dies while staying free inside a shared L2.
+  if (!write) remote = invalidate_others(core, addr);
+  return remote ? HitLevel::kRemoteCache : HitLevel::kMem;
 }
 
 void CacheSystem::dma_write(std::uint64_t addr) {

@@ -25,8 +25,8 @@ class CacheLevel {
   /// evicted). Also refreshes LRU order on hit.
   bool access(std::uint64_t line_addr, bool allocate);
 
-  /// Remove the line if present.
-  void invalidate(std::uint64_t line_addr);
+  /// Remove the line if present; true if it was.
+  bool invalidate(std::uint64_t line_addr);
 
   [[nodiscard]] bool contains(std::uint64_t line_addr) const;
 
@@ -83,7 +83,12 @@ class CacheSystem {
  private:
   struct CoreHierarchy {
     std::vector<std::size_t> levels;  ///< Indices into levels_, L1 first.
+    std::vector<std::size_t> others;  ///< Every cache outside `levels`.
   };
+
+  /// Drop the line from every cache outside `core`'s hierarchy; true if
+  /// any of them held it.
+  bool invalidate_others(int core, std::uint64_t addr);
 
   Topology topo_;
   std::vector<CacheLevel> levels_;     ///< One per CacheDomain.

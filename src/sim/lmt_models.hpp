@@ -2,6 +2,9 @@
 // cache/memory simulator as the exact sequence of memory accesses, syscalls
 // and handshakes it performs on real hardware. These models regenerate the
 // paper's figures (3-7) and the cache-miss table (Table 2) deterministically.
+// They cover the paper's strategies only; this repo's collective arena is
+// measured on the runtime (perfbench, coll_sweep, fig7's real block), not
+// replayed here.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +38,6 @@ struct XferOutcome {
   double cache_ns = 0;   ///< Line accesses served by L1/L2.
   double mem_ns = 0;     ///< Line accesses served by memory (scalable by
                          ///< bus contention).
-  double sender_busy_ns = 0;  ///< CPU time burnt on the sending core.
-  double recv_busy_ns = 0;    ///< CPU time burnt on the receiving core.
   [[nodiscard]] double total() const { return fixed_ns + cache_ns + mem_ns; }
 };
 
@@ -51,14 +52,6 @@ class LmtModels {
     std::size_t pipe_window = 64 * KiB;
     /// Memory-bus contention factor per extra concurrent streaming flow.
     double contention_per_flow = 0.75;
-    /// ALU cost of the reduction combine per operand byte for a one-lane
-    /// scalar fold (dependent load-op-store chain, not peak FLOPs).
-    double fold_ns_per_byte = 0.12;
-    /// Effective lanes of the leader's fold kernel (1 = scalar, 4 = AVX2
-    /// f64, 8 = AVX-512 f64). Divides the ALU term only — the memory side
-    /// of the fold is width-independent, which is why wide kernels saturate
-    /// against the deposit stream instead of scaling linearly.
-    double fold_lanes = 4.0;
   };
 
   explicit LmtModels(SimMachine machine) : LmtModels(machine, Options{}) {}
@@ -89,33 +82,6 @@ class LmtModels {
   std::uint64_t alltoall_l2_misses(Strategy s, const std::vector<int>& cores,
                                    std::size_t per_pair, int iters = 10);
 
-  /// Collective replay accounting (fig7 / coll_sweep): one operation's
-  /// throughput, bytes memcpy'd, and steady-state L2 misses — the pt2pt
-  /// algorithm (binomial bcast / pairwise exchange over the default copy
-  /// ring, 2 copies per hop) against the shared-memory collective arena
-  /// (write once, every reader pulls directly).
-  struct CollOutcome {
-    double mibs = 0;               ///< Steady-state throughput.
-    std::uint64_t copy_bytes = 0;  ///< Bytes memcpy'd per operation.
-    std::uint64_t l2_misses = 0;   ///< Per operation, steady state.
-  };
-  CollOutcome bcast_coll(bool shm, const std::vector<int>& cores,
-                         std::size_t bytes, int iters = 3);
-  CollOutcome alltoall_coll(bool shm, const std::vector<int>& cores,
-                            std::size_t per_pair, int iters = 3);
-  /// Allreduce replay: the p2p family is the linear gather-fold at rank 0
-  /// plus a binomial result bcast; the shm family is the arena-v2 pipelined
-  /// fold (concurrent sub-chunk deposits overlapped with the leader's
-  /// ascending-rank combine, result chunks streamed to the readers behind
-  /// the fold — modelled as max(deposit, fold) + one sub-chunk of fill
-  /// latency each side rather than their sum).
-  CollOutcome allreduce_coll(bool shm, const std::vector<int>& cores,
-                             std::size_t bytes, int iters = 3,
-                             std::size_t slot_bytes = 256 * KiB);
-  /// Arena-barrier replay in nanoseconds per round: the coordinator polls
-  /// n-1 remote arrival lines sequentially, plus one release line.
-  double barrier_coll_ns(int nranks);
-
   /// NAS-IS-like run (Table 2 last row): `total_keys` 4-byte keys bucket-
   /// sorted across ranks for `iters` iterations. Returns {seconds, misses}.
   struct IsOutcome {
@@ -135,6 +101,18 @@ class LmtModels {
   };
   PairBufs& pair_bufs(int a, int b);
 
+  /// Per-rank send/receive matrices of a pairwise exchange: block (i -> j)
+  /// sits at sbuf[i] + j*per_pair and lands at rbuf[j] + i*per_pair.
+  struct ExchangeBufs {
+    std::vector<std::uint64_t> sbuf, rbuf;
+    std::size_t per_pair = 0;
+  };
+  ExchangeBufs alltoall_bufs(int n, std::size_t per_pair);
+  /// One pairwise-exchange round over `cores` (n-1 steps, both directions
+  /// of every pair, bus contention per step); returns its time in ns.
+  double exchange_round(Strategy s, const std::vector<int>& cores,
+                        const ExchangeBufs& x);
+
   XferOutcome default_shm(int sc, int rc, std::uint64_t src,
                           std::uint64_t dst, std::size_t n, PairBufs& pb,
                           bool nt);
@@ -145,7 +123,6 @@ class LmtModels {
   XferOutcome knem(int sc, int rc, std::uint64_t src, std::uint64_t dst,
                    std::size_t n, bool dma, bool async);
 
-  SimMachine machine_;
   Options opt_;
   MemSystem mem_;
   AddressAllocator alloc_;

@@ -12,17 +12,10 @@ namespace nemo::trace {
 
 namespace {
 
-// The world shares one pid; sim replays (ranks -2, -3, ...) get stable
-// synthetic tids.
+// The world shares one pid; each rank is one tid.
 constexpr int kPid = 0;
-constexpr int kSimTid = 1000001;  // sim rank 0
 
-int tid_of(int rank) { return rank < 0 ? kSimTid - 2 - rank : rank; }
-
-std::string thread_label(int rank) {
-  if (rank < 0) return "sim rank " + std::to_string(-rank - 2);
-  return "rank " + std::to_string(rank);
-}
+std::string thread_label(int rank) { return "rank " + std::to_string(rank); }
 
 std::string category_of(const std::string& name) {
   auto dot = name.find('.');
@@ -103,8 +96,7 @@ tune::Json perfetto_from_dump(const tune::Json& dump) {
   std::vector<int> tids_seen;
   for (const tune::Json& rank_dump : dump["ranks"].items()) {
     int rank = static_cast<int>(rank_dump["rank"].as_double());
-    int tid = tid_of(rank);
-    tids_seen.push_back(tid);
+    tids_seen.push_back(rank);
 
     std::vector<PendingSpan> stack;
     for (const tune::Json& rec : rank_dump["events"].items()) {
@@ -134,9 +126,9 @@ tune::Json perfetto_from_dump(const tune::Json& dump) {
         ev.set("ts", b.ts_us);
         ev.set("dur", ts_us > b.ts_us ? ts_us - b.ts_us : 0.0);
         ev.set("pid", static_cast<std::int64_t>(kPid));
-        ev.set("tid", static_cast<std::int64_t>(tid));
+        ev.set("tid", static_cast<std::int64_t>(rank));
         ev.set("args", make_args(id, b.a0, b.a1));
-        events.push_back({tid, b.ts_us, std::move(ev)});
+        events.push_back({rank, b.ts_us, std::move(ev)});
         continue;
       }
       if (ph == kCounter || id == kSnapshot) {
@@ -149,7 +141,7 @@ tune::Json perfetto_from_dump(const tune::Json& dump) {
         tune::Json args = tune::Json::object();
         args.set("rank " + std::to_string(rank), a1);
         ev.set("args", std::move(args));
-        events.push_back({tid, ts_us, std::move(ev)});
+        events.push_back({rank, ts_us, std::move(ev)});
         continue;
       }
       // Instant.
@@ -160,9 +152,9 @@ tune::Json perfetto_from_dump(const tune::Json& dump) {
       ev.set("s", std::string("t"));
       ev.set("ts", ts_us);
       ev.set("pid", static_cast<std::int64_t>(kPid));
-      ev.set("tid", static_cast<std::int64_t>(tid));
+      ev.set("tid", static_cast<std::int64_t>(rank));
       ev.set("args", make_args(id, a0, a1));
-      events.push_back({tid, ts_us, std::move(ev)});
+      events.push_back({rank, ts_us, std::move(ev)});
     }
     // Spans still open when the ring was flushed (should not happen in a
     // clean run) are dropped rather than emitted unmatched.
@@ -191,15 +183,14 @@ tune::Json perfetto_from_dump(const tune::Json& dump) {
                   tids_seen.end());
   for (const tune::Json& rank_dump : dump["ranks"].items()) {
     int rank = static_cast<int>(rank_dump["rank"].as_double());
-    int tid = tid_of(rank);
-    auto it = std::find(tids_seen.begin(), tids_seen.end(), tid);
+    auto it = std::find(tids_seen.begin(), tids_seen.end(), rank);
     if (it == tids_seen.end()) continue;
     tids_seen.erase(it);  // one metadata record per tid
     tune::Json m = tune::Json::object();
     m.set("name", std::string("thread_name"));
     m.set("ph", std::string("M"));
     m.set("pid", static_cast<std::int64_t>(kPid));
-    m.set("tid", static_cast<std::int64_t>(tid));
+    m.set("tid", static_cast<std::int64_t>(rank));
     tune::Json args = tune::Json::object();
     args.set("name", thread_label(rank));
     m.set("args", std::move(args));

@@ -218,13 +218,6 @@ void flush_to_collector(int rank, const Ring& ring, std::uint64_t from,
   c.dumps.push_back(std::move(d));
 }
 
-void append_synthetic_rank(RankDump dump) {
-  dump.ns_timestamps = true;
-  Collector& c = collector();
-  std::lock_guard<std::mutex> lock(c.mu);
-  c.dumps.push_back(std::move(dump));
-}
-
 std::vector<RankDump> snapshot_dumps() {
   Collector& c = collector();
   std::lock_guard<std::mutex> lock(c.mu);
@@ -261,7 +254,7 @@ bool write_dump(const std::string& path, std::string* err) {
     tune::Json evs = tune::Json::array();
     for (const Record& rec : d.events) {
       tune::Json e = tune::Json::array();
-      e.push_back(d.ns_timestamps ? rec.tsc : tsc_to_ns(cal, rec.tsc));
+      e.push_back(tsc_to_ns(cal, rec.tsc));
       e.push_back(static_cast<std::uint64_t>(rec.id));
       e.push_back(static_cast<std::uint64_t>(rec.ph));
       e.push_back(rec.a0);

@@ -263,15 +263,11 @@ class Span {
 struct RankDump {
   int rank = 0;
   std::uint64_t dropped = 0;
-  bool ns_timestamps = false;  // true for synthetic (sim-generated) ranks
   std::vector<Record> events;
 };
 
 void flush_to_collector(int rank, const Ring& ring, std::uint64_t from,
                         std::uint64_t to);
-/// Inject a pre-built timeline (timestamps already in ns) — used by sim
-/// replays to emit modeled traces through the same exporter.
-void append_synthetic_rank(RankDump dump);
 std::vector<RankDump> snapshot_dumps();
 void clear_dumps();
 

@@ -61,6 +61,9 @@ int run_scenario(int nranks, int victim, const Scenario& sc,
   cfg.knem_mode = knem_mode;
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;  // Backstop; eager verdicts land in ms.
+  // The arena and cell crash sites exist only on the auto family's paths;
+  // pin it so an ambient NEMO_COLL cannot route around them.
+  cfg.env["NEMO_COLL"] = "auto";
   cfg.env["NEMO_FAULT"] =
       std::to_string(victim) + ":" + sc.fault_site + ":kill";
   std::string name = cfg.shm_name;
@@ -348,6 +351,7 @@ TEST(FaultRecovery, AbortModePoisonsLaterWaits) {
   cfg.mode = LaunchMode::kProcesses;
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;
+  cfg.env["NEMO_COLL"] = "auto";  // barrier_arrive is an arena-barrier site.
   cfg.env["NEMO_FAULT"] = std::to_string(kVictim) + ":barrier_arrive:kill";
   std::string name = cfg.shm_name;
   {

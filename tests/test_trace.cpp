@@ -277,15 +277,20 @@ TEST(TraceTracer, RingsModeSuppressesFullSpans) {
 // Collector → Perfetto export
 // ---------------------------------------------------------------------------
 
-TEST(TracePerfetto, SyntheticDumpExports) {
+TEST(TracePerfetto, RankDumpExports) {
   clear_dumps();
-  RankDump sd;
-  sd.rank = -2;
-  sd.ns_timestamps = true;
-  sd.events.push_back({1000, kCollOp, kBegin, 0, kOpAllreduce, 4096});
-  sd.events.push_back({5000, kCollOp, kEnd, 0, 0, 0});
-  sd.events.push_back({6000, kSnapshot, kCounter, 0, kGaugeProgressPasses, 42});
-  append_synthetic_rank(std::move(sd));
+  Ring ring(8);
+  ring.record(kCollOp, kBegin, kOpAllreduce, 4096);
+  ring.record(kCollOp, kEnd, 0, 0);
+  ring.record(kSnapshot, kCounter, kGaugeProgressPasses, 42);
+  flush_to_collector(0, ring, 0, ring.head());
+  // The dump carries calibrated ns; the exporter's span is their difference
+  // in microseconds.
+  auto us_of = [](std::uint64_t tsc) {
+    return static_cast<double>(tsc_to_ns(calibration(), tsc)) / 1000.0;
+  };
+  double begin_us = us_of(ring.at(0).tsc), end_us = us_of(ring.at(1).tsc);
+  double expected_dur = end_us > begin_us ? end_us - begin_us : 0.0;
 
   std::string dump_path = testing::TempDir() + "trace_unit_dump.json";
   std::string perfetto_path = testing::TempDir() + "trace_unit_perfetto.json";
@@ -303,7 +308,7 @@ TEST(TracePerfetto, SyntheticDumpExports) {
     if (ev["ph"].as_string() == "X") {
       saw_span = true;
       EXPECT_EQ(ev["name"].as_string(), "coll.op");
-      EXPECT_DOUBLE_EQ(ev["dur"].as_double(), 4.0);  // 4000 ns = 4 us.
+      EXPECT_DOUBLE_EQ(ev["dur"].as_double(), expected_dur);
     }
     if (ev["ph"].as_string() == "C") saw_counter = true;
   }
