@@ -172,6 +172,16 @@ int main(int argc, char** argv) {
   opt.declare("smoke", "few points / fewer iters (bench_smoke)");
   opt.declare("trace", "write a nemo-trace/2 ring dump to this file");
   opt.finalize();
+  // Every timing is taken on rank 0 and returned through a variable of this
+  // process. Forked ranks cannot hand it back, and each would flush the
+  // stdio buffer it inherited, so the sweep runs threads worlds only.
+  if (core::resolve_config(pinned_config()).mode ==
+      core::LaunchMode::kProcesses) {
+    std::fprintf(stderr,
+                 "coll_sweep: the sweep is threads-only; unset "
+                 "NEMO_WORLD_MODE or set it to threads\n");
+    return 2;
+  }
   bool smoke = opt.get_flag("smoke");
   int iters = static_cast<int>(opt.get_int("iters", smoke ? 4 : 8));
   int samples = static_cast<int>(opt.get_int("samples", 3));
@@ -333,7 +343,7 @@ int main(int argc, char** argv) {
 
   // Barrier microbench: the arena barrier per rank count. `bytes` is 0 (a
   // barrier moves no payload).
-  std::printf("# Barrier — arena arrival/release\n");
+  std::printf("# Barrier — arena all-read-all arrival\n");
   int bar_iters = smoke ? 50 : 200;
   for (int nranks : rank_counts) {
     double wall_us = real_barrier_us(nranks, bar_iters, samples);

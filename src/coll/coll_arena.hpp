@@ -6,7 +6,7 @@
 // World can mbind/interleave it — every rank reads every slot, so no single
 // home node is right):
 //
-//   CollState                      geometry + the barrier release word
+//   CollState                      geometry (+ the probe's release word)
 //   BarrierCell[nranks]            per-rank arrival flags (padded)
 //   AckCell[nranks]                per-rank consumption counters (padded)
 //   ExchangeCell[2 * nranks]       per-rank seq-tagged one-line cells
@@ -47,12 +47,14 @@
 //    returning. The epoch tag makes stale counters from earlier collectives
 //    compare strictly smaller, so cells never need resetting.
 //
-//  - Barrier. A sense-reversing barrier generalised to a monotonic
-//    sequence: each rank RELEASE-stores its arrival sequence into its padded
-//    flag, the coordinator gathers all flags and RELEASE-stores the global
-//    release word, everyone else spins on that single word. O(1) cache
-//    lines per rank per barrier instead of the O(log n) cell-queue messages
-//    of the pt2pt dissemination barrier.
+//  - Barrier. An all-read-all arrival barrier over a monotonic sequence:
+//    each rank RELEASE-stores its arrival sequence into its own padded
+//    flag, then ACQUIRE-polls every live peer's flag until all read >= the
+//    sequence, loading every pending flag in one pass so the misses
+//    overlap. No coordinator and no release word: one cache-line transfer
+//    per peer on the critical path instead of a gather plus a broadcast
+//    miss, and no second buffer, since no rank reaches sequence k+1 before
+//    every peer stored k. The spin lives in core/collectives.cpp.
 //
 //  - Cells. The all-read-all primitive: each rank owns one seq-tagged
 //    cache line per sequence parity, `seq` plus a kCellPayload (56 B)
@@ -115,7 +117,9 @@ struct CollState {
   alignas(kCacheLine) std::uint32_t nranks;
   std::uint32_t slot_bytes;   ///< Payload capacity per rank.
   std::uint64_t slot_stride;  ///< Header + table + payload, line-rounded.
-  alignas(kCacheLine) std::uint64_t release_seq;  ///< Barrier release.
+  /// Release word of the coordinator barrier, which the runtime no longer
+  /// runs; kept only for perfbench's coll.arena_barrier_ns probe.
+  alignas(kCacheLine) std::uint64_t release_seq;
 };
 
 /// View over one world's collective arena (cheap to copy; the engine keeps
@@ -303,6 +307,9 @@ class WorldColl {
   [[nodiscard]] bool barrier_arrived(int r, std::uint64_t seq) const {
     return shm::aref(barrier_[r].seq).load(std::memory_order_acquire) >= seq;
   }
+  /// Coordinator-barrier release word: the runtime's barrier
+  /// (shm_barrier) has none; kept only for perfbench's
+  /// coll.arena_barrier_ns probe.
   void barrier_release(std::uint64_t seq) const {
     shm::aref(st_->release_seq).store(seq, std::memory_order_release);
   }

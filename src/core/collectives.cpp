@@ -132,30 +132,37 @@ class CollScope {
   std::uint64_t t0_ = 0;
 };
 
-/// Arena barrier: every rank RELEASE-stores its arrival sequence into its
-/// padded flag; the lowest surviving rank (rank 0 until it dies) gathers
-/// them and RELEASE-stores the release word everyone else spins on.
-/// Fenced ranks' arrival cells are tombstoned to always-arrived, so
-/// skipping them here is belt-and-braces that also avoids touching
-/// reclaimed lines.
+/// Arena barrier, all-read-all: every rank RELEASE-stores its arrival
+/// sequence into its own padded flag, then waits until every live peer's
+/// flag reads >= seq. No rank coordinates and there is no release word, so
+/// one cache-line transfer per peer sits on the critical path instead of a
+/// gather followed by a broadcast miss. The monotonic compare needs no
+/// second buffer: no rank reaches barrier seq+1 before every peer stored
+/// seq. Each probe loads the flag of every peer from the lowest one still
+/// pending up in one pass, so the misses overlap; the wait watches that
+/// lowest pending peer. Fenced ranks' arrival cells are tombstoned to
+/// always-arrived, so skipping them here is belt-and-braces that also
+/// avoids touching reclaimed lines.
 void shm_barrier(Engine& eng) {
   trace::Span sp(eng.tracer(), trace::kCollBarrier, trace::Mode::kRings);
   coll::WorldColl& cw = eng.coll_view();
   int n = eng.nranks(), r = eng.rank();
   std::uint64_t seq = eng.next_coll_barrier_seq();
-  int coord = eng.lowest_alive();
   resil::fault_point(resil::Site::kBarrierArrive, r);
   cw.barrier_arrive(r, seq);
-  if (r == coord) {
-    for (int i = 0; i < n; ++i) {
-      if (i == r || eng.rank_fenced(i)) continue;
-      spin_until(eng, resil::Site::kBarrierRelease, i, true,
-                 [&] { return cw.barrier_arrived(i, seq); });
-    }
-    cw.barrier_release(seq);
-  } else {
-    spin_until(eng, resil::Site::kBarrierRelease, coord, true,
-               [&] { return cw.barrier_released(seq); });
+  int first = 0;  // Every live peer below `first` has arrived.
+  auto probe = [&] {
+    int pending = n;
+    for (int i = first; i < n; ++i)
+      if (i != r && !eng.rank_fenced(i) && !cw.barrier_arrived(i, seq))
+        pending = std::min(pending, i);
+    first = pending;
+    return first == n;
+  };
+  while (!probe()) {
+    int watch = first;
+    spin_until(eng, resil::Site::kBarrierRelease, watch, true,
+               [&] { return probe() || first != watch; });
   }
 }
 

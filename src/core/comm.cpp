@@ -983,7 +983,7 @@ resil::WaitGuard Engine::make_guard(resil::Site site, int watch) {
 }
 
 int Engine::lowest_alive() const {
-  // Abort mode never reroutes: the configured coordinator stays put so a
+  // Abort mode never reroutes: the configured seed stays put so a
   // wait on it fails fast rather than half the world electing a new one.
   if (on_death_ != resil::OnPeerDeath::kDegrade) return 0;
   for (int r = 0; r < nranks(); ++r)

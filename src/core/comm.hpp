@@ -387,7 +387,7 @@ class Engine {
     return on_death_ == resil::OnPeerDeath::kDegrade && fenced_count_ > 0;
   }
   /// Lowest rank this engine still considers alive (the degraded-mode
-  /// barrier coordinator and reduction seed).
+  /// reduction seed and fence publisher).
   [[nodiscard]] int lowest_alive() const;
   /// Tombstone every fenced rank's collective-arena cells. Only safe once
   /// no survivor can still be parked in the diverged epoch — i.e. from
@@ -639,7 +639,7 @@ class Comm {
   /// Epoch fence after a peer death (NEMO_ON_PEER_DEATH=degrade): every
   /// surviving rank calls this once it has observed the PeerDeadError, and
   /// on return the world is usable again over the survivor set — the dead
-  /// rank's arena cells are tombstoned, the leader/coordinator choice has
+  /// rank's arena cells are tombstoned, the reduction-seed choice has
   /// shrunk to the survivors, and the lock-step collective sequence counters
   /// are resynchronised to a jointly agreed floor (each survivor may have
   /// abandoned a different number of in-flight rounds). No-op when nobody

@@ -56,7 +56,8 @@ enum class Site : std::uint8_t {
   kCollDoorbell,      ///< waiting for a slot header / chunk doorbell
   kCollAck,           ///< waiting for a consumer ack
   kCollProbe,         ///< waiting for a peer's exchange cell
-  kBarrierRelease,    ///< waiting for the barrier release word
+  kBarrierRelease,    ///< waiting for peers' barrier arrivals (the name
+                      ///< predates the all-read-all barrier)
   kCollGather,        ///< folder waiting for a peer's operand deposit
   kEngineWait,        ///< Engine::wait on an incomplete request
   kHardBarrier,       ///< World::hard_barrier generation wait

@@ -1,14 +1,16 @@
-// Arena barrier, NUMA-aware leader choice and survivor-set reductions. The
-// barrier check runs at 2/8/16/33 ranks against a shared phase counter (the
-// strongest observable property of a barrier: nobody enters round i+1
-// before everyone finished round i), plus a 16-rank storm; the leader
-// choice (the hierarchical collectives' per-node leader) is unit-tested on
-// synthetic NUMA maps; the partitioned reduction runs over every survivor
-// set of a degraded 4-rank world.
+// Arena barrier and survivor-set reductions. The barrier check runs at
+// 2/8/16/33 ranks against a shared phase counter (the strongest observable
+// property of a barrier: nobody enters round i+1 before everyone finished
+// round i), plus a 16-rank storm; the ordering check has every rank read
+// every peer's plain store across the barrier, in threads and procs
+// worlds, with seeded arrival jitter; the partitioned reduction runs over
+// every survivor set of a degraded 4-rank world.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "core/comm.hpp"
 #include "shm/arena.hpp"
+#include "shm/process_runner.hpp"
 
 namespace nemo::core {
 namespace {
@@ -87,6 +90,109 @@ TEST(BarrierSchedule, SixteenRankStorm) {
   // Back-to-back barriers: a missed arrival or a stale release sequence
   // shows up as a hang (ctest timeout) or a phase violation.
   barrier_phase_check(16, 150);
+}
+
+// ---------------------------------------------------------------------------
+// Ordering: every rank's plain store before a barrier is visible to every
+// rank after it, and nobody's next store lands before the last read.
+// ---------------------------------------------------------------------------
+
+/// One rank's slot, a line of its own so the slots never share a line.
+struct alignas(kCacheLine) OrderSlot {
+  std::uint64_t value;
+  std::uint64_t mismatches;  ///< Written once, by the owner, at the end.
+};
+
+/// splitmix64: the seeded jitter source (one stream per rank).
+std::uint64_t mix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// `iters` iterations on every rank of `world`: write k into this rank's
+/// slot, barrier, check every rank's slot reads k, barrier. Plain loads
+/// and stores, so only the barrier orders them (a race is a TSan report in
+/// threads worlds and a mismatch anywhere). Each rank jitters its arrival
+/// from a seeded stream and stores its mismatch count in its slot.
+void order_rank(World& world, int rank, OrderSlot* slots, int iters,
+                std::uint64_t seed) {
+  Comm comm(world, rank);
+  int n = comm.size();
+  world.hard_barrier(rank);
+  std::uint64_t rng = seed ^ (static_cast<std::uint64_t>(rank) << 32);
+  std::uint64_t bad = 0;
+  for (int k = 1; k <= iters; ++k) {
+    std::uint64_t j = mix(rng);
+    if ((j & 7) == 0) {
+      std::this_thread::yield();
+    } else {
+      for (std::uint64_t i = 0; i < ((j >> 3) & 63); ++i)
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+    }
+    slots[rank].value = static_cast<std::uint64_t>(k);
+    comm.barrier();
+    for (int w = 0; w < n; ++w)
+      if (slots[w].value != static_cast<std::uint64_t>(k)) bad++;
+    comm.barrier();
+  }
+  slots[rank].mismatches = bad;
+  world.hard_barrier(rank);
+}
+
+/// Run the ordering check on an `nranks` world of `mode` and expect no
+/// mismatch on any rank.
+void barrier_order_check(int nranks, const char* mode, int iters,
+                         std::uint64_t seed) {
+  Config cfg = slim_config(nranks);
+  cfg.env["NEMO_WORLD_MODE"] = mode;
+  bool procs = std::strcmp(mode, "procs") == 0;
+  if (procs) {
+    static std::atomic<unsigned> serial{0};
+    cfg.shm_name = "/nemo-bar-" + std::to_string(::getpid()) + "-" +
+                   std::to_string(serial.fetch_add(1));
+  }
+  World world(cfg);
+  auto* slots = reinterpret_cast<OrderSlot*>(world.shared_alloc(
+      sizeof(OrderSlot) * static_cast<std::size_t>(nranks)));
+  for (int r = 0; r < nranks; ++r) slots[r] = {0, ~0ULL};
+  if (procs) {
+    // Each forked rank maps the arena at its own base: pass the offset.
+    std::uint64_t off = world.arena().offset_of(slots);
+    shm::ProcessResult res = shm::run_forked_ranks(nranks, [&](int rank) {
+      world.reattach_in_child();
+      order_rank(world, rank, world.arena().at_as<OrderSlot>(off), iters,
+                 seed);
+      return 0;
+    });
+    EXPECT_TRUE(res.all_ok);
+  } else {
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < nranks; ++r)
+      ranks.emplace_back([&, r] { order_rank(world, r, slots, iters, seed); });
+    for (auto& t : ranks) t.join();
+  }
+  for (int r = 0; r < nranks; ++r) {
+    EXPECT_EQ(slots[r].mismatches, 0u)
+        << "rank " << r << " of " << nranks << " (" << mode << ", seed "
+        << seed << ")";
+    EXPECT_EQ(slots[r].value, static_cast<std::uint64_t>(iters));
+  }
+}
+
+TEST(BarrierOrder, FourRankThreads) {
+  barrier_order_check(4, "threads", 10000, 0x5eed04);
+}
+
+TEST(BarrierOrder, EightRankThreads) {
+  // More ranks than the CI host has cores: arrivals interleave with
+  // descheduled peers.
+  barrier_order_check(8, "threads", 10000, 0x5eed08);
+}
+
+TEST(BarrierOrder, FourRankProcs) {
+  barrier_order_check(4, "procs", 10000, 0x5eed14);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ TEST(FailurePaths, TruncatedEagerAbortsReceiver) {
   shm::ProcessResult res = shm::run_forked_ranks(1, [](int) -> int {
     Config cfg;
     cfg.nranks = 2;
+    // Rank threads of this child, so the abort ends the child itself.
+    cfg.env["NEMO_WORLD_MODE"] = "threads";
     run(cfg, [](Comm& comm) {
       std::vector<std::byte> buf(8 * KiB);
       if (comm.rank() == 0) {
@@ -41,6 +43,7 @@ TEST(FailurePaths, TruncatedRendezvousAbortsReceiver) {
     Config cfg;
     cfg.nranks = 2;
     cfg.lmt = lmt::LmtKind::kKnem;
+    cfg.env["NEMO_WORLD_MODE"] = "threads";  // As above.
     run(cfg, [](Comm& comm) {
       std::vector<std::byte> buf(1 * MiB);
       if (comm.rank() == 0) {

@@ -57,6 +57,9 @@ int run_scenario(int nranks, int victim, const Scenario& sc,
   Config cfg;
   cfg.nranks = nranks;
   cfg.mode = LaunchMode::kProcesses;
+  // The ranks are forked by hand below; pin the mode so an ambient
+  // NEMO_WORLD_MODE cannot make this a threads world.
+  cfg.env["NEMO_WORLD_MODE"] = "procs";
   cfg.lmt = kind;
   cfg.knem_mode = knem_mode;
   cfg.shm_name = test_shm_name();
@@ -190,6 +193,16 @@ TEST_P(FaultMatrix, KillAtBarrierArrive) {
                [](Comm& comm, int) { comm.barrier(); }, all_but(n, victim));
 }
 
+TEST_P(FaultMatrix, KillAtBarrierArriveRank0) {
+  // No barrier rank is special: rank 0 dying before its arrival must give
+  // every survivor a verdict naming it, as any other victim does.
+  int n = GetParam();
+  Scenario sc{"barrier_arrive",
+              {Site::kBarrierRelease, Site::kEngineWait}};
+  run_scenario(n, 0, sc, lmt::LmtKind::kAuto,
+               [](Comm& comm, int) { comm.barrier(); }, all_but(n, 0));
+}
+
 TEST_P(FaultMatrix, KillAtRendezvous) {
   int n = GetParam();
   int victim = 2;
@@ -274,24 +287,24 @@ TEST_P(FaultMatrix, KillAtKnemShare) {
 
 INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));
 
-TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
-  // NEMO_ON_PEER_DEATH=degrade: after the victim dies mid-barrier, every
-  // survivor fences the world (resynchronising collective sequence
-  // counters) and the shrunk world keeps doing real work: a barrier, then
-  // a 32 KiB and an 8 B allreduce whose results are exactly the
-  // survivor-set sums.
+/// NEMO_ON_PEER_DEATH=degrade: after `victim` dies mid-barrier, every
+/// survivor fences the world (resynchronising collective sequence
+/// counters) and the shrunk world keeps doing real work: a barrier, then a
+/// 32 KiB and an 8 B allreduce whose results are exactly the survivor-set
+/// sums.
+void degrade_and_continue(int victim) {
   constexpr int kRanks = 4;
-  constexpr int kVictim = 2;
   Config cfg;
   cfg.nranks = kRanks;
   cfg.mode = LaunchMode::kProcesses;
+  cfg.env["NEMO_WORLD_MODE"] = "procs";  // Forked by hand, as above.
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;
   cfg.on_peer_death = resil::OnPeerDeath::kDegrade;
   // Force the arena family: the degraded world's continuation story is the
   // shm fast path (the p2p algorithms would address the dead rank).
   cfg.env["NEMO_COLL"] = "shm";
-  cfg.env["NEMO_FAULT"] = std::to_string(kVictim) + ":barrier_arrive:kill";
+  cfg.env["NEMO_FAULT"] = std::to_string(victim) + ":barrier_arrive:kill";
   std::string name = cfg.shm_name;
   {
     World world(cfg);
@@ -306,7 +319,7 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
             comm.barrier();  // The victim dies in here.
             return kVictimSurvived;
           } catch (const resil::PeerDeadError& e) {
-            if (e.rank != kVictim) return kWrongRank;
+            if (e.rank != victim) return kWrongRank;
           }
           comm.fence_world();
           // The degraded world must still work, collectively.
@@ -320,24 +333,35 @@ TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
           // skip for the fenced rank (its cells are never tombstoned).
           double mine = rank + 1, sum = -1;
           comm.allreduce_f64(&mine, &sum, 1, Comm::ReduceOp::kSum);
-          if (sum != kRanks * (kRanks + 1) / 2 - (kVictim + 1)) return 26;
+          if (sum != kRanks * (kRanks + 1) / 2 - (victim + 1)) return 26;
           comm.barrier();
           return 0;
         },
         [&](int r, int code) {
           if (code != 0 && live.valid()) live.mark_dead(r);
         });
-    EXPECT_EQ(res.exit_codes[kVictim], 256 + SIGKILL);
+    EXPECT_EQ(res.exit_codes[static_cast<std::size_t>(victim)],
+              256 + SIGKILL);
     for (int r = 0; r < kRanks; ++r) {
-      if (r != kVictim) {
+      if (r != victim) {
         EXPECT_EQ(res.exit_codes[static_cast<std::size_t>(r)], 0)
-            << "survivor " << r;
+            << "survivor " << r << " (victim " << victim << ")";
       }
     }
   }
   resil::arm_fault("");
   EXPECT_NE(::access(("/dev/shm" + name).c_str(), F_OK), 0)
       << "shm segment leaked";
+}
+
+TEST(FaultRecovery, DegradeModeSurvivorsFenceAndContinue) {
+  degrade_and_continue(2);
+}
+
+TEST(FaultRecovery, DegradeModeFencesRank0AndContinues) {
+  // Rank 0 is the lowest rank, so the fence, the reduction seed and every
+  // barrier must all move past it.
+  degrade_and_continue(0);
 }
 
 TEST(FaultRecovery, AbortModePoisonsLaterWaits) {
@@ -349,6 +373,7 @@ TEST(FaultRecovery, AbortModePoisonsLaterWaits) {
   Config cfg;
   cfg.nranks = kRanks;
   cfg.mode = LaunchMode::kProcesses;
+  cfg.env["NEMO_WORLD_MODE"] = "procs";  // Forked by hand, as above.
   cfg.shm_name = test_shm_name();
   cfg.peer_timeout_ms = 10000;
   cfg.env["NEMO_COLL"] = "auto";  // barrier_arrive is an arena-barrier site.

@@ -17,6 +17,8 @@ core::Config make_cfg(int nranks, lmt::LmtKind kind) {
   cfg.lmt = kind;
   cfg.knem_mode = lmt::KnemMode::kAuto;
   cfg.shared_pool_bytes = 64 * MiB;
+  // Rank 0 hands its checksum back through this process's map.
+  cfg.env["NEMO_WORLD_MODE"] = "threads";
   return cfg;
 }
 

@@ -40,6 +40,9 @@ Config proc_config(int nranks, lmt::LmtKind kind) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.mode = LaunchMode::kProcesses;
+  // The tests fork the ranks by hand, so an ambient NEMO_WORLD_MODE must
+  // not turn this into a threads world (the environment beats cfg.mode).
+  cfg.env["NEMO_WORLD_MODE"] = "procs";
   cfg.lmt = kind;
   return cfg;
 }

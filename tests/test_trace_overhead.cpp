@@ -32,7 +32,10 @@ constexpr int kSamples = 5;
 double allreduce_us(const char* trace_mode) {
   trace::Mode prev = trace::mode();
   core::Config cfg;
-  cfg.env = {{"NEMO_COLL", "shm"}, {"NEMO_TRACE", trace_mode}};
+  // Rank threads: the timing and the recorded spans stay in this process.
+  cfg.env = {{"NEMO_COLL", "shm"},
+             {"NEMO_TRACE", trace_mode},
+             {"NEMO_WORLD_MODE", "threads"}};
   cfg.nranks = kRanks;
   cfg.shared_pool_bytes = 2 * kBytes * kRanks + 16 * MiB;
   double result = 0;
