@@ -3,8 +3,12 @@
 // is the bench behind bench/results/BENCH_coll.json. Further sections time
 // the fold kernels, allreduce with a forced kernel or heap operands, the
 // cell exchange, the strided alltoall, the arena barrier per rank count,
-// and the trace and liveness overheads. The simulator does not replay the
-// arena collectives; every number here is measured.
+// and the trace and liveness overheads. The full sweep adds the family
+// crossover with fresh operands, in threads and procs worlds. The simulator
+// does not replay the arena collectives; every number here is measured.
+#include <sched.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -78,6 +82,83 @@ double real_coll_us(coll::Mode mode, const char* op, int nranks,
     }
   });
   return result;
+}
+
+/// The first `n` CPUs of this process's affinity mask, one per rank, or none
+/// when it holds fewer (the ranks then float).
+std::vector<int> distinct_cpus(int n) {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE && static_cast<int>(cpus.size()) < n; ++c)
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  if (static_cast<int>(cpus.size()) < n) cpus.clear();
+  return cpus;
+}
+
+/// Microseconds per op with fresh heap operands, in a `world_mode`
+/// ("threads" or "procs") world. Before every op each rank rewrites its
+/// send operand (the bcast root its buffer), so no reader finds its own
+/// cached copy of it, as in an application that computes between ops. The
+/// ranks, each on its own CPU where the host has enough, then start together
+/// and each times the op alone; an op's sample is its slowest rank's time,
+/// and the median over `ops` ops is kept. The per-rank times travel through
+/// a shared anonymous mapping, which forked ranks inherit.
+double fresh_coll_us(coll::Mode mode, const char* op, const char* world_mode,
+                     int nranks, std::size_t bytes, int ops) {
+  core::Config cfg = pinned_config({{"NEMO_COLL", coll::to_string(mode)},
+                                    {"NEMO_WORLD_MODE", world_mode}});
+  cfg.nranks = nranks;
+  cfg.core_binding = distinct_cpus(nranks);
+  bool alltoall = std::strcmp(op, "alltoall") == 0;
+  bool allreduce = std::strcmp(op, "allreduce") == 0;
+  bool allgather = std::strcmp(op, "allgather") == 0;
+  bool bcast = !alltoall && !allreduce && !allgather;
+  auto n = static_cast<std::size_t>(nranks);
+  constexpr int kWarmup = 16;
+  std::size_t slots = n * static_cast<std::size_t>(ops);
+  void* map = ::mmap(nullptr, slots * sizeof(double), PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) return 0;
+  auto* ns = static_cast<double*>(map);  // [rank][op]
+  std::fflush(stdout);  // A forked rank would print what is buffered again.
+  bool ok = core::run(cfg, [&](core::Comm& comm) {
+    auto me = static_cast<std::size_t>(comm.rank());
+    std::size_t in_bytes = alltoall ? bytes * n : bytes;
+    std::vector<std::byte> in(in_bytes), out(alltoall || allgather
+                                                 ? bytes * n
+                                                 : bytes);
+    for (int i = -kWarmup; i < ops; ++i) {
+      // Small byte values keep the allreduce operands finite doubles.
+      int fill = static_cast<int>((static_cast<std::size_t>(i + kWarmup) + me) &
+                                  0x3f);
+      if (!bcast || me == 0) std::memset(in.data(), fill, in_bytes);
+      comm.hard_barrier();
+      Timer t;
+      if (alltoall)
+        comm.alltoall(in.data(), bytes, out.data());
+      else if (allreduce)
+        comm.allreduce_f64(reinterpret_cast<const double*>(in.data()),
+                           reinterpret_cast<double*>(out.data()),
+                           bytes / sizeof(double), core::Comm::ReduceOp::kSum);
+      else if (allgather)
+        comm.allgather(in.data(), bytes, out.data());
+      else
+        comm.bcast(in.data(), bytes, 0);
+      auto elapsed = static_cast<double>(t.elapsed_ns());
+      if (i >= 0) ns[me * static_cast<std::size_t>(ops) +
+                     static_cast<std::size_t>(i)] = elapsed;
+    }
+  });
+  std::vector<double> worst(static_cast<std::size_t>(ops), 0.0);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t i = 0; i < worst.size(); ++i)
+      worst[i] = std::max(worst[i], ns[r * worst.size() + i]);
+  ::munmap(map, slots * sizeof(double));
+  if (!ok) return 0;
+  std::sort(worst.begin(), worst.end());
+  return worst[worst.size() / 2] / 1000.0;
 }
 
 /// MiB/s of the vertical fold a reduction runs per merged operand
@@ -318,12 +399,47 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The family crossover with fresh operands, in both launch modes: the
+  // rows behind tune::coll_activation_for. Full sweep only; no committed
+  // baseline, so the gate does not compare these rows.
+  if (!smoke) {
+    std::printf("# Crossover — fresh heap operands, slowest rank per op\n");
+    int fresh_ops = 1000;
+    for (const char* world : {"threads", "procs"}) {
+      for (const char* op : {"bcast", "allgather", "alltoall", "allreduce"}) {
+        for (int nranks : {2, 4}) {
+          for (std::size_t bytes :
+               {1 * KiB, 2 * KiB, 4 * KiB, 8 * KiB, 16 * KiB}) {
+            for (coll::Mode mode : {coll::Mode::kP2p, coll::Mode::kShm}) {
+              double wall_us =
+                  fresh_coll_us(mode, op, world, nranks, bytes, fresh_ops);
+              const char* path = coll::to_string(mode);
+              std::printf("%-9s %5d %9zu %5s %12.2f %12s\n", op, nranks,
+                          bytes, path, wall_us, world);
+              char row[512];
+              std::snprintf(row, sizeof row,
+                            "{\"op\": \"%s\", \"ranks\": %d, \"bytes\": %zu, "
+                            "\"mode\": \"%s\", \"world\": \"%s\", "
+                            "\"operands\": \"fresh\", \"wall_us\": %.3f}",
+                            op, nranks, bytes, path, world, wall_us);
+              rows.emplace_back(row);
+            }
+          }
+        }
+      }
+    }
+  }
+
   // Strided alltoall: derived-datatype payload through pack-into-slot (shm)
-  // or segment lists (p2p). Per-pair packed bytes stay under the 8-rank
-  // chunk capacity of the default 256 KiB slot so shm takes the direct path.
+  // or segment lists (p2p, which auto takes at every size). Per-pair packed
+  // bytes stay under the 8-rank chunk capacity of the default 256 KiB slot
+  // so shm takes the direct path.
   std::printf("# Strided alltoall — pack into arena vs segment-list p2p\n");
+  std::vector<std::size_t> strided_sizes =
+      smoke ? std::vector<std::size_t>{16 * KiB, 32 * KiB}
+            : std::vector<std::size_t>{4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB};
   for (int nranks : rank_counts) {
-    for (std::size_t bytes : {16 * KiB, 32 * KiB}) {
+    for (std::size_t bytes : strided_sizes) {
       for (bool shm : {false, true}) {
         coll::Mode mode = shm ? coll::Mode::kShm : coll::Mode::kP2p;
         double wall_us = real_strided_us(mode, nranks, bytes, iters, samples);

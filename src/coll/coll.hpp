@@ -6,8 +6,9 @@
 // it directly, instead of re-copying payloads through per-pair rings at every
 // tree hop. Whether that wins over the pt2pt algorithms depends on message
 // size (the arena path pays a flat synchronisation cost per operation), so
-// selection mirrors lmt::Policy: a per-machine `coll_activation` crossover in
-// the tuning table, overridable per run via NEMO_COLL=shm|p2p|auto.
+// selection mirrors lmt::Policy: a `coll_activation` crossover in the tuning
+// table, resolved per World from its launch mode, overridable per run via
+// NEMO_COLL=shm|p2p|auto.
 #pragma once
 
 #include <cstddef>

@@ -29,8 +29,11 @@
 //                       Exchange below
 //
 // Selection mirrors lmt::Policy: NEMO_COLL=shm|p2p forces a family, auto
-// compares the op's symmetric size measure against the tuned
-// coll_activation crossover. Every rank computes the same decision from
+// compares the op's symmetric size measure against coll_activation, which
+// follows the launch mode (tune::coll_activation_for): 4 KiB in threads
+// worlds, whose readers pull operands in place, and 8 KiB in procs worlds,
+// whose heap operands are staged through the slots. Strided ops take p2p
+// under auto at every size. Every rank computes the same decision from
 // world-level state only, so the families can never mix within one
 // operation.
 //
@@ -723,9 +726,12 @@ void Comm::strided_coll(const void* sendbuf, const Datatype& sdt,
                     out + static_cast<std::size_t>(r) * rext, rdt, count);
   // Single deposit round: the packed block must fit its chunk, else the
   // need is unmeetable and use_shm_coll records the p2p fallback.
-  // World-symmetric (dt/count are the same everywhere).
+  // World-symmetric (dt/count are the same everywhere). Auto never packs
+  // into the slots (a 0 size measure stays below every crossover): at 2
+  // and 4 ranks the segment-list p2p path beat it from 8 KiB up.
   std::size_t need = packed > 0 && packed <= chunk ? kCacheLine : SIZE_MAX;
-  if (use_shm_coll(packed, need)) {
+  bool forced = eng.world().coll_mode() == coll::Mode::kShm;
+  if (use_shm_coll(forced ? packed : 0, need)) {
     eng.counters().coll_shm_bytes +=
         packed * static_cast<std::size_t>(n - 1);
     // The slot chunk IS the pack buffer: each strided block streams from

@@ -97,8 +97,8 @@ struct Config {
   shm::NumaPlacement numa_placement = shm::NumaPlacement::kAuto;
 
   /// Collective path selection: kAuto takes the shared-memory collective
-  /// arena at/above the tuned coll_activation and the pt2pt algorithms
-  /// below it. NEMO_COLL=shm|p2p|auto overrides.
+  /// arena at/above the table's coll_activation (which follows `mode`) and
+  /// the pt2pt algorithms below it. NEMO_COLL=shm|p2p|auto overrides.
   coll::Mode coll = coll::Mode::kAuto;
   /// Per-rank collective-arena slot capacity. 0 = the tuning table's
   /// coll_slot_bytes (NEMO_COLL_SLOT_BYTES overrides either).
@@ -597,9 +597,9 @@ class Comm {
   /// `dt` (footprint count * extent per peer). The shm path packs blocks
   /// directly into collective-arena slots — NT streaming stores above the
   /// tuned pack threshold — and unpacks readers-side straight into the
-  /// strided receive buffer; below coll_activation the merged segment
-  /// lists ride the pt2pt engine. Either way no intermediate contiguous
-  /// staging buffer is materialised.
+  /// strided receive buffer; under NEMO_COLL=auto (every size) and p2p the
+  /// merged segment lists ride the pt2pt engine. Either way no
+  /// intermediate contiguous staging buffer is materialised.
   void alltoall_strided(const void* sendbuf, const Datatype& sdt,
                         std::size_t count, void* recvbuf, const Datatype& rdt);
   void allgather_strided(const void* sendbuf, const Datatype& sdt,

@@ -66,15 +66,10 @@ const Knob kKnobs[] = {
                                    {"false", false}});
      }},
     {"NEMO_COLL", "auto", "auto|shm|p2p",
-     "collective family: arena above coll_activation, or force one",
+     "collective family: arena from the launch mode's crossover, or force one",
      [](const std::string& v, Config& c, TuningTable&) {
        c.coll = known("NEMO_COLL", v, coll::mode_from_string(v),
                       "auto|shm|p2p");
-     }},
-    {"NEMO_COLL_ACTIVATION", "(formula)", "<size>",
-     "operation size from which auto collectives take the arena",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.coll_activation = size("NEMO_COLL_ACTIVATION", v);
      }},
     {"NEMO_COLL_SLOT_BYTES", "(formula)", "<size 64B..16MiB>",
      "per-rank collective-arena slot capacity",
@@ -243,6 +238,11 @@ Config resolve_config(Config cfg) {
   // The fastbox slot follows the eager activation, knob included.
   cfg.tuning->fastbox_slot_bytes =
       tune::fastbox_slot_for(cfg.tuning->lmt_activation);
+  // The collective crossover follows the launch mode: only a threads
+  // world's readers pull heap operands in place.
+  if (cfg.tuning->coll_activation == 0)
+    cfg.tuning->coll_activation =
+        tune::coll_activation_for(cfg.mode == LaunchMode::kThreads);
   return cfg;
 }
 

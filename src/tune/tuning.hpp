@@ -59,9 +59,9 @@ struct TuningTable {
   /// Shm-collective crossover: operations whose symmetric size measure
   /// (bcast bytes, per-rank block, operand bytes) reaches this take the
   /// collective-arena path under NEMO_COLL=auto; below it the pt2pt
-  /// algorithms win on their lower per-op synchronisation cost.
-  /// NEMO_COLL_ACTIVATION overrides.
-  std::size_t coll_activation = 16 * KiB;
+  /// algorithms win on their lower per-op synchronisation cost. 0 =
+  /// formula: core::resolve_config fills in coll_activation_for(mode).
+  std::size_t coll_activation = 0;
   /// Per-rank collective-arena slot capacity (staging + doorbell
   /// pipelining granularity). NEMO_COLL_SLOT_BYTES overrides.
   std::uint32_t coll_slot_bytes = 256 * KiB;
@@ -118,6 +118,18 @@ constexpr std::uint32_t fastbox_slot_for(std::size_t lmt_activation) {
 }
 static_assert(TuningTable{}.fastbox_slot_bytes ==
               fastbox_slot_for(TuningTable{}.lmt_activation));
+
+/// Collective-family crossover for a launch mode, measured with fresh
+/// operands at 2 and 4 ranks (bench/results/perfbench/coll-crossover/):
+///  - Readers pull operands in place (threads worlds): 4 KiB, the paper's
+///    in-collective activation. One copy beats the eager path's two from
+///    there; at 1 KiB and below p2p still wins at 2 ranks.
+///  - Heap operands are staged through the slots (procs worlds): 8 KiB.
+///    Staging is two copies, as eager is, so at 2 ranks the arena loses at
+///    4 KiB; it wins once the pt2pt sends leave the eager path.
+constexpr std::size_t coll_activation_for(bool operands_read_in_place) {
+  return operands_read_in_place ? 4 * KiB : 8 * KiB;
+}
 
 /// The paper's formulas evaluated for `topo`: the base table every World
 /// starts from before its knobs apply.

@@ -1125,5 +1125,138 @@ TEST(CollAuto, GeometryFallbackCounts) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// The auto family crossover follows the launch mode, with no knob: 4 KiB in
+// threads worlds, whose readers pull heap operands in place, and 8 KiB in
+// procs worlds, whose heap operands are staged through the slots. Every op
+// counts exactly the path its size selects and matches the p2p oracle byte
+// for byte.
+// ---------------------------------------------------------------------------
+
+/// bcast, allgather, alltoall, reduce and allreduce of `bytes` (the bcast
+/// payload, the per-rank block, the operand) on heap buffers, each on the
+/// arena when `shm`, else on the pt2pt algorithms.
+void crossover_ops(Comm& comm, std::size_t bytes, bool shm) {
+  int n = comm.size(), me = comm.rank();
+  auto nsz = static_cast<std::size_t>(n);
+  std::string at = std::to_string(bytes) + " B, " + std::to_string(n) +
+                   " ranks: ";
+  auto block = [&](std::vector<std::byte>& v, int i) {
+    return std::span<std::byte>(v.data() + static_cast<std::size_t>(i) * bytes,
+                                bytes);
+  };
+
+  std::vector<std::byte> b(bytes);
+  int root = n - 1;
+  if (me == root) pattern_fill(b, 7);
+  expect_path(comm, shm, at + "bcast",
+              [&] { comm.bcast(b.data(), bytes, root); });
+  if (pattern_check(b, 7) != kPatternOk) fail(comm, at + "bcast result");
+
+  std::vector<std::byte> mine(bytes), all(bytes * nsz);
+  pattern_fill(mine, 300 + static_cast<std::uint64_t>(me));
+  expect_path(comm, shm, at + "allgather",
+              [&] { comm.allgather(mine.data(), bytes, all.data()); });
+  for (int w = 0; w < n; ++w)
+    if (pattern_check(block(all, w), 300 + static_cast<std::uint64_t>(w)) !=
+        kPatternOk)
+      fail(comm, at + "allgather block " + std::to_string(w));
+
+  std::vector<std::byte> send(bytes * nsz), recv(bytes * nsz);
+  for (int d = 0; d < n; ++d)
+    pattern_fill(block(send, d), static_cast<std::uint64_t>(me * 41 + d));
+  expect_path(comm, shm, at + "alltoall",
+              [&] { comm.alltoall(send.data(), bytes, recv.data()); });
+  for (int w = 0; w < n; ++w)
+    if (pattern_check(block(recv, w),
+                      static_cast<std::uint64_t>(w * 41 + me)) != kPatternOk)
+      fail(comm, at + "alltoall block " + std::to_string(w));
+
+  std::size_t count = bytes / sizeof(double);
+  std::vector<double> in(count), out(count, -1.0);
+  for (std::size_t i = 0; i < count; ++i) in[i] = operand<double>(me, i);
+  expect_path(comm, shm, at + "reduce", [&] {
+    comm.reduce_f64(in.data(), out.data(), count, Comm::ReduceOp::kSum, root);
+  });
+  if (me == root &&
+      !same_bits(out, oracle<double>(n, root, count, Comm::ReduceOp::kSum)))
+    fail(comm, at + "reduce result");
+  expect_path(comm, shm, at + "allreduce", [&] {
+    comm.allreduce_f64(in.data(), out.data(), count, Comm::ReduceOp::kSum);
+  });
+  if (!same_bits(out, oracle<double>(n, 0, count, Comm::ReduceOp::kSum)))
+    fail(comm, at + "allreduce result");
+}
+
+/// Worlds of 2 and 4 ranks in `world_mode` under NEMO_COLL=auto: every op
+/// at `p2p_bytes` takes the pt2pt algorithms, every op at `shm_bytes` the
+/// arena.
+void crossover_in(const char* world_mode, std::size_t p2p_bytes,
+                  std::size_t shm_bytes) {
+  for (int nranks : {2, 4}) {
+    Config cfg;
+    cfg.env["NEMO_COLL"] = "auto";
+    cfg.env["NEMO_WORLD_MODE"] = world_mode;  // Whatever the env says.
+    cfg.nranks = nranks;
+    bool ok = run(cfg, [&](Comm& comm) {
+      crossover_ops(comm, p2p_bytes, false);
+      crossover_ops(comm, shm_bytes, true);
+    });
+    EXPECT_TRUE(ok) << world_mode << " " << nranks << " ranks";
+  }
+}
+
+TEST(CollAuto, FormulaCrossoverByMode) {
+  crossover_in("threads", 2 * KiB, 4 * KiB);
+}
+
+// The same in forked worlds (a separate suite: sanitizer jobs that cannot
+// follow a fork filter out CollProcs.*).
+TEST(CollProcs, FormulaCrossoverByMode) {
+  crossover_in("procs", 4 * KiB, 8 * KiB);
+}
+
+// Strided ops take the segment-list p2p path under auto at every size:
+// the pack-into-slot path lost to it at all but one measured point.
+TEST(CollAuto, StridedOpsTakeP2pAtEverySize) {
+  Config cfg;
+  cfg.env["NEMO_COLL"] = "auto";
+  cfg.nranks = 4;
+  run(cfg, [&](Comm& comm) {
+    int n = comm.size(), me = comm.rank();
+    auto nsz = static_cast<std::size_t>(n);
+    for (std::size_t packed : {4 * KiB, 16 * KiB, 32 * KiB}) {
+      // 1 KiB blocks every 2 KiB, as coll_sweep's strided rows.
+      Datatype dt = Datatype::vector(packed / KiB, KiB, 2 * KiB);
+      std::size_t ext = dt.extent();
+      std::vector<std::byte> send(ext * nsz), recv(ext * nsz), pk(packed);
+      for (int d = 0; d < n; ++d) {
+        pattern_fill(pk, static_cast<std::uint64_t>(me * 59 + d));
+        dt.unpack(pk.data(), 1,
+                  send.data() + static_cast<std::size_t>(d) * ext);
+      }
+      std::string at = std::to_string(packed) + " B ";
+      expect_path(comm, false, at + "alltoall_strided", [&] {
+        comm.alltoall_strided(send.data(), dt, 1, recv.data(), dt);
+      });
+      for (int w = 0; w < n; ++w) {
+        dt.pack(recv.data() + static_cast<std::size_t>(w) * ext, 1, pk.data());
+        EXPECT_EQ(pattern_check(pk, static_cast<std::uint64_t>(w * 59 + me)),
+                  kPatternOk)
+            << at << "alltoall_strided from " << w;
+      }
+      expect_path(comm, false, at + "allgather_strided", [&] {
+        comm.allgather_strided(send.data(), dt, 1, recv.data(), dt);
+      });
+      for (int w = 0; w < n; ++w) {
+        dt.pack(recv.data() + static_cast<std::size_t>(w) * ext, 1, pk.data());
+        EXPECT_EQ(pattern_check(pk, static_cast<std::uint64_t>(w * 59)),
+                  kPatternOk)
+            << at << "allgather_strided block " << w;
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace nemo::core

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "affinity.hpp"
 #include "core/comm.hpp"
 #include "resil/resil.hpp"
 #include "shm/process_runner.hpp"
@@ -53,9 +54,11 @@ int run_scenario(int nranks, int victim, const Scenario& sc,
                  lmt::LmtKind kind,
                  const std::function<void(Comm&, int)>& op,
                  const std::set<int>& must_throw,
-                 lmt::KnemMode knem_mode = lmt::KnemMode::kSyncCopy) {
+                 lmt::KnemMode knem_mode = lmt::KnemMode::kSyncCopy,
+                 std::vector<int> core_binding = {}) {
   Config cfg;
   cfg.nranks = nranks;
+  cfg.core_binding = std::move(core_binding);  // -1: leave the rank unbound.
   cfg.mode = LaunchMode::kProcesses;
   // The ranks are forked by hand below; pin the mode so an ambient
   // NEMO_WORLD_MODE cannot make this a threads world.
@@ -78,6 +81,7 @@ int run_scenario(int nranks, int victim, const Scenario& sc,
         nranks,
         [&](int rank) {
           world.reattach_in_child();
+          shm::pin_self_to_core(world.core_of(rank));
           Comm comm(world, rank);
           world.hard_barrier(rank);
           try {
@@ -266,23 +270,32 @@ TEST_P(FaultMatrix, KillAtKnemShare) {
   // The receive buffer is arena-resident, so the receiver publishes its
   // chunks to the sending process. The victim dies holding a claimed
   // chunk it never copies: the receiver must get a verdict, not wait
-  // forever for that chunk. It may run the whole loop alone first, so the
-  // victim keeps sending until it claims one.
+  // forever for that chunk. The victim claims one only while it runs
+  // beside the receiver, so the two are bound to distinct CPUs, and it
+  // keeps sending until it claims one; the send count is only a backstop.
+  std::vector<int> cpus = test::two_cpus();
+  if (cpus.size() < 2)
+    GTEST_SKIP() << "the affinity mask holds fewer than two CPUs, so the "
+                    "victim cannot run beside the receiver";
+  std::vector<int> binding(static_cast<std::size_t>(n), -1);
+  binding[static_cast<std::size_t>(victim)] = cpus[0];
+  binding[static_cast<std::size_t>(receiver)] = cpus[1];
   Scenario sc{"knem_share",
               {Site::kEngineWait}};
   run_scenario(n, victim, sc, lmt::LmtKind::kKnem,
                [=](Comm& comm, int v) {
                  constexpr std::size_t kN = 4 * MiB;
+                 constexpr int kBackstop = 10000;
                  if (comm.rank() != v && comm.rank() != receiver) return;
                  std::byte* buf = comm.shared_alloc(kN);
-                 for (int i = 0; i < 1000; ++i) {
+                 for (int i = 0; i < kBackstop; ++i) {
                    if (comm.rank() == v)
                      comm.send(buf, kN, receiver, 10);
                    else
                      comm.recv(buf, kN, v, 10);
                  }
                },
-               {receiver});
+               {receiver}, lmt::KnemMode::kSyncCopy, std::move(binding));
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, FaultMatrix, ::testing::Values(4, 8));

@@ -40,7 +40,7 @@ void expect_formula(const TuningTable& t, std::size_t shared_llc,
   EXPECT_EQ(t.lmt_activation, 8 * KiB);
   EXPECT_EQ(t.dma_min, 0u);
   EXPECT_EQ(t.collective_activation, 4 * KiB);
-  EXPECT_EQ(t.coll_activation, 16 * KiB);
+  EXPECT_EQ(t.coll_activation, 0u);  // Formula: resolved per launch mode.
   EXPECT_EQ(t.coll_slot_bytes, 256 * KiB);
   EXPECT_EQ(t.fastbox_slots, 4u);
   EXPECT_EQ(t.fastbox_slot_bytes, 8 * KiB + 64);  // The activation + header.
@@ -127,7 +127,8 @@ std::string legacy_cache(const Topology& topo) {
 }
 
 /// A World on `topo` with one knob pinned: its table is the formula table
-/// with that knob applied.
+/// with that knob applied and the collective crossover resolved for its
+/// launch mode.
 void expect_world_ignores_cache(const Topology& topo, std::size_t shared_llc) {
   core::Config cfg;
   cfg.nranks = 2;
@@ -138,6 +139,9 @@ void expect_world_ignores_cache(const Topology& topo, std::size_t shared_llc) {
   TuningTable t = w.tuning();
   EXPECT_EQ(t.fastbox_slots, 8u);
   t.fastbox_slots = 4;
+  EXPECT_EQ(t.coll_activation,
+            coll_activation_for(w.config().mode == core::LaunchMode::kThreads));
+  t.coll_activation = 0;
   expect_formula(t, shared_llc, topo.name.c_str());
 }
 

@@ -6,7 +6,6 @@
 // does not progress leaves every chunk to the receiver; an abandoned
 // receive closes the claim word.
 #include <gtest/gtest.h>
-#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "affinity.hpp"
 #include "common/checksum.hpp"
 #include "core/comm.hpp"
 #include "core/datatype.hpp"
@@ -24,6 +24,7 @@ namespace nemo::core {
 namespace {
 
 using knem::DeviceStats;
+using test::two_cpus;
 
 Config knem_config(LaunchMode mode = LaunchMode::kThreads) {
   Config cfg;
@@ -40,18 +41,6 @@ Config knem_config(LaunchMode mode = LaunchMode::kThreads) {
 }
 
 DeviceStats stats(Comm& comm) { return comm.engine().knem_device().stats(); }
-
-/// The first two CPUs of this process's affinity mask (fewer if it holds
-/// fewer).
-std::vector<int> two_cpus() {
-  std::vector<int> cpus;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (::sched_getaffinity(0, sizeof set, &set) != 0) return cpus;
-  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c)
-    if (CPU_ISSET(c, &set)) cpus.push_back(c);
-  return cpus;
-}
 
 constexpr std::size_t kTail = 64;  // Sentinel bytes past the payload.
 

@@ -50,7 +50,7 @@ TEST(KnobTable, SortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 21u);
+  EXPECT_EQ(knobs().size(), 20u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
