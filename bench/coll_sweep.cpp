@@ -185,13 +185,12 @@ double fold_mibs(simd::Kernel k, std::size_t bytes, int iters, int samples) {
 }
 
 /// Strided alltoall: each per-pair contribution is `bytes` of payload laid
-/// out as 1 KiB blocks every 2 KiB (a half-dense vector datatype). The shm
-/// path packs blocks straight into arena chunks and unpacks into the strided
-/// receive layout; the p2p path lowers both sides to segment lists. Either
-/// way there is no contiguous staging copy — this row guards that.
-double real_strided_us(coll::Mode mode, int nranks, std::size_t bytes,
-                       int iters, int samples) {
-  core::Config cfg = pinned_config({{"NEMO_COLL", coll::to_string(mode)}});
+/// out as 1 KiB blocks every 2 KiB (a half-dense vector datatype). Strided
+/// ops are pt2pt only: both sides lower to segment lists, so there is no
+/// contiguous staging copy — this row guards that.
+double real_strided_us(int nranks, std::size_t bytes, int iters,
+                       int samples) {
+  core::Config cfg = pinned_config({{"NEMO_COLL", "p2p"}});
   cfg.nranks = nranks;
   core::Datatype dt = core::Datatype::vector(bytes / KiB, KiB, 2 * KiB);
   std::size_t matrix = dt.extent() * static_cast<std::size_t>(nranks);
@@ -430,30 +429,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Strided alltoall: derived-datatype payload through pack-into-slot (shm)
-  // or segment lists (p2p, which auto takes at every size). Per-pair packed
-  // bytes stay under the 8-rank chunk capacity of the default 256 KiB slot
-  // so shm takes the direct path.
-  std::printf("# Strided alltoall — pack into arena vs segment-list p2p\n");
+  // Strided alltoall: derived-datatype payload as segment lists over the
+  // pt2pt engine, the only family strided ops take.
+  std::printf("# Strided alltoall — segment-list p2p\n");
   std::vector<std::size_t> strided_sizes =
       smoke ? std::vector<std::size_t>{16 * KiB, 32 * KiB}
             : std::vector<std::size_t>{4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB};
   for (int nranks : rank_counts) {
     for (std::size_t bytes : strided_sizes) {
-      for (bool shm : {false, true}) {
-        coll::Mode mode = shm ? coll::Mode::kShm : coll::Mode::kP2p;
-        double wall_us = real_strided_us(mode, nranks, bytes, iters, samples);
-        const char* path = shm ? "shm" : "p2p";
-        std::printf("%-9s %5d %9zu %5s %12.1f\n", "a2a_strd", nranks, bytes,
-                    path, wall_us);
-        char row[512];
-        std::snprintf(
-            row, sizeof row,
-            "{\"op\": \"alltoall_strided\", \"ranks\": %d, \"bytes\": %zu, "
-            "\"mode\": \"%s\", \"wall_us\": %.2f}",
-            nranks, bytes, path, wall_us);
-        rows.emplace_back(row);
-      }
+      double wall_us = real_strided_us(nranks, bytes, iters, samples);
+      std::printf("%-9s %5d %9zu %5s %12.1f\n", "a2a_strd", nranks, bytes,
+                  "p2p", wall_us);
+      char row[512];
+      std::snprintf(
+          row, sizeof row,
+          "{\"op\": \"alltoall_strided\", \"ranks\": %d, \"bytes\": %zu, "
+          "\"mode\": \"p2p\", \"wall_us\": %.2f}",
+          nranks, bytes, wall_us);
+      rows.emplace_back(row);
     }
   }
 

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     core::Config seed_cfg = cfg_for(lmt::LmtKind::kDefaultShm);
     seed_cfg.ring_bufs = 2;
     seed_cfg.ring_buf_bytes = 32 * KiB;
-    seed_cfg.nt_min = static_cast<std::size_t>(-1);
+    seed_cfg.env["NEMO_NT_MIN"] = "off";
 
     struct RealRow {
       const char* name;

@@ -20,7 +20,8 @@ using namespace nemo;
 
 namespace {
 
-void print_table(const tune::TuningTable& t, coll::Mode coll_mode) {
+void print_table(const core::Config& cfg) {
+  const tune::TuningTable& t = *cfg.tuning;
   std::printf("tuning table (formula + knobs)\n");
   static const PairPlacement kAll[] = {PairPlacement::kSharedCache,
                                        PairPlacement::kSameSocketNoShare,
@@ -44,14 +45,11 @@ void print_table(const tune::TuningTable& t, coll::Mode coll_mode) {
                   .c_str());
   std::printf("  coll: activation=%-8s slot=%s   (NEMO_COLL=%s)\n",
               format_size(t.coll_activation).c_str(),
-              format_size(t.coll_slot_bytes).c_str(),
-              coll::to_string(coll_mode));
-  std::printf("  simd: kernel=%s (running %s)   pack_nt_min=%s\n",
+              format_size(cfg.coll_slot_bytes).c_str(),
+              coll::to_string(cfg.coll));
+  std::printf("  simd: kernel=%s (running %s)\n",
               simd::choice_name(t.simd_kernel),
-              simd::kernel_name(simd::resolve(t.simd_kernel)),
-              t.pack_nt_min == 0          ? "formula"
-              : t.pack_nt_min == SIZE_MAX ? "never"
-                                          : format_size(t.pack_nt_min).c_str());
+              simd::kernel_name(simd::resolve(t.simd_kernel)));
 }
 
 /// Narrate the NUMA placement the runtime would apply per placement class:
@@ -120,7 +118,7 @@ int main(int argc, char** argv) {
   core::Config cfg;
   cfg.topo = topo;
   core::Config world = core::resolve_config(std::move(cfg));
-  print_table(*world.tuning, world.coll);
+  print_table(world);
   print_numa(topo, world.numa_placement);
   return 0;
 }

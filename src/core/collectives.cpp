@@ -23,19 +23,18 @@
 //      slot stream      one writer, many readers (bcast) —
 //                       coll_internal.hpp
 //      exchange rounds  every rank writes and reads blocks, rounds closed
-//                       by the arena barrier (allgather, alltoall(v) and
-//                       their strided forms; reduce and allreduce as a
-//                       partitioned fold, two doorbells a round) —
-//                       Exchange below
+//                       by the arena barrier (allgather and alltoall(v);
+//                       reduce and allreduce as a partitioned fold, two
+//                       doorbells a round) — Exchange below
 //
 // Selection mirrors lmt::Policy: NEMO_COLL=shm|p2p forces a family, auto
 // compares the op's symmetric size measure against coll_activation, which
 // follows the launch mode (tune::coll_activation_for): 4 KiB in threads
 // worlds, whose readers pull operands in place, and 8 KiB in procs worlds,
-// whose heap operands are staged through the slots. Strided ops take p2p
-// under auto at every size. Every rank computes the same decision from
-// world-level state only, so the families can never mix within one
-// operation.
+// whose heap operands are staged through the slots. Every rank computes the
+// same decision from world-level state only, so the families can never mix
+// within one operation. Gather, scatter and the strided ops are pt2pt only,
+// in every mode.
 //
 // Deadlock note: every spin on an arena word keeps Engine::progress()
 // running — a rank parked in a collective must still serve rendezvous
@@ -649,29 +648,13 @@ void Comm::alltoallv(const void* sendbuf, const std::size_t* scounts,
 
 // ---------------------------------------------------------------------------
 // Strided collectives: each rank contributes `count` elements of a derived
-// datatype. The shm family packs blocks straight into arena slots (NT
-// streaming stores above the tuned pack threshold) and unpacks readers-side
-// straight into the strided receive buffer; the p2p family hands the merged
-// segment lists to the engine, which gathers into cells / transfers them via
-// the segment-capable LMT backends. Neither family materialises an
-// intermediate contiguous staging buffer — the pack-path telemetry records
-// every op as `direct`.
+// datatype. Pt2pt only, in every NEMO_COLL mode: the merged segment lists
+// go straight to the engine, which gathers into cells / transfers them via
+// the segment-capable LMT backends, so no contiguous staging buffer is
+// materialised — the pack-path telemetry records every op as `direct`.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Pack `count` elements of `dt` at `base` into a shared slot, streaming
-/// through the NT engine above the tuned threshold.
-void pack_into(Engine& eng, const std::byte* base, const Datatype& dt,
-               std::size_t count, std::byte* dst) {
-  std::size_t bytes = dt.size() * count;
-  bool nt = bytes >= eng.pack_nt_min();
-  dt.pack(base, count, dst, nt);
-  tune::Counters& c = eng.counters();
-  c.pack_direct_ops++;
-  c.pack_direct_bytes += bytes;
-  if (nt) c.pack_nt_ops++;
-}
 
 /// Self-exchange: re-layout `count` elements from sdt at `in` to rdt at
 /// `out` through the two segment maps (no staging buffer).
@@ -708,55 +691,14 @@ void Comm::strided_coll(const void* sendbuf, const Datatype& sdt,
     return;
   }
   Engine& eng = engine_;
-  int n = size(), r = rank();
   std::size_t packed = sdt.size() * count;
   // Alltoall sends block d of the send buffer to rank d; allgather sends
   // its one block to everyone (send stride 0).
   std::size_t sext = spread ? count * sdt.extent() : 0;
   std::size_t rext = count * rdt.extent();
-  // Alltoall packs each destination's block into its own slot stride;
-  // allgather packs its one block into the shared whole slot.
-  std::size_t chunk = spread
-                          ? coll::alltoall_chunk_capacity(slot_bytes(eng), n)
-                          : slot_bytes(eng);
-  auto stride = [&](int w, int d) {
-    return spread ? dest_index(w, d) * chunk : 0;
-  };
-  strided_self_copy(in + static_cast<std::size_t>(r) * sext, sdt,
-                    out + static_cast<std::size_t>(r) * rext, rdt, count);
-  // Single deposit round: the packed block must fit its chunk, else the
-  // need is unmeetable and use_shm_coll records the p2p fallback.
-  // World-symmetric (dt/count are the same everywhere). Auto never packs
-  // into the slots (a 0 size measure stays below every crossover): at 2
-  // and 4 ranks the segment-list p2p path beat it from 8 KiB up.
-  std::size_t need = packed > 0 && packed <= chunk ? kCacheLine : SIZE_MAX;
-  bool forced = eng.world().coll_mode() == coll::Mode::kShm;
-  if (use_shm_coll(forced ? packed : 0, need)) {
-    eng.counters().coll_shm_bytes +=
-        packed * static_cast<std::size_t>(n - 1);
-    // The slot chunk IS the pack buffer: each strided block streams from
-    // the user buffer straight into shared memory, so the packed form
-    // exists exactly once.
-    Exchange x(eng, epoch_base(next_coll_seq(eng)), shm::kNil, 1);
-    x.run(
-        [&](std::uint64_t, std::byte* slot) {
-          if (!spread) return pack_into(eng, in, sdt, count, slot);
-          for (int d = 0; d < n; ++d)
-            if (d != r)
-              pack_into(eng, in + static_cast<std::size_t>(d) * sext, sdt,
-                        count, slot + stride(r, d));
-        },
-        [&](int w, std::uint64_t, const std::byte* src, bool) {
-          // Cached stores: the unpacked blocks land in the user's receive
-          // buffer, which the caller is about to touch.
-          rdt.unpack(src + stride(w, r), count,
-                     out + static_cast<std::size_t>(w) * rext);
-          eng.counters().unpack_ops++;
-        });
-    return;
-  }
-  // The merged segment lists go straight to the engine — cell gather on
-  // the eager path, vectorial transfer on the segment-capable backends.
+  std::size_t r = static_cast<std::size_t>(rank());
+  strided_self_copy(in + r * sext, sdt, out + r * rext, rdt, count);
+  eng.counters().coll_p2p_ops++;
   pairwise(eng, coll_tag(next_coll_seq(eng), 0), [&](int to, int from) {
     tune::Counters& c = eng.counters();
     c.pack_direct_ops++;

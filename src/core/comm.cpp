@@ -8,7 +8,6 @@
 #include "common/pool.hpp"
 #include "core/knobs.hpp"
 #include "lmt/backends.hpp"
-#include "shm/nt_copy.hpp"
 
 namespace nemo::core {
 
@@ -33,15 +32,12 @@ bool classifiable(const Topology& topo, int a, int b) {
          a != b;
 }
 
-/// Per-rank collective slot capacity: programmatic Config beats the formula
-/// value; NEMO_COLL_SLOT_BYTES beats both (its row writes both).
-std::uint32_t effective_coll_slot_bytes(const Config& cfg,
-                                        const tune::TuningTable& tuning) {
-  std::size_t v =
-      cfg.coll_slot_bytes != 0 ? cfg.coll_slot_bytes : tuning.coll_slot_bytes;
-  v = round_up(std::clamp(v, tune::kCollSlotMin, tune::kCollSlotMax),
-               kCacheLine);
-  return static_cast<std::uint32_t>(std::min(v, tune::kCollSlotMax));
+/// Per-rank collective slot capacity: Config::coll_slot_bytes clamped to
+/// the legal range and rounded up to a cache line.
+std::uint32_t effective_coll_slot_bytes(const Config& cfg) {
+  return static_cast<std::uint32_t>(round_up(
+      std::clamp(cfg.coll_slot_bytes, tune::kCollSlotMin, tune::kCollSlotMax),
+      kCacheLine));
 }
 
 /// One pair's fastbox footprint at the World's resolved geometry.
@@ -69,7 +65,7 @@ std::size_t auto_arena_bytes(const Config& cfg,
   std::size_t coll =
       cfg.nranks > 1
           ? coll::WorldColl::footprint(cfg.nranks,
-                                       effective_coll_slot_bytes(cfg, tuning))
+                                       effective_coll_slot_bytes(cfg))
           : 0;
   return 1 * MiB + n * 4 * KiB + pairs * (per_ring + per_fastbox) + knem +
          coll + cfg.shared_pool_bytes;
@@ -152,7 +148,7 @@ World::World(Config cfg)
   // interleaving NUMA modes its pages are spread across nodes like the
   // other many-reader bootstrap state below.
   if (cfg_.nranks > 1) {
-    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_, tuning());
+    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_);
     coll_off_ = coll::WorldColl::create(arena_, cfg_.nranks, coll_slot);
     if (numa_mode() == shm::NumaPlacement::kAuto ||
         numa_mode() == shm::NumaPlacement::kInterleave)
@@ -230,7 +226,7 @@ void World::reattach_in_child() {
   if (coll_off_ != shm::kNil &&
       (numa_mode() == shm::NumaPlacement::kAuto ||
        numa_mode() == shm::NumaPlacement::kInterleave)) {
-    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_, tuning());
+    std::uint32_t coll_slot = effective_coll_slot_bytes(cfg_);
     shm::interleave(arena_.at(coll_off_),
                     coll::WorldColl::region_bytes(cfg_.nranks, coll_slot));
   }
@@ -284,7 +280,6 @@ namespace {
 lmt::PolicyConfig effective_policy(const World& w, const Config& cfg) {
   lmt::PolicyConfig pc = cfg.policy;
   pc.vmsplice_available = pc.vmsplice_available && w.vmsplice_ok();
-  pc.dma_available = pc.dma_available && cfg.dma_available;
   return pc;
 }
 
@@ -305,14 +300,10 @@ Engine::Engine(World& world, int rank)
   if (world.coll_off() != shm::kNil)
     coll_ = coll::WorldColl(world.arena(), world.coll_off(),
                             world.config().mode == LaunchMode::kThreads);
-  const tune::TuningTable& tuning = world.tuning();
-  // Fold kernel and pack threshold resolve once here: NEMO_SIMD already
-  // overrode the table row (core/knobs.cpp), so resolving the table choice
-  // against CPUID is the full precedence chain. pack_nt_min 0 means
-  // "formula" (NEMO_PACK_NT_MIN=0).
-  simd_kernel_ = simd::resolve(tuning.simd_kernel);
-  pack_nt_min_ = tuning.pack_nt_min != 0 ? tuning.pack_nt_min
-                                         : shm::nt_default_threshold();
+  // The fold kernel resolves once here: NEMO_SIMD already overrode the
+  // table row (core/knobs.cpp), so resolving the table choice against CPUID
+  // is the full precedence chain.
+  simd_kernel_ = simd::resolve(world.tuning().simd_kernel);
   live_ = world.liveness();
   peer_timeout_ms_ = world.peer_timeout_ms();
   on_death_ = world.on_peer_death();

@@ -70,11 +70,6 @@ struct Config {
   std::uint32_t ring_bufs = 4;
   std::uint32_t ring_buf_bytes = shm::CopyRing::kDefaultBufBytes;
 
-  /// Minimum rendezvous size that switches the shm-copy ring to streaming
-  /// (non-temporal) stores. 0 = auto: the per-placement formula row (half
-  /// the last-level cache). SIZE_MAX (or NEMO_NT_MIN=off) = never.
-  std::size_t nt_min = 0;
-
   std::size_t arena_bytes = 0;        ///< 0 = auto.
   std::size_t shared_pool_bytes = 32 * MiB;  ///< For Comm::shared_alloc.
 
@@ -100,12 +95,10 @@ struct Config {
   /// arena at/above the table's coll_activation (which follows `mode`) and
   /// the pt2pt algorithms below it. NEMO_COLL=shm|p2p|auto overrides.
   coll::Mode coll = coll::Mode::kAuto;
-  /// Per-rank collective-arena slot capacity. 0 = the tuning table's
-  /// coll_slot_bytes (NEMO_COLL_SLOT_BYTES overrides either).
-  std::size_t coll_slot_bytes = 0;
-
-  /// Model I/OAT presence (the software DMA channel).
-  bool dma_available = true;
+  /// Per-rank collective-arena slot capacity (staging + doorbell
+  /// pipelining granularity), clamped to [64 B, 16 MiB] and rounded up to
+  /// a cache line.
+  std::size_t coll_slot_bytes = 256 * KiB;
 
   /// CMA kill-switch (NEMO_CMA=off): pretend process_vm_readv is absent, so
   /// a KNEM message whose pages another process could only reach over
@@ -353,9 +346,6 @@ class Engine {
   /// Reduction kernel every fold on this rank runs (NEMO_SIMD > tuning
   /// table > CPUID best; resolved once at construction).
   [[nodiscard]] simd::Kernel simd_kernel() const { return simd_kernel_; }
-  /// Minimum contiguous run that routes datatype pack/unpack through the
-  /// NT streaming engine (tuned pack_nt_min / NEMO_PACK_NT_MIN).
-  [[nodiscard]] std::size_t pack_nt_min() const { return pack_nt_min_; }
 
   /// Resolve the LMT kind for a message to `dst` from `segs` (exposed for
   /// tests/benches).
@@ -512,7 +502,6 @@ class Engine {
   std::uint64_t coll_bar_seq_ = 0;    ///< Arena-barrier sequence issued.
   std::uint64_t coll_cell_seq_ = 0;   ///< Exchange-cell instances issued.
   simd::Kernel simd_kernel_ = simd::Kernel::kScalar;  ///< Resolved fold ISA.
-  std::size_t pack_nt_min_ = SIZE_MAX;  ///< Tuned pack->NT-store cutoff.
   bool in_progress_ = false;
   std::uint64_t coll_seq_ = 0;
 
@@ -594,11 +583,8 @@ class Comm {
                  const std::size_t* rcounts, const std::size_t* rdispls);
 
   /// Strided collectives: each rank's contribution is `count` elements of
-  /// `dt` (footprint count * extent per peer). The shm path packs blocks
-  /// directly into collective-arena slots — NT streaming stores above the
-  /// tuned pack threshold — and unpacks readers-side straight into the
-  /// strided receive buffer; under NEMO_COLL=auto (every size) and p2p the
-  /// merged segment lists ride the pt2pt engine. Either way no
+  /// `dt` (footprint count * extent per peer). Pt2pt only, in every
+  /// NEMO_COLL mode: the merged segment lists ride the pt2pt engine, so no
   /// intermediate contiguous staging buffer is materialised.
   void alltoall_strided(const void* sendbuf, const Datatype& sdt,
                         std::size_t count, void* recvbuf, const Datatype& rdt);

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/common.hpp"
-#include "shm/nt_copy.hpp"
 
 namespace nemo::core {
 
@@ -85,31 +84,31 @@ ConstSegmentList Datatype::map(const std::byte* base,
   return map_impl<ConstSegment>(base, count, blocks_, extent_);
 }
 
-void Datatype::pack(const std::byte* base, std::size_t count, std::byte* out,
-                    bool nt) const {
+void Datatype::pack(const std::byte* base, std::size_t count,
+                    std::byte* out) const {
   if (is_contiguous()) {
-    shm::copy_for(nt, out, base, size_ * count);
+    std::memcpy(out, base, size_ * count);
     return;
   }
   for (std::size_t e = 0; e < count; ++e) {
     const std::byte* eb = base + e * extent_;
     for (const Block& b : blocks_) {
-      shm::copy_for(nt, out, eb + b.off, b.len);
+      std::memcpy(out, eb + b.off, b.len);
       out += b.len;
     }
   }
 }
 
 void Datatype::unpack(const std::byte* in, std::size_t count,
-                      std::byte* base, bool nt) const {
+                      std::byte* base) const {
   if (is_contiguous()) {
-    shm::copy_for(nt, base, in, size_ * count);
+    std::memcpy(base, in, size_ * count);
     return;
   }
   for (std::size_t e = 0; e < count; ++e) {
     std::byte* eb = base + e * extent_;
     for (const Block& b : blocks_) {
-      shm::copy_for(nt, eb + b.off, in, b.len);
+      std::memcpy(eb + b.off, in, b.len);
       in += b.len;
     }
   }

@@ -1,8 +1,8 @@
 // Minimal MPI-style datatypes: contiguous blocks, strided vectors, and
 // indexed block lists, plus lowering to segment lists. KNEM cookies take
 // the segment lists directly ("vectorial buffers", one of KNEM's
-// advantages over LiMIC2 per §5), and the collective pack path streams
-// blocks through the NT engine straight into arena slots.
+// advantages over LiMIC2 per §5), and the strided collectives hand them to
+// the pt2pt engine instead of packing.
 #pragma once
 
 #include <cstddef>
@@ -60,14 +60,9 @@ class Datatype {
                                      std::size_t count) const;
 
   /// Pack `count` elements from `base` into `out` (out must hold
-  /// size()*count bytes); unpack is the inverse. With `nt` the block
-  /// copies use non-temporal streaming stores — for packed operands big
-  /// enough that caching them would evict the working set (the caller
-  /// gates on the tuned pack_nt_min threshold).
-  void pack(const std::byte* base, std::size_t count, std::byte* out,
-            bool nt = false) const;
-  void unpack(const std::byte* in, std::size_t count, std::byte* base,
-              bool nt = false) const;
+  /// size()*count bytes); unpack is the inverse.
+  void pack(const std::byte* base, std::size_t count, std::byte* out) const;
+  void unpack(const std::byte* in, std::size_t count, std::byte* base) const;
 
  private:
   Datatype(std::vector<Block> blocks, std::size_t extent);

@@ -71,17 +71,6 @@ const Knob kKnobs[] = {
        c.coll = known("NEMO_COLL", v, coll::mode_from_string(v),
                       "auto|shm|p2p");
      }},
-    {"NEMO_COLL_SLOT_BYTES", "(formula)", "<size 64B..16MiB>",
-     "per-rank collective-arena slot capacity",
-     [](const std::string& v, Config& c, TuningTable& t) {
-       c.coll_slot_bytes = t.coll_slot_bytes = line_size(
-           "NEMO_COLL_SLOT_BYTES", v, tune::kCollSlotMin, tune::kCollSlotMax);
-     }},
-    {"NEMO_DMA_MIN", "(formula)", "<size>",
-     "KNEM DMA-offload threshold, replacing the per-core formula",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.dma_min = size("NEMO_DMA_MIN", v);
-     }},
     {"NEMO_FASTBOX_SLOTS", "(formula)", "<slots 1..64>",
      "fastbox ring capacity in activation-sized records (the record size "
      "follows NEMO_LMT_ACTIVATION)",
@@ -115,9 +104,9 @@ const Knob kKnobs[] = {
      }},
     {"NEMO_NT_MIN", "(formula)", "<size>|off",
      "rendezvous size from which ring copies use non-temporal stores",
-     [](const std::string& v, Config& c, TuningTable& t) {
-       c.nt_min = size("NEMO_NT_MIN", v, /*allow_off=*/true);
-       for (auto& pt : t.place) pt.nt_min = c.nt_min;
+     [](const std::string& v, Config&, TuningTable& t) {
+       std::size_t nt_min = size("NEMO_NT_MIN", v, /*allow_off=*/true);
+       for (auto& pt : t.place) pt.nt_min = nt_min;
      }},
     {"NEMO_NUMA_PLACEMENT", "auto",
      "auto|receiver|sender|interleave|first-touch|off",
@@ -134,11 +123,6 @@ const Knob kKnobs[] = {
        c.on_peer_death = pick<OnPeerDeath>(
            "NEMO_ON_PEER_DEATH", v,
            {{"abort", OnPeerDeath::kAbort}, {"degrade", OnPeerDeath::kDegrade}});
-     }},
-    {"NEMO_PACK_NT_MIN", "(formula)", "<size>|off",
-     "packed size from which datatype packs use non-temporal stores",
-     [](const std::string& v, Config&, TuningTable& t) {
-       t.pack_nt_min = size("NEMO_PACK_NT_MIN", v, /*allow_off=*/true);
      }},
     {"NEMO_PEER_TIMEOUT_MS", "30000", "<ms >= 1>|off",
      "stale-heartbeat deadline for every bounded wait; off disarms",

@@ -54,7 +54,7 @@ class ShmCopyBackend final : public Backend {
   /// does NOT share a last-level cache: on a shared cache the cached slot
   /// write is what lets the receiver's slot read hit. Receiver copy #2's
   /// destination streams regardless (large buffer, no reuse in the copy).
-  /// Both come from the pair placement's tuned row (cfg.nt_min overrides).
+  /// Both come from the pair placement's tuned row.
   std::vector<bool> push_nt_ok_;          ///< Indexed by peer.
   std::vector<std::size_t> nt_min_;       ///< Indexed by peer.
   bool nt_ok_;

@@ -21,7 +21,6 @@ ShmCopyBackend::ShmCopyBackend(core::Engine& eng)
                  shm::nt_default_threshold());
   const Topology& topo = eng.world().topology();
   const tune::TuningTable& tuning = eng.world().tuning();
-  const std::size_t nt_override = eng.world().config().nt_min;
   for (int p = 0; p < eng.nranks(); ++p) {
     if (p == eng.rank()) continue;
     send_ring_[static_cast<std::size_t>(p)].emplace(
@@ -38,8 +37,7 @@ ShmCopyBackend::ShmCopyBackend(core::Engine& eng)
         theirs < topo.num_cores && mine != theirs)
       place = topo.classify(mine, theirs);
     const tune::PlacementTuning& row = tuning.for_placement(place);
-    nt_min_[static_cast<std::size_t>(p)] =
-        nt_override != 0 ? nt_override : row.nt_min;
+    nt_min_[static_cast<std::size_t>(p)] = row.nt_min;
     push_nt_ok_[static_cast<std::size_t>(p)] =
         mine >= 0 && theirs >= 0 && row.push_nt;
   }

@@ -15,8 +15,8 @@
 // communicating cores share no cache (where it beats the two-copy scheme);
 // otherwise the default double-buffering (which wins under a shared cache).
 //
-// Activation and DMAmin come from the World's tuning table (the formulas
-// with the NEMO_LMT_ACTIVATION / NEMO_DMA_MIN knobs applied).
+// Activation and DMAmin come from the World's tuning table (the formulas,
+// with the NEMO_LMT_ACTIVATION knob applied).
 #pragma once
 
 #include <cstddef>

@@ -258,7 +258,6 @@ tune::Json Registry::counters_json(const tune::Counters& c, int rank) {
   Json pack = Json::object();
   pack.set("direct_ops", c.pack_direct_ops);
   pack.set("direct_bytes", c.pack_direct_bytes);
-  pack.set("nt_ops", c.pack_nt_ops);
   pack.set("unpack_ops", c.unpack_ops);
   j.set("pack", std::move(pack));
   return j;

@@ -36,7 +36,6 @@ Counters& Counters::operator+=(const Counters& o) {
   }
   pack_direct_ops += o.pack_direct_ops;
   pack_direct_bytes += o.pack_direct_bytes;
-  pack_nt_ops += o.pack_nt_ops;
   unpack_ops += o.unpack_ops;
   return *this;
 }

@@ -60,13 +60,13 @@ struct Counters {
   std::array<std::uint64_t, kSimdKernels> simd_fold_ops{};
   std::array<std::uint64_t, kSimdKernels> simd_fold_bytes{};
 
-  // Datatype pack/unpack path telemetry. `direct` = packed straight into a
-  // shared destination (collective-arena slot, fastbox/ring cell) — the
-  // strided collectives never pack into a private staging buffer.
+  // Datatype pack/unpack path telemetry. `direct` = a strided block handed
+  // to the pt2pt engine as a segment list (gathered into cells, or moved by
+  // a segment-capable LMT backend) — the strided collectives never pack
+  // into a private staging buffer.
   std::uint64_t pack_direct_ops = 0;
   std::uint64_t pack_direct_bytes = 0;
-  std::uint64_t pack_nt_ops = 0;  ///< Packs that streamed via NT stores.
-  std::uint64_t unpack_ops = 0;   ///< Unpacks from shared slots/cells.
+  std::uint64_t unpack_ops = 0;  ///< Strided blocks received in place.
 
   static int size_class(std::size_t bytes) {
     int c = 0;

@@ -21,9 +21,6 @@ TuningTable effective_table(const Topology& topo) {
     if (auto llc = topo.shared_cache(pair->first, pair->second))
       t.for_placement(PairPlacement::kSharedCache).nt_min = llc->size_bytes / 2;
   }
-  // Packed strided operands stream under the same don't-flush-the-cache
-  // bound as the ring copies.
-  t.pack_nt_min = host_default;
   return t;
 }
 

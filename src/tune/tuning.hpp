@@ -26,7 +26,8 @@ namespace nemo::tune {
 /// fill it, consumers (ShmCopyBackend, World) only read it.
 struct PlacementTuning {
   /// Minimum rendezvous size that switches ring copies to streaming
-  /// (non-temporal) stores. SIZE_MAX = never.
+  /// (non-temporal) stores: the one home of this crossover (NEMO_NT_MIN
+  /// writes every row). SIZE_MAX = never, 0 = every rendezvous.
   std::size_t nt_min = 0;
   /// Whether copy #1 (sender into the ring slot) should also stream. On a
   /// shared LLC the cached slot write is what makes the receiver's read hit,
@@ -50,7 +51,8 @@ struct TuningTable {
   /// NEMO_LMT_ACTIVATION overrides.
   std::size_t lmt_activation = 8 * KiB;
 
-  /// KNEM DMA offload threshold. 0 = use the paper's per-core formula.
+  /// KNEM DMA offload threshold. 0 = use the paper's per-core formula;
+  /// only a programmatic table sets another value (no knob).
   std::size_t dma_min = 0;
 
   /// Lower activation used inside collectives (§4.4).
@@ -62,9 +64,6 @@ struct TuningTable {
   /// algorithms win on their lower per-op synchronisation cost. 0 =
   /// formula: core::resolve_config fills in coll_activation_for(mode).
   std::size_t coll_activation = 0;
-  /// Per-rank collective-arena slot capacity (staging + doorbell
-  /// pipelining granularity). NEMO_COLL_SLOT_BYTES overrides.
-  std::uint32_t coll_slot_bytes = 256 * KiB;
 
   /// Per-pair fastbox ring: slots per ring, and the slot stride (64 B
   /// header + payload). The stride is no knob: core::resolve_config derives
@@ -78,11 +77,6 @@ struct TuningTable {
   /// (best supported, AVX-512 -> AVX2 -> scalar) when the World resolves
   /// it. NEMO_SIMD overrides.
   simd::Choice simd_kernel = simd::Choice::kAuto;
-  /// Minimum contiguous block run at which datatype pack/unpack streams
-  /// through the NT engine (packed strided operands evict the cache the
-  /// same way big contiguous copies do). 0 = formula: the same half-LLC
-  /// bound as nt_min. SIZE_MAX (NEMO_PACK_NT_MIN=off) = never.
-  std::size_t pack_nt_min = 0;
 
   [[nodiscard]] const PlacementTuning& for_placement(PairPlacement p) const {
     return place[static_cast<std::size_t>(p)];
@@ -94,9 +88,10 @@ struct TuningTable {
   bool operator==(const TuningTable&) const = default;
 };
 
-/// Legal geometry ranges the knob table enforces (the fastbox slot bytes:
-/// the range fastbox_slot_for clamps to). Slot and buffer sizes must also
-/// be cache-line multiples.
+/// Legal geometry ranges: the knob table enforces the ring and fastbox
+/// ones (the fastbox slot bytes: the range fastbox_slot_for clamps to), the
+/// World clamps Config::coll_slot_bytes to the collective-slot one. Slot
+/// and buffer sizes must also be cache-line multiples.
 inline constexpr std::size_t kCollSlotMin = kCacheLine;
 inline constexpr std::size_t kCollSlotMax = 16 * MiB;
 inline constexpr std::uint32_t kFastboxSlotsMax = 64;

@@ -544,8 +544,8 @@ TEST_P(CollCross, AlltoallStridedPacksDirectWithZeroStaging) {
     int me = comm.rank();
     // Send and receive layouts differ (same packed size): the op must
     // re-block, not just move bytes. 720 packed bytes per destination fit
-    // one per-dest slot chunk at every tested rank count, so the shm
-    // family engages whenever the forced mode asks for it.
+    // one per-dest slot chunk at every tested rank count, yet strided ops
+    // take the segment-list p2p path in every mode.
     Datatype sdt = Datatype::vector(3, 48, 96);
     Datatype rdt = Datatype::vector(2, 72, 100);
     ASSERT_EQ(sdt.size(), rdt.size());
@@ -1216,46 +1216,55 @@ TEST(CollProcs, FormulaCrossoverByMode) {
   crossover_in("procs", 4 * KiB, 8 * KiB);
 }
 
-// Strided ops take the segment-list p2p path under auto at every size:
-// the pack-into-slot path lost to it at all but one measured point.
+// Strided ops take the segment-list p2p path in every mode and at every
+// size, a forced arena included: one p2p op each, no arena op. 720 B fits
+// a per-destination slot chunk, so the slot geometry is no reason for it.
 TEST(CollAuto, StridedOpsTakeP2pAtEverySize) {
-  Config cfg;
-  cfg.env["NEMO_COLL"] = "auto";
-  cfg.nranks = 4;
-  run(cfg, [&](Comm& comm) {
-    int n = comm.size(), me = comm.rank();
-    auto nsz = static_cast<std::size_t>(n);
-    for (std::size_t packed : {4 * KiB, 16 * KiB, 32 * KiB}) {
-      // 1 KiB blocks every 2 KiB, as coll_sweep's strided rows.
-      Datatype dt = Datatype::vector(packed / KiB, KiB, 2 * KiB);
-      std::size_t ext = dt.extent();
-      std::vector<std::byte> send(ext * nsz), recv(ext * nsz), pk(packed);
-      for (int d = 0; d < n; ++d) {
-        pattern_fill(pk, static_cast<std::uint64_t>(me * 59 + d));
-        dt.unpack(pk.data(), 1,
-                  send.data() + static_cast<std::size_t>(d) * ext);
+  for (const char* mode : {"auto", "shm"}) {
+    SCOPED_TRACE(mode);
+    Config cfg;
+    cfg.env["NEMO_COLL"] = mode;
+    cfg.nranks = 4;
+    run(cfg, [&](Comm& comm) {
+      int n = comm.size(), me = comm.rank();
+      auto nsz = static_cast<std::size_t>(n);
+      for (std::size_t packed :
+           {std::size_t{720}, 4 * KiB, 16 * KiB, 32 * KiB}) {
+        // Blocks every twice their length: 1 KiB ones, as coll_sweep's
+        // strided rows, or 48 B ones for 720 B.
+        std::size_t blk = packed % KiB == 0 ? KiB : 48;
+        Datatype dt = Datatype::vector(packed / blk, blk, 2 * blk);
+        std::size_t ext = dt.extent();
+        std::vector<std::byte> send(ext * nsz), recv(ext * nsz), pk(packed);
+        for (int d = 0; d < n; ++d) {
+          pattern_fill(pk, static_cast<std::uint64_t>(me * 59 + d));
+          dt.unpack(pk.data(), 1,
+                    send.data() + static_cast<std::size_t>(d) * ext);
+        }
+        std::string at = std::to_string(packed) + " B ";
+        expect_path(comm, false, at + "alltoall_strided", [&] {
+          comm.alltoall_strided(send.data(), dt, 1, recv.data(), dt);
+        });
+        for (int w = 0; w < n; ++w) {
+          dt.pack(recv.data() + static_cast<std::size_t>(w) * ext, 1,
+                  pk.data());
+          EXPECT_EQ(pattern_check(pk, static_cast<std::uint64_t>(w * 59 + me)),
+                    kPatternOk)
+              << at << "alltoall_strided from " << w;
+        }
+        expect_path(comm, false, at + "allgather_strided", [&] {
+          comm.allgather_strided(send.data(), dt, 1, recv.data(), dt);
+        });
+        for (int w = 0; w < n; ++w) {
+          dt.pack(recv.data() + static_cast<std::size_t>(w) * ext, 1,
+                  pk.data());
+          EXPECT_EQ(pattern_check(pk, static_cast<std::uint64_t>(w * 59)),
+                    kPatternOk)
+              << at << "allgather_strided block " << w;
+        }
       }
-      std::string at = std::to_string(packed) + " B ";
-      expect_path(comm, false, at + "alltoall_strided", [&] {
-        comm.alltoall_strided(send.data(), dt, 1, recv.data(), dt);
-      });
-      for (int w = 0; w < n; ++w) {
-        dt.pack(recv.data() + static_cast<std::size_t>(w) * ext, 1, pk.data());
-        EXPECT_EQ(pattern_check(pk, static_cast<std::uint64_t>(w * 59 + me)),
-                  kPatternOk)
-            << at << "alltoall_strided from " << w;
-      }
-      expect_path(comm, false, at + "allgather_strided", [&] {
-        comm.allgather_strided(send.data(), dt, 1, recv.data(), dt);
-      });
-      for (int w = 0; w < n; ++w) {
-        dt.pack(recv.data() + static_cast<std::size_t>(w) * ext, 1, pk.data());
-        EXPECT_EQ(pattern_check(pk, static_cast<std::uint64_t>(w * 59)),
-                  kPatternOk)
-            << at << "allgather_strided block " << w;
-      }
-    }
-  });
+    });
+  }
 }
 
 }  // namespace

@@ -116,27 +116,6 @@ TEST(Datatype, IndexedMapPackUnpackRoundTrip) {
   EXPECT_LE(nonzero, dt.size() * kElems);
 }
 
-TEST(Datatype, PackWithNtStoresMatchesCachedPack) {
-  // The NT path is a pure transport choice: byte-identical output.
-  Datatype dt = Datatype::vector(8, 96, 160);
-  constexpr std::size_t kElems = 16;
-  std::vector<std::byte> src(dt.extent() * kElems);
-  pattern_fill(src, 1234);
-  std::vector<std::byte> cached(dt.size() * kElems);
-  std::vector<std::byte> streamed(dt.size() * kElems);
-  dt.pack(src.data(), kElems, cached.data(), /*nt=*/false);
-  dt.pack(src.data(), kElems, streamed.data(), /*nt=*/true);
-  EXPECT_EQ(std::memcmp(cached.data(), streamed.data(), cached.size()), 0);
-
-  std::vector<std::byte> back(src.size(), std::byte{0});
-  dt.unpack(streamed.data(), kElems, back.data(), /*nt=*/true);
-  SegmentList a = dt.map(src.data(), kElems);
-  SegmentList b = dt.map(back.data(), kElems);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(std::memcmp(a[i].base, b[i].base, a[i].len), 0);
-}
-
 using Geometry = std::tuple<std::size_t, std::size_t, std::size_t,
                             std::size_t>;  // count, blocklen, stride, elems
 

@@ -563,18 +563,23 @@ TEST(Knobs, OverrideRingGeometryAndFastbox) {
              {"NEMO_RING_BUF_BYTES", "64KiB"},
              {"NEMO_FASTBOX_SLOTS", "2"},
              {"NEMO_NT_MIN", "1MiB"}};
+  // NEMO_NT_MIN writes every placement row, 0 included (every rendezvous
+  // streams).
+  auto expect_nt_min = [](const World& w, std::size_t want) {
+    for (const tune::PlacementTuning& row : w.tuning().place)
+      EXPECT_EQ(row.nt_min, want);
+  };
   {
     World w(cfg);
     EXPECT_EQ(w.config().ring_bufs, 8u);
     EXPECT_EQ(w.config().ring_buf_bytes, 64 * KiB);
     EXPECT_EQ(w.tuning().fastbox_slots, 2u);
-    EXPECT_EQ(w.config().nt_min, 1 * MiB);
+    expect_nt_min(w, 1 * MiB);
   }
   cfg.env["NEMO_NT_MIN"] = "off";
-  {
-    World w(cfg);
-    EXPECT_EQ(w.config().nt_min, static_cast<std::size_t>(-1));
-  }
+  expect_nt_min(World(cfg), SIZE_MAX);
+  cfg.env["NEMO_NT_MIN"] = "0";
+  expect_nt_min(World(cfg), 0);
 }
 
 }  // namespace

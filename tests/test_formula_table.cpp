@@ -23,7 +23,7 @@ namespace {
 
 /// Every field of the formula table for `topo`, whose shared-LLC pairs sit
 /// behind a cache of `shared_llc` bytes. Placements other than a shared LLC
-/// (and packed operands) use this host's half-LLC default.
+/// use this host's half-LLC default.
 void expect_formula(const TuningTable& t, std::size_t shared_llc,
                     const char* name) {
   SCOPED_TRACE(name);
@@ -41,11 +41,9 @@ void expect_formula(const TuningTable& t, std::size_t shared_llc,
   EXPECT_EQ(t.dma_min, 0u);
   EXPECT_EQ(t.collective_activation, 4 * KiB);
   EXPECT_EQ(t.coll_activation, 0u);  // Formula: resolved per launch mode.
-  EXPECT_EQ(t.coll_slot_bytes, 256 * KiB);
   EXPECT_EQ(t.fastbox_slots, 4u);
   EXPECT_EQ(t.fastbox_slot_bytes, 8 * KiB + 64);  // The activation + header.
   EXPECT_EQ(t.simd_kernel, simd::Choice::kAuto);
-  EXPECT_EQ(t.pack_nt_min, host);
 }
 
 TEST(FormulaTable, GoldenOnPaperPresets) {

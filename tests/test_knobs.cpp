@@ -50,7 +50,7 @@ TEST(KnobTable, SortedUniqueRows) {
     EXPECT_NE(std::string(k.values), "");
     EXPECT_NE(std::string(k.doc), "");
   }
-  EXPECT_EQ(knobs().size(), 20u);
+  EXPECT_EQ(knobs().size(), 17u);
   EXPECT_EQ(find_knob("NEMO_NOPE"), nullptr);
 }
 
@@ -135,7 +135,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BadValue{"NEMO_TRACE", "bogus"},
                       BadValue{"NEMO_TRACE_RING_SLOTS", "1"},
                       BadValue{"NEMO_RING_BUF_BYTES", "2GiB"},
-                      BadValue{"NEMO_COLL_SLOT_BYTES", "32MiB"},
                       BadValue{"NEMO_PEER_TIMEOUT_MS", "0"},
                       BadValue{"NEMO_CMA", "maybe"},
                       BadValue{"NEMO_COLL", "bogus"},
@@ -159,6 +158,13 @@ TEST(KnobPins, UnknownAndProcessScopedPinsThrow) {
   cfg = base_config();
   cfg.env["NEMO_TRACE_OUT"] = "t.json";  // Read at process exit.
   EXPECT_THROW((void)resolve_config(cfg), std::invalid_argument);
+  // Retired knobs: their values live only in Config / TuningTable fields.
+  for (const char* retired :
+       {"NEMO_COLL_SLOT_BYTES", "NEMO_DMA_MIN", "NEMO_PACK_NT_MIN"}) {
+    cfg = base_config();
+    cfg.env[retired] = "4096";
+    EXPECT_THROW((void)resolve_config(cfg), std::invalid_argument) << retired;
+  }
 }
 
 TEST(KnobPins, PinBeatsEnvironmentBeatsProgrammaticField) {
@@ -180,16 +186,24 @@ TEST(KnobPins, PinBeatsEnvironmentBeatsProgrammaticField) {
 
 TEST(KnobPins, ResolutionIsIdempotent) {
   Config cfg = base_config();
-  cfg.env = {{"NEMO_NT_MIN", "1MiB"},      {"NEMO_COLL_SLOT_BYTES", "100"},
+  cfg.env = {{"NEMO_NT_MIN", "1MiB"},
              {"NEMO_RING_BUF_BYTES", "33KiB"}, {"NEMO_CMA", "off"},
              {"NEMO_PEER_TIMEOUT_MS", "1234"},
              {"NEMO_TRACE_RING_SLOTS", "100"}};
   Config once = resolve_config(cfg);
   EXPECT_TRUE(resolve_config(once) == once);
-  EXPECT_EQ(once.coll_slot_bytes, 128u);  // Rounded up to a cache line.
-  EXPECT_EQ(once.tuning->coll_slot_bytes, 128u);
   EXPECT_FALSE(once.cma_enabled);
   EXPECT_EQ(once.peer_timeout_ms, 1234u);
+}
+
+TEST(ConfigFields, CollSlotBytesRoundUpToACacheLine) {
+  Config cfg;
+  cfg.nranks = 2;
+  cfg.coll_slot_bytes = 100;
+  bool ok = run(cfg, [](Comm& comm) {
+    EXPECT_EQ(comm.engine().coll_view().slot_bytes(), 128u);
+  });
+  EXPECT_TRUE(ok);
 }
 
 TEST(KnobPins, WorldAppliesTraceRingSlots) {

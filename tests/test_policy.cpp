@@ -46,7 +46,7 @@ Policy e5345_policy(const tune::TuningTable& t, PolicyConfig cfg = {}) {
 }
 
 TEST(Policy, TableDmaMinOverridesTheFormula) {
-  // NEMO_DMA_MIN lands in TuningTable::dma_min; 0 keeps the formula.
+  // A nonzero TuningTable::dma_min replaces the formula; 0 keeps it.
   tune::TuningTable t = tune::effective_table(xeon_e5345());
   Policy p = e5345_policy(t);
   EXPECT_EQ(p.dma_min_for(0), 1 * MiB);
